@@ -40,6 +40,7 @@
 #include "src/io/binary_io.hpp"
 #include "src/io/structure_io.hpp"
 #include "src/util/rng.hpp"
+#include "tests/referee.hpp"
 
 using namespace ftb;
 
@@ -693,10 +694,9 @@ bool run_dual_scale_report(bench::JsonObject* out) {
   Timer t;
   const api::BuildResult pruned = api::build(g, spec);
   const double pruned_s = t.seconds();
-  api::BuildSpec ref_spec = spec;
-  ref_spec.unpruned_dual = true;
   t.restart();
-  const api::BuildResult unpruned = api::build(g, ref_spec);
+  const api::BuildResult unpruned =
+      test::referee_build(g, spec, {.unpruned = true});
   const double unpruned_s = t.seconds();
   const double speedup = unpruned_s / pruned_s;
   const bool size_ok =
@@ -735,8 +735,19 @@ bool run_dual_scale_report(bench::JsonObject* out) {
   return size_ok && speed_ok && violations == 0;
 }
 
-/// DFS-order ancestor-sweep sharing (DualFtBfsOptions::dfs_schedule) vs
-/// the independent-rebase referee. Three gates, non-zero exit on failure:
+/// The single-source (vertex 0) dual build under the independent-rebase
+/// referee schedule; `work` receives its rebase-seam work.
+api::BuildResult independent_rebase(const Graph& g, bool site_dist,
+                                    SweepWorkStats* work) {
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.site_dist_oracle = site_dist;
+  return test::referee_build(g, spec, {.dfs_schedule = false}, work);
+}
+
+/// DFS-order ancestor-sweep sharing (the production dual build) vs the
+/// independent-rebase referee of tests/referee.hpp. Three gates, non-zero
+/// exit on failure:
 ///   * bit-identity — structures, pair tables AND site-dist rows must be
 ///     byte-identical under both schedules on every identity seed (the
 ///     oracle is harvested so its rows are part of the referee);
@@ -778,24 +789,17 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     const Graph g = bench::dense_random(id_n, seed);
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
-    opts.dfs_schedule = true;
     const DualBuildResult dfs =
         detail::build_dual_failure_ftbfs_impl(g, 0, opts);
-    opts.dfs_schedule = false;
-    const DualBuildResult ind =
-        detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+    SweepWorkStats ind_work;
+    const api::BuildResult ind =
+        independent_rebase(g, /*site_dist=*/true, &ind_work);
     const bool same =
         dfs.structure.edges() == ind.structure.edges() &&
         dfs.structure.reinforced() == ind.structure.reinforced() &&
-        dfs.tables.sites == ind.tables.sites &&
-        dfs.tables.offsets == ind.tables.offsets &&
-        dfs.tables.edge_pool == ind.tables.edge_pool &&
-        dfs.site_dist.site_offsets == ind.site_dist.site_offsets &&
-        dfs.site_dist.parent_edge == ind.site_dist.parent_edge &&
-        dfs.site_dist.tf_depth == ind.site_dist.tf_depth &&
-        dfs.site_dist.row_offsets == ind.site_dist.row_offsets &&
-        dfs.site_dist.rows == ind.site_dist.rows;
-    const bool lower = dfs.sweep_work.total() < ind.sweep_work.total();
+        test::same_tables(dfs.tables, ind.dual_tables.front()) &&
+        test::same_site_dist(dfs.site_dist, ind.dual_site_dist.front());
+    const bool lower = dfs.sweep_work.total() < ind_work.total();
     if (!same) {
       std::cout << "!!! dual dfs schedule diverges from the independent "
                    "referee at n=" << id_n << " seed=" << seed << "\n";
@@ -804,7 +808,7 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
       std::cout << "!!! dual dfs schedule work not strictly below the "
                    "independent referee at n=" << id_n << " seed=" << seed
                 << " (" << dfs.sweep_work.total() << " vs "
-                << ind.sweep_work.total() << ")\n";
+                << ind_work.total() << ")\n";
     }
     identical = identical && same;
     work_ok = work_ok && lower;
@@ -813,7 +817,7 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
         .set("n", static_cast<std::int64_t>(id_n))
         .set("identical", same)
         .set("work_dfs", dfs.sweep_work.total())
-        .set("work_independent", ind.sweep_work.total());
+        .set("work_independent", ind_work.total());
     rows.push(row);
   }
 
@@ -832,31 +836,28 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   std::int64_t big_work_dfs = 0;
   std::int64_t big_work_ind = 0;
   bool big_identical = true;
+  // Each leg returns (structure edges, pair-table edge pool) for the
+  // identity check.
   const auto timed_leg = [&](bool dfs_leg) {
-    DualFtBfsOptions opts;
-    opts.dfs_schedule = dfs_leg;
     Timer t;
-    const DualBuildResult r =
-        detail::build_dual_failure_ftbfs_impl(big, 0, opts);
-    const double s = t.seconds();
     if (dfs_leg) {
-      dfs_s = std::min(dfs_s, s);
+      DualBuildResult r = detail::build_dual_failure_ftbfs_impl(big, 0, {});
+      dfs_s = std::min(dfs_s, t.seconds());
       big_work_dfs = r.sweep_work.total();
-    } else {
-      ind_s = std::min(ind_s, s);
-      big_work_ind = r.sweep_work.total();
+      return std::make_pair(r.structure.edges(), std::move(r.tables.edge_pool));
     }
-    return r;
+    SweepWorkStats work;
+    api::BuildResult r = independent_rebase(big, /*site_dist=*/false, &work);
+    ind_s = std::min(ind_s, t.seconds());
+    big_work_ind = work.total();
+    return std::make_pair(r.structure.edges(),
+                          std::move(r.dual_tables.front().edge_pool));
   };
   for (int rep = 0; rep < 3; ++rep) {
     const bool dfs_first = rep % 2 == 0;
-    const DualBuildResult a = timed_leg(dfs_first);
-    const DualBuildResult b = timed_leg(!dfs_first);
-    const DualBuildResult& dfs = dfs_first ? a : b;
-    const DualBuildResult& ind = dfs_first ? b : a;
-    big_identical = big_identical &&
-                    dfs.structure.edges() == ind.structure.edges() &&
-                    dfs.tables.edge_pool == ind.tables.edge_pool;
+    const auto a = timed_leg(dfs_first);
+    const auto b = timed_leg(!dfs_first);
+    big_identical = big_identical && a == b;
   }
   const double speedup = ind_s / dfs_s;
   const bool big_work_ok = big_work_dfs < big_work_ind;
@@ -924,10 +925,9 @@ bool run_dual_report(bench::JsonObject* out) {
 
     // The unpruned PR 4 recursion: the differential referee and the
     // per-seed size budget.
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
     t.restart();
-    const api::BuildResult ref = api::build(g, ref_spec);
+    const api::BuildResult ref =
+        test::referee_build(g, spec, {.unpruned = true});
     const double build_unpruned_s = t.seconds();
     const bool size_ok = res.structure.num_edges() < ref.structure.num_edges();
     if (!size_ok) {
@@ -985,7 +985,7 @@ bool run_dual_report(bench::JsonObject* out) {
     const double batched_s = t.seconds();
 
     // The unpruned referee must agree with the pruned session on every
-    // answer — the `unpruned_dual` escape hatch is exactly this check.
+    // answer — the unpruned referee exists for exactly this check.
     bool agree = resp.refused == 0;
     {
       const api::QueryResponse ref_resp = ref_session.query(storm);

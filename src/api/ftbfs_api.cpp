@@ -53,8 +53,6 @@ EpsilonOptions BuildSpec::epsilon_options() const {
   opts.threshold_scale = threshold_scale;
   opts.disable_s2_light_flush = disable_s2_light_flush;
   opts.disable_s2_crossings = disable_s2_crossings;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
   return opts;
 }
 
@@ -62,8 +60,6 @@ VertexFtBfsOptions BuildSpec::vertex_options() const {
   VertexFtBfsOptions opts;
   opts.weight_seed = weight_seed;
   opts.pool = pool;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
   return opts;
 }
 
@@ -71,11 +67,7 @@ DualFtBfsOptions BuildSpec::dual_options() const {
   DualFtBfsOptions opts;
   opts.weight_seed = weight_seed;
   opts.pool = pool;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
-  opts.unpruned_dual = unpruned_dual;
   opts.site_dist_oracle = site_dist_oracle;
-  opts.dfs_schedule = dual_dfs_schedule;
   return opts;
 }
 
@@ -302,8 +294,7 @@ struct Session::Impl {
        std::vector<std::string> load_drops = {},
        std::vector<DualSiteDistTable> site_dist = {},
        bool want_site_dist = false,
-       std::vector<std::string> accel_drops = {},
-       bool bit_parallel = true, bool dual_dfs_schedule = true)
+       std::vector<std::string> accel_drops = {})
       : g(&graph),
         model(h.fault_class()),
         sources(std::move(srcs)),
@@ -316,21 +307,10 @@ struct Session::Impl {
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
     trees.reserve(sources.size());
-    if (bit_parallel && sources.size() >= 2) {
-      // One fused kernel sweep rebuilds every per-source canonical label
-      // set; the adoption ctor below is bit-identical to the scalar
-      // per-source rebuild, so the tree-union check still guards the
-      // weight_seed contract.
-      std::vector<BfsLane> lanes(sources.size());
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        lanes[i].source = sources[i];
-      }
-      std::vector<CanonicalSp> sps = ms_canonical_sp(graph, weights, lanes);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        trees.emplace_back(graph, weights, sources[i], std::move(sps[i]));
-      }
-    } else {
-      for (const Vertex s : sources) trees.emplace_back(graph, weights, s);
+    std::vector<CanonicalSp> sps =
+        canonical_source_sps(graph, weights, sources);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      trees.emplace_back(graph, weights, sources[i], std::move(sps[i]));
     }
 
     // The rebuilt canonical trees must be exactly the trees the structure
@@ -389,8 +369,7 @@ struct Session::Impl {
           DualSiteDistTable sd;
           fresh.push_back(detail::build_dual_site_table(
               t, pool, /*reference_kernel=*/false, nullptr,
-              /*unpruned=*/false, need_sd ? &sd : nullptr, bit_parallel,
-              dual_dfs_schedule));
+              /*unpruned=*/false, need_sd ? &sd : nullptr));
           if (need_sd) dual_site_dist.push_back(std::move(sd));
         }
         if (need_tables) {
@@ -635,9 +614,7 @@ Session Session::deploy(const Graph& g, BuildResult result) {
       g, std::move(result.structure), std::move(result.sources),
       result.spec.weight_seed, result.spec.pool,
       std::move(result.dual_tables), std::vector<std::string>{},
-      std::move(result.dual_site_dist), result.spec.site_dist_oracle,
-      std::vector<std::string>{}, result.spec.bit_parallel,
-      result.spec.dual_dfs_schedule));
+      std::move(result.dual_site_dist), result.spec.site_dist_oracle));
 }
 
 Session Session::load(const Graph& g, const std::string& path,
@@ -662,8 +639,7 @@ Session Session::load(const Graph& g, const std::string& path,
   return Session(std::make_shared<const Impl>(
       g, std::move(h), std::move(sources), cfg.weight_seed, cfg.pool,
       std::move(tables), std::move(degrade_drops), std::move(site_dist),
-      cfg.site_dist_oracle, std::move(accel_drops), cfg.bit_parallel,
-      cfg.dual_dfs_schedule));
+      cfg.site_dist_oracle, std::move(accel_drops)));
 }
 
 void Session::save(const std::string& path) const {

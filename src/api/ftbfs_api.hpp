@@ -6,10 +6,14 @@
 // template documented as "NOT thread-safe". This header replaces all of
 // that with two nouns:
 //
-//   * BuildSpec — the full parameterization (fault model × ε × sources ×
-//     tuning knobs), validated up front with one CheckError message shape
-//     ("invalid BuildSpec: …") shared by the API, the legacy wrappers and
-//     the CLI. `build(graph, spec)` dispatches to the right pipeline:
+//   * BuildSpec — the full parameterization (fault model × ε × sources,
+//     plus the ε pipeline's ablation knobs), validated up front with one
+//     CheckError message shape ("invalid BuildSpec: …") shared by the API,
+//     the legacy wrappers and the CLI. It says WHAT to build, never how:
+//     no field picks between bit-identical implementations (the
+//     differential referees live in tests/referee.hpp and behind
+//     detail::build_dual_site_table). `build(graph, spec)` dispatches to
+//     the right pipeline:
 //
 //         fault_model   sources   pipeline
 //         kEdge         1         ε FT-BFS   (S0→S1/S2→F; ε = 0 reinforced
@@ -24,6 +28,11 @@
 //                                 failures; dual_fault.hpp) + pair tables
 //         kDual         k > 1     per-source dual structures, merged
 //                                 (Gupta–Khan multi-source setting)
+//
+//     Every k > 1 row (and every Session deploy or load) builds its
+//     canonical trees through canonical_source_sps: σ ≥ 2 sources fuse
+//     into one bit-parallel sweep, a single source runs the scalar
+//     canonical BFS.
 //
 //   * Session — a type-erased deployment of the result (structure + tree +
 //     replacement engines per source, no templates in sight) serving a
@@ -59,8 +68,8 @@ namespace ftb::api {
 
 /// The full parameterization of one build: which failures the structure
 /// must survive, for which sources, at which point of the reinforcement-
-/// backup tradeoff, plus tuning knobs. Defaults build a single-source
-/// edge-fault ε = 0.25 structure.
+/// backup tradeoff, plus the ε pipeline's ablation knobs. Defaults build a
+/// single-source edge-fault ε = 0.25 structure.
 struct BuildSpec {
   /// Failure model the structure insures against.
   FaultClass fault_model = FaultClass::kEdge;
@@ -75,25 +84,12 @@ struct BuildSpec {
   std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
 
-  // ---- ε pipeline tuning knobs (see EpsilonOptions for semantics) -------
+  // ---- ε pipeline ablation knobs (see EpsilonOptions for semantics) -----
   bool baseline_for_large_eps = true;
   std::int32_t k_rounds_override = 0;
   double threshold_scale = 1.0;
   bool disable_s2_light_flush = false;
   bool disable_s2_crossings = false;
-  /// Run the naive reference kernels (differential testing / bench
-  /// baseline; output is bit-identical either way).
-  bool reference_kernel = false;
-  /// Fuse multi-source canonical-tree builds (and the unpruned dual's
-  /// per-site punctured rebuilds) into bit-parallel kernel sweeps. Output
-  /// is bit-identical either way; off is the scalar escape hatch for
-  /// differential testing. Single-source non-dual builds ignore it.
-  bool bit_parallel = true;
-  /// Dual model only: build the unpruned PR 4 recursion (full punctured
-  /// structure per first-failure site) instead of the segment-pruned,
-  /// prefix-reusing default. The unpruned build is the differential
-  /// referee: strictly larger structure, same served answers.
-  bool unpruned_dual = false;
   /// Dual model only: also harvest the site-local distance oracle
   /// (per-site replacement-distance rows over C_f) while the punctured
   /// engines are alive, so a deployed Session answers EVERY in-model pair
@@ -101,14 +97,6 @@ struct BuildSpec {
   /// proportional to the tree volume; persisted by save_v5 as the
   /// optional site-dist section.
   bool site_dist_oracle = false;
-  /// Dual model only: schedule the pruned build's first-failure sites in
-  /// T0 DFS order on per-thread punctured-tree workspaces, so each site's
-  /// rebase patches its processed ancestor's state instead of paying an
-  /// independent full label copy. Off is the independent-rebase referee;
-  /// structures, pair tables and site-dist rows are bit-identical either
-  /// way (pinned by tests and the dual_dfs_schedule bench gate).
-  /// FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dual_dfs_schedule = dual_dfs_schedule_default();
 
   /// Throws CheckError ("invalid BuildSpec: …") on NaN / out-of-range ε
   /// or an empty / out-of-range / duplicated source set. build() and
@@ -290,16 +278,6 @@ struct SessionConfig {
   /// the graph when absent or dropped. Off by default — loading then
   /// attaches a shipped section for free but never pays a rebuild.
   bool site_dist_oracle = false;
-  /// Fuse the per-source canonical-tree rebuilds (and any dual pair-table
-  /// rebuild this session has to pay) into bit-parallel kernel sweeps.
-  /// Served answers are bit-identical either way; off is the scalar
-  /// escape hatch for differential testing.
-  bool bit_parallel = true;
-  /// Run any dual pair-table rebuild this session has to pay on the
-  /// DFS-order workspace schedule (BuildSpec::dual_dfs_schedule semantics;
-  /// rebuilt tables are bit-identical either way).
-  /// FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dual_dfs_schedule = dual_dfs_schedule_default();
 };
 
 /// What Session::fsck() found. `ok` means every audited invariant held;

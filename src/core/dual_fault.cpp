@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
-#include <string_view>
 
 #include "src/core/dist_sweep.hpp"
 #include "src/core/validate.hpp"
@@ -17,18 +15,6 @@
 #include "src/util/rng.hpp"
 
 namespace ftb {
-
-bool dual_dfs_schedule_default() {
-  // Read once per process: the knob exists so CI can run the whole dual
-  // suite under either schedule without plumbing a flag through every
-  // default-constructed BuildSpec/SessionConfig/DualFtBfsOptions. Explicit
-  // assignments to those fields always win over this default.
-  static const bool on = [] {
-    const char* env = std::getenv("FTBFS_DUAL_DFS_SCHEDULE");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return on;
-}
 
 bool DualSiteTable::subset_contains(std::size_t i, EdgeId e) const {
   const auto sub = subset(i);
@@ -122,15 +108,6 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
   // One punctured single-fault build per site. Iterations write disjoint
   // slots; the engines inside parallelize on the same pool (nested
   // parallel_for is supported — an inner job drains through its caller).
-  //
-  // Pruned (default): the punctured tree is REBASED from T0 (only the
-  // affected subtree is relabeled) and the engines are restricted to the
-  // affected terminals, so a site costs its subtree's volume; the subset
-  // keeps only the segment those terminals consume — their T_f parent
-  // edges plus their uncovered-pair last edges (see the file comment's
-  // induction for why that is sufficient).
-  // Unpruned (the PR 4 referee): full punctured tree build, full engines,
-  // subset = T_f ∪ all last edges.
   std::vector<std::vector<EdgeId>> subsets(table.sites.size());
   std::vector<SiteDistRows> site_dist_rows(
       site_dist_out != nullptr ? table.sites.size() : 0);
@@ -212,13 +189,13 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       });
     }
   } else {
-    // Pruned (default): the punctured tree is REBASED from T0 (only the
+    // Pruned (production): the punctured tree is REBASED from T0 (only the
     // affected subtree is relabeled) and the engines are restricted to the
     // affected terminals, so a site costs its subtree's volume; the subset
     // keeps only the segment those terminals consume — their T_f parent
     // edges plus their uncovered-pair last edges (see the file comment's
-    // induction for why that is sufficient). Already incremental, so the
-    // bit-parallel knob has nothing to fuse here.
+    // induction for why that is sufficient). Already incremental, so
+    // `bit_parallel` has nothing to fuse here.
     std::atomic<std::int64_t> label_writes{0};
     std::atomic<std::int64_t> sweep_visits{0};
 
@@ -398,69 +375,22 @@ DualBuildResult detail::build_dual_failure_ftbfs_impl(
   detail::check_source(g, source);
   const EdgeWeights weights =
       EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree = opts.prebuilt_sp != nullptr
-                           ? BfsTree(g, weights, source,
-                                     CanonicalSp(*opts.prebuilt_sp))
-                           : BfsTree(g, weights, source);
+  return build_dual_failure_ftbfs_impl(BfsTree(g, weights, source), opts);
+}
+
+DualBuildResult detail::build_dual_failure_ftbfs_impl(
+    const BfsTree& tree, const DualFtBfsOptions& opts) {
   std::vector<EdgeId> edges;
   DualSiteDistTable site_dist;
   SweepWorkStats sweep_work;
   DualSiteTable table = detail::build_dual_site_table(
-      tree, opts.pool, opts.reference_kernel, &edges, opts.unpruned_dual,
-      opts.site_dist_oracle ? &site_dist : nullptr, opts.bit_parallel,
-      opts.dfs_schedule, &sweep_work);
-  FtBfsStructure h(g, source, std::move(edges), /*reinforced=*/{},
-                   tree.tree_edges(), FaultClass::kDual);
+      tree, opts.pool, /*reference_kernel=*/false, &edges, /*unpruned=*/false,
+      opts.site_dist_oracle ? &site_dist : nullptr, /*bit_parallel=*/true,
+      /*dfs_schedule=*/true, &sweep_work);
+  FtBfsStructure h(tree.graph(), tree.source(), std::move(edges),
+                   /*reinforced=*/{}, tree.tree_edges(), FaultClass::kDual);
   return DualBuildResult{std::move(h), std::move(table),
                          std::move(site_dist), sweep_work};
-}
-
-DualMultiSourceResult detail::build_dual_failure_ftmbfs_impl(
-    const Graph& g, const std::vector<Vertex>& sources,
-    const DualFtBfsOptions& opts) {
-  detail::check_sources(g, sources);
-  std::vector<EdgeId> edges;
-  std::vector<EdgeId> tree_edges;
-  std::vector<DualSiteTable> per_source;
-  std::vector<DualSiteDistTable> per_source_site_dist;
-  per_source.reserve(sources.size());
-  if (opts.site_dist_oracle) per_source_site_dist.reserve(sources.size());
-  // Bit-parallel: fuse the per-source T0 builds into one kernel sweep and
-  // hand each per-source build its prebuilt canonical labels. CanonicalSp is
-  // self-contained, so the locally scoped weights table is safe — each
-  // per-source impl rebuilds the identical table from the same seed.
-  std::vector<CanonicalSp> sps;
-  const bool fuse = opts.bit_parallel && sources.size() >= 2 &&
-                    opts.prebuilt_sp == nullptr;
-  if (fuse) {
-    const EdgeWeights weights =
-        EdgeWeights::uniform_random(g, opts.weight_seed);
-    std::vector<BfsLane> lanes(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      lanes[i].source = sources[i];
-    }
-    sps = ms_canonical_sp(g, weights, lanes);
-  }
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Vertex s = sources[i];
-    DualFtBfsOptions per = opts;
-    if (fuse) per.prebuilt_sp = &sps[i];
-    DualBuildResult r = detail::build_dual_failure_ftbfs_impl(g, s, per);
-    edges.insert(edges.end(), r.structure.edges().begin(),
-                 r.structure.edges().end());
-    tree_edges.insert(tree_edges.end(), r.structure.tree_edges().begin(),
-                      r.structure.tree_edges().end());
-    per_source.push_back(std::move(r.tables));
-    if (opts.site_dist_oracle) {
-      per_source_site_dist.push_back(std::move(r.site_dist));
-    }
-  }
-  FtBfsStructure merged(g, sources.front(), std::move(edges),
-                        /*reinforced=*/{}, std::move(tree_edges),
-                        FaultClass::kDual);
-  return DualMultiSourceResult{sources, std::move(merged),
-                               std::move(per_source),
-                               std::move(per_source_site_dist)};
 }
 
 // ---------------------------------------------------------------------------

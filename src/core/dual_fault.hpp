@@ -51,8 +51,9 @@
 // Taking f' = f degenerates the argument to single failures, so
 // T0 ∪ C_f already realizes dist(s, ·, G\{f}) — the fast-path sandwich
 // below. The PR 4 construction (C_f replaced by the FULL punctured
-// structure T_f ∪ all last edges) is preserved behind
-// DualFtBfsOptions::unpruned_dual as the differential referee; the pruned
+// structure T_f ∪ all last edges) is preserved behind the `unpruned`
+// parameter of detail::build_dual_site_table as the differential referee
+// (tests/referee.hpp builds it for tests and benches); the pruned
 // H is a strict subset of it and the served answers are pinned
 // bit-identical to both the referee and brute-force two-failure BFS.
 //
@@ -154,46 +155,14 @@ struct DualSiteDistTable {
   std::size_t num_slots() const { return parent_edge.size(); }
 };
 
-/// The process-wide default for the DFS-order site schedule:
-/// FTBFS_DUAL_DFS_SCHEDULE=0 forces it off, =1 (or unset) on — read once.
-/// CI's sanitizer jobs run the dual suites under both settings; explicit
-/// assignments to the dfs_schedule knobs always win over the env default.
-bool dual_dfs_schedule_default();
-
 struct DualFtBfsOptions {
   std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
-  /// Run the punctured engines on the naive reference kernels (differential
-  /// testing; the produced structure and tables are bit-identical).
-  bool reference_kernel = false;
-  /// Escape hatch: build the PR 4 construction — full punctured trees, no
-  /// segment pruning, no prefix reuse, per-site subsets T_f ∪ all last
-  /// edges. Kept as the differential referee: the pruned structure must be
-  /// a strict subset of this one and serve bit-identical answers.
-  bool unpruned_dual = false;
   /// Also harvest the site-local distance tables (DualSiteDistTable) while
   /// the punctured engines are alive, so the oracle serves EVERY pair
   /// traversal-free. Off by default: it costs extra memory proportional to
   /// the tree volume.
   bool site_dist_oracle = false;
-  /// Fuse multi-source (σ ≥ 2) T0 hop phases — and, under unpruned_dual,
-  /// the per-site punctured canonical rebuilds (same source, per-lane bans)
-  /// — into bit-parallel sweeps (multi_source_bfs_kernel.hpp). Off = scalar
-  /// passes; structures and tables are bit-identical either way.
-  bool bit_parallel = true;
-  /// Pruned build only: walk the first-failure sites in T0 DFS order on
-  /// per-thread PuncturedWorkspace arenas (dist_sweep.hpp) so each site's
-  /// rebase is a subtree-volume patch against its processed ancestor's
-  /// state instead of an independent full O(n) label copy. Work is chunked
-  /// per top-level subtree across the pool. Off = the independent-rebase
-  /// schedule, kept as the differential referee: structures, pair tables
-  /// and site-dist rows are bit-identical under both schedules. The
-  /// unpruned referee ignores the knob (nothing to rebase there).
-  /// Defaults on; FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dfs_schedule = dual_dfs_schedule_default();
-  /// Internal fusion seam: adopt these already-computed canonical labels
-  /// for T0 (see EpsilonOptions::prebuilt_sp). Must outlive the call.
-  const CanonicalSp* prebuilt_sp = nullptr;
 };
 
 /// What the dual-failure pipeline emits: the structure (tagged kDual) plus
@@ -205,9 +174,8 @@ struct DualBuildResult {
   /// DualFtBfsOptions::site_dist_oracle).
   DualSiteDistTable site_dist;
   /// Rebase-seam work the pruned build performed (label writes + sweep
-  /// visits, summed over all sites; zero for the unpruned referee). The
-  /// dual_dfs_schedule bench gate pins the DFS schedule's total strictly
-  /// below the independent schedule's.
+  /// visits, summed over all sites). A bench gate pins the DFS schedule's
+  /// total strictly below the independent-rebase referee's.
   SweepWorkStats sweep_work;
 };
 
@@ -226,25 +194,35 @@ namespace detail {
 /// fault_model = kDual. Validate through validate.hpp.
 DualBuildResult build_dual_failure_ftbfs_impl(const Graph& g, Vertex source,
                                               const DualFtBfsOptions& opts);
+/// Same, on an already-built canonical tree (its source and weights;
+/// opts.weight_seed is not read).
+DualBuildResult build_dual_failure_ftbfs_impl(const BfsTree& tree,
+                                              const DualFtBfsOptions& opts);
+/// The multi-source union; defined in multi_source.cpp beside the other
+/// fault models' unions.
 DualMultiSourceResult build_dual_failure_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const DualFtBfsOptions& opts);
 
-/// Rebuilds one source's pair tables for an already-built canonical tree
-/// (what Session::load falls back to when an artifact carries no tables).
-/// Also returns, through `edges_out`, the union T0 ∪ ⋃_f C_f it implies
-/// (with `unpruned`, the PR 4 referee sets T0 ∪ ⋃_f H_f). When
-/// `site_dist_out` is non-null the site-local distance tables are harvested
-/// from the punctured engines in the same pass (valid for the pruned and
-/// the unpruned construction alike — the harvested rows are identical).
-/// `bit_parallel` batches the unpruned referee's per-site punctured
-/// canonical rebuilds (same source, one {edge, vertex} ban pair per lane)
-/// through the bit-parallel kernel in ≤64-lane groups; the pruned branch
-/// rebases incrementally and ignores the knob. `dfs_schedule` selects the
-/// pruned branch's DFS-order workspace schedule (see
-/// DualFtBfsOptions::dfs_schedule); `sweep_work`, when given, receives the
-/// summed rebase-seam work. Output is bit-identical under every knob
-/// combination.
+/// Builds one source's pair tables for an already-built canonical tree.
+/// The production build and Session::load's table rebuild both call it
+/// with the defaults below; it is the one place the dual referees are
+/// selected (tests/referee.hpp). Also returns, through `edges_out`, the
+/// union T0 ∪ ⋃_f C_f it implies (with `unpruned`, the referee's
+/// T0 ∪ ⋃_f H_f: full punctured structure per site, no segment pruning). When `site_dist_out` is non-null the site-local distance
+/// tables are harvested from the punctured engines in the same pass (valid
+/// for the pruned and the unpruned construction alike — the harvested rows
+/// are identical). `reference_kernel` runs the engines on the naive
+/// reference kernels. `bit_parallel` batches the unpruned referee's
+/// per-site punctured canonical rebuilds (same source, one {edge, vertex}
+/// ban pair per lane) through the bit-parallel kernel in ≤64-lane groups;
+/// the pruned branch rebases incrementally and ignores it. `dfs_schedule`
+/// walks the pruned branch's sites in T0 DFS order on per-thread
+/// PuncturedWorkspace arenas (dist_sweep.hpp), so each site's rebase
+/// patches its processed ancestor's state; false is the independent-rebase
+/// referee, which pays a full rebase from T0 per site. `sweep_work`, when
+/// given, receives the summed rebase-seam work. Output is bit-identical
+/// under every parameter combination.
 DualSiteTable build_dual_site_table(const BfsTree& tree, ThreadPool* pool,
                                     bool reference_kernel,
                                     std::vector<EdgeId>* edges_out,

@@ -112,20 +112,24 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
                                                const EpsilonOptions& opts) {
   detail::check_epsilon(opts.eps);
   detail::check_source(g, source);
+  Timer tree_timer;
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
+  const BfsTree tree(g, weights, source);
+  const double tree_s = tree_timer.seconds();
+  EpsilonResult res = build_epsilon_ftbfs_impl(tree, opts);
+  res.stats.seconds_total += tree_s;
+  return res;
+}
+
+EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
+                                               const EpsilonOptions& opts) {
+  const Graph& g = tree.graph();
+  const Vertex source = tree.source();
   Timer total_timer;
   EpsilonStats st;
   st.n = g.num_vertices();
   st.m = g.num_edges();
   st.eps = opts.eps;
-
-  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  // A multi-source caller may have fused this source's canonical hop phase
-  // into a bit-parallel sweep already; adopting those labels is
-  // bit-identical to the scalar canonical BFS.
-  const BfsTree tree = opts.prebuilt_sp != nullptr
-                           ? BfsTree(g, weights, source,
-                                     CanonicalSp(*opts.prebuilt_sp))
-                           : BfsTree(g, weights, source);
 
   // ε = 0: reinforce the whole tree, no backup at all.
   if (opts.eps == 0.0) {

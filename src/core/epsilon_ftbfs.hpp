@@ -36,7 +36,7 @@
 
 namespace ftb {
 
-struct CanonicalSp;  // canonical_bfs.hpp
+class BfsTree;  // bfs_tree.hpp
 
 struct EpsilonOptions {
   /// The tradeoff exponent ε ∈ [0, 1].
@@ -63,19 +63,6 @@ struct EpsilonOptions {
   /// direction-optimizing scratch-arena kernels. The produced structure is
   /// bit-identical; this is the bench baseline / differential-testing knob.
   bool reference_kernel = false;
-
-  /// Multi-source builds (σ ≥ 2) fuse the per-source canonical hop phases
-  /// into one bit-parallel sweep (multi_source_bfs_kernel.hpp). Off = run σ
-  /// scalar passes — the reference_kernel-style escape hatch; the produced
-  /// structures are bit-identical either way. Single-source builds ignore
-  /// the knob.
-  bool bit_parallel = true;
-
-  /// Internal fusion seam: adopt these already-computed canonical labels
-  /// (exactly canonical_sp(g, weights, source) for this impl's weight seed)
-  /// instead of paying the O(m) canonical BFS. Set by the multi-source
-  /// pipelines after the fused sweep; must outlive the call.
-  const CanonicalSp* prebuilt_sp = nullptr;
 };
 
 /// Construction telemetry — one row of every benchmark table.
@@ -119,6 +106,11 @@ namespace detail {
 /// model. Validates (ε, source) through validate.hpp, so every entry point
 /// rejects bad inputs with the same CheckError shape.
 EpsilonResult build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
+                                       const EpsilonOptions& opts);
+/// Same, on an already-built canonical tree (its source and weights;
+/// opts.weight_seed is not read; ε must already be validated). The
+/// multi-source unions call this once per source tree.
+EpsilonResult build_epsilon_ftbfs_impl(const BfsTree& tree,
                                        const EpsilonOptions& opts);
 }  // namespace detail
 

@@ -18,10 +18,11 @@ FtBfsStructure detail::build_ftbfs_impl(const Graph& g, Vertex source,
                                         const FtBfsOptions& opts) {
   detail::check_source(g, source);
   const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree = opts.prebuilt_sp != nullptr
-                           ? BfsTree(g, weights, source,
-                                     CanonicalSp(*opts.prebuilt_sp))
-                           : BfsTree(g, weights, source);
+  return build_ftbfs_impl(BfsTree(g, weights, source), opts);
+}
+
+FtBfsStructure detail::build_ftbfs_impl(const BfsTree& tree,
+                                        const FtBfsOptions& opts) {
   ReplacementPathEngine::Config cfg;
   cfg.collect_detours = false;  // the baseline only needs last edges
   cfg.pool = opts.pool;

@@ -15,8 +15,6 @@
 
 namespace ftb {
 
-struct CanonicalSp;  // canonical_bfs.hpp
-
 struct FtBfsOptions {
   /// Seed of the tie-breaking weight assignment W.
   std::uint64_t weight_seed = 0x5EED0001ULL;
@@ -24,9 +22,6 @@ struct FtBfsOptions {
   /// Run the engine on the naive reference kernels (bench baseline /
   /// differential testing; output is bit-identical either way).
   bool reference_kernel = false;
-  /// Internal fusion seam: adopt these already-computed canonical labels
-  /// (see EpsilonOptions::prebuilt_sp). Must outlive the call.
-  const CanonicalSp* prebuilt_sp = nullptr;
 };
 
 namespace detail {
@@ -35,6 +30,9 @@ namespace detail {
 /// through the ε pipeline; these impls also back the legacy wrappers below.
 FtBfsStructure build_ftbfs_impl(const Graph& g, Vertex source,
                                 const FtBfsOptions& opts);
+/// Same, on an already-built canonical tree (its source and weights;
+/// opts.weight_seed is not read).
+FtBfsStructure build_ftbfs_impl(const BfsTree& tree, const FtBfsOptions& opts);
 FtBfsStructure build_reinforced_tree_impl(const Graph& g, Vertex source,
                                           const FtBfsOptions& opts);
 }  // namespace detail

@@ -1,5 +1,6 @@
 #include "src/core/multi_source.hpp"
 
+#include "src/core/dual_fault.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/multi_source_bfs_kernel.hpp"
@@ -8,25 +9,37 @@ namespace ftb {
 
 namespace {
 
-/// Fused canonical labels for every source, or empty when the fusion gate
-/// is off (knob disabled, a single source, or a caller-supplied prebuilt
-/// label set already in play). CanonicalSp is self-contained, so the local
-/// weights table can die here — each per-source impl rebuilds the identical
-/// table from the same seed.
-std::vector<CanonicalSp> fused_source_sps(const Graph& g,
-                                          const std::vector<Vertex>& sources,
-                                          std::uint64_t weight_seed,
-                                          bool bit_parallel,
-                                          const CanonicalSp* prebuilt_sp) {
-  if (!bit_parallel || sources.size() < 2 || prebuilt_sp != nullptr) {
-    return {};
-  }
+/// The §5 union over `sources`: `per_source(tree)` builds one source's
+/// structure on its canonical tree, and the edge sets merge into one
+/// structure tagged `model`. Every label set comes from one
+/// canonical_source_sps call; each tree is built just before its structure
+/// and dropped right after, so the peak holds σ label sets plus one tree.
+template <class PerSource>
+FtBfsStructure union_over_sources(const Graph& g,
+                                  const std::vector<Vertex>& sources,
+                                  std::uint64_t weight_seed, FaultClass model,
+                                  PerSource&& per_source) {
   const EdgeWeights weights = EdgeWeights::uniform_random(g, weight_seed);
-  std::vector<BfsLane> lanes(sources.size());
+  std::vector<CanonicalSp> sps = canonical_source_sps(g, weights, sources);
+  std::vector<EdgeId> edges;
+  std::vector<EdgeId> reinforced;
+  std::vector<EdgeId> tree_edges;  // union of the per-source trees
+  // Each per-source tree holds up to n−1 edges; reserving up front keeps
+  // the tree-edge union from reallocating once per source. (The backup
+  // edge union is Õ(n^{1+ε})-sized and grows amortized instead.)
+  tree_edges.reserve(sources.size() *
+                     static_cast<std::size_t>(g.num_vertices()));
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    lanes[i].source = sources[i];
+    const BfsTree tree(g, weights, sources[i], std::move(sps[i]));
+    const FtBfsStructure h = per_source(tree);
+    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
+    reinforced.insert(reinforced.end(), h.reinforced().begin(),
+                      h.reinforced().end());
+    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
+                      h.tree_edges().end());
   }
-  return ms_canonical_sp(g, weights, lanes);
+  return FtBfsStructure(g, sources.front(), std::move(edges),
+                        std::move(reinforced), std::move(tree_edges), model);
 }
 
 }  // namespace
@@ -36,36 +49,15 @@ MultiSourceResult detail::build_epsilon_ftmbfs_impl(
     const EpsilonOptions& opts) {
   detail::check_epsilon(opts.eps);
   detail::check_sources(g, sources);
-
-  std::vector<EdgeId> edges;
-  std::vector<EdgeId> reinforced;
-  std::vector<EdgeId> tree_edges;  // union of the per-source trees
   std::vector<EpsilonStats> stats;
   stats.reserve(sources.size());
-  // Each per-source tree holds up to n−1 edges; reserving up front keeps
-  // the tree-edge union from reallocating once per source. (The backup
-  // edge union is Õ(n^{1+ε})-sized and grows amortized instead.)
-  tree_edges.reserve(sources.size() *
-                     static_cast<std::size_t>(g.num_vertices()));
-
-  const std::vector<CanonicalSp> sps = fused_source_sps(
-      g, sources, opts.weight_seed, opts.bit_parallel, opts.prebuilt_sp);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Vertex s = sources[i];
-    EpsilonOptions per = opts;
-    if (!sps.empty()) per.prebuilt_sp = &sps[i];
-    EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, s, per);
-    const FtBfsStructure& h = res.structure;
-    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
-    reinforced.insert(reinforced.end(), h.reinforced().begin(),
-                      h.reinforced().end());
-    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
-                      h.tree_edges().end());
-    stats.push_back(res.stats);
-  }
-
-  FtBfsStructure merged(g, sources.front(), std::move(edges),
-                        std::move(reinforced), std::move(tree_edges));
+  FtBfsStructure merged = union_over_sources(
+      g, sources, opts.weight_seed, FaultClass::kEdge,
+      [&](const BfsTree& tree) {
+        EpsilonResult res = detail::build_epsilon_ftbfs_impl(tree, opts);
+        stats.push_back(res.stats);
+        return std::move(res.structure);
+      });
   return MultiSourceResult{sources, std::move(merged), std::move(stats)};
 }
 
@@ -73,27 +65,11 @@ MultiSourceResult detail::build_vertex_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const VertexFtBfsOptions& opts) {
   detail::check_sources(g, sources);
-
-  std::vector<EdgeId> edges;
-  std::vector<EdgeId> tree_edges;  // union of the per-source trees
-  tree_edges.reserve(sources.size() *
-                     static_cast<std::size_t>(g.num_vertices()));
-
-  const std::vector<CanonicalSp> sps = fused_source_sps(
-      g, sources, opts.weight_seed, opts.bit_parallel, opts.prebuilt_sp);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Vertex s = sources[i];
-    VertexFtBfsOptions per = opts;
-    if (!sps.empty()) per.prebuilt_sp = &sps[i];
-    const FtBfsStructure h = detail::build_vertex_ftbfs_impl(g, s, per);
-    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
-    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
-                      h.tree_edges().end());
-  }
-
-  FtBfsStructure merged(g, sources.front(), std::move(edges),
-                        /*reinforced=*/{}, std::move(tree_edges),
-                        FaultClass::kVertex);
+  FtBfsStructure merged = union_over_sources(
+      g, sources, opts.weight_seed, FaultClass::kVertex,
+      [&](const BfsTree& tree) {
+        return detail::build_vertex_ftbfs_impl(tree, opts);
+      });
   return MultiSourceResult{sources, std::move(merged), {}};
 }
 
@@ -101,28 +77,31 @@ MultiSourceResult detail::build_either_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const VertexFtBfsOptions& opts) {
   detail::check_sources(g, sources);
-
-  std::vector<EdgeId> edges;
-  std::vector<EdgeId> tree_edges;  // union of the per-source edge-model trees
-  tree_edges.reserve(sources.size() *
-                     static_cast<std::size_t>(g.num_vertices()));
-
-  const std::vector<CanonicalSp> sps = fused_source_sps(
-      g, sources, opts.weight_seed, opts.bit_parallel, opts.prebuilt_sp);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Vertex s = sources[i];
-    VertexFtBfsOptions per = opts;
-    if (!sps.empty()) per.prebuilt_sp = &sps[i];
-    const FtBfsStructure h = detail::build_either_ftbfs_impl(g, s, per);
-    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
-    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
-                      h.tree_edges().end());
-  }
-
-  FtBfsStructure merged(g, sources.front(), std::move(edges),
-                        /*reinforced=*/{}, std::move(tree_edges),
-                        FaultClass::kEither);
+  FtBfsStructure merged = union_over_sources(
+      g, sources, opts.weight_seed, FaultClass::kEither,
+      [&](const BfsTree& tree) {
+        return detail::build_either_ftbfs_impl(tree, opts);
+      });
   return MultiSourceResult{sources, std::move(merged), {}};
+}
+
+DualMultiSourceResult detail::build_dual_failure_ftmbfs_impl(
+    const Graph& g, const std::vector<Vertex>& sources,
+    const DualFtBfsOptions& opts) {
+  detail::check_sources(g, sources);
+  std::vector<DualSiteTable> tables;
+  std::vector<DualSiteDistTable> site_dist;
+  tables.reserve(sources.size());
+  FtBfsStructure merged = union_over_sources(
+      g, sources, opts.weight_seed, FaultClass::kDual,
+      [&](const BfsTree& tree) {
+        DualBuildResult r = detail::build_dual_failure_ftbfs_impl(tree, opts);
+        tables.push_back(std::move(r.tables));
+        if (opts.site_dist_oracle) site_dist.push_back(std::move(r.site_dist));
+        return std::move(r.structure);
+      });
+  return DualMultiSourceResult{sources, std::move(merged), std::move(tables),
+                               std::move(site_dist)};
 }
 
 MultiSourceResult build_epsilon_ftmbfs(const Graph& g,

@@ -25,10 +25,11 @@ FtBfsStructure detail::build_vertex_ftbfs_impl(const Graph& g, Vertex source,
                                                const VertexFtBfsOptions& opts) {
   detail::check_source(g, source);
   const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree = opts.prebuilt_sp != nullptr
-                           ? BfsTree(g, weights, source,
-                                     CanonicalSp(*opts.prebuilt_sp))
-                           : BfsTree(g, weights, source);
+  return build_vertex_ftbfs_impl(BfsTree(g, weights, source), opts);
+}
+
+FtBfsStructure detail::build_vertex_ftbfs_impl(const BfsTree& tree,
+                                               const VertexFtBfsOptions& opts) {
   VertexReplacementEngine::Config cfg;
   cfg.pool = opts.pool;
   cfg.reference_kernel = opts.reference_kernel;
@@ -39,20 +40,22 @@ FtBfsStructure detail::build_vertex_ftbfs_impl(const Graph& g, Vertex source,
 
 FtBfsStructure detail::build_either_ftbfs_impl(const Graph& g, Vertex source,
                                                const VertexFtBfsOptions& opts) {
+  detail::check_source(g, source);
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
+  return build_either_ftbfs_impl(BfsTree(g, weights, source), opts);
+}
+
+FtBfsStructure detail::build_either_ftbfs_impl(const BfsTree& tree,
+                                               const VertexFtBfsOptions& opts) {
   FtBfsOptions eopts;
-  eopts.weight_seed = opts.weight_seed;
   eopts.pool = opts.pool;
   eopts.reference_kernel = opts.reference_kernel;
-  // Both halves of the union share one canonical tree, so one prebuilt
-  // label set serves the edge and the vertex build alike.
-  eopts.prebuilt_sp = opts.prebuilt_sp;
-  const FtBfsStructure edge_h = detail::build_ftbfs_impl(g, source, eopts);
-  const FtBfsStructure vertex_h =
-      detail::build_vertex_ftbfs_impl(g, source, opts);
+  const FtBfsStructure edge_h = detail::build_ftbfs_impl(tree, eopts);
+  const FtBfsStructure vertex_h = detail::build_vertex_ftbfs_impl(tree, opts);
   std::vector<EdgeId> edges = edge_h.edges();
   edges.insert(edges.end(), vertex_h.edges().begin(), vertex_h.edges().end());
-  return FtBfsStructure(g, source, std::move(edges), {}, edge_h.tree_edges(),
-                        FaultClass::kEither);
+  return FtBfsStructure(tree.graph(), tree.source(), std::move(edges), {},
+                        edge_h.tree_edges(), FaultClass::kEither);
 }
 
 FtBfsStructure build_vertex_ftbfs(const Graph& g, Vertex source,

@@ -28,8 +28,6 @@
 
 namespace ftb {
 
-struct CanonicalSp;  // canonical_bfs.hpp
-
 /// Phase-S0 engine for vertex faults (the shared engine under the
 /// VertexFault policy).
 using VertexReplacementEngine = FaultReplacementEngine<VertexFault>;
@@ -40,12 +38,6 @@ struct VertexFtBfsOptions {
   /// Run the engine on the naive reference kernels (bench baseline /
   /// differential testing; output is bit-identical either way).
   bool reference_kernel = false;
-  /// Fuse multi-source (σ ≥ 2) hop phases into one bit-parallel sweep
-  /// (multi_source_bfs_kernel.hpp); off = σ scalar passes, bit-identical.
-  bool bit_parallel = true;
-  /// Internal fusion seam: adopt these already-computed canonical labels
-  /// (see EpsilonOptions::prebuilt_sp). Must outlive the call.
-  const CanonicalSp* prebuilt_sp = nullptr;
 };
 
 namespace detail {
@@ -58,6 +50,13 @@ FtBfsStructure build_vertex_ftbfs_impl(const Graph& g, Vertex source,
 /// pre-dual releases called the dual model; the two-simultaneous-failure
 /// pipeline lives in dual_fault.hpp.
 FtBfsStructure build_either_ftbfs_impl(const Graph& g, Vertex source,
+                                       const VertexFtBfsOptions& opts);
+/// Both, on an already-built canonical tree (its source and weights;
+/// opts.weight_seed is not read). The either union builds its edge and
+/// vertex halves on this one tree.
+FtBfsStructure build_vertex_ftbfs_impl(const BfsTree& tree,
+                                       const VertexFtBfsOptions& opts);
+FtBfsStructure build_either_ftbfs_impl(const BfsTree& tree,
                                        const VertexFtBfsOptions& opts);
 }  // namespace detail
 

@@ -394,4 +394,19 @@ std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
   return ms_canonical_sp(g, weights, lanes, *lease);
 }
 
+std::vector<CanonicalSp> canonical_source_sps(
+    const Graph& g, const EdgeWeights& weights,
+    std::span<const Vertex> sources) {
+  if (sources.size() == 1) {
+    std::vector<CanonicalSp> out;
+    out.push_back(canonical_sp(g, weights, sources.front()));
+    return out;
+  }
+  std::vector<BfsLane> lanes(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    lanes[i].source = sources[i];
+  }
+  return ms_canonical_sp(g, weights, lanes);
+}
+
 }  // namespace ftb

@@ -1,13 +1,14 @@
 // multi_source_bfs_kernel.hpp — the bit-parallel multi-source BFS kernel
 // and its epoch-stamped lane scratch.
 //
-// The FT-MBFS union, the multi-source facade pipelines, and the dual-failure
-// punctured rebuilds all run σ independent BFS traversals whose frontiers
-// overlap heavily. This kernel fuses them (MS-BFS, Then et al., VLDB'14 /
-// the masked-SpMV idiom): each vertex carries a σ-wide frontier bitset —
-// one uint64_t lane word for σ ≤ 64, ⌈σ/64⌉ striped words beyond — and one
-// level-synchronous sweep over the CSR advances every lane at once, so up
-// to 64 sources pay a single pass over the adjacency arrays.
+// The FT-MBFS unions, Session's tree rebuilds, and the unpruned dual
+// referee's punctured rebuilds all run σ independent BFS traversals whose
+// frontiers overlap heavily. This kernel fuses them (MS-BFS, Then et al.,
+// VLDB'14 / the masked-SpMV idiom): each vertex carries a σ-wide frontier
+// bitset — one uint64_t lane word for σ ≤ 64, ⌈σ/64⌉ striped words
+// beyond — and one level-synchronous sweep over the CSR advances every
+// lane at once, so up to 64 sources pay a single pass over the adjacency
+// arrays.
 //
 // Determinism contract: per lane, the extracted (dist, parent, parent_edge,
 // order) labels are bit-identical to a scalar bfs_run of that lane's
@@ -171,6 +172,14 @@ std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
 std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
                                          const EdgeWeights& weights,
                                          std::span<const BfsLane> lanes);
+
+/// THE canonical-tree builder of every multi-source pipeline: one canonical
+/// label set per source, element i bit-identical to
+/// canonical_sp(g, weights, sources[i]). σ ≥ 2 sources fuse into one
+/// ms_canonical_sp sweep; a single source runs the scalar canonical_sp.
+std::vector<CanonicalSp> canonical_source_sps(const Graph& g,
+                                              const EdgeWeights& weights,
+                                              std::span<const Vertex> sources);
 
 /// Process-wide pool of warm kernels (lock-free; see free_list_pool.hpp).
 const FreeListPool<MultiSourceBfsKernel>& multi_source_kernel_pool();

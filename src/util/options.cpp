@@ -43,10 +43,14 @@ double parse_double_strict(const std::string& key, const std::string& v) {
 
 }  // namespace
 
-Options::Options(int argc, char** argv) {
+Options::Options(int argc, char** argv, bool env_fallback)
+    : env_fallback_(env_fallback) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      positional_.push_back(std::move(arg));
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
@@ -61,10 +65,18 @@ std::string Options::lookup(const std::string& key) const {
   for (const auto& [k, v] : kv_) {
     if (k == key) return v;
   }
+  if (!env_fallback_) return "";
   std::string env = "FTBFS_";
   for (char c : key) env += static_cast<char>(std::toupper(c));
   if (const char* e = std::getenv(env.c_str())) return e;
   return "";
+}
+
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  out.reserve(kv_.size());
+  for (const auto& kv : kv_) out.push_back(kv.first);
+  return out;
 }
 
 bool Options::has(const std::string& key) const { return !lookup(key).empty(); }

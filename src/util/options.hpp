@@ -1,5 +1,5 @@
 // options.hpp — tiny "--key=value" command-line / environment option reader
-// for the benchmark binaries.
+// for the benchmark binaries and the CLI.
 //
 // Every bench runs with sensible defaults (so `for b in build/bench/*; do
 // $b; done` completes in minutes) but can be scaled up:
@@ -8,6 +8,8 @@
 //   FTBFS_N=4096 ./bench_tradeoff            # env var fallback
 //
 // Precedence: command line > environment (FTBFS_<KEY> upper-cased) > default.
+// The CLI reads its command line only (env_fallback = false) and refuses
+// any key or positional argument its subcommand does not read.
 #pragma once
 
 #include <string>
@@ -15,10 +17,11 @@
 
 namespace ftb {
 
-/// Parses `--key=value` arguments with environment-variable fallback.
+/// Parses `--key=value` arguments, by default with environment-variable
+/// fallback.
 class Options {
  public:
-  Options(int argc, char** argv);
+  Options(int argc, char** argv, bool env_fallback = true);
 
   /// True if `--key` or `--key=...` was passed.
   bool has(const std::string& key) const;
@@ -34,11 +37,18 @@ class Options {
   std::vector<long long> get_int_list(const std::string& key,
                                       std::vector<long long> def) const;
 
+  /// Every `--key` on the command line, in order (repeats included).
+  std::vector<std::string> keys() const;
+  /// Every argument that is not a `--key` form, in order.
+  const std::vector<std::string>& positional() const { return positional_; }
+
  private:
   // Returns empty if the key is absent from both argv and environment.
   std::string lookup(const std::string& key) const;
 
   std::vector<std::pair<std::string, std::string>> kv_;
+  std::vector<std::string> positional_;
+  bool env_fallback_;
 };
 
 }  // namespace ftb

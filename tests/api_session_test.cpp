@@ -26,6 +26,7 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "src/util/rng.hpp"
+#include "tests/referee.hpp"
 
 namespace ftb {
 namespace {
@@ -950,21 +951,20 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
 TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
   // σ = 64 sources: one fused kernel sweep builds every tree (a full lane
   // word), and the session is then stormed from competing threads across
-  // all 64 source indices. The scalar-built session (bit_parallel off) is
-  // the referee — identical structure, identical served answers — and the
-  // TSan job runs this under -L concurrency.
+  // all 64 source indices. The scalar per-source union (tests/referee.hpp)
+  // is the referee — identical structure, identical served answers — and
+  // the TSan job runs this under -L concurrency.
   const Graph g = gen::random_connected(96, 300, 41);
   std::vector<Vertex> sources;
   for (std::size_t k = 0; k < 64; ++k) {
     sources.push_back(static_cast<Vertex>((k * 96) / 64));
   }
-  api::BuildSpec fused_spec;
-  fused_spec.eps = 0.3;
-  fused_spec.sources = sources;
-  api::BuildSpec scalar_spec = fused_spec;
-  scalar_spec.bit_parallel = false;
-  const api::Session fused = api::Session::open(g, fused_spec);
-  const api::Session scalar = api::Session::open(g, scalar_spec);
+  api::BuildSpec spec;
+  spec.eps = 0.3;
+  spec.sources = sources;
+  const api::Session fused = api::Session::open(g, spec);
+  const api::Session scalar =
+      api::Session::deploy(g, test::referee_build(g, spec));
   ASSERT_EQ(fused.sources().size(), 64u);
   EXPECT_EQ(fused.structure().edges(), scalar.structure().edges());
   EXPECT_EQ(fused.structure().tree_edges(), scalar.structure().tree_edges());
@@ -986,8 +986,8 @@ TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
     }
   }
   const QueryResponse want = fused.query(batch);
-  // Spot-referee a stride of the batch against the serial ground truth.
-  for (std::size_t i = 0; i < batch.size(); i += 16) {
+  // Referee every answer of the batch against the serial ground truth.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(want.results[i].dist, serial_truth(fused, batch[i])) << i;
   }
 

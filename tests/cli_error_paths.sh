@@ -12,8 +12,10 @@
 # malformed --sources (including the trailing-garbage form "5x" that a
 # lenient strtoll would silently truncate), bad --graph-format, a missing
 # graph file, --eps on a non-edge pipeline, --site-dist without v5/v6
-# persistence, bad --dual-dfs-schedule values, and structure upgrade /
-# verify on a truncated v5/v6 artifact.
+# persistence, keys and positional arguments the subcommand does not read
+# (usage error, exit 2), and structure upgrade / verify on a truncated
+# v5/v6 artifact. The CLI also must not read FTBFS_<KEY> environment
+# variables (those are the benches' fallback, not the CLI's).
 set -u
 
 CLI="$1"
@@ -54,6 +56,21 @@ expect_fail() {
   echo "ok($name): exit $rc, stderr-only"
 }
 
+# expect_usage NAME CMD...
+# expect_fail, plus the usage-error exit code 2 exactly.
+expect_usage() {
+  local name="$1"
+  shift
+  "$@" >/dev/null 2>&1
+  local rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL($name): exit $rc, expected the usage error 2"
+    fails=$((fails + 1))
+    return
+  fi
+  expect_fail "$name" "$@"
+}
+
 GRAPH="$TMP/g.edges"
 "$CLI" generate --family=gnm --n=40 --m=120 --seed=1 --out="$GRAPH" \
   >/dev/null 2>&1 || { echo "FAIL(setup): generate"; exit 1; }
@@ -80,10 +97,23 @@ expect_fail eps_on_dual \
 expect_fail site_dist_without_v5 \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
   --out="$TMP/x.ftbfs"
-expect_fail bad_dual_dfs_schedule_value \
-  "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=maybe
-expect_fail dual_dfs_schedule_on_edge_model \
-  "$CLI" build --graph="$GRAPH" --dual-dfs-schedule=off
+expect_usage unknown_key_underscore_spelling \
+  "$CLI" build --graph="$GRAPH" --fault_model=dual
+expect_usage removed_dual_dfs_schedule_key \
+  "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=off
+expect_usage stray_positional_path \
+  "$CLI" build --graph="$GRAPH" "$TMP/stray.edges"
+
+# Environment isolation: FTBFS_N / FTBFS_M must not reach generate.
+"$CLI" generate --family=gnm --seed=1 --out="$TMP/plain.edges" >/dev/null
+FTBFS_N=9 FTBFS_M=12 "$CLI" generate --family=gnm --seed=1 \
+  --out="$TMP/env.edges" >/dev/null
+if cmp -s "$TMP/plain.edges" "$TMP/env.edges"; then
+  echo "ok(env_does_not_reach_generate)"
+else
+  echo "FAIL(env_does_not_reach_generate): FTBFS_N/FTBFS_M changed the graph"
+  fails=$((fails + 1))
+fi
 
 # Truncated-artifact refusals: cut the checksummed v5 artifact mid-file;
 # the loader must refuse (CRC / framing), the CLI must exit non-zero.

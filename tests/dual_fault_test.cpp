@@ -4,7 +4,7 @@
 // Every answer the dual pipeline can serve — structure BFS, oracle fast
 // paths, batched Session queries, reloaded v4 artifacts — is pinned
 // bit-identical against brute-force two-failure BFS AND against the
-// unpruned PR 4 referee (BuildSpec::unpruned_dual) on the harness's four
+// unpruned referee (tests/referee.hpp) on the harness's four
 // graph families (dense random, sparse random, long path, grid: the
 // adversarial shapes differ in where replacement paths can run):
 // exhaustive pairs at small n, seeded property sampling at larger n. A
@@ -26,6 +26,7 @@
 #include "src/io/structure_io.hpp"
 #include "src/sim/failure_sim.hpp"
 #include "tests/property_test_util.hpp"
+#include "tests/referee.hpp"
 
 namespace ftb {
 namespace {
@@ -65,9 +66,8 @@ TEST(DualFault, PrunedIsSubsetOfUnprunedRefereeAndServesIdentically) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult pruned = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
-    const api::BuildResult referee = api::build(pc.graph, ref_spec);
+    const api::BuildResult referee =
+        test::referee_build(pc.graph, spec, {.unpruned = true});
 
     // Containment: the pruned H drops edges of the PR 4 recursion, never
     // adds any — and per-site subsets shrink the same way.
@@ -118,9 +118,8 @@ TEST(DualFault, PrunedPropertySamplingAtLargeN) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult pruned = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
-    const api::BuildResult referee = api::build(pc.graph, ref_spec);
+    const api::BuildResult referee =
+        test::referee_build(pc.graph, spec, {.unpruned = true});
     EXPECT_EQ(verify_dual_structure(pruned.structure, /*max_pairs=*/300,
                                     /*seed=*/pc.seed, /*pool=*/nullptr,
                                     /*edges_budget=*/
@@ -139,9 +138,8 @@ TEST(DualFault, PrunedReferenceKernelBuildsIdenticalStructure) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult opt = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.reference_kernel = true;
-    const api::BuildResult ref = api::build(pc.graph, ref_spec);
+    const api::BuildResult ref =
+        test::referee_build(pc.graph, spec, {.reference_kernel = true});
     EXPECT_EQ(opt.structure.edges(), ref.structure.edges());
     ASSERT_EQ(opt.dual_tables.size(), ref.dual_tables.size());
     EXPECT_EQ(opt.dual_tables.front().offsets, ref.dual_tables.front().offsets);
@@ -596,35 +594,30 @@ TEST(DualFault, DualDrillsReportZeroViolations) {
   EXPECT_EQ(served.reachable_queries, structural.reachable_queries);
 }
 
-TEST(DualFault, BitParallelKnobIsByteIdenticalOnStructuresAndAnswers) {
+TEST(DualFault, FusedMatchesScalarRefereeOnStructuresAndAnswers) {
   // The bit-parallel kernel batches the unpruned referee's per-site
-  // punctured rebuilds (per-lane BfsBans carrying each site's failure) and
-  // the multi-source tree builds. With the knob on or off — and crossed
-  // with unpruned_dual — the structure, the pair tables, AND the batched
-  // session answers must agree byte for byte.
+  // punctured rebuilds (per-lane BfsBans carrying each site's failure).
+  // The pruned production build and the fused unpruned referee each race
+  // their scalar referee (tests/referee.hpp): the structure, the pair
+  // tables, AND the batched session answers must agree byte for byte.
   for (const auto& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
     for (const bool unpruned : {false, true}) {
-      api::BuildSpec on;
-      on.fault_model = FaultClass::kDual;
-      on.sources = {pc.source};
-      on.unpruned_dual = unpruned;
-      api::BuildSpec off = on;
-      off.bit_parallel = false;
-      const api::BuildResult ra = api::build(pc.graph, on);
-      const api::BuildResult rb = api::build(pc.graph, off);
+      api::BuildSpec spec;
+      spec.fault_model = FaultClass::kDual;
+      spec.sources = {pc.source};
+      const api::BuildResult ra =
+          unpruned ? test::referee_build(pc.graph, spec, {.unpruned = true})
+                   : api::build(pc.graph, spec);
+      const api::BuildResult rb = test::referee_build(
+          pc.graph, spec, {.unpruned = unpruned, .bit_parallel = false});
       EXPECT_EQ(ra.structure.edges(), rb.structure.edges())
           << pc.name() << " unpruned=" << unpruned;
       EXPECT_EQ(ra.structure.tree_edges(), rb.structure.tree_edges())
           << pc.name() << " unpruned=" << unpruned;
       ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
-      const DualSiteTable& ta = ra.dual_tables.front();
-      const DualSiteTable& tb = rb.dual_tables.front();
-      EXPECT_TRUE(ta.sites == tb.sites)
-          << pc.name() << " unpruned=" << unpruned;
-      EXPECT_EQ(ta.offsets, tb.offsets)
-          << pc.name() << " unpruned=" << unpruned;
-      EXPECT_EQ(ta.edge_pool, tb.edge_pool)
+      EXPECT_TRUE(
+          test::same_tables(ra.dual_tables.front(), rb.dual_tables.front()))
           << pc.name() << " unpruned=" << unpruned;
 
       const api::Session sa = api::Session::deploy(pc.graph, ra);
@@ -655,62 +648,57 @@ TEST(DualFault, BitParallelKnobIsByteIdenticalOnStructuresAndAnswers) {
   }
 }
 
-TEST(DualFault, MultiSourceDualBitParallelKnobIsByteIdentical) {
-  // The multi-source dual path crosses both fused seams at once: fused
-  // per-source canonical builds AND the per-source pair-table rebuilds.
+TEST(DualFault, MultiSourceDualFusedMatchesScalarReferee) {
+  // The multi-source dual path crosses both seams at once: the fused
+  // per-source canonical builds AND the per-source pair-table builds.
   const Graph g = gen::random_connected(32, 70, 23);
-  api::BuildSpec on;
-  on.fault_model = FaultClass::kDual;
-  on.sources = {0, 9, 17};
-  api::BuildSpec off = on;
-  off.bit_parallel = false;
-  const api::BuildResult ra = api::build(g, on);
-  const api::BuildResult rb = api::build(g, off);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0, 9, 17};
+  const api::BuildResult ra = api::build(g, spec);
+  const api::BuildResult rb = test::referee_build(g, spec);
   EXPECT_EQ(ra.structure.edges(), rb.structure.edges());
   ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
   for (std::size_t s = 0; s < ra.dual_tables.size(); ++s) {
-    EXPECT_TRUE(ra.dual_tables[s].sites == rb.dual_tables[s].sites) << s;
-    EXPECT_EQ(ra.dual_tables[s].offsets, rb.dual_tables[s].offsets) << s;
-    EXPECT_EQ(ra.dual_tables[s].edge_pool, rb.dual_tables[s].edge_pool) << s;
+    EXPECT_TRUE(test::same_tables(ra.dual_tables[s], rb.dual_tables[s])) << s;
   }
 }
 
-/// Byte-level equality of the pair tables / site-dist rows — the referee
-/// the DFS-schedule tests pin both schedules against.
-bool same_tables(const DualSiteTable& a, const DualSiteTable& b) {
-  return a.sites == b.sites && a.offsets == b.offsets &&
-         a.edge_pool == b.edge_pool;
-}
-bool same_site_dist(const DualSiteDistTable& a, const DualSiteDistTable& b) {
-  return a.site_offsets == b.site_offsets && a.parent_edge == b.parent_edge &&
-         a.tf_depth == b.tf_depth && a.row_offsets == b.row_offsets &&
-         a.rows == b.rows;
+/// One source's dual build under the independent-rebase referee schedule,
+/// site-dist rows included; `work` receives its rebase-seam work.
+api::BuildResult independent_rebase(const Graph& g, Vertex source,
+                                    SweepWorkStats* work) {
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {source};
+  spec.site_dist_oracle = true;
+  return test::referee_build(g, spec, {.dfs_schedule = false}, work);
 }
 
 TEST(DualFault, DfsScheduleIsByteIdenticalToIndependentRebase) {
-  // The DFS-order ancestor-sweep schedule reuses each site's nearest
-  // processed ancestor's workspace state; the independent schedule rebases
-  // every site from T0 in isolation. On all four property families the
-  // structure, pair tables AND site-dist rows must agree byte for byte,
-  // and the DFS schedule's rebase-seam work must be strictly lower (it
-  // pays subtree-volume patches where the referee pays a full O(n) label
-  // copy per site).
+  // The production build walks sites in DFS order, reusing each site's
+  // nearest processed ancestor's workspace state; the referee's
+  // independent schedule rebases every site from T0 in isolation. On all
+  // four property families the structure, pair tables AND site-dist rows
+  // must agree byte for byte, and the DFS schedule's rebase-seam work must
+  // be strictly lower (it pays subtree-volume patches where the referee
+  // pays a full O(n) label copy per site).
   for (const auto& pc : test::property_cases(34, 2)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
-    DualFtBfsOptions dfs;
-    dfs.site_dist_oracle = true;
-    dfs.dfs_schedule = true;
-    DualFtBfsOptions ind = dfs;
-    ind.dfs_schedule = false;
+    DualFtBfsOptions opts;
+    opts.site_dist_oracle = true;
     const DualBuildResult a =
-        detail::build_dual_failure_ftbfs_impl(pc.graph, pc.source, dfs);
-    const DualBuildResult b =
-        detail::build_dual_failure_ftbfs_impl(pc.graph, pc.source, ind);
+        detail::build_dual_failure_ftbfs_impl(pc.graph, pc.source, opts);
+    SweepWorkStats ind_work;
+    const api::BuildResult b =
+        independent_rebase(pc.graph, pc.source, &ind_work);
     EXPECT_EQ(a.structure.edges(), b.structure.edges()) << pc.name();
     EXPECT_EQ(a.structure.tree_edges(), b.structure.tree_edges()) << pc.name();
-    EXPECT_TRUE(same_tables(a.tables, b.tables)) << pc.name();
-    EXPECT_TRUE(same_site_dist(a.site_dist, b.site_dist)) << pc.name();
-    EXPECT_LT(a.sweep_work.total(), b.sweep_work.total()) << pc.name();
+    EXPECT_TRUE(test::same_tables(a.tables, b.dual_tables.front()))
+        << pc.name();
+    EXPECT_TRUE(test::same_site_dist(a.site_dist, b.dual_site_dist.front()))
+        << pc.name();
+    EXPECT_LT(a.sweep_work.total(), ind_work.total()) << pc.name();
   }
 }
 
@@ -721,37 +709,35 @@ TEST(DualFault, DfsScheduleOnDegenerateTrees) {
   // center vertex), the smallest possible patches. Both extremes must stay
   // byte-identical across schedules.
   for (const Graph& g : {gen::path_graph(64), gen::star_graph(64)}) {
-    DualFtBfsOptions dfs;
-    dfs.site_dist_oracle = true;
-    dfs.dfs_schedule = true;
-    DualFtBfsOptions ind = dfs;
-    ind.dfs_schedule = false;
-    const DualBuildResult a = detail::build_dual_failure_ftbfs_impl(g, 0, dfs);
-    const DualBuildResult b = detail::build_dual_failure_ftbfs_impl(g, 0, ind);
+    DualFtBfsOptions opts;
+    opts.site_dist_oracle = true;
+    const DualBuildResult a = detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+    SweepWorkStats ind_work;
+    const api::BuildResult b = independent_rebase(g, 0, &ind_work);
     EXPECT_EQ(a.structure.edges(), b.structure.edges());
-    EXPECT_TRUE(same_tables(a.tables, b.tables));
-    EXPECT_TRUE(same_site_dist(a.site_dist, b.site_dist));
-    EXPECT_LT(a.sweep_work.total(), b.sweep_work.total());
+    EXPECT_TRUE(test::same_tables(a.tables, b.dual_tables.front()));
+    EXPECT_TRUE(test::same_site_dist(a.site_dist, b.dual_site_dist.front()));
+    EXPECT_LT(a.sweep_work.total(), ind_work.total());
     // The structures still honor the dual contract on every pair.
     EXPECT_EQ(verify_dual_structure(a.structure, /*max_pairs=*/-1), 0);
   }
 }
 
-TEST(DualFault, DualDfsScheduleKnobThroughFacade) {
-  // The facade knob (BuildSpec::dual_dfs_schedule) reaches the pruned
-  // build: structures, tables, and batched session answers are identical
-  // with the schedule on or off.
+TEST(DualFault, DfsScheduleServesLikeIndependentReferee) {
+  // The production build and the independent-rebase referee, both
+  // deployed: structures, tables, and batched session answers are
+  // identical.
   const Graph g = gen::random_connected(36, 90, 19);
-  api::BuildSpec on;
-  on.fault_model = FaultClass::kDual;
-  on.sources = {0};
-  api::BuildSpec off = on;
-  off.dual_dfs_schedule = false;
-  const api::BuildResult ra = api::build(g, on);
-  const api::BuildResult rb = api::build(g, off);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0};
+  const api::BuildResult ra = api::build(g, spec);
+  const api::BuildResult rb =
+      test::referee_build(g, spec, {.dfs_schedule = false});
   EXPECT_EQ(ra.structure.edges(), rb.structure.edges());
   ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
-  EXPECT_TRUE(same_tables(ra.dual_tables.front(), rb.dual_tables.front()));
+  EXPECT_TRUE(
+      test::same_tables(ra.dual_tables.front(), rb.dual_tables.front()));
 
   const api::Session sa = api::Session::deploy(g, ra);
   const api::Session sb = api::Session::deploy(g, rb);
@@ -778,16 +764,16 @@ TEST(DualFault, DualDfsScheduleKnobThroughFacade) {
 }
 
 TEST(DualFault, ConcurrentDualBuildStormIsDeterministic) {
-  // Several threads build the same dual structure simultaneously — both
-  // schedules, site-dist on — all through the shared global pool (nested
+  // Several threads build the same dual structure simultaneously — the
+  // production DFS schedule racing the independent-rebase referee,
+  // site-dist on — all through the shared global pool (nested
   // parallel_for, pooled workspaces). Every result must equal the
   // reference build byte for byte; TSan watches this under the
   // concurrency ctest label.
   const Graph g = gen::random_connected(48, 140, 11);
-  DualFtBfsOptions ref_opts;
-  ref_opts.site_dist_oracle = true;
-  const DualBuildResult ref =
-      detail::build_dual_failure_ftbfs_impl(g, 0, ref_opts);
+  DualFtBfsOptions opts;
+  opts.site_dist_oracle = true;
+  const DualBuildResult ref = detail::build_dual_failure_ftbfs_impl(g, 0, opts);
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::atomic<int> mismatches{0};
@@ -796,16 +782,21 @@ TEST(DualFault, ConcurrentDualBuildStormIsDeterministic) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        DualFtBfsOptions opts;
-        opts.site_dist_oracle = true;
-        opts.dfs_schedule = (t + round) % 2 == 0;
-        const DualBuildResult r =
-            detail::build_dual_failure_ftbfs_impl(g, 0, opts);
-        if (r.structure.edges() != ref.structure.edges() ||
-            !same_tables(r.tables, ref.tables) ||
-            !same_site_dist(r.site_dist, ref.site_dist)) {
-          mismatches++;
+        bool same = true;
+        if ((t + round) % 2 == 0) {
+          const DualBuildResult r =
+              detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+          same = r.structure.edges() == ref.structure.edges() &&
+                 test::same_tables(r.tables, ref.tables) &&
+                 test::same_site_dist(r.site_dist, ref.site_dist);
+        } else {
+          const api::BuildResult r = independent_rebase(g, 0, nullptr);
+          same = r.structure.edges() == ref.structure.edges() &&
+                 test::same_tables(r.dual_tables.front(), ref.tables) &&
+                 test::same_site_dist(r.dual_site_dist.front(),
+                                      ref.site_dist);
         }
+        if (!same) mismatches++;
       }
     });
   }

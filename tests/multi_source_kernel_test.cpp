@@ -6,8 +6,9 @@
 // σ ∈ {65, 129} striped with one-bit final words), per-lane bans of every
 // flavor, disconnected
 // sources, kernel reuse, epoch wraparound, the process-wide pool, the
-// fused canonical seam (ms_canonical_sp), and the facade's duplicate-source
-// rejection — which must be byte-identical with the knob on or off.
+// fused canonical seam (ms_canonical_sp), the multi-source canonical-tree
+// builder (canonical_source_sps) against scalar BfsTree, and the facade's
+// duplicate-source rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/graph/bfs_kernel.hpp"
+#include "src/graph/bfs_tree.hpp"
 #include "src/graph/canonical_bfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/graph.hpp"
@@ -322,27 +324,61 @@ TEST(MultiSourceKernelProperty, FaultSampledLanesMatchScalar) {
 
 // ---- facade validation -----------------------------------------------------
 
-TEST(MultiSourceKernel, DuplicateSourceRejectionIsByteIdenticalAcrossKnob) {
-  // The duplicate-source CheckError predates the kernel; the bit_parallel
-  // knob must not change a single byte of it (validation runs before any
-  // kernel is leased).
+TEST(MultiSourceKernel, DuplicateSourceRejectionMessage) {
+  // The facade refuses a duplicated source with the one "invalid
+  // BuildSpec" shape, before any kernel is leased.
   const Graph g = gen::grid_graph(4, 4);
-  std::string msgs[2];
-  for (const bool bp : {false, true}) {
-    api::BuildSpec spec;
-    spec.sources = {0, 3, 0};
-    spec.bit_parallel = bp;
-    try {
-      api::build(g, spec);
-      FAIL() << "expected CheckError (bit_parallel=" << bp << ")";
-    } catch (const CheckError& e) {
-      msgs[bp ? 1 : 0] = e.what();
+  api::BuildSpec spec;
+  spec.sources = {0, 3, 0};
+  try {
+    api::build(g, spec);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "invalid BuildSpec: duplicate source (got 0)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- the multi-source canonical-tree builder -------------------------------
+
+TEST(CanonicalSourceSps, TreesMatchScalarBfsTree) {
+  // canonical_source_sps is the one canonical-tree builder of the
+  // multi-source unions and Session: at every σ word geometry (scalar
+  // σ = 1, fused σ = 2, the σ ∈ {63, 64} word boundary, striped σ = 65),
+  // every tree adopted from its labels must equal the scalar BfsTree of
+  // that source in parent, parent edge, depth and tree-edge order.
+  for (const auto& pc : test::property_cases(80, 1)) {
+    FTB_PROPERTY_TRACE(pc, "multi_source_kernel_test");
+    const Graph& g = pc.graph;
+    const Vertex n = g.num_vertices();
+    const EdgeWeights w = EdgeWeights::uniform_random(g, pc.seed);
+    for (const std::size_t sigma : {1, 2, 63, 64, 65}) {
+      std::vector<Vertex> sources;
+      for (std::size_t i = 0; i < sigma; ++i) {
+        sources.push_back(
+            static_cast<Vertex>((static_cast<std::size_t>(pc.source) + 7 * i) %
+                                static_cast<std::size_t>(n)));
+      }
+      std::vector<CanonicalSp> sps = canonical_source_sps(g, w, sources);
+      ASSERT_EQ(sps.size(), sigma);
+      for (std::size_t i = 0; i < sigma; ++i) {
+        const BfsTree fused(g, w, sources[i], std::move(sps[i]));
+        const BfsTree scalar(g, w, sources[i]);
+        for (Vertex v = 0; v < n; ++v) {
+          ASSERT_EQ(fused.parent(v), scalar.parent(v))
+              << "sigma=" << sigma << " lane=" << i << " v=" << v;
+          ASSERT_EQ(fused.parent_edge(v), scalar.parent_edge(v))
+              << "sigma=" << sigma << " lane=" << i << " v=" << v;
+          ASSERT_EQ(fused.depth(v), scalar.depth(v))
+              << "sigma=" << sigma << " lane=" << i << " v=" << v;
+        }
+        ASSERT_EQ(fused.tree_edges(), scalar.tree_edges())
+            << "sigma=" << sigma << " lane=" << i;
+      }
     }
   }
-  EXPECT_EQ(msgs[0], msgs[1]);
-  EXPECT_NE(msgs[0].find("invalid BuildSpec: duplicate source (got 0)"),
-            std::string::npos)
-      << msgs[0];
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "tests/property_test_util.hpp"
+#include "tests/referee.hpp"
 
 namespace ftb {
 namespace {
@@ -125,50 +126,38 @@ TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
   }
 }
 
-TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
-  // The fused multi-source kernel vs σ scalar canonical builds: every union
-  // flavor must emit the same structure byte for byte with the knob on or
-  // off, across the property harness's adversarial families.
+TEST(MultiSource, FusedUnionsMatchScalarReferee) {
+  // The fused multi-source build (one canonical_source_sps sweep) vs the
+  // scalar per-source union of tests/referee.hpp: every union flavor must
+  // emit the same structure byte for byte across the property harness's
+  // adversarial families.
   for (const test::PropertyCase& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "multi_source_test");
     const Vertex n = pc.graph.num_vertices();
-    const std::vector<Vertex> sources{0, n / 3, (2 * n) / 3};
-
-    EpsilonOptions eps_on;
-    eps_on.eps = 0.3;
-    EpsilonOptions eps_off = eps_on;
-    eps_off.bit_parallel = false;
-    const MultiSourceResult ea = build_epsilon_ftmbfs(pc.graph, sources, eps_on);
-    const MultiSourceResult eb =
-        build_epsilon_ftmbfs(pc.graph, sources, eps_off);
-    EXPECT_EQ(ea.structure.edges(), eb.structure.edges()) << pc.name();
-    EXPECT_EQ(ea.structure.reinforced(), eb.structure.reinforced())
-        << pc.name();
-    EXPECT_EQ(ea.structure.tree_edges(), eb.structure.tree_edges())
-        << pc.name();
-    ASSERT_EQ(ea.per_source.size(), eb.per_source.size()) << pc.name();
-    for (std::size_t i = 0; i < ea.per_source.size(); ++i) {
-      EXPECT_EQ(ea.per_source[i].structure_edges,
-                eb.per_source[i].structure_edges)
-          << pc.name() << " source " << i;
+    for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
+                                   FaultClass::kEither, FaultClass::kDual}) {
+      api::BuildSpec spec;
+      spec.fault_model = model;
+      spec.eps = 0.3;
+      spec.sources = {0, n / 3, (2 * n) / 3};
+      const api::BuildResult a = api::build(pc.graph, spec);
+      const api::BuildResult b = test::referee_build(pc.graph, spec);
+      const std::string label = pc.name() + " " + to_string(model);
+      EXPECT_EQ(a.structure.edges(), b.structure.edges()) << label;
+      EXPECT_EQ(a.structure.reinforced(), b.structure.reinforced()) << label;
+      EXPECT_EQ(a.structure.tree_edges(), b.structure.tree_edges()) << label;
+      ASSERT_EQ(a.per_source.size(), b.per_source.size()) << label;
+      for (std::size_t i = 0; i < a.per_source.size(); ++i) {
+        EXPECT_EQ(a.per_source[i].structure_edges,
+                  b.per_source[i].structure_edges)
+            << label << " source " << i;
+      }
+      ASSERT_EQ(a.dual_tables.size(), b.dual_tables.size()) << label;
+      for (std::size_t i = 0; i < a.dual_tables.size(); ++i) {
+        EXPECT_TRUE(test::same_tables(a.dual_tables[i], b.dual_tables[i]))
+            << label << " source " << i;
+      }
     }
-
-    VertexFtBfsOptions v_on;
-    VertexFtBfsOptions v_off;
-    v_off.bit_parallel = false;
-    const MultiSourceResult va = build_vertex_ftmbfs(pc.graph, sources, v_on);
-    const MultiSourceResult vb = build_vertex_ftmbfs(pc.graph, sources, v_off);
-    EXPECT_EQ(va.structure.edges(), vb.structure.edges()) << pc.name();
-    EXPECT_EQ(va.structure.tree_edges(), vb.structure.tree_edges())
-        << pc.name();
-
-    const MultiSourceResult ma =
-        detail::build_either_ftmbfs_impl(pc.graph, sources, v_on);
-    const MultiSourceResult mb =
-        detail::build_either_ftmbfs_impl(pc.graph, sources, v_off);
-    EXPECT_EQ(ma.structure.edges(), mb.structure.edges()) << pc.name();
-    EXPECT_EQ(ma.structure.tree_edges(), mb.structure.tree_edges())
-        << pc.name();
   }
 }
 

@@ -1,0 +1,129 @@
+// referee.hpp — the differential referees of the production build paths,
+// for tests and benches only (header-only).
+//
+// The library builds every structure one way. The bit-identical
+// alternatives that differential checks race it against live here, built
+// from the seams the library keeps:
+//
+//  * the scalar per-source union — each source's canonical tree from the
+//    scalar canonical BFS (never the fused canonical_source_sps sweep),
+//    the per-source detail::*_impl(tree, ·) builds, merged like the §5
+//    unions;
+//  * the dual referees — detail::build_dual_site_table's referee
+//    parameters: the naive reference kernels, the unpruned recursion
+//    (with its per-site punctured rebuilds fused or scalar), and the
+//    independent-rebase site schedule.
+//
+// referee_build returns an api::BuildResult, so Session::deploy serves a
+// referee exactly like a production build.
+#pragma once
+
+#include <vector>
+
+#include "src/api/ftbfs_api.hpp"
+#include "src/core/dual_fault.hpp"
+#include "src/core/epsilon_ftbfs.hpp"
+#include "src/core/vertex_ftbfs.hpp"
+#include "src/graph/bfs_tree.hpp"
+
+namespace ftb::test {
+
+/// How a referee dual build runs: detail::build_dual_site_table's referee
+/// parameters. The defaults are the production build's.
+struct DualReferee {
+  bool reference_kernel = false;  // naive reference engine kernels
+  bool unpruned = false;          // full H_f per site, no segment pruning
+  bool bit_parallel = true;       // unpruned: fuse per-site rebuilds
+  bool dfs_schedule = true;       // pruned: false = independent rebase
+};
+
+/// Builds `spec` source by source on scalar canonical trees and merges the
+/// per-source structures (a single source's structure is returned as
+/// built, so a σ = 1 referee costs what the production build costs); a
+/// dual spec runs each source's site table under `dual`. `work`, when
+/// given, accumulates the dual rebase-seam work.
+inline api::BuildResult referee_build(const Graph& g,
+                                      const api::BuildSpec& spec,
+                                      const DualReferee& dual = {},
+                                      SweepWorkStats* work = nullptr) {
+  spec.validate(g);
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, spec.weight_seed);
+  std::vector<FtBfsStructure> parts;
+  std::vector<EpsilonStats> per_source;
+  std::vector<DualSiteTable> tables;
+  std::vector<DualSiteDistTable> site_dist;
+  for (const Vertex s : spec.sources) {
+    const BfsTree tree(g, weights, s);  // scalar canonical_sp
+    switch (spec.fault_model) {
+      case FaultClass::kEdge: {
+        EpsilonResult r =
+            detail::build_epsilon_ftbfs_impl(tree, spec.epsilon_options());
+        per_source.push_back(r.stats);
+        parts.push_back(std::move(r.structure));
+        break;
+      }
+      case FaultClass::kVertex:
+        parts.push_back(
+            detail::build_vertex_ftbfs_impl(tree, spec.vertex_options()));
+        break;
+      case FaultClass::kEither:
+        parts.push_back(
+            detail::build_either_ftbfs_impl(tree, spec.vertex_options()));
+        break;
+      case FaultClass::kDual: {
+        std::vector<EdgeId> dual_edges;
+        DualSiteDistTable sd;
+        SweepWorkStats w;
+        tables.push_back(detail::build_dual_site_table(
+            tree, spec.pool, dual.reference_kernel, &dual_edges, dual.unpruned,
+            spec.site_dist_oracle ? &sd : nullptr, dual.bit_parallel,
+            dual.dfs_schedule, &w));
+        if (spec.site_dist_oracle) site_dist.push_back(std::move(sd));
+        if (work != nullptr) {
+          work->label_writes += w.label_writes;
+          work->sweep_visits += w.sweep_visits;
+        }
+        parts.emplace_back(g, s, std::move(dual_edges),
+                           std::vector<EdgeId>{}, tree.tree_edges(),
+                           FaultClass::kDual);
+        break;
+      }
+    }
+  }
+  if (parts.size() > 1) {
+    std::vector<EdgeId> edges, reinforced, tree_edges;
+    for (const FtBfsStructure& h : parts) {
+      edges.insert(edges.end(), h.edges().begin(), h.edges().end());
+      reinforced.insert(reinforced.end(), h.reinforced().begin(),
+                        h.reinforced().end());
+      tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
+                        h.tree_edges().end());
+    }
+    parts.front() = FtBfsStructure(g, spec.sources.front(), std::move(edges),
+                                   std::move(reinforced),
+                                   std::move(tree_edges), spec.fault_model);
+  }
+  return api::BuildResult{spec,
+                          spec.sources,
+                          std::move(parts.front()),
+                          std::move(per_source),
+                          std::move(tables),
+                          std::move(site_dist),
+                          0.0};
+}
+
+/// Byte-level equality of two pair tables.
+inline bool same_tables(const DualSiteTable& a, const DualSiteTable& b) {
+  return a.sites == b.sites && a.offsets == b.offsets &&
+         a.edge_pool == b.edge_pool;
+}
+
+/// Byte-level equality of two site-dist tables.
+inline bool same_site_dist(const DualSiteDistTable& a,
+                           const DualSiteDistTable& b) {
+  return a.site_offsets == b.site_offsets && a.parent_edge == b.parent_edge &&
+         a.tf_depth == b.tf_depth && a.row_offsets == b.row_offsets &&
+         a.rows == b.rows;
+}
+
+}  // namespace ftb::test

@@ -42,15 +42,22 @@
 // the CLI is scriptable:  ftbfs_cli build ... --json | jq .reinforced_edges
 // build/fsck surface artifact_bytes and mmap (v6 zero-copy eligibility).
 //
+// The CLI reads its command line only — no FTBFS_<KEY> environment
+// fallback, unlike the benches — and refuses any --key and any positional
+// argument its subcommand does not read: usage error, exit 2.
+//
 // Families for generate: path, cycle, star, complete, grid (rows/cols),
 // gnm (n/m), er (n/p), connected (n/extra), pa (n/k), intro (n),
 // hypercube (dims), theta (paths/len), lb (n/eps), dumbbell (k/bridge),
 // rmat (scale/m), rmat-connected (scale/m). generate --binary emits the
 // binary edge-list encoding.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/cost_model.hpp"
@@ -90,8 +97,6 @@ int usage() {
          "           [--fault-model=edge|vertex|either|dual]\n"
          "           [--site-dist]   (dual: harvest the site-local pair\n"
          "                            oracle; persisted only by --v5/--v6)\n"
-         "           [--dual-dfs-schedule=on|off]   (dual: DFS-order\n"
-         "                            ancestor-sweep sharing; default on)\n"
          "  verify   --graph=PATH --structure=PATH [--nontree] [--json]\n"
          "           [--fault-model=...]   (default: the structure's tag)\n"
          "           [--pairs=N]   (dual: failure pairs to check; -1 = all)\n"
@@ -102,7 +107,9 @@ int usage() {
          "           [--strict] [--json]    exit: 0 clean, 1 degraded, 2 broken\n"
          "  frontier --graph=PATH [--source=0] [--points=12]\n"
          "  every --graph consumer also takes "
-         "--graph-format=auto|text|binary\n";
+         "--graph-format=auto|text|binary\n"
+         "  keys not listed for a command, and positional arguments, are\n"
+         "  refused; options come from the command line only\n";
   return 2;
 }
 
@@ -250,20 +257,6 @@ api::BuildSpec spec_from_options(const Options& opt) {
                   "--site-dist applies only to --fault-model=dual (the "
                   "site-local oracle accelerates pair queries)");
     spec.site_dist_oracle = true;
-  }
-  if (opt.has("dual-dfs-schedule")) {
-    FTB_CHECK_MSG(spec.fault_model == FaultClass::kDual,
-                  "--dual-dfs-schedule applies only to --fault-model=dual "
-                  "(it picks the pruned dual build's site schedule)");
-    const std::string v = opt.get_string("dual-dfs-schedule", "on");
-    if (v == "on" || v.empty()) {
-      spec.dual_dfs_schedule = true;
-    } else if (v == "off") {
-      spec.dual_dfs_schedule = false;
-    } else {
-      FTB_CHECK_MSG(false, "unknown --dual-dfs-schedule '" << v
-                               << "' (want on or off)");
-    }
   }
   return spec;
 }
@@ -733,24 +726,72 @@ int cmd_frontier(const Options& opt) {
   return 0;
 }
 
+/// One subcommand: its entry point and every key it reads. Any other key,
+/// and any positional argument, is a usage error.
+struct Command {
+  std::string_view name;
+  int (*run)(const Options&);
+  std::vector<std::string_view> keys;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate,
+       {"family", "n", "seed", "rows", "cols", "m", "p", "extra", "k", "scale",
+        "dims", "paths", "len", "bridge", "eps", "out", "binary"}},
+      {"info", cmd_info, {"graph", "graph-format"}},
+      {"build", cmd_build,
+       {"graph", "graph-format", "fault-model", "sources", "source", "eps",
+        "seed", "site-dist", "out", "v5", "v6", "json"}},
+      {"verify", cmd_verify,
+       {"graph", "graph-format", "structure", "fault-model", "nontree",
+        "pairs", "seed", "json"}},
+      {"drill", cmd_drill,
+       {"graph", "graph-format", "structure", "fault-model", "drills", "seed",
+        "weight-seed", "json"}},
+      {"fsck", cmd_fsck,
+       {"graph", "graph-format", "structure", "weight-seed", "strict",
+        "json"}},
+      {"convert", cmd_convert,
+       {"graph", "graph-format", "structure", "out", "to", "json"}},
+      {"frontier", cmd_frontier,
+       {"graph", "graph-format", "source", "points"}},
+  };
+  return table;
+}
+
+/// The first argument `cmd` does not read, as a diagnostic; empty if none.
+std::string stray_argument(const Command& cmd, const Options& opt) {
+  if (!opt.positional().empty()) {
+    return "unexpected argument '" + opt.positional().front() + "' for " +
+           std::string(cmd.name);
+  }
+  for (const std::string& key : opt.keys()) {
+    if (std::find(cmd.keys.begin(), cmd.keys.end(), key) == cmd.keys.end()) {
+      return "unknown option --" + key + " for " + std::string(cmd.name);
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  ftb::Options opt(argc - 1, argv + 1);
-  try {
-    if (cmd == "generate") return cmd_generate(opt);
-    if (cmd == "info") return cmd_info(opt);
-    if (cmd == "build") return cmd_build(opt);
-    if (cmd == "verify") return cmd_verify(opt);
-    if (cmd == "drill") return cmd_drill(opt);
-    if (cmd == "fsck") return cmd_fsck(opt);
-    if (cmd == "convert") return cmd_convert(opt);
-    if (cmd == "frontier") return cmd_frontier(opt);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+  const std::string_view name = argv[1];
+  const ftb::Options opt(argc - 1, argv + 1, /*env_fallback=*/false);
+  for (const Command& cmd : commands()) {
+    if (cmd.name != name) continue;
+    if (const std::string stray = stray_argument(cmd, opt); !stray.empty()) {
+      std::cerr << "error: " << stray << "\n";
+      return usage();
+    }
+    try {
+      return cmd.run(opt);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
+    }
   }
   return usage();
 }
