@@ -14,7 +14,7 @@
 //
 //   ./bench_ablation [--n=1024] [--eps=0.333]
 #include "bench/bench_util.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 
 using namespace ftb;
 
@@ -24,15 +24,16 @@ void run_suite(const std::string& label, const Graph& g, Vertex source,
                const double eps) {
   struct Variant {
     std::string name;
-    EpsilonOptions opts;
+    api::BuildSpec spec;
   };
   std::vector<Variant> variants;
   {
-    EpsilonOptions base;
+    api::BuildSpec base;
+    base.sources = {source};
     base.eps = eps;
     variants.push_back({"paper", base});
 
-    EpsilonOptions v = base;
+    api::BuildSpec v = base;
     v.k_rounds_override = 1;
     variants.push_back({"s1_rounds=1", v});
 
@@ -73,12 +74,10 @@ void run_suite(const std::string& label, const Graph& g, Vertex source,
   t.columns({"variant", "|H|", "b(n)", "r(n)", "s1_added", "s2_added",
              "s1_leftover", "csets", "sec"});
   for (const auto& v : variants) {
-    const EpsilonResult res = build_epsilon_ftbfs(g, source, v.opts);
-    t.row(v.name, res.stats.structure_edges, res.stats.backup,
-          res.stats.reinforced, res.stats.s1_added_edges,
-          res.stats.s2_added_edges + res.stats.s2_glue_added,
-          res.stats.s1_leftover_pairs, res.stats.num_csets,
-          res.stats.seconds_total);
+    const EpsilonStats st = api::build(g, v.spec).per_source.front();
+    t.row(v.name, st.structure_edges, st.backup, st.reinforced,
+          st.s1_added_edges, st.s2_added_edges + st.s2_glue_added,
+          st.s1_leftover_pairs, st.num_csets, st.seconds_total);
   }
   t.print(std::cout);
   std::cout << "\n";

@@ -99,7 +99,7 @@ void BM_BaselineFtBfs(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = bench::dense_random(n, 5);
   for (auto _ : state) {
-    const FtBfsStructure h = build_ftbfs(g, 0);
+    const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
     benchmark::DoNotOptimize(h.num_edges());
   }
   state.counters["n"] = static_cast<double>(n);
@@ -110,11 +110,11 @@ BENCHMARK(BM_BaselineFtBfs)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
 void BM_EpsilonFtBfs(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = bench::dense_random(n, 7);
-  EpsilonOptions opts;
-  opts.eps = 1.0 / 3.0;
+  api::BuildSpec spec;
+  spec.eps = 1.0 / 3.0;
   for (auto _ : state) {
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
-    benchmark::DoNotOptimize(res.stats.structure_edges);
+    const api::BuildResult res = api::build(g, spec);
+    benchmark::DoNotOptimize(res.structure.num_edges());
   }
   state.counters["n"] = static_cast<double>(n);
 }
@@ -124,11 +124,12 @@ BENCHMARK(BM_EpsilonFtBfs)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
 void BM_EpsilonFtBfsAdversarial(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const auto lb = lb::build_single_source(n, 1.0 / 3.0);
-  EpsilonOptions opts;
-  opts.eps = 1.0 / 3.0;
+  api::BuildSpec spec;
+  spec.sources = {lb.source};
+  spec.eps = 1.0 / 3.0;
   for (auto _ : state) {
-    const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
-    benchmark::DoNotOptimize(res.stats.structure_edges);
+    const api::BuildResult res = api::build(lb.graph, spec);
+    benchmark::DoNotOptimize(res.structure.num_edges());
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["m"] = static_cast<double>(lb.graph.num_edges());
@@ -789,8 +790,9 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     const Graph g = bench::dense_random(id_n, seed);
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
+    const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
     const DualBuildResult dfs =
-        detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+        detail::build_dual_failure_ftbfs_impl(BfsTree(g, w, 0), opts);
     SweepWorkStats ind_work;
     const api::BuildResult ind =
         independent_rebase(g, /*site_dist=*/true, &ind_work);
@@ -841,7 +843,10 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   const auto timed_leg = [&](bool dfs_leg) {
     Timer t;
     if (dfs_leg) {
-      DualBuildResult r = detail::build_dual_failure_ftbfs_impl(big, 0, {});
+      const DualFtBfsOptions opts;
+      const EdgeWeights w = EdgeWeights::uniform_random(big, opts.weight_seed);
+      DualBuildResult r =
+          detail::build_dual_failure_ftbfs_impl(BfsTree(big, w, 0), opts);
       dfs_s = std::min(dfs_s, t.seconds());
       big_work_dfs = r.sweep_work.total();
       return std::make_pair(r.structure.edges(), std::move(r.tables.edge_pool));
@@ -1491,8 +1496,13 @@ bool run_speedup_report() {
     EpsilonOptions ref_opts, opt_opts;
     ref_opts.eps = opt_opts.eps = eps;
     ref_opts.reference_kernel = true;
-    const EpsilonResult a = build_epsilon_ftbfs(g, 0, ref_opts);
-    const EpsilonResult b = build_epsilon_ftbfs(g, 0, opt_opts);
+    const EdgeWeights seed_w =
+        EdgeWeights::uniform_random(g, ref_opts.weight_seed);
+    const BfsTree seed_tree(g, seed_w, 0);
+    const EpsilonResult a =
+        detail::build_epsilon_ftbfs_impl(seed_tree, ref_opts);
+    const EpsilonResult b =
+        detail::build_epsilon_ftbfs_impl(seed_tree, opt_opts);
     if (a.structure.edges() != b.structure.edges() ||
         a.structure.reinforced() != b.structure.reinforced()) {
       identical = false;
@@ -1501,10 +1511,10 @@ bool run_speedup_report() {
     VertexFtBfsOptions vref, vopt;
     vref.reference_kernel = true;
     Timer vt;
-    const FtBfsStructure va = build_vertex_ftbfs(g, 0, vref);
+    const FtBfsStructure va = detail::build_vertex_ftbfs_impl(seed_tree, vref);
     const double vsec_ref = vt.seconds();
     vt.restart();
-    const FtBfsStructure vb = build_vertex_ftbfs(g, 0, vopt);
+    const FtBfsStructure vb = detail::build_vertex_ftbfs_impl(seed_tree, vopt);
     const double vsec_opt = vt.seconds();
     const bool videntical = va.edges() == vb.edges();
     if (!videntical) {
@@ -1549,14 +1559,21 @@ bool run_speedup_report() {
   const double vsec_ref = time_vertex_engine(/*reference=*/true);
   const double vsec_opt = time_vertex_engine(/*reference=*/false);
 
+  // The full ε pipeline on the default-seed canonical tree (the tree is
+  // built once, outside both timings).
   EpsilonOptions ref_opts, opt_opts;
   ref_opts.eps = opt_opts.eps = eps;
   ref_opts.reference_kernel = true;
+  const EdgeWeights full_w =
+      EdgeWeights::uniform_random(g, ref_opts.weight_seed);
+  const BfsTree full_tree(g, full_w, 0);
   Timer t;
-  const EpsilonResult full_ref = build_epsilon_ftbfs(g, 0, ref_opts);
+  const EpsilonResult full_ref =
+      detail::build_epsilon_ftbfs_impl(full_tree, ref_opts);
   const double sec_full_ref = t.seconds();
   t.restart();
-  const EpsilonResult full_opt = build_epsilon_ftbfs(g, 0, opt_opts);
+  const EpsilonResult full_opt =
+      detail::build_epsilon_ftbfs_impl(full_tree, opt_opts);
   const double sec_full_opt = t.seconds();
   const bool full_identical =
       full_ref.structure.edges() == full_opt.structure.edges() &&

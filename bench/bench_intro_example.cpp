@@ -14,8 +14,8 @@
 //
 //   ./bench_intro_example [--n=512] [--ratios=1,10,100,1000]
 #include "bench/bench_util.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/cost_model.hpp"
-#include "src/core/ftbfs.hpp"
 
 using namespace ftb;
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                 "s + single edge into K_{n-1}, n=" + std::to_string(n));
 
   const Graph g = gen::intro_example(n);
-  const FtBfsStructure pure = build_ftbfs(g, 0);
+  const FtBfsStructure pure = api::build(g, {.eps = 1.0}).structure;
   const std::vector<double> grid{0.0, 0.2, 1.0 / 3.0, 0.5};
 
   Table t("E7 design costs (units of B)");

@@ -9,7 +9,7 @@
 //
 //   ./bench_lower_bound [--n=2048] [--eps=0.2,0.25,0.333,0.4,0.5]
 #include "bench/bench_util.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 
 using namespace ftb;
 
@@ -28,21 +28,21 @@ int main(int argc, char** argv) {
              "n^{1+eps}", "our_b", "our_r", "floor<=b", "ceil_norm"});
   for (const double eps : eps_grid) {
     const auto lb = lb::build_single_source(n, eps);
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+    api::BuildSpec spec;
+    spec.eps = eps;
+    spec.sources = {lb.source};
+    const EpsilonStats st = api::build(lb.graph, spec).per_source.front();
     const std::int64_t budget = lb.theorem_budget();
     const std::int64_t certified = lb.certified_min_backup(budget);
     const double n_pow = std::pow(static_cast<double>(n), 1.0 + eps);
     // Our structure's own consistency: its b must exceed the floor implied
     // by its own reinforcement count.
     const bool floor_ok =
-        res.stats.backup >=
-        lb.certified_min_backup(res.stats.reinforced);
+        st.backup >= lb.certified_min_backup(st.reinforced);
     t.row(eps, lb.d, lb.k, static_cast<long long>(lb.pi_edges.size()),
-          lb.min_x_size(), budget, certified, n_pow, res.stats.backup,
-          res.stats.reinforced, floor_ok ? "yes" : "NO",
-          static_cast<double>(res.stats.backup) /
+          lb.min_x_size(), budget, certified, n_pow, st.backup,
+          st.reinforced, floor_ok ? "yes" : "NO",
+          static_cast<double>(st.backup) /
               theorem_backup_bound(n, eps));
   }
   t.print(std::cout);

@@ -11,7 +11,7 @@
 //
 //   ./bench_optimizer [--n=1500]
 #include "bench/bench_util.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/optimizer.hpp"
 
 using namespace ftb;
@@ -28,9 +28,10 @@ void run_on(const std::string& label, const Graph& g, Vertex source) {
   t.columns({"eps", "universal_b", "universal_r", "greedy_b@same_r",
              "saving", "saving_pct"});
   for (const double eps : eps_grid) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const EpsilonResult uni = build_epsilon_ftbfs(g, source, opts);
+    api::BuildSpec spec;
+    spec.eps = eps;
+    spec.sources = {source};
+    const api::BuildResult uni = api::build(g, spec);
     const std::int64_t r = uni.structure.num_reinforced();
     const std::int64_t gb = frontier.backup_at(
         std::min<std::int64_t>(r, static_cast<std::int64_t>(

@@ -11,7 +11,7 @@
 //
 //   ./bench_scaling [--ns=256,...,4096] [--eps=0.2,0.333] [--eps_r=0.15]
 #include "bench/bench_util.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 
 using namespace ftb;
 
@@ -34,16 +34,17 @@ int main(int argc, char** argv) {
     std::vector<double> xs, bs;
     for (const long long n : ns) {
       const auto lb = lb::build_single_source(static_cast<Vertex>(n), eps);
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
-      t.row(n, lb.graph.num_edges(), res.stats.backup, res.stats.reinforced,
-            static_cast<double>(res.stats.backup) /
+      api::BuildSpec spec;
+      spec.eps = eps;
+      spec.sources = {lb.source};
+      const EpsilonStats st = api::build(lb.graph, spec).per_source.front();
+      t.row(n, lb.graph.num_edges(), st.backup, st.reinforced,
+            static_cast<double>(st.backup) /
                 theorem_backup_bound(n, eps),
-            res.stats.seconds_total);
+            st.seconds_total);
       xs.push_back(static_cast<double>(n));
       bs.push_back(
-          static_cast<double>(std::max<std::int64_t>(1, res.stats.backup)));
+          static_cast<double>(std::max<std::int64_t>(1, st.backup)));
     }
     t.print(std::cout);
     std::cout << "measured exponent of b(n): " << bench::fit_exponent(xs, bs)
@@ -59,14 +60,15 @@ int main(int argc, char** argv) {
     std::vector<double> xs, rs;
     for (const long long n : ns) {
       const auto lb = lb::build_single_source(static_cast<Vertex>(n), 0.5);
-      EpsilonOptions opts;
-      opts.eps = eps_r;
-      const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
-      t.row(n, lb.graph.num_edges(), res.stats.backup, res.stats.reinforced,
-            theorem_reinforce_bound(n, eps_r), res.stats.seconds_total);
+      api::BuildSpec spec;
+      spec.eps = eps_r;
+      spec.sources = {lb.source};
+      const EpsilonStats st = api::build(lb.graph, spec).per_source.front();
+      t.row(n, lb.graph.num_edges(), st.backup, st.reinforced,
+            theorem_reinforce_bound(n, eps_r), st.seconds_total);
       xs.push_back(static_cast<double>(n));
       rs.push_back(static_cast<double>(
-          std::max<std::int64_t>(1, res.stats.reinforced)));
+          std::max<std::int64_t>(1, st.reinforced)));
     }
     t.print(std::cout);
     std::cout << "measured exponent of r(n): " << bench::fit_exponent(xs, rs)

@@ -13,7 +13,7 @@
 //
 //   ./bench_tradeoff [--n=2048] [--seed=1] [--eps=0,0.05,...]
 #include "bench/bench_util.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 
 using namespace ftb;
 
@@ -26,17 +26,16 @@ void run_on(const std::string& label, const Graph& g, Vertex source,
              "uncovered", "sec"});
   const std::int64_t n = g.num_vertices();
   for (const double eps : eps_grid) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(g, source, opts);
+    api::BuildSpec spec;
+    spec.eps = eps;
+    spec.sources = {source};
+    const EpsilonStats st = api::build(g, spec).per_source.front();
     const double b_bound = theorem_backup_bound(n, eps);
     const double r_bound = theorem_reinforce_bound(n, eps);
-    t.row(eps, res.stats.threshold, res.stats.structure_edges,
-          res.stats.backup, res.stats.reinforced,
-          b_bound > 0 ? static_cast<double>(res.stats.backup) / b_bound : 0.0,
-          r_bound > 0 ? static_cast<double>(res.stats.reinforced) / r_bound
-                      : 0.0,
-          res.stats.pairs_uncovered, res.stats.seconds_total);
+    t.row(eps, st.threshold, st.structure_edges, st.backup, st.reinforced,
+          b_bound > 0 ? static_cast<double>(st.backup) / b_bound : 0.0,
+          r_bound > 0 ? static_cast<double>(st.reinforced) / r_bound : 0.0,
+          st.pairs_uncovered, st.seconds_total);
   }
   t.print(std::cout);
   std::cout << "\n";

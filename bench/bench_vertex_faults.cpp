@@ -8,7 +8,7 @@
 //
 //   ./bench_vertex_faults [--ns=256,512,1024,2048]
 #include "bench/bench_util.hpp"
-#include "src/core/ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 
 using namespace ftb;
@@ -38,9 +38,14 @@ int main(int argc, char** argv) {
         g = bench::dense_random(static_cast<Vertex>(n), 29);
       }
       Timer timer;
-      const FtBfsStructure eh = build_ftbfs(g, source);
-      const FtBfsStructure vh = build_vertex_ftbfs(g, source);
-      const FtBfsStructure dh = build_dual_ftbfs(g, source);
+      api::BuildSpec spec;
+      spec.sources = {source};
+      spec.eps = 1.0;
+      const FtBfsStructure eh = api::build(g, spec).structure;
+      spec.fault_model = FaultClass::kVertex;
+      const FtBfsStructure vh = api::build(g, spec).structure;
+      spec.fault_model = FaultClass::kEither;
+      const FtBfsStructure dh = api::build(g, spec).structure;
       const double sec = timer.seconds();
       t.row(n, g.num_edges(), eh.num_edges(), vh.num_edges(), dh.num_edges(),
             static_cast<double>(dh.num_edges()) /

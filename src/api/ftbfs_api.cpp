@@ -79,55 +79,23 @@ BuildResult build(const Graph& g, const BuildSpec& spec) {
   std::vector<DualSiteTable> dual_tables;
   std::vector<DualSiteDistTable> dual_site_dist;
 
-  const bool multi = spec.sources.size() > 1;
   switch (spec.fault_model) {
     case FaultClass::kEdge: {
-      if (!multi) {
-        EpsilonResult res = detail::build_epsilon_ftbfs_impl(
-            g, spec.sources.front(), spec.epsilon_options());
-        per_source.push_back(res.stats);
-        structure.emplace(std::move(res.structure));
-        break;
-      }
       MultiSourceResult ms = detail::build_epsilon_ftmbfs_impl(
           g, spec.sources, spec.epsilon_options());
       per_source = std::move(ms.per_source);
       structure.emplace(std::move(ms.structure));
       break;
     }
-    case FaultClass::kVertex: {
-      if (!multi) {
-        structure.emplace(detail::build_vertex_ftbfs_impl(
-            g, spec.sources.front(), spec.vertex_options()));
-        break;
-      }
-      MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options());
-      structure.emplace(std::move(ms.structure));
+    case FaultClass::kVertex:
+      structure.emplace(detail::build_vertex_ftmbfs_impl(
+          g, spec.sources, spec.vertex_options()));
       break;
-    }
-    case FaultClass::kEither: {
-      if (!multi) {
-        structure.emplace(detail::build_either_ftbfs_impl(
-            g, spec.sources.front(), spec.vertex_options()));
-        break;
-      }
-      MultiSourceResult ms = detail::build_either_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options());
-      structure.emplace(std::move(ms.structure));
+    case FaultClass::kEither:
+      structure.emplace(detail::build_either_ftmbfs_impl(
+          g, spec.sources, spec.vertex_options()));
       break;
-    }
     case FaultClass::kDual: {
-      if (!multi) {
-        DualBuildResult r = detail::build_dual_failure_ftbfs_impl(
-            g, spec.sources.front(), spec.dual_options());
-        structure.emplace(std::move(r.structure));
-        dual_tables.push_back(std::move(r.tables));
-        if (spec.site_dist_oracle) {
-          dual_site_dist.push_back(std::move(r.site_dist));
-        }
-        break;
-      }
       DualMultiSourceResult r = detail::build_dual_failure_ftmbfs_impl(
           g, spec.sources, spec.dual_options());
       structure.emplace(std::move(r.structure));

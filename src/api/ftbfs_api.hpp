@@ -8,31 +8,27 @@
 //
 //   * BuildSpec — the full parameterization (fault model × ε × sources,
 //     plus the ε pipeline's ablation knobs), validated up front with one
-//     CheckError message shape ("invalid BuildSpec: …") shared by the API,
-//     the legacy wrappers and the CLI. It says WHAT to build, never how:
-//     no field picks between bit-identical implementations (the
-//     differential referees live in tests/referee.hpp and behind
-//     detail::build_dual_site_table). `build(graph, spec)` dispatches to
-//     the right pipeline:
+//     CheckError message shape ("invalid BuildSpec: …") shared by the API
+//     and the CLI. It says WHAT to build, never how: no field picks
+//     between bit-identical implementations (the differential referees
+//     live in tests/referee.hpp and behind detail::build_dual_site_table).
+//     `build(graph, spec)` runs one pipeline per fault model, for every
+//     source count σ ≥ 1 — the §5 union of per-source structures, of
+//     which a single source is the σ = 1 case (returned as built):
 //
-//         fault_model   sources   pipeline
-//         kEdge         1         ε FT-BFS   (S0→S1/S2→F; ε = 0 reinforced
-//                                 tree, ε ≥ 1/2 the ESA'13 baseline)
-//         kEdge         k > 1     ε FT-MBFS union (§5)
-//         kVertex       1         vertex-fault ESA'13 baseline
-//         kVertex       k > 1     vertex FT-MBFS union
-//         kEither       1         edge ∪ vertex union (one failure of
-//                                 either kind; pre-dual "dual")
-//         kEither       k > 1     per-source either unions, merged
-//         kDual         1         dual-failure recursion (two simultaneous
-//                                 failures; dual_fault.hpp) + pair tables
-//         kDual         k > 1     per-source dual structures, merged
-//                                 (Gupta–Khan multi-source setting)
+//         fault_model   per-source pipeline
+//         kEdge         ε FT-BFS (S0→S1/S2→F; ε = 0 reinforced tree,
+//                       ε ≥ 1/2 the ESA'13 baseline)
+//         kVertex       vertex-fault ESA'13 baseline
+//         kEither       edge ∪ vertex union (one failure of either kind;
+//                       pre-dual "dual")
+//         kDual         dual-failure recursion (two simultaneous failures;
+//                       dual_fault.hpp) + pair tables (Gupta–Khan
+//                       multi-source setting for σ > 1)
 //
-//     Every k > 1 row (and every Session deploy or load) builds its
-//     canonical trees through canonical_source_sps: σ ≥ 2 sources fuse
-//     into one bit-parallel sweep, a single source runs the scalar
-//     canonical BFS.
+//     Every build (and every Session deploy or load) gets its canonical
+//     trees from canonical_source_sps: σ ≥ 2 sources fuse into one
+//     bit-parallel sweep, a single source runs the scalar canonical BFS.
 //
 //   * Session — a type-erased deployment of the result (structure + tree +
 //     replacement engines per source, no templates in sight) serving a
@@ -45,11 +41,6 @@
 //     a pool of per-worker scratch arenas, so any number of threads can
 //     call query() on one Session concurrently (enforced by the TSan CI
 //     job over the concurrency-tagged tests).
-//
-// The legacy entry points (build_ftbfs, build_epsilon_ftbfs,
-// build_vertex_ftbfs, build_dual_ftbfs, build_epsilon_ftmbfs,
-// build_vertex_ftmbfs) remain as deprecated thin wrappers; a differential
-// test pins `build()` byte-identical to each of them.
 #pragma once
 
 #include <cstdint>
@@ -135,9 +126,9 @@ struct BuildResult {
   double seconds_total = 0;
 };
 
-/// THE build entry point: validates `spec` and dispatches to the pipeline
-/// the (fault model, source count) cell selects — see the table in the
-/// file comment. Byte-identical to the legacy entry point it replaces.
+/// THE build entry point: validates `spec` and runs the fault model's
+/// pipeline over the source set — see the table in the file comment.
+/// seconds_total is the wall clock of the whole call.
 BuildResult build(const Graph& g, const BuildSpec& spec);
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/validate.hpp"
+#include "src/graph/bfs_tree.hpp"
+
 namespace ftb {
 
 double predicted_optimal_eps(std::int64_t n, const CostParams& prices) {
@@ -19,17 +22,29 @@ double predicted_cost(std::int64_t n, double eps, const CostParams& prices) {
          prices.reinforce_price * theorem_reinforce_bound(n, eps);
 }
 
-DesignSweep design_sweep(const Graph& g, Vertex source,
-                         const CostParams& prices,
-                         std::span<const double> eps_grid,
-                         const EpsilonOptions& base) {
+namespace {
+
+/// Validates the sweep inputs the way ftb::api::build does (one source, each
+/// grid ε) before any construction runs.
+void check_sweep(const Graph& g, Vertex source,
+                 std::span<const double> eps_grid) {
   FTB_CHECK_MSG(!eps_grid.empty(), "empty eps grid");
+  const Vertex one[] = {source};
+  detail::check_sources(g, one);
+  for (const double eps : eps_grid) detail::check_epsilon(eps);
+}
+
+/// Builds and prices the ε FT-BFS structure for every grid ε, all on the
+/// one canonical tree.
+DesignSweep sweep_tree(const BfsTree& tree, const CostParams& prices,
+                       std::span<const double> eps_grid,
+                       const EpsilonOptions& base) {
   DesignSweep sweep;
   sweep.points.reserve(eps_grid.size());
   for (const double eps : eps_grid) {
     EpsilonOptions opts = base;
     opts.eps = eps;
-    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, source, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(tree, opts);
     DesignPoint pt;
     pt.eps = eps;
     pt.backup = res.structure.num_backup();
@@ -47,14 +62,27 @@ DesignSweep design_sweep(const Graph& g, Vertex source,
   return sweep;
 }
 
+}  // namespace
+
+DesignSweep design_sweep(const Graph& g, Vertex source,
+                         const CostParams& prices,
+                         std::span<const double> eps_grid,
+                         const EpsilonOptions& base) {
+  check_sweep(g, source, eps_grid);
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, base.weight_seed);
+  return sweep_tree(BfsTree(g, weights, source), prices, eps_grid, base);
+}
+
 EpsilonResult design_cheapest(const Graph& g, Vertex source,
                               const CostParams& prices,
                               std::span<const double> eps_grid,
                               const EpsilonOptions& base) {
-  const DesignSweep sweep = design_sweep(g, source, prices, eps_grid, base);
+  check_sweep(g, source, eps_grid);
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, base.weight_seed);
+  const BfsTree tree(g, weights, source);
   EpsilonOptions opts = base;
-  opts.eps = sweep.best().eps;
-  return detail::build_epsilon_ftbfs_impl(g, source, opts);
+  opts.eps = sweep_tree(tree, prices, eps_grid, base).best().eps;
+  return detail::build_epsilon_ftbfs_impl(tree, opts);
 }
 
 }  // namespace ftb

@@ -51,7 +51,9 @@ struct DesignSweep {
 
 /// Builds the ε FT-BFS structure for every ε in `eps_grid`, prices each and
 /// returns the curve. `base` supplies seed/pool/ablation options (its eps
-/// field is overridden per grid point).
+/// field is overridden per grid point); every grid point runs on the one
+/// canonical tree of base.weight_seed. A bad source or grid ε throws the
+/// "invalid BuildSpec" CheckError before anything is built.
 DesignSweep design_sweep(const Graph& g, Vertex source,
                          const CostParams& prices,
                          std::span<const double> eps_grid,

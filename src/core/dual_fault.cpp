@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "src/core/dist_sweep.hpp"
-#include "src/core/validate.hpp"
 #include "src/graph/multi_source_bfs_kernel.hpp"
 #include "src/util/free_list_pool.hpp"
 #include "src/util/rng.hpp"
@@ -368,14 +367,6 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
     }
   }
   return table;
-}
-
-DualBuildResult detail::build_dual_failure_ftbfs_impl(
-    const Graph& g, Vertex source, const DualFtBfsOptions& opts) {
-  detail::check_source(g, source);
-  const EdgeWeights weights =
-      EdgeWeights::uniform_random(g, opts.weight_seed);
-  return build_dual_failure_ftbfs_impl(BfsTree(g, weights, source), opts);
 }
 
 DualBuildResult detail::build_dual_failure_ftbfs_impl(

@@ -182,24 +182,21 @@ struct DualBuildResult {
 /// Multi-source variant (the Gupta–Khan setting): per-source dual
 /// structures unioned into one subgraph, per-source pair tables kept.
 struct DualMultiSourceResult {
-  std::vector<Vertex> sources;
-  FtBfsStructure structure;             // anchored at sources.front()
-  std::vector<DualSiteTable> per_source;  // aligned with sources
-  /// Aligned with sources; empty unless site_dist_oracle was requested.
+  FtBfsStructure structure;             // anchored at the first source
+  std::vector<DualSiteTable> per_source;  // aligned with the source set
+  /// Aligned with the source set; empty unless site_dist_oracle was
+  /// requested.
   std::vector<DualSiteDistTable> per_source_site_dist;
 };
 
 namespace detail {
-/// The dual-failure pipelines ftb::api::build dispatches to for
-/// fault_model = kDual. Validate through validate.hpp.
-DualBuildResult build_dual_failure_ftbfs_impl(const Graph& g, Vertex source,
-                                              const DualFtBfsOptions& opts);
-/// Same, on an already-built canonical tree (its source and weights;
-/// opts.weight_seed is not read).
+/// The dual-failure pipeline for one source, on an already-built canonical
+/// tree (its source and weights; opts.weight_seed is not read).
 DualBuildResult build_dual_failure_ftbfs_impl(const BfsTree& tree,
                                               const DualFtBfsOptions& opts);
-/// The multi-source union; defined in multi_source.cpp beside the other
-/// fault models' unions.
+/// What ftb::api::build dispatches to for fault_model = kDual, at every
+/// σ ≥ 1: the union of the per-source builds; defined in multi_source.cpp
+/// beside the other fault models' unions.
 DualMultiSourceResult build_dual_failure_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const DualFtBfsOptions& opts);

@@ -7,7 +7,6 @@
 #include "src/core/ftbfs.hpp"
 #include "src/core/interference.hpp"
 #include "src/core/replacement.hpp"
-#include "src/core/validate.hpp"
 #include "src/graph/heavy_path.hpp"
 #include "src/graph/lca.hpp"
 #include "src/util/timer.hpp"
@@ -106,19 +105,6 @@ double theorem_reinforce_bound(std::int64_t n, double eps) {
   if (eps <= 0) return nd;
   if (eps >= 0.5) return 0;  // baseline branch needs no reinforcement
   return (1.0 / eps) * std::pow(nd, 1.0 - eps) * std::log2(nd);
-}
-
-EpsilonResult detail::build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
-                                               const EpsilonOptions& opts) {
-  detail::check_epsilon(opts.eps);
-  detail::check_source(g, source);
-  Timer tree_timer;
-  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree(g, weights, source);
-  const double tree_s = tree_timer.seconds();
-  EpsilonResult res = build_epsilon_ftbfs_impl(tree, opts);
-  res.stats.seconds_total += tree_s;
-  return res;
 }
 
 EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
@@ -438,11 +424,6 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
   st.reinforced = h.num_reinforced();
   st.seconds_total = total_timer.seconds();
   return EpsilonResult{std::move(h), st};
-}
-
-EpsilonResult build_epsilon_ftbfs(const Graph& g, Vertex source,
-                                  const EpsilonOptions& opts) {
-  return detail::build_epsilon_ftbfs_impl(g, source, opts);
 }
 
 }  // namespace ftb

@@ -31,7 +31,6 @@
 #include <cstdint>
 
 #include "src/core/structure.hpp"
-#include "src/util/check.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ftb {
@@ -93,6 +92,8 @@ struct EpsilonStats {
   double seconds_interference = 0;
   double seconds_s1 = 0;
   double seconds_s2 = 0;
+  /// This source's pipeline on its canonical tree, at every σ; the tree
+  /// build is not in it (api::BuildResult::seconds_total is the wall clock).
   double seconds_total = 0;
 };
 
@@ -102,24 +103,13 @@ struct EpsilonResult {
 };
 
 namespace detail {
-/// The ε pipeline itself — what ftb::api::build dispatches to for the edge
-/// model. Validates (ε, source) through validate.hpp, so every entry point
-/// rejects bad inputs with the same CheckError shape.
-EpsilonResult build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
-                                       const EpsilonOptions& opts);
-/// Same, on an already-built canonical tree (its source and weights;
-/// opts.weight_seed is not read; ε must already be validated). The
-/// multi-source unions call this once per source tree.
+/// The ε pipeline on one source's canonical tree (its source and weights;
+/// opts.weight_seed is not read; ε must already be validated through
+/// validate.hpp). ftb::api::build reaches it through the edge-model union,
+/// once per source tree.
 EpsilonResult build_epsilon_ftbfs_impl(const BfsTree& tree,
                                        const EpsilonOptions& opts);
 }  // namespace detail
-
-/// Builds the ε FT-BFS structure for (g, source).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) — the facade reaches
-/// this pipeline with fault_model = kEdge and a single source.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec)")
-EpsilonResult build_epsilon_ftbfs(const Graph& g, Vertex source,
-                                  const EpsilonOptions& opts = {});
 
 /// Theorem 3.1's backup bound min{1/ε·n^{1+ε}·log n, n^{3/2}} (the Õ
 /// envelope benches normalize against).

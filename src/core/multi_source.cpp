@@ -14,6 +14,8 @@ namespace {
 /// structure tagged `model`. Every label set comes from one
 /// canonical_source_sps call; each tree is built just before its structure
 /// and dropped right after, so the peak holds σ label sets plus one tree.
+/// A single source's structure (already tagged `model`) is returned as
+/// built — σ = 1 pays no merge copy.
 template <class PerSource>
 FtBfsStructure union_over_sources(const Graph& g,
                                   const std::vector<Vertex>& sources,
@@ -21,6 +23,9 @@ FtBfsStructure union_over_sources(const Graph& g,
                                   PerSource&& per_source) {
   const EdgeWeights weights = EdgeWeights::uniform_random(g, weight_seed);
   std::vector<CanonicalSp> sps = canonical_source_sps(g, weights, sources);
+  if (sources.size() == 1) {
+    return per_source(BfsTree(g, weights, sources.front(), std::move(sps[0])));
+  }
   std::vector<EdgeId> edges;
   std::vector<EdgeId> reinforced;
   std::vector<EdgeId> tree_edges;  // union of the per-source trees
@@ -58,31 +63,29 @@ MultiSourceResult detail::build_epsilon_ftmbfs_impl(
         stats.push_back(res.stats);
         return std::move(res.structure);
       });
-  return MultiSourceResult{sources, std::move(merged), std::move(stats)};
+  return MultiSourceResult{std::move(merged), std::move(stats)};
 }
 
-MultiSourceResult detail::build_vertex_ftmbfs_impl(
+FtBfsStructure detail::build_vertex_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const VertexFtBfsOptions& opts) {
   detail::check_sources(g, sources);
-  FtBfsStructure merged = union_over_sources(
+  return union_over_sources(
       g, sources, opts.weight_seed, FaultClass::kVertex,
       [&](const BfsTree& tree) {
         return detail::build_vertex_ftbfs_impl(tree, opts);
       });
-  return MultiSourceResult{sources, std::move(merged), {}};
 }
 
-MultiSourceResult detail::build_either_ftmbfs_impl(
+FtBfsStructure detail::build_either_ftmbfs_impl(
     const Graph& g, const std::vector<Vertex>& sources,
     const VertexFtBfsOptions& opts) {
   detail::check_sources(g, sources);
-  FtBfsStructure merged = union_over_sources(
+  return union_over_sources(
       g, sources, opts.weight_seed, FaultClass::kEither,
       [&](const BfsTree& tree) {
         return detail::build_either_ftbfs_impl(tree, opts);
       });
-  return MultiSourceResult{sources, std::move(merged), {}};
 }
 
 DualMultiSourceResult detail::build_dual_failure_ftmbfs_impl(
@@ -100,26 +103,15 @@ DualMultiSourceResult detail::build_dual_failure_ftmbfs_impl(
         if (opts.site_dist_oracle) site_dist.push_back(std::move(r.site_dist));
         return std::move(r.structure);
       });
-  return DualMultiSourceResult{sources, std::move(merged), std::move(tables),
+  return DualMultiSourceResult{std::move(merged), std::move(tables),
                                std::move(site_dist)};
 }
 
-MultiSourceResult build_epsilon_ftmbfs(const Graph& g,
-                                       const std::vector<Vertex>& sources,
-                                       const EpsilonOptions& opts) {
-  return detail::build_epsilon_ftmbfs_impl(g, sources, opts);
-}
-
-MultiSourceResult build_vertex_ftmbfs(const Graph& g,
-                                      const std::vector<Vertex>& sources,
-                                      const VertexFtBfsOptions& opts) {
-  return detail::build_vertex_ftmbfs_impl(g, sources, opts);
-}
-
-std::int64_t verify_multi_source(const Graph& g, const MultiSourceResult& ms,
+std::int64_t verify_multi_source(const FtBfsStructure& h,
+                                 std::span<const Vertex> sources,
                                  std::int64_t max_failures_per_source) {
   std::int64_t violations = 0;
-  for (const Vertex s : ms.sources) {
+  for (const Vertex s : sources) {
     // Re-anchor the union structure at source s: same edge partition, but
     // the per-source tree must be recomputed, so verify against the union
     // edge set directly through a fresh per-source view.
@@ -127,8 +119,8 @@ std::int64_t verify_multi_source(const Graph& g, const MultiSourceResult& ms,
     // merged structure are a superset of any single tree; we hand the
     // verifier the union's tree list — every tree edge of every source is
     // in it, so all relevant failures are covered.)
-    FtBfsStructure view(g, s, ms.structure.edges(), ms.structure.reinforced(),
-                        ms.structure.tree_edges());
+    FtBfsStructure view(h.graph(), s, h.edges(), h.reinforced(),
+                        h.tree_edges());
     VerifyOptions vo;
     vo.max_failures = max_failures_per_source;
     const VerifyReport rep = verify_structure(view, vo);
@@ -137,16 +129,16 @@ std::int64_t verify_multi_source(const Graph& g, const MultiSourceResult& ms,
   return violations;
 }
 
-std::int64_t verify_vertex_multi_source(const Graph& g,
-                                        const MultiSourceResult& ms,
+std::int64_t verify_vertex_multi_source(const FtBfsStructure& h,
+                                        std::span<const Vertex> sources,
                                         std::int64_t max_failures_per_source) {
   std::int64_t violations = 0;
-  for (const Vertex s : ms.sources) {
+  for (const Vertex s : sources) {
     // Same re-anchoring as the edge verifier: the union edge set viewed
     // from source s; verify_vertex_structure sweeps every failing vertex
     // x ≠ s against literal BFS.
-    FtBfsStructure view(g, s, ms.structure.edges(), ms.structure.reinforced(),
-                        ms.structure.tree_edges(), FaultClass::kVertex);
+    FtBfsStructure view(h.graph(), s, h.edges(), h.reinforced(),
+                        h.tree_edges(), FaultClass::kVertex);
     violations += verify_vertex_structure(view, max_failures_per_source);
   }
   return violations;

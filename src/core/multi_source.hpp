@@ -11,6 +11,7 @@
 //                       ∀ s ∈ S, ∀ v ∈ V, ∀ e ∈ E(G) \ E'.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/core/epsilon_ftbfs.hpp"
@@ -19,61 +20,48 @@
 
 namespace ftb {
 
-/// A multi-source FT-BFS structure: shared edge set + per-source views.
+/// The ε union over a source set: one shared structure plus the
+/// per-source ε pipeline stats.
 struct MultiSourceResult {
-  std::vector<Vertex> sources;
-  /// Union structure; `structure.source()` is sources.front() (the
-  /// distance contract is enforced per source by verify_multi_source /
-  /// verify_vertex_multi_source, per the structure's fault_class()).
+  /// Union structure; `structure.source()` is the first source (the
+  /// distance contract is enforced per source by verify_multi_source).
   FtBfsStructure structure;
-  /// Per-source construction stats, aligned with `sources` (empty for the
-  /// vertex-fault union, whose baseline has no ε pipeline).
+  /// Per-source construction stats, aligned with the source set.
   std::vector<EpsilonStats> per_source;
 };
 
 namespace detail {
-/// Union pipeline implementations the ftb::api facade dispatches to; they
-/// also back the legacy wrappers below. Validate through validate.hpp.
+/// The union pipelines ftb::api::build dispatches to, for every σ ≥ 1 (a
+/// single source's structure is returned as built). Validate through
+/// validate.hpp.
 MultiSourceResult build_epsilon_ftmbfs_impl(const Graph& g,
                                             const std::vector<Vertex>& sources,
                                             const EpsilonOptions& opts);
-MultiSourceResult build_vertex_ftmbfs_impl(const Graph& g,
-                                           const std::vector<Vertex>& sources,
-                                           const VertexFtBfsOptions& opts);
+/// The vertex-fault union (§5's union pattern applied to the ESA'13 vertex
+/// baseline): for every s ∈ S and every failing vertex x ∉ {s},
+/// dist(s,v,H\{x}) = dist(s,v,G\{x}).
+FtBfsStructure build_vertex_ftmbfs_impl(const Graph& g,
+                                        const std::vector<Vertex>& sources,
+                                        const VertexFtBfsOptions& opts);
 /// The multi-source "either" union: per-source edge ∪ vertex single-fault
 /// structures, all merged (§5's union pattern applied to both kinds at
 /// once), tagged FaultClass::kEither.
-MultiSourceResult build_either_ftmbfs_impl(const Graph& g,
-                                           const std::vector<Vertex>& sources,
-                                           const VertexFtBfsOptions& opts);
+FtBfsStructure build_either_ftmbfs_impl(const Graph& g,
+                                        const std::vector<Vertex>& sources,
+                                        const VertexFtBfsOptions& opts);
 }  // namespace detail
 
-/// Builds the union ε FT-MBFS over `sources` (all with the same ε/options).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with several sources.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with several sources")
-MultiSourceResult build_epsilon_ftmbfs(const Graph& g,
-                                       const std::vector<Vertex>& sources,
-                                       const EpsilonOptions& opts = {});
-
-/// Builds the union vertex-fault FT-MBFS over `sources` (§5's union
-/// pattern applied to the ESA'13 vertex baseline): for every s ∈ S and
-/// every failing vertex x ∉ {s}, dist(s,v,H\{x}) = dist(s,v,G\{x}).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with several sources
-/// and fault_model = kVertex.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with several sources")
-MultiSourceResult build_vertex_ftmbfs(const Graph& g,
-                                      const std::vector<Vertex>& sources,
-                                      const VertexFtBfsOptions& opts = {});
-
-/// Verifies the multi-source edge contract (per-source verify_structure on
-/// the union edge set). Returns the number of violations (0 = correct).
-std::int64_t verify_multi_source(const Graph& g, const MultiSourceResult& ms,
+/// Verifies the multi-source edge contract of `h` (per-source
+/// verify_structure on its edge set, for each of `sources`). Returns the
+/// number of violations (0 = correct).
+std::int64_t verify_multi_source(const FtBfsStructure& h,
+                                 std::span<const Vertex> sources,
                                  std::int64_t max_failures_per_source = -1);
 
-/// Vertex-fault analog: per-source verify_vertex_structure on the union
-/// edge set. Returns the number of violations (0 = correct).
+/// Vertex-fault analog: per-source verify_vertex_structure on the edge set
+/// of `h`. Returns the number of violations (0 = correct).
 std::int64_t verify_vertex_multi_source(
-    const Graph& g, const MultiSourceResult& ms,
+    const FtBfsStructure& h, std::span<const Vertex> sources,
     std::int64_t max_failures_per_source = -1);
 
 }  // namespace ftb

@@ -1,9 +1,9 @@
 // validate.hpp — the one place build inputs are checked.
 //
-// Every build entry point — the ftb::api facade, the legacy per-model
-// builders it wraps, and the CLI — funnels its (ε, source set) inputs
-// through these helpers, so a bad input produces the SAME CheckError
-// message shape everywhere:
+// Every build entry point — the ftb::api facade (and through it the CLI),
+// the multi-source union pipelines it dispatches to, and the cost-model
+// sweep — funnels its (ε, source set) inputs through these helpers, so a
+// bad input produces the SAME CheckError message shape everywhere:
 //
 //   invalid BuildSpec: <what is wrong> (got <value>)
 //
@@ -48,12 +48,6 @@ inline void check_sources(const Graph& g, std::span<const Vertex> sources) {
   FTB_CHECK_MSG(dup == sorted.end(),
                 "invalid BuildSpec: duplicate source (got "
                     << (dup == sorted.end() ? Vertex{0} : *dup) << ")");
-}
-
-/// Single-source convenience used by the legacy entry points.
-inline void check_source(const Graph& g, Vertex source) {
-  const Vertex one[] = {source};
-  check_sources(g, one);
 }
 
 }  // namespace ftb::detail

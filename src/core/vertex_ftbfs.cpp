@@ -6,7 +6,6 @@
 #include <atomic>
 
 #include "src/core/ftbfs.hpp"
-#include "src/core/validate.hpp"
 #include "src/graph/bfs_kernel.hpp"
 
 namespace ftb {
@@ -21,13 +20,6 @@ FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine) {
                         tree.tree_edges(), FaultClass::kVertex);
 }
 
-FtBfsStructure detail::build_vertex_ftbfs_impl(const Graph& g, Vertex source,
-                                               const VertexFtBfsOptions& opts) {
-  detail::check_source(g, source);
-  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  return build_vertex_ftbfs_impl(BfsTree(g, weights, source), opts);
-}
-
 FtBfsStructure detail::build_vertex_ftbfs_impl(const BfsTree& tree,
                                                const VertexFtBfsOptions& opts) {
   VertexReplacementEngine::Config cfg;
@@ -36,13 +28,6 @@ FtBfsStructure detail::build_vertex_ftbfs_impl(const BfsTree& tree,
   cfg.collect_detours = false;  // the baseline only needs last edges
   const VertexReplacementEngine engine(tree, cfg);
   return build_vertex_ftbfs(engine);
-}
-
-FtBfsStructure detail::build_either_ftbfs_impl(const Graph& g, Vertex source,
-                                               const VertexFtBfsOptions& opts) {
-  detail::check_source(g, source);
-  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  return build_either_ftbfs_impl(BfsTree(g, weights, source), opts);
 }
 
 FtBfsStructure detail::build_either_ftbfs_impl(const BfsTree& tree,
@@ -56,16 +41,6 @@ FtBfsStructure detail::build_either_ftbfs_impl(const BfsTree& tree,
   edges.insert(edges.end(), vertex_h.edges().begin(), vertex_h.edges().end());
   return FtBfsStructure(tree.graph(), tree.source(), std::move(edges), {},
                         edge_h.tree_edges(), FaultClass::kEither);
-}
-
-FtBfsStructure build_vertex_ftbfs(const Graph& g, Vertex source,
-                                  const VertexFtBfsOptions& opts) {
-  return detail::build_vertex_ftbfs_impl(g, source, opts);
-}
-
-FtBfsStructure build_dual_ftbfs(const Graph& g, Vertex source,
-                                const VertexFtBfsOptions& opts) {
-  return detail::build_either_ftbfs_impl(g, source, opts);
 }
 
 std::int64_t verify_vertex_structure(const FtBfsStructure& h,

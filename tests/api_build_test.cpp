@@ -1,10 +1,12 @@
-// api_build_test.cpp — the facade-vs-legacy differential suite.
+// api_build_test.cpp — the facade-vs-referee differential suite.
 //
-// ftb::api::build(graph, BuildSpec) must be byte-identical to the legacy
-// entry point each (fault model, ε, source count) cell replaces: same
-// edges, same reinforced set, same tree edges, same fault tag. Plus the
-// shared "invalid BuildSpec" validation shape and the Session save/load
-// round trip (structure_io v3 keeps the multi-source set).
+// ftb::api::build(graph, BuildSpec) runs one union pipeline per fault
+// model for every source count; it must be byte-identical to the scalar
+// per-source referee of tests/referee.hpp at σ = 1 and σ = 3: same edges,
+// same reinforced set, same tree edges, same fault tag, same per-source ε
+// stats, same dual pair tables and site-dist rows. Plus the shared
+// "invalid BuildSpec" validation shape and the Session save/load round
+// trip (structure_io v3 keeps the multi-source set).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,10 +15,10 @@
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/ftbfs.hpp"
-#include "src/core/multi_source.hpp"
-#include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
+#include "tests/property_test_util.hpp"
+#include "tests/referee.hpp"
 #include "tests/test_util.hpp"
 
 namespace ftb {
@@ -31,119 +33,128 @@ void expect_identical(const FtBfsStructure& a, const FtBfsStructure& b,
   EXPECT_EQ(a.source(), b.source()) << what;
 }
 
+/// Everything a build returns except the wall clock: structure, per-source
+/// ε stats counts, dual pair tables and site-dist rows.
+void expect_same_build(const api::BuildResult& a, const api::BuildResult& b,
+                       const std::string& what) {
+  expect_identical(a.structure, b.structure, what);
+  EXPECT_EQ(a.sources, b.sources) << what;
+  ASSERT_EQ(a.per_source.size(), b.per_source.size()) << what;
+  for (std::size_t i = 0; i < a.per_source.size(); ++i) {
+    const EpsilonStats& x = a.per_source[i];
+    const EpsilonStats& y = b.per_source[i];
+    const std::string at = what + " source#" + std::to_string(i);
+    EXPECT_EQ(x.k_rounds, y.k_rounds) << at;
+    EXPECT_EQ(x.threshold, y.threshold) << at;
+    EXPECT_EQ(x.used_baseline, y.used_baseline) << at;
+    EXPECT_EQ(x.pairs_total, y.pairs_total) << at;
+    EXPECT_EQ(x.pairs_uncovered, y.pairs_uncovered) << at;
+    EXPECT_EQ(x.s1_added_edges, y.s1_added_edges) << at;
+    EXPECT_EQ(x.s2_added_edges, y.s2_added_edges) << at;
+    EXPECT_EQ(x.structure_edges, y.structure_edges) << at;
+    EXPECT_EQ(x.backup, y.backup) << at;
+    EXPECT_EQ(x.reinforced, y.reinforced) << at;
+  }
+  ASSERT_EQ(a.dual_tables.size(), b.dual_tables.size()) << what;
+  for (std::size_t i = 0; i < a.dual_tables.size(); ++i) {
+    EXPECT_TRUE(test::same_tables(a.dual_tables[i], b.dual_tables[i]))
+        << what << " source#" << i;
+  }
+  ASSERT_EQ(a.dual_site_dist.size(), b.dual_site_dist.size()) << what;
+  for (std::size_t i = 0; i < a.dual_site_dist.size(); ++i) {
+    EXPECT_TRUE(
+        test::same_site_dist(a.dual_site_dist[i], b.dual_site_dist[i]))
+        << what << " source#" << i;
+  }
+}
+
+/// The seeded property families plus a few structured shapes; each case
+/// is built at σ = 1 (its own source) and at σ = 3 (spread sources).
 std::vector<test::FamilyCase> diff_families() {
   std::vector<test::FamilyCase> out;
+  for (test::PropertyCase& pc : test::property_cases(30, 1)) {
+    out.push_back({pc.name(), std::move(pc.graph), pc.source});
+  }
   out.push_back({"grid6x7", gen::grid_graph(6, 7), 0});
-  out.push_back({"gnm50", gen::gnm(50, 200, 3), 0});
-  out.push_back({"conn64", gen::random_connected(64, 100, 4), 7});
   out.push_back({"lollipop", gen::lollipop(12, 8), 0});
   return out;
 }
 
-TEST(ApiBuild, EdgeModelMatchesEpsilonPipelinePerCell) {
+std::vector<std::vector<Vertex>> source_sets(const test::FamilyCase& fc) {
+  const Vertex n = fc.graph.num_vertices();
+  return {{fc.source}, {0, n / 3, (2 * n) / 3}};
+}
+
+/// api::build vs test::referee_build for `model` at every σ and ε.
+void expect_model_matches_referee(FaultClass model,
+                                  std::initializer_list<double> eps_grid) {
   for (const auto& fc : diff_families()) {
-    for (const double eps : {0.0, 0.25, 0.45, 0.6, 1.0}) {
-      EpsilonOptions legacy_opts;
-      legacy_opts.eps = eps;
-      const EpsilonResult legacy =
-          build_epsilon_ftbfs(fc.graph, fc.source, legacy_opts);
-
-      api::BuildSpec spec;
-      spec.fault_model = FaultClass::kEdge;
-      spec.sources = {fc.source};
-      spec.eps = eps;
-      const api::BuildResult got = api::build(fc.graph, spec);
-
-      expect_identical(got.structure, legacy.structure,
-                       fc.name + " eps=" + std::to_string(eps));
-      ASSERT_EQ(got.per_source.size(), 1u);
-      EXPECT_EQ(got.per_source[0].structure_edges,
-                legacy.stats.structure_edges);
-      EXPECT_EQ(got.sources, spec.sources);
+    for (const std::vector<Vertex>& sources : source_sets(fc)) {
+      for (const double eps : eps_grid) {
+        api::BuildSpec spec;
+        spec.fault_model = model;
+        spec.sources = sources;
+        spec.eps = eps;
+        spec.site_dist_oracle = model == FaultClass::kDual;
+        const std::string what = fc.name + " " + to_string(model) +
+                                 " sigma=" + std::to_string(sources.size()) +
+                                 " eps=" + std::to_string(eps);
+        expect_same_build(api::build(fc.graph, spec),
+                          test::referee_build(fc.graph, spec), what);
+      }
     }
   }
 }
 
-TEST(ApiBuild, EpsOneMatchesEsa13Baseline) {
-  // The ε = 1 cell is Theorem 3.1's baseline branch — byte-identical to
-  // the legacy build_ftbfs entry point.
+TEST(ApiBuild, EdgeModelMatchesRefereeAtEverySigma) {
+  // ε = 0 is the reinforced tree, ε ≥ 1/2 the ESA'13 baseline branch.
+  expect_model_matches_referee(FaultClass::kEdge,
+                               {0.0, 0.25, 0.45, 0.6, 1.0});
+}
+
+TEST(ApiBuild, VertexModelMatchesRefereeAtEverySigma) {
+  expect_model_matches_referee(FaultClass::kVertex, {0.25});
+}
+
+TEST(ApiBuild, EitherModelMatchesRefereeAtEverySigma) {
+  expect_model_matches_referee(FaultClass::kEither, {0.25});
+}
+
+TEST(ApiBuild, DualModelMatchesRefereeAtEverySigma) {
+  // Pair tables and site-dist rows included (site_dist_oracle on).
+  expect_model_matches_referee(FaultClass::kDual, {0.25});
+}
+
+TEST(ApiBuild, EpsOneIsTheEsa13Baseline) {
+  // The ε ≥ 1/2 cells take Theorem 3.1's baseline branch: byte-identical
+  // to the baseline pipeline on the same canonical tree.
   for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_ftbfs(fc.graph, fc.source);
     api::BuildSpec spec;
     spec.sources = {fc.source};
     spec.eps = 1.0;
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
+    const EdgeWeights w = EdgeWeights::uniform_random(fc.graph,
+                                                      spec.weight_seed);
+    const BfsTree tree(fc.graph, w, fc.source);
+    expect_identical(api::build(fc.graph, spec).structure,
+                     detail::build_ftbfs_impl(tree, {}),
                      fc.name + " baseline");
   }
 }
 
-TEST(ApiBuild, EpsZeroMatchesReinforcedTree) {
+TEST(ApiBuild, EpsZeroReinforcesTheCanonicalTree) {
   for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_reinforced_tree(fc.graph, fc.source);
     api::BuildSpec spec;
     spec.sources = {fc.source};
     spec.eps = 0.0;
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
+    const EdgeWeights w = EdgeWeights::uniform_random(fc.graph,
+                                                      spec.weight_seed);
+    const BfsTree tree(fc.graph, w, fc.source);
+    const FtBfsStructure reinforced_tree(fc.graph, fc.source,
+                                         tree.tree_edges(), tree.tree_edges(),
+                                         tree.tree_edges());
+    expect_identical(api::build(fc.graph, spec).structure, reinforced_tree,
                      fc.name + " reinforced-tree");
   }
-}
-
-TEST(ApiBuild, VertexModelMatchesVertexBaseline) {
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_vertex_ftbfs(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.fault_model = FaultClass::kVertex;
-    spec.sources = {fc.source};
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " vertex");
-  }
-}
-
-TEST(ApiBuild, EitherModelMatchesLegacyDualUnion) {
-  // The legacy build_dual_ftbfs wrapper is the single-failure either
-  // union; the kEither cell must stay byte-identical to it. (The kDual
-  // cell is the two-simultaneous-failure pipeline — pinned against brute
-  // force in tests/dual_fault_test.cpp.)
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_dual_ftbfs(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.fault_model = FaultClass::kEither;
-    spec.sources = {fc.source};
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " either");
-  }
-}
-
-TEST(ApiBuild, MultiSourceEdgeMatchesFtmbfs) {
-  const Graph g = gen::random_connected(60, 160, 11);
-  const std::vector<Vertex> sources = {0, 17, 42};
-  EpsilonOptions legacy_opts;
-  legacy_opts.eps = 0.3;
-  const MultiSourceResult legacy = build_epsilon_ftmbfs(g, sources,
-                                                        legacy_opts);
-
-  api::BuildSpec spec;
-  spec.sources = sources;
-  spec.eps = 0.3;
-  const api::BuildResult got = api::build(g, spec);
-  expect_identical(got.structure, legacy.structure, "edge ftmbfs");
-  ASSERT_EQ(got.per_source.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(got.per_source[i].structure_edges,
-              legacy.per_source[i].structure_edges);
-  }
-}
-
-TEST(ApiBuild, MultiSourceVertexMatchesVertexFtmbfs) {
-  const Graph g = gen::random_connected(60, 160, 13);
-  const std::vector<Vertex> sources = {3, 25};
-  const MultiSourceResult legacy = build_vertex_ftmbfs(g, sources);
-
-  api::BuildSpec spec;
-  spec.fault_model = FaultClass::kVertex;
-  spec.sources = sources;
-  expect_identical(api::build(g, spec).structure, legacy.structure,
-                   "vertex ftmbfs");
 }
 
 // ---------------------------------------------------------------------------
@@ -187,38 +198,6 @@ TEST(ApiBuildValidation, RejectsBadSourceSets) {
     api::BuildSpec spec;
     spec.sources = {0, 3, 0};  // duplicate
     expect_invalid_spec(g, spec);
-  }
-}
-
-TEST(ApiBuildValidation, LegacyEntryPointsShareTheMessageShape) {
-  const Graph g = gen::grid_graph(4, 4);
-  {
-    EpsilonOptions opts;
-    opts.eps = std::numeric_limits<double>::quiet_NaN();
-    try {
-      build_epsilon_ftbfs(g, 0, opts);
-      FAIL() << "expected CheckError";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  try {
-    build_epsilon_ftmbfs(g, {}, {});
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
-              std::string::npos)
-        << e.what();
-  }
-  try {
-    build_vertex_ftbfs(g, -1);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
-              std::string::npos)
-        << e.what();
   }
 }
 

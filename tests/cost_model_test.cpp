@@ -2,6 +2,10 @@
 // empirical design sweep.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/cost_model.hpp"
 #include "src/graph/generators.hpp"
 
@@ -37,9 +41,9 @@ TEST(CostModel, PredictedCostCombinesTheBounds) {
 
 TEST(CostModel, StructureCostMatchesHandComputation) {
   const Graph g = gen::gnm(40, 150, 3);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.3;
+  const api::BuildResult res = api::build(g, spec);
   const double cost = res.structure.cost(1.5, 80.0);
   EXPECT_DOUBLE_EQ(cost, 1.5 * static_cast<double>(res.structure.num_backup()) +
                              80.0 * static_cast<double>(
@@ -108,6 +112,32 @@ TEST(CostModel, DesignCheapestRebuildsTheWinner) {
 TEST(CostModel, EmptyGridRejected) {
   const Graph g = gen::path_graph(4);
   EXPECT_THROW(design_sweep(g, 0, {}, {}), CheckError);
+}
+
+TEST(CostModel, GridEpsilonIsValidated) {
+  // Every grid ε (and the source) is checked like a BuildSpec, before any
+  // grid point is built.
+  const Graph g = gen::gnm(20, 60, 15);
+  const CostParams prices{1.0, 10.0};
+  const auto expect_invalid_spec = [&](std::vector<double> grid, Vertex s) {
+    for (const bool cheapest : {false, true}) {
+      try {
+        if (cheapest) {
+          (void)design_cheapest(g, s, prices, grid);
+        } else {
+          (void)design_sweep(g, s, prices, grid);
+        }
+        ADD_FAILURE() << "expected CheckError";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  expect_invalid_spec({0.2, std::numeric_limits<double>::quiet_NaN()}, 0);
+  expect_invalid_spec({0.2, 1.5}, 0);
+  expect_invalid_spec({0.2}, g.num_vertices());
 }
 
 }  // namespace

@@ -687,8 +687,10 @@ TEST(DualFault, DfsScheduleIsByteIdenticalToIndependentRebase) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
-    const DualBuildResult a =
-        detail::build_dual_failure_ftbfs_impl(pc.graph, pc.source, opts);
+    const EdgeWeights w =
+        EdgeWeights::uniform_random(pc.graph, opts.weight_seed);
+    const DualBuildResult a = detail::build_dual_failure_ftbfs_impl(
+        BfsTree(pc.graph, w, pc.source), opts);
     SweepWorkStats ind_work;
     const api::BuildResult b =
         independent_rebase(pc.graph, pc.source, &ind_work);
@@ -711,7 +713,9 @@ TEST(DualFault, DfsScheduleOnDegenerateTrees) {
   for (const Graph& g : {gen::path_graph(64), gen::star_graph(64)}) {
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
-    const DualBuildResult a = detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+    const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
+    const DualBuildResult a =
+        detail::build_dual_failure_ftbfs_impl(BfsTree(g, w, 0), opts);
     SweepWorkStats ind_work;
     const api::BuildResult b = independent_rebase(g, 0, &ind_work);
     EXPECT_EQ(a.structure.edges(), b.structure.edges());
@@ -771,9 +775,12 @@ TEST(DualFault, ConcurrentDualBuildStormIsDeterministic) {
   // reference build byte for byte; TSan watches this under the
   // concurrency ctest label.
   const Graph g = gen::random_connected(48, 140, 11);
-  DualFtBfsOptions opts;
-  opts.site_dist_oracle = true;
-  const DualBuildResult ref = detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.site_dist_oracle = true;
+  const api::BuildResult ref = api::build(g, spec);
+  const DualSiteTable& ref_tables = ref.dual_tables.front();
+  const DualSiteDistTable& ref_site_dist = ref.dual_site_dist.front();
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::atomic<int> mismatches{0};
@@ -784,17 +791,17 @@ TEST(DualFault, ConcurrentDualBuildStormIsDeterministic) {
       for (int round = 0; round < kRounds; ++round) {
         bool same = true;
         if ((t + round) % 2 == 0) {
-          const DualBuildResult r =
-              detail::build_dual_failure_ftbfs_impl(g, 0, opts);
+          const api::BuildResult r = api::build(g, spec);
           same = r.structure.edges() == ref.structure.edges() &&
-                 test::same_tables(r.tables, ref.tables) &&
-                 test::same_site_dist(r.site_dist, ref.site_dist);
+                 test::same_tables(r.dual_tables.front(), ref_tables) &&
+                 test::same_site_dist(r.dual_site_dist.front(),
+                                      ref_site_dist);
         } else {
           const api::BuildResult r = independent_rebase(g, 0, nullptr);
           same = r.structure.edges() == ref.structure.edges() &&
-                 test::same_tables(r.dual_tables.front(), ref.tables) &&
+                 test::same_tables(r.dual_tables.front(), ref_tables) &&
                  test::same_site_dist(r.dual_site_dist.front(),
-                                      ref.site_dist);
+                                      ref_site_dist);
         }
         if (!same) mismatches++;
       }

@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/lower_bound.hpp"
@@ -49,10 +50,10 @@ TEST(EpsilonFamilySweep, NonReinforcedFailuresPreserveAllDistances) {
   for (const test::PropertyCase& pc : epsilon_sweep_cases()) {
     FTB_PROPERTY_TRACE(pc, "epsilon_ftbfs_test");
     for (const double eps : kEpsGrid) {
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
+      api::BuildSpec spec;
+      spec.eps = eps;
+      spec.sources = {pc.source};
+      const api::BuildResult res = api::build(pc.graph, spec);
       VerifyOptions vo;
       vo.check_nontree_failures = true;
       const VerifyReport rep = verify_structure(res.structure, vo);
@@ -66,11 +67,11 @@ TEST(EpsilonFamilySweep, StatsAreInternallyConsistent) {
   for (const test::PropertyCase& pc : epsilon_sweep_cases()) {
     FTB_PROPERTY_TRACE(pc, "epsilon_ftbfs_test");
     for (const double eps : kEpsGrid) {
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
-      const auto& st = res.stats;
+      api::BuildSpec spec;
+      spec.eps = eps;
+      spec.sources = {pc.source};
+      const api::BuildResult res = api::build(pc.graph, spec);
+      const auto& st = res.per_source.front();
       EXPECT_EQ(st.backup + st.reinforced, st.structure_edges);
       EXPECT_EQ(st.backup, res.structure.num_backup());
       EXPECT_EQ(st.reinforced, res.structure.num_reinforced());
@@ -87,10 +88,10 @@ TEST(EpsilonFamilySweep, ReinforcedSetIsSubsetOfTreeEdges) {
   for (const test::PropertyCase& pc : epsilon_sweep_cases()) {
     FTB_PROPERTY_TRACE(pc, "epsilon_ftbfs_test");
     for (const double eps : kEpsGrid) {
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
+      api::BuildSpec spec;
+      spec.eps = eps;
+      spec.sources = {pc.source};
+      const api::BuildResult res = api::build(pc.graph, spec);
       std::vector<std::uint8_t> is_tree(
           static_cast<std::size_t>(pc.graph.num_edges()), 0);
       for (const EdgeId e : res.structure.tree_edges()) {
@@ -108,9 +109,9 @@ TEST(EpsilonFamilySweep, ReinforcedSetIsSubsetOfTreeEdges) {
 
 TEST(EpsilonFtBfs, EpsZeroReinforcesExactlyTheTree) {
   const Graph g = gen::erdos_renyi(40, 0.15, 11);
-  EpsilonOptions opts;
-  opts.eps = 0.0;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.0;
+  const api::BuildResult res = api::build(g, spec);
   EXPECT_EQ(res.structure.num_backup(), 0);
   EXPECT_EQ(res.structure.num_edges(), res.structure.num_reinforced());
   EXPECT_EQ(res.structure.edges(), res.structure.tree_edges());
@@ -119,10 +120,10 @@ TEST(EpsilonFtBfs, EpsZeroReinforcesExactlyTheTree) {
 TEST(EpsilonFtBfs, LargeEpsDispatchesToBaseline) {
   const Graph g = gen::erdos_renyi(40, 0.15, 11);
   for (const double eps : {0.5, 0.75, 1.0}) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
-    EXPECT_TRUE(res.stats.used_baseline);
+    api::BuildSpec spec;
+    spec.eps = eps;
+    const api::BuildResult res = api::build(g, spec);
+    EXPECT_TRUE(res.per_source.front().used_baseline);
     EXPECT_EQ(res.structure.num_reinforced(), 0);
   }
 }
@@ -130,11 +131,11 @@ TEST(EpsilonFtBfs, LargeEpsDispatchesToBaseline) {
 TEST(EpsilonFtBfs, ForcedS1S2AtLargeEpsStillCorrect) {
   // Ablation path: run the full S1/S2 pipeline at ε = 0.5.
   const Graph g = gen::erdos_renyi(36, 0.18, 13);
-  EpsilonOptions opts;
-  opts.eps = 0.5;
-  opts.baseline_for_large_eps = false;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
-  EXPECT_FALSE(res.stats.used_baseline);
+  api::BuildSpec spec;
+  spec.eps = 0.5;
+  spec.baseline_for_large_eps = false;
+  const api::BuildResult res = api::build(g, spec);
+  EXPECT_FALSE(res.per_source.front().used_baseline);
   VerifyOptions vo;
   vo.check_nontree_failures = true;
   EXPECT_TRUE(verify_structure(res.structure, vo).ok);
@@ -142,11 +143,11 @@ TEST(EpsilonFtBfs, ForcedS1S2AtLargeEpsStillCorrect) {
 
 TEST(EpsilonFtBfs, DeterministicGivenSeed) {
   const Graph g = gen::gnm(50, 220, 17);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  opts.weight_seed = 99;
-  const EpsilonResult a = build_epsilon_ftbfs(g, 0, opts);
-  const EpsilonResult b = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.3;
+  spec.weight_seed = 99;
+  const api::BuildResult a = api::build(g, spec);
+  const api::BuildResult b = api::build(g, spec);
   EXPECT_EQ(a.structure.edges(), b.structure.edges());
   EXPECT_EQ(a.structure.reinforced(), b.structure.reinforced());
 }
@@ -157,9 +158,9 @@ TEST(EpsilonFtBfs, ReinforcementWithinTheoremEnvelope) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const Graph g = gen::random_connected(160, 500, seed);
     for (const double eps : {0.2, 1.0 / 3.0}) {
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      api::BuildSpec spec;
+      spec.eps = eps;
+      const api::BuildResult res = api::build(g, spec);
       const double bound = 8.0 * theorem_reinforce_bound(160, eps);
       EXPECT_LE(static_cast<double>(res.structure.num_reinforced()), bound)
           << "seed=" << seed << " eps=" << eps;
@@ -171,9 +172,9 @@ TEST(EpsilonFtBfs, BackupWithinTheoremEnvelope) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const Graph g = gen::random_connected(160, 500, seed);
     for (const double eps : {0.2, 1.0 / 3.0, 0.5}) {
-      EpsilonOptions opts;
-      opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      api::BuildSpec spec;
+      spec.eps = eps;
+      const api::BuildResult res = api::build(g, spec);
       const double bound = 8.0 * theorem_backup_bound(160, eps);
       EXPECT_LE(static_cast<double>(res.structure.num_backup()), bound)
           << "seed=" << seed << " eps=" << eps;
@@ -185,11 +186,11 @@ TEST(EpsilonFtBfs, AblationKnobsPreserveCorrectness) {
   const Graph g = gen::gnm(60, 300, 23);
   for (const bool no_flush : {false, true}) {
     for (const bool no_cross : {false, true}) {
-      EpsilonOptions opts;
-      opts.eps = 0.25;
-      opts.disable_s2_light_flush = no_flush;
-      opts.disable_s2_crossings = no_cross;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      api::BuildSpec spec;
+      spec.eps = 0.25;
+      spec.disable_s2_light_flush = no_flush;
+      spec.disable_s2_crossings = no_cross;
+      const api::BuildResult res = api::build(g, spec);
       const VerifyReport rep = verify_structure(res.structure);
       EXPECT_TRUE(rep.ok) << "no_flush=" << no_flush
                           << " no_cross=" << no_cross << ": "
@@ -200,10 +201,10 @@ TEST(EpsilonFtBfs, AblationKnobsPreserveCorrectness) {
 
 TEST(EpsilonFtBfs, SingleRoundOverrideStillCorrect) {
   const Graph g = gen::gnm(60, 300, 29);
-  EpsilonOptions opts;
-  opts.eps = 0.25;
-  opts.k_rounds_override = 1;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.25;
+  spec.k_rounds_override = 1;
+  const api::BuildResult res = api::build(g, spec);
   EXPECT_TRUE(verify_structure(res.structure).ok);
 }
 
@@ -214,10 +215,10 @@ TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
   const auto lbg = lb::build_single_source(500, 0.5);
   std::vector<std::int64_t> bs, rs;
   for (const double eps : {0.05, 0.15, 0.3}) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const EpsilonResult res =
-        build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+    api::BuildSpec spec;
+    spec.eps = eps;
+    spec.sources = {lbg.source};
+    const api::BuildResult res = api::build(lbg.graph, spec);
     bs.push_back(res.structure.num_backup());
     rs.push_back(res.structure.num_reinforced());
   }
@@ -229,11 +230,11 @@ TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
 
 TEST(EpsilonFtBfs, RejectsOutOfRangeEps) {
   const Graph g = gen::path_graph(4);
-  EpsilonOptions opts;
-  opts.eps = -0.1;
-  EXPECT_THROW(build_epsilon_ftbfs(g, 0, opts), CheckError);
-  opts.eps = 1.5;
-  EXPECT_THROW(build_epsilon_ftbfs(g, 0, opts), CheckError);
+  api::BuildSpec spec;
+  spec.eps = -0.1;
+  EXPECT_THROW(api::build(g, spec), CheckError);
+  spec.eps = 1.5;
+  EXPECT_THROW(api::build(g, spec), CheckError);
 }
 
 }  // namespace

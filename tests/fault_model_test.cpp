@@ -20,6 +20,7 @@
 
 #include <algorithm>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/ftbfs.hpp"
@@ -233,11 +234,11 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
   for (const auto& fc : test::property_cases(18, 1)) {
     FTB_PROPERTY_TRACE(fc, "fault_model_test");
     const VertexFtBfsOptions opts;  // default weight seed
-    const FtBfsStructure h = build_vertex_ftbfs(fc.graph, fc.source, opts);
-    ASSERT_EQ(h.fault_class(), FaultClass::kVertex);
     const EdgeWeights w =
         EdgeWeights::uniform_random(fc.graph, opts.weight_seed);
     const BfsTree tree(fc.graph, w, fc.source);
+    const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, opts);
+    ASSERT_EQ(h.fault_class(), FaultClass::kVertex);
     const VertexReplacementEngine engine(tree);
     const VertexStructureOracle oracle(h, engine);
     const std::size_t n = static_cast<std::size_t>(fc.graph.num_vertices());
@@ -264,9 +265,9 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
 TEST(VertexStructureOracleTest, SourceFailureRefused) {
   const Graph g = gen::cycle_graph(8);
   const VertexFtBfsOptions opts;
-  const FtBfsStructure h = build_vertex_ftbfs(g, 0, opts);
   const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
   const BfsTree tree(g, w, 0);
+  const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, opts);
   const VertexReplacementEngine engine(tree);
   const VertexStructureOracle oracle(h, engine);
   EXPECT_THROW(oracle.query(3, 0), CheckError);
@@ -344,10 +345,13 @@ TEST(FaultClassTest, TagsAndParsingRoundTrip) {
   EXPECT_THROW(parse_fault_class("meteor"), CheckError);
 
   const Graph g = gen::gnm(24, 80, 9);
-  EXPECT_EQ(build_ftbfs(g, 0).fault_class(), FaultClass::kEdge);
-  EXPECT_EQ(build_vertex_ftbfs(g, 0).fault_class(), FaultClass::kVertex);
-  // The legacy "dual" union is the single-failure either model.
-  EXPECT_EQ(build_dual_ftbfs(g, 0).fault_class(), FaultClass::kEither);
+  // Each model's build is tagged with its model; the pre-dual "dual"
+  // union is the single-failure either model.
+  for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
+                                 FaultClass::kEither, FaultClass::kDual}) {
+    EXPECT_EQ(api::build(g, {.fault_model = model}).structure.fault_class(),
+              model);
+  }
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 #include <cmath>
 #include <set>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/replacement.hpp"
-
-#include "src/core/ftbfs.hpp"
 #include "src/core/verifier.hpp"
 #include "tests/test_util.hpp"
 
@@ -32,7 +31,8 @@ std::vector<std::string> family_names() {
 
 TEST_P(FtBfsFamilyTest, EveryEdgeFailurePreservesAllDistances) {
   const test::FamilyCase fc = find_family(GetParam());
-  const FtBfsStructure h = build_ftbfs(fc.graph, fc.source);
+  const FtBfsStructure h =
+      api::build(fc.graph, {.sources = {fc.source}, .eps = 1.0}).structure;
   EXPECT_EQ(h.num_reinforced(), 0);
   VerifyOptions vo;
   vo.check_nontree_failures = true;  // paranoid: every edge of G
@@ -42,7 +42,8 @@ TEST_P(FtBfsFamilyTest, EveryEdgeFailurePreservesAllDistances) {
 
 TEST_P(FtBfsFamilyTest, SizeWithinTheoremEnvelope) {
   const test::FamilyCase fc = find_family(GetParam());
-  const FtBfsStructure h = build_ftbfs(fc.graph, fc.source);
+  const FtBfsStructure h =
+      api::build(fc.graph, {.sources = {fc.source}, .eps = 1.0}).structure;
   const double n = static_cast<double>(fc.graph.num_vertices());
   // Theorem of [14]: O(n^{3/2}); constant 4 is generous at these sizes.
   EXPECT_LE(static_cast<double>(h.num_edges()), 4.0 * std::pow(n, 1.5))
@@ -51,7 +52,8 @@ TEST_P(FtBfsFamilyTest, SizeWithinTheoremEnvelope) {
 
 TEST_P(FtBfsFamilyTest, ContainsItsTree) {
   const test::FamilyCase fc = find_family(GetParam());
-  const FtBfsStructure h = build_ftbfs(fc.graph, fc.source);
+  const FtBfsStructure h =
+      api::build(fc.graph, {.sources = {fc.source}, .eps = 1.0}).structure;
   for (const EdgeId e : h.tree_edges()) {
     EXPECT_TRUE(h.contains(e));
   }
@@ -60,11 +62,13 @@ TEST_P(FtBfsFamilyTest, ContainsItsTree) {
 TEST_P(FtBfsFamilyTest, DeterministicGivenSeed) {
   const test::FamilyCase fc1 = find_family(GetParam());
   const test::FamilyCase fc2 = find_family(GetParam());
-  FtBfsOptions opts;
-  opts.weight_seed = 1234;
-  const FtBfsStructure h1 = build_ftbfs(fc1.graph, fc1.source, opts);
-  const FtBfsStructure h2 = build_ftbfs(fc2.graph, fc2.source, opts);
-  EXPECT_EQ(h1.edges(), h2.edges());
+  api::BuildSpec spec;
+  spec.eps = 1.0;
+  spec.weight_seed = 1234;
+  spec.sources = {fc1.source};
+  const api::BuildResult h1 = api::build(fc1.graph, spec);
+  const api::BuildResult h2 = api::build(fc2.graph, spec);
+  EXPECT_EQ(h1.structure.edges(), h2.structure.edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, FtBfsFamilyTest,
@@ -74,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(Families, FtBfsFamilyTest,
 TEST(FtBfs, TreeInputNeedsNoBackup) {
   // On a tree there are no replacement paths at all: H == T0.
   const Graph g = gen::binary_tree(31);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   EXPECT_EQ(h.num_edges(), 30);
   EXPECT_EQ(h.num_backup(), 30);
 }
@@ -84,7 +88,7 @@ TEST(FtBfs, CompleteGraphKeepsOneDetourEdgePerVertex) {
   // reroutes via any other vertex; exactly one new last edge per vertex is
   // retained, so |H| ≤ 2(n-1).
   const Graph g = gen::complete_graph(12);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   EXPECT_LE(h.num_edges(), 2 * (12 - 1));
   EXPECT_EQ(h.num_reinforced(), 0);
 }
@@ -115,7 +119,7 @@ TEST(FtBfs, PerTerminalNewEndingLastEdgesAreSqrtBounded) {
 
 TEST(FtBfs, ReinforcedTreeStructureIsAllReinforced) {
   const Graph g = gen::erdos_renyi(30, 0.2, 9);
-  const FtBfsStructure h = build_reinforced_tree(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 0.0}).structure;
   EXPECT_EQ(h.num_backup(), 0);
   EXPECT_EQ(h.num_edges(), h.num_reinforced());
   const VerifyReport rep = verify_structure(h);

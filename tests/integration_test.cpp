@@ -51,10 +51,10 @@ TEST(Integration, FullDeploymentPipeline) {
 TEST(Integration, OracleAgreesWithDeployedStructure) {
   const Graph g = gen::gnm(50, 220, 405);
   const std::uint64_t seed = 7;
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  opts.weight_seed = seed;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.3;
+  spec.weight_seed = seed;
+  const api::BuildResult res = api::build(g, spec);
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, seed);
   const BfsTree tree(g, w, 0);
@@ -90,7 +90,7 @@ TEST(Integration, ConnectivityExplainsDrillDisconnections) {
   const Graph g = gen::dumbbell(8, 3);
   const ConnectivityReport conn = analyze_connectivity(g);
   ASSERT_EQ(conn.bridges.size(), 3u);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   // Drill everything deterministically.
   const DrillReport rep = run_failure_drill(h, g.num_edges(), 3);
   EXPECT_EQ(rep.violations, 0);
@@ -160,9 +160,10 @@ TEST(Integration, MultiSourceDeploymentStormAcrossSigma) {
 TEST(Integration, AdversarialEndToEnd) {
   // The paper's own worst case through the whole stack.
   const auto lbg = lb::build_single_source(400, 0.5);
-  EpsilonOptions opts;
-  opts.eps = 0.15;
-  const EpsilonResult res = build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.15;
+  spec.sources = {lbg.source};
+  const api::BuildResult res = api::build(lbg.graph, spec);
   // Certified floor honored.
   EXPECT_GE(res.structure.num_backup(),
             lbg.certified_min_backup(res.structure.num_reinforced()));

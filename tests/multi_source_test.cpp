@@ -14,11 +14,11 @@ namespace {
 
 TEST(MultiSource, ContractHoldsForEverySource) {
   const Graph g = gen::gnm(40, 150, 77);
-  const std::vector<Vertex> sources{0, 7, 23};
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
-  EXPECT_EQ(verify_multi_source(g, ms), 0);
+  api::BuildSpec spec;
+  spec.sources = {0, 7, 23};
+  spec.eps = 0.3;
+  const api::BuildResult ms = api::build(g, spec);
+  EXPECT_EQ(verify_multi_source(ms.structure, ms.sources), 0);
 }
 
 TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
@@ -27,36 +27,40 @@ TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
     FTB_PROPERTY_TRACE(pc, "multi_source_test");
     const Vertex n = pc.graph.num_vertices();
     ASSERT_GE(n, 9);
-    const std::vector<Vertex> sources{0, n / 3, (2 * n) / 3};
-    EpsilonOptions opts;
-    opts.eps = 0.3;
-    const MultiSourceResult ms =
-        build_epsilon_ftmbfs(pc.graph, sources, opts);
-    EXPECT_EQ(verify_multi_source(pc.graph, ms), 0) << pc.name();
-    const MultiSourceResult vms = build_vertex_ftmbfs(pc.graph, sources);
-    EXPECT_EQ(verify_vertex_multi_source(pc.graph, vms), 0) << pc.name();
+    api::BuildSpec spec;
+    spec.sources = {0, n / 3, (2 * n) / 3};
+    spec.eps = 0.3;
+    const api::BuildResult ms = api::build(pc.graph, spec);
+    EXPECT_EQ(verify_multi_source(ms.structure, spec.sources), 0)
+        << pc.name();
+    spec.fault_model = FaultClass::kVertex;
+    const api::BuildResult vms = api::build(pc.graph, spec);
+    EXPECT_EQ(verify_vertex_multi_source(vms.structure, spec.sources), 0)
+        << pc.name();
   }
 }
 
 TEST(MultiSource, ContractHoldsAtEndpointEps) {
   const Graph g = gen::random_connected(36, 60, 5);
-  const std::vector<Vertex> sources{0, 18};
   for (const double eps : {0.0, 0.5, 1.0}) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
-    EXPECT_EQ(verify_multi_source(g, ms), 0) << "eps=" << eps;
+    api::BuildSpec spec;
+    spec.sources = {0, 18};
+    spec.eps = eps;
+    const api::BuildResult ms = api::build(g, spec);
+    EXPECT_EQ(verify_multi_source(ms.structure, ms.sources), 0)
+        << "eps=" << eps;
   }
 }
 
 TEST(MultiSource, UnionDominatesEverySingleSource) {
   const Graph g = gen::gnm(36, 140, 81);
-  const std::vector<Vertex> sources{0, 5, 11};
-  EpsilonOptions opts;
-  opts.eps = 0.25;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
-  for (const Vertex s : sources) {
-    const EpsilonResult single = build_epsilon_ftbfs(g, s, opts);
+  api::BuildSpec spec;
+  spec.sources = {0, 5, 11};
+  spec.eps = 0.25;
+  const api::BuildResult ms = api::build(g, spec);
+  for (const Vertex s : ms.sources) {
+    spec.sources = {s};
+    const api::BuildResult single = api::build(g, spec);
     EXPECT_GE(ms.structure.num_edges(), single.structure.num_edges());
     for (const EdgeId e : single.structure.edges()) {
       EXPECT_TRUE(ms.structure.contains(e));
@@ -66,11 +70,11 @@ TEST(MultiSource, UnionDominatesEverySingleSource) {
 
 TEST(MultiSource, PerSourceStatsAligned) {
   const Graph g = gen::gnm(30, 100, 83);
-  const std::vector<Vertex> sources{2, 9};
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
-  ASSERT_EQ(ms.per_source.size(), sources.size());
+  api::BuildSpec spec;
+  spec.sources = {2, 9};
+  spec.eps = 0.3;
+  const api::BuildResult ms = api::build(g, spec);
+  ASSERT_EQ(ms.per_source.size(), spec.sources.size());
   for (const auto& st : ms.per_source) {
     EXPECT_EQ(st.n, g.num_vertices());
     EXPECT_GE(st.structure_edges, g.num_vertices() - 1);
@@ -79,48 +83,65 @@ TEST(MultiSource, PerSourceStatsAligned) {
 
 TEST(MultiSource, WorksOnTheTheorem54Graph) {
   const auto lb = lb::build_multi_source(400, 2, 0.3);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms =
-      build_epsilon_ftmbfs(lb.graph, lb.sources, opts);
+  api::BuildSpec spec;
+  spec.sources = lb.sources;
+  spec.eps = 0.3;
+  const api::BuildResult ms = api::build(lb.graph, spec);
   // Spot-verify (cap failures for runtime).
-  EXPECT_EQ(verify_multi_source(lb.graph, ms, /*max_failures=*/150), 0);
+  EXPECT_EQ(verify_multi_source(ms.structure, ms.sources,
+                                /*max_failures_per_source=*/150),
+            0);
   // Certified bound holds for the union as well.
   EXPECT_GE(ms.structure.num_backup(),
             lb.certified_min_backup(ms.structure.num_reinforced()));
 }
 
 TEST(MultiSource, SingleSourceDegeneratesToEpsilonFtBfs) {
+  // σ = 1 runs the union pipeline too; it must return the per-source
+  // structure exactly as the ε pipeline builds it on the scalar tree.
   const Graph g = gen::gnm(30, 110, 85);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, {4}, opts);
-  const EpsilonResult single = build_epsilon_ftbfs(g, 4, opts);
+  api::BuildSpec spec;
+  spec.sources = {4};
+  spec.eps = 0.3;
+  const api::BuildResult ms = api::build(g, spec);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+  const EpsilonResult single = detail::build_epsilon_ftbfs_impl(
+      BfsTree(g, w, 4), spec.epsilon_options());
   EXPECT_EQ(ms.structure.edges(), single.structure.edges());
   EXPECT_EQ(ms.structure.reinforced(), single.structure.reinforced());
+  EXPECT_EQ(ms.structure.tree_edges(), single.structure.tree_edges());
 }
 
 TEST(MultiSource, EmptySourcesRejected) {
   const Graph g = gen::path_graph(4);
-  EXPECT_THROW(build_epsilon_ftmbfs(g, {}, {}), CheckError);
-  EXPECT_THROW(build_vertex_ftmbfs(g, {}, {}), CheckError);
+  for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex}) {
+    api::BuildSpec spec;
+    spec.fault_model = model;
+    spec.sources = {};
+    EXPECT_THROW(api::build(g, spec), CheckError) << to_string(model);
+  }
 }
 
 TEST(MultiSource, VertexUnionContractHoldsForEverySource) {
   const Graph g = gen::gnm(40, 150, 87);
-  const std::vector<Vertex> sources{0, 7, 23};
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, sources);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kVertex;
+  spec.sources = {0, 7, 23};
+  const api::BuildResult ms = api::build(g, spec);
   EXPECT_EQ(ms.structure.fault_class(), FaultClass::kVertex);
-  EXPECT_EQ(verify_vertex_multi_source(g, ms), 0);
+  EXPECT_EQ(verify_vertex_multi_source(ms.structure, ms.sources), 0);
 }
 
 TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
   const Graph g = gen::gnm(36, 140, 89);
-  const std::vector<Vertex> sources{0, 5, 11};
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, sources);
-  for (const Vertex s : sources) {
-    const FtBfsStructure single = build_vertex_ftbfs(g, s);
-    for (const EdgeId e : single.edges()) {
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kVertex;
+  spec.sources = {0, 5, 11};
+  const api::BuildResult ms = api::build(g, spec);
+  for (const Vertex s : ms.sources) {
+    spec.sources = {s};
+    const api::BuildResult single = api::build(g, spec);
+    for (const EdgeId e : single.structure.edges()) {
       EXPECT_TRUE(ms.structure.contains(e));
     }
   }
@@ -163,10 +184,16 @@ TEST(MultiSource, FusedUnionsMatchScalarReferee) {
 
 TEST(MultiSource, VertexSingleSourceDegeneratesToBaseline) {
   const Graph g = gen::gnm(30, 110, 91);
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, {4});
-  const FtBfsStructure single = build_vertex_ftbfs(g, 4);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kVertex;
+  spec.sources = {4};
+  const api::BuildResult ms = api::build(g, spec);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+  const FtBfsStructure single = detail::build_vertex_ftbfs_impl(
+      BfsTree(g, w, 4), spec.vertex_options());
   EXPECT_EQ(ms.structure.edges(), single.edges());
   EXPECT_EQ(ms.structure.tree_edges(), single.tree_edges());
+  EXPECT_EQ(ms.structure.fault_class(), single.fault_class());
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // instance-vs-universal gap.
 #include <gtest/gtest.h>
 
-#include "src/core/epsilon_ftbfs.hpp"
-#include "src/core/ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/lower_bound.hpp"
@@ -16,7 +15,7 @@ namespace {
 TEST(GreedyFrontier, EndpointsMatchTheExtremes) {
   const Graph g = gen::gnm(40, 170, 7);
   const GreedyFrontier frontier(g, 0);
-  const FtBfsStructure baseline = build_ftbfs(g, 0);
+  const FtBfsStructure baseline = api::build(g, {.eps = 1.0}).structure;
   // r=0 → exactly the ESA'13 baseline size (same engine, same last edges).
   EXPECT_EQ(frontier.points().front().backup, baseline.num_edges());
   // r=|T0| → the bare reinforced tree.
@@ -83,10 +82,10 @@ TEST(GreedyFrontier, BeatsTheUniversalConstructionOnItsOwnGraph) {
   // on specific instances. On the Theorem 5.1 graph, give the greedy the
   // same reinforcement budget the ε construction used and compare b.
   const auto lbg = lb::build_single_source(260, 0.5);
-  EpsilonOptions opts;
-  opts.eps = 0.15;
-  const EpsilonResult universal =
-      build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.15;
+  spec.sources = {lbg.source};
+  const api::BuildResult universal = api::build(lbg.graph, spec);
   const GreedyFrontier frontier(lbg.graph, lbg.source);
   const FtBfsStructure greedy =
       frontier.design_max_reinforced(universal.structure.num_reinforced());

@@ -2,8 +2,7 @@
 // and catch broken ones.
 #include <gtest/gtest.h>
 
-#include "src/core/epsilon_ftbfs.hpp"
-#include "src/core/ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sim/failure_sim.hpp"
@@ -13,7 +12,7 @@ namespace {
 
 TEST(FailureSim, CorrectStructureHasNoViolations) {
   const Graph g = gen::gnm(40, 180, 61);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const DrillReport rep = run_failure_drill(h, 100, 1);
   EXPECT_EQ(rep.violations, 0) << rep.to_string();
   EXPECT_DOUBLE_EQ(rep.max_stretch, 1.0);
@@ -23,9 +22,9 @@ TEST(FailureSim, CorrectStructureHasNoViolations) {
 
 TEST(FailureSim, EpsilonStructureSurvivesDrills) {
   const Graph g = gen::random_connected(60, 160, 63);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.3;
+  const api::BuildResult res = api::build(g, spec);
   const DrillReport rep = run_failure_drill(res.structure, 200, 2);
   EXPECT_EQ(rep.violations, 0) << rep.to_string();
   EXPECT_DOUBLE_EQ(rep.max_stretch, 1.0);
@@ -33,9 +32,9 @@ TEST(FailureSim, EpsilonStructureSurvivesDrills) {
 
 TEST(FailureSim, ReinforcedEdgesAreNeverDrilled) {
   const Graph g = gen::gnm(30, 120, 65);
-  EpsilonOptions opts;
-  opts.eps = 0.2;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.2;
+  const api::BuildResult res = api::build(g, spec);
   // Ask for more drills than there are fault-prone edges: the simulator
   // must cap at exactly m - r.
   const DrillReport rep =
@@ -57,7 +56,7 @@ TEST(FailureSim, DetectsBrokenStructure) {
 
 TEST(FailureSim, DeterministicGivenSeed) {
   const Graph g = gen::gnm(30, 120, 67);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const DrillReport a = run_failure_drill(h, 50, 11);
   const DrillReport b = run_failure_drill(h, 50, 11);
   EXPECT_EQ(a.to_string(), b.to_string());
@@ -65,7 +64,8 @@ TEST(FailureSim, DeterministicGivenSeed) {
 
 TEST(FailureSim, VertexDrillCleanOnVertexStructure) {
   const Graph g = gen::gnm(40, 180, 69);
-  const FtBfsStructure h = build_vertex_ftbfs(g, 0);
+  const FtBfsStructure h =
+      api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   const DrillReport rep = run_vertex_failure_drill(h, 100, 1);
   EXPECT_EQ(rep.violations, 0) << rep.to_string();
   EXPECT_DOUBLE_EQ(rep.max_stretch, 1.0);
@@ -87,17 +87,19 @@ TEST(FailureSim, VertexDrillDetectsBareTree) {
 
 TEST(FailureSim, FaultClassDispatchMatchesDirectCalls) {
   const Graph g = gen::gnm(32, 140, 73);
-  const FtBfsStructure eh = build_ftbfs(g, 0);
+  const FtBfsStructure eh = api::build(g, {.eps = 1.0}).structure;
   EXPECT_EQ(run_failure_drill(eh, FaultClass::kEdge, 40, 9).to_string(),
             run_failure_drill(eh, 40, 9).to_string());
-  const FtBfsStructure vh = build_vertex_ftbfs(g, 0);
+  const FtBfsStructure vh =
+      api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   EXPECT_EQ(run_failure_drill(vh, FaultClass::kVertex, 40, 9).to_string(),
             run_vertex_failure_drill(vh, 40, 9).to_string());
 }
 
 TEST(FailureSim, EitherDrillRunsBothStorms) {
   const Graph g = gen::gnm(32, 140, 75);
-  const FtBfsStructure dual = build_dual_ftbfs(g, 0);  // kEither union
+  const FtBfsStructure dual =
+      api::build(g, {.fault_model = FaultClass::kEither}).structure;
   const DrillReport edge_rep = run_failure_drill(dual, 1000, 3);
   const DrillReport vrep = run_vertex_failure_drill(dual, 1000, 3);
   const DrillReport both =
@@ -109,7 +111,7 @@ TEST(FailureSim, EitherDrillRunsBothStorms) {
 
 TEST(FailureSim, BridgeFailuresCountAsDisconnections) {
   const Graph g = gen::path_graph(10);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const DrillReport rep = run_failure_drill(h, 9, 13);
   EXPECT_GT(rep.disconnections, 0);
   EXPECT_EQ(rep.violations, 0);  // disconnections in G too — no violation

@@ -6,8 +6,7 @@
 // every distance.
 #include <gtest/gtest.h>
 
-#include "src/core/epsilon_ftbfs.hpp"
-#include "src/core/ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/multi_source.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
@@ -61,10 +60,10 @@ std::vector<StressCase> stress_cases() {
 TEST_P(StressSweep, EpsilonStructureSurvivesEveryFailure) {
   const StressCase c = GetParam();
   const Graph g = make_graph(c.name, c.seed);
-  EpsilonOptions opts;
-  opts.eps = c.eps;
-  opts.weight_seed = c.seed * 7919;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = c.eps;
+  spec.weight_seed = c.seed * 7919;
+  const api::BuildResult res = api::build(g, spec);
   VerifyOptions vo;
   vo.check_nontree_failures = true;
   const VerifyReport rep = verify_structure(res.structure, vo);
@@ -75,14 +74,14 @@ TEST_P(StressSweep, BaselineAndVertexBaselineSurvive) {
   const StressCase c = GetParam();
   if (c.eps != 0.12) return;  // fault models don't depend on ε
   const Graph g = make_graph(c.name, c.seed);
-  FtBfsOptions opts;
-  opts.weight_seed = c.seed * 104729;
-  const FtBfsStructure eh = build_ftbfs(g, 0, opts);
-  EXPECT_TRUE(verify_structure(eh).ok) << case_name(c);
-  VertexFtBfsOptions vopts;
-  vopts.weight_seed = c.seed * 104729;
-  const FtBfsStructure vh = build_vertex_ftbfs(g, 0, vopts);
-  EXPECT_EQ(verify_vertex_structure(vh), 0) << case_name(c);
+  api::BuildSpec spec;
+  spec.eps = 1.0;
+  spec.weight_seed = c.seed * 104729;
+  const api::BuildResult eh = api::build(g, spec);
+  EXPECT_TRUE(verify_structure(eh.structure).ok) << case_name(c);
+  spec.fault_model = FaultClass::kVertex;
+  const api::BuildResult vh = api::build(g, spec);
+  EXPECT_EQ(verify_vertex_structure(vh.structure), 0) << case_name(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, StressSweep,
@@ -103,10 +102,12 @@ TEST(Stress, ManySourcesOnOneGraph) {
     for (std::size_t k = 0; k < sigma; ++k) {
       sources.push_back(static_cast<Vertex>(3 * k));
     }
-    EpsilonOptions opts;
-    opts.eps = 0.25;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
-    ASSERT_EQ(verify_multi_source(g, ms), 0) << "sigma " << sigma;
+    api::BuildSpec spec;
+    spec.sources = sources;
+    spec.eps = 0.25;
+    const api::BuildResult ms = api::build(g, spec);
+    ASSERT_EQ(verify_multi_source(ms.structure, sources), 0)
+        << "sigma " << sigma;
 
     BfsScratch truth;
     for (const Vertex s : sources) {
@@ -143,9 +144,9 @@ TEST(Stress, DisconnectedInputsAcrossSeeds) {
   // restricted to the source's component must still hold.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g = gen::erdos_renyi(60, 0.03, seed);
-    EpsilonOptions opts;
-    opts.eps = 0.3;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    api::BuildSpec spec;
+    spec.eps = 0.3;
+    const api::BuildResult res = api::build(g, spec);
     const VerifyReport rep = verify_structure(res.structure);
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": " << rep.to_string();
   }
@@ -155,20 +156,20 @@ TEST(Stress, TinyGraphsEdgeCases) {
   // n = 1, 2, 3 and a triangle: boundary conditions of every module.
   {
     const Graph g = gen::path_graph(1);
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, {});
+    const api::BuildResult res = api::build(g, {});
     EXPECT_EQ(res.structure.num_edges(), 0);
   }
   {
     const Graph g = gen::path_graph(2);
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, {});
+    const api::BuildResult res = api::build(g, {});
     EXPECT_EQ(res.structure.num_edges(), 1);
     EXPECT_TRUE(verify_structure(res.structure).ok);
   }
   {
     const Graph g = gen::cycle_graph(3);
-    EpsilonOptions opts;
-    opts.eps = 0.25;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    api::BuildSpec spec;
+    spec.eps = 0.25;
+    const api::BuildResult res = api::build(g, spec);
     VerifyOptions vo;
     vo.check_nontree_failures = true;
     EXPECT_TRUE(verify_structure(res.structure, vo).ok);

@@ -3,10 +3,8 @@
 
 #include <sstream>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
-#include "src/core/epsilon_ftbfs.hpp"
-#include "src/core/ftbfs.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
@@ -17,9 +15,9 @@ namespace {
 
 TEST(StructureIo, RoundTripPreservesThePartition) {
   const Graph g = gen::gnm(40, 170, 3);
-  EpsilonOptions opts;
-  opts.eps = 0.2;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.2;
+  const api::BuildResult res = api::build(g, spec);
   std::stringstream ss;
   io::write_structure(res.structure, ss);
   const FtBfsStructure back = io::read_structure(g, ss);
@@ -31,7 +29,7 @@ TEST(StructureIo, RoundTripPreservesThePartition) {
 
 TEST(StructureIo, ReloadedStructureStillVerifies) {
   const Graph g = gen::random_connected(50, 150, 5);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const FtBfsStructure back = io::read_structure(g, ss);
@@ -40,7 +38,7 @@ TEST(StructureIo, ReloadedStructureStillVerifies) {
 
 TEST(StructureIo, FileRoundTrip) {
   const Graph g = gen::grid_graph(6, 6);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const std::string path = "/tmp/ftbfs_structure_test.ftbfs";
   io::save_structure(h, path);
   const FtBfsStructure back = io::load_structure(g, path);
@@ -50,7 +48,7 @@ TEST(StructureIo, FileRoundTrip) {
 
 TEST(StructureIo, RejectsWrongGraph) {
   const Graph g = gen::gnm(30, 120, 7);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const Graph other = gen::path_graph(30);  // same n, different edges
@@ -59,7 +57,7 @@ TEST(StructureIo, RejectsWrongGraph) {
 
 TEST(StructureIo, RejectsWrongVertexCount) {
   const Graph g = gen::gnm(30, 120, 9);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const Graph other = gen::gnm(31, 120, 9);
@@ -70,11 +68,8 @@ TEST(StructureIo, FaultModelTagRoundTrips) {
   const Graph g = gen::gnm(36, 150, 11);
   for (const FaultClass model :
        {FaultClass::kVertex, FaultClass::kEither, FaultClass::kEdge}) {
-    const FtBfsStructure h = model == FaultClass::kVertex
-                                 ? build_vertex_ftbfs(g, 0)
-                                 : model == FaultClass::kEither
-                                       ? build_dual_ftbfs(g, 0)
-                                       : build_ftbfs(g, 0);
+    const FtBfsStructure h =
+        api::build(g, {.fault_model = model, .eps = 1.0}).structure;
     ASSERT_EQ(h.fault_class(), model);
     std::stringstream ss;
     io::write_structure(h, ss);
@@ -91,7 +86,7 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
   // write_structure/read_structure exactly.
   const Graph g = gen::random_connected(30, 70, 21);
   {  // v2 — single-source artifact.
-    const FtBfsStructure h = build_ftbfs(g, 0);
+    const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
     std::stringstream ss;
     io::write_structure(h, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 2\n", 0), 0u);
@@ -100,9 +95,10 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
     EXPECT_EQ(back.tree_edges(), h.tree_edges());
   }
   {  // v3 — multi-source artifact keeps its source set.
-    EpsilonOptions opts;
-    opts.eps = 0.4;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, {0, 9}, opts);
+    api::BuildSpec spec;
+    spec.eps = 0.4;
+    spec.sources = {0, 9};
+    const api::BuildResult ms = api::build(g, spec);
     std::stringstream ss;
     io::write_structure(ms.structure, ms.sources, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 3\n", 0), 0u);
@@ -113,11 +109,10 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
     EXPECT_EQ(back.reinforced(), ms.structure.reinforced());
   }
   {  // v4 — dual-failure artifact keeps its pair tables verbatim.
-    const DualBuildResult r =
-        detail::build_dual_failure_ftbfs_impl(g, 0, {});
+    const api::BuildResult r =
+        api::build(g, {.fault_model = FaultClass::kDual});
     std::stringstream ss;
-    const Vertex anchor[] = {0};
-    io::write_structure(r.structure, anchor, {&r.tables, 1}, ss);
+    io::write_structure(r.structure, r.sources, r.dual_tables, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 4\n", 0), 0u);
     std::vector<Vertex> sources;
     std::vector<DualSiteTable> tables;
@@ -125,9 +120,9 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
     EXPECT_EQ(back.fault_class(), FaultClass::kDual);
     EXPECT_EQ(back.edges(), r.structure.edges());
     ASSERT_EQ(tables.size(), 1u);
-    EXPECT_EQ(tables[0].sites, r.tables.sites);
-    EXPECT_EQ(tables[0].offsets, r.tables.offsets);
-    EXPECT_EQ(tables[0].edge_pool, r.tables.edge_pool);
+    EXPECT_EQ(tables[0].sites, r.dual_tables[0].sites);
+    EXPECT_EQ(tables[0].offsets, r.dual_tables[0].offsets);
+    EXPECT_EQ(tables[0].edge_pool, r.dual_tables[0].edge_pool);
   }
 }
 

@@ -1,7 +1,7 @@
 // structure_oracle_test.cpp — O(1) deployed-structure queries vs BFS.
 #include <gtest/gtest.h>
 
-#include "src/core/epsilon_ftbfs.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/structure_oracle.hpp"
 #include "src/graph/generators.hpp"
 
@@ -13,7 +13,7 @@ struct Fixture {
   EdgeWeights w;
   BfsTree tree;
   ReplacementPathEngine engine;
-  EpsilonResult res;
+  api::BuildResult res;
   StructureOracle oracle;
 
   explicit Fixture(Graph graph, double eps, std::uint64_t seed)
@@ -22,10 +22,10 @@ struct Fixture {
         tree(g, w, 0),
         engine(tree),
         res([&] {
-          EpsilonOptions opts;
-          opts.eps = eps;
-          opts.weight_seed = seed;
-          return build_epsilon_ftbfs(g, 0, opts);
+          api::BuildSpec spec;
+          spec.eps = eps;
+          spec.weight_seed = seed;
+          return api::build(g, spec);
         }()),
         oracle(res.structure, engine) {}
 };
@@ -88,10 +88,10 @@ TEST(StructureOracle, RejectsMismatchedEngines) {
   const EdgeWeights w1 = EdgeWeights::uniform_random(g, 1);
   const BfsTree t1(g, w1, 0);
   const ReplacementPathEngine e1(t1);
-  EpsilonOptions opts;
-  opts.eps = 0.25;
-  opts.weight_seed = 999;  // different tree with high probability
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  api::BuildSpec spec;
+  spec.eps = 0.25;
+  spec.weight_seed = 999;  // different tree with high probability
+  const api::BuildResult res = api::build(g, spec);
   // Either the trees coincide (fine) or construction must throw.
   std::vector<EdgeId> a = res.structure.tree_edges();
   std::vector<EdgeId> b = t1.tree_edges();
@@ -101,10 +101,11 @@ TEST(StructureOracle, RejectsMismatchedEngines) {
     EXPECT_THROW(StructureOracle(res.structure, e1), CheckError);
   }
   // Different source always throws.
-  EpsilonOptions o2;
-  o2.eps = 0.25;
-  o2.weight_seed = 1;
-  const EpsilonResult res2 = build_epsilon_ftbfs(g, 5, o2);
+  api::BuildSpec s2;
+  s2.sources = {5};
+  s2.eps = 0.25;
+  s2.weight_seed = 1;
+  const api::BuildResult res2 = api::build(g, s2);
   EXPECT_THROW(StructureOracle(res2.structure, e1), CheckError);
 }
 

@@ -380,9 +380,6 @@ int cmd_verify(const Options& opt) {
   // non-tree sweep — refuse the flag rather than silently ignore it.
   FTB_CHECK_MSG(!(multi && opt.has("nontree")),
                 "--nontree applies only to single-source artifacts");
-  const auto as_multi_source = [&] {
-    return MultiSourceResult{sources, h, {}};
-  };
 
   bool ok = true;
   JsonObject report;
@@ -433,7 +430,7 @@ int cmd_verify(const Options& opt) {
     std::int64_t failures_checked = -1;
     std::int64_t violations = 0;
     if (multi) {
-      violations = verify_multi_source(g, as_multi_source());
+      violations = verify_multi_source(h, sources);
     } else {
       VerifyOptions vo;
       vo.check_nontree_failures = opt.has("nontree");
@@ -459,7 +456,7 @@ int cmd_verify(const Options& opt) {
   }
   if (model == FaultClass::kVertex || model == FaultClass::kEither) {
     const std::int64_t violations =
-        multi ? verify_vertex_multi_source(g, as_multi_source())
+        multi ? verify_vertex_multi_source(h, sources)
               : verify_vertex_structure(h);
     if (json) {
       JsonObject vertex;
