@@ -17,12 +17,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -746,6 +748,20 @@ api::BuildResult independent_rebase(const Graph& g, bool site_dist,
   return test::referee_build(g, spec, {.dfs_schedule = false}, work);
 }
 
+/// The host's CPU model name ("unknown" when /proc/cpuinfo has none).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 /// DFS-order ancestor-sweep sharing (the production dual build) vs the
 /// independent-rebase referee of tests/referee.hpp. Three gates, non-zero
 /// exit on failure:
@@ -753,15 +769,19 @@ api::BuildResult independent_rebase(const Graph& g, bool site_dist,
 ///     byte-identical under both schedules on every identity seed (the
 ///     oracle is harvested so its rows are part of the referee);
 ///   * work — the rebase-seam counter (label writes + sweep visits) must
-///     be strictly below the independent schedule's on every run: the DFS
-///     schedule pays subtree-volume patches where the referee pays a full
-///     O(n) label copy per site;
-///   * wall-clock — best-of-repeats DFS build beats the independent build
-///     at the large-n tier, where the removed copies dominate.
+///     be strictly below the independent schedule's on every run: the
+///     production build's punctured-tree overlay relabels only each
+///     site's subtree where the referee pays a full O(n) label copy per
+///     site;
+///   * wall-clock — interleaved best-of-3 production build at least 2×
+///     faster than the independent build at the n = 4096 tier (which
+///     materializes every punctured tree as a full BfsTree: O(n + m) per
+///     site); above 1× at smaller tiers.
+/// It also reports, ungated, the production build's best-of-3 seconds on
+/// R-MAT at n/4, n/2 and n with their least-squares growth exponent, and
+/// the host (nproc, CPU model) the timings were taken on.
 /// FTBFS_DUAL_DFS_SCALE_N resizes the timing tier (rounded down to a power
-/// of two for the R-MAT workload; < 8 skips; the CI Release smoke runs the
-/// gates at a reduced tier, the committed BENCH_construction.json carries
-/// the full n=4096 measurement).
+/// of two for the R-MAT workload; < 8 skips).
 bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   Vertex n = 4096;
   if (const char* env = std::getenv("FTBFS_DUAL_DFS_SCALE_N")) {
@@ -866,7 +886,9 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   }
   const double speedup = ind_s / dfs_s;
   const bool big_work_ok = big_work_dfs < big_work_ind;
-  const bool speed_ok = speedup > 1.0;
+  const double speed_gate = tn >= 4096 ? 2.0 : 1.0;
+  const bool speed_ok =
+      tn >= 4096 ? speedup >= speed_gate : speedup > speed_gate;
   identical = identical && big_identical;
   work_ok = work_ok && big_work_ok;
   if (!big_identical) {
@@ -879,11 +901,54 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   }
   if (!speed_ok) {
     std::cout << "!!! dual dfs schedule wall-clock speedup " << speedup
-              << "x not above 1x at n=" << tn << "\n";
+              << "x below the " << speed_gate << "x gate at n=" << tn
+              << "\n";
   }
   std::cout << "dual dfs schedule (n=" << tn << "): dfs " << dfs_s
             << "s, independent " << ind_s << "s — " << speedup
             << "x, work " << big_work_dfs << " vs " << big_work_ind << "\n";
+
+  // Growth (ungated): the production build, best of 3, on R-MAT at n/4,
+  // n/2 and n; the exponent is the least-squares slope of log(seconds)
+  // over log(n).
+  bench::JsonArray growth_rows;
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  int points = 0;
+  for (Vertex gs = std::max<Vertex>(3, scale - 2); gs <= scale; ++gs) {
+    const Vertex gn = Vertex{1} << gs;
+    const Graph gg =
+        gen::rmat_connected(gs, 3 * static_cast<std::int64_t>(gn), 1);
+    const DualFtBfsOptions opts;
+    const EdgeWeights w = EdgeWeights::uniform_random(gg, opts.weight_seed);
+    double best = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+      Timer t;
+      (void)detail::build_dual_failure_ftbfs_impl(BfsTree(gg, w, 0), opts);
+      best = std::min(best, t.seconds());
+    }
+    const double x = std::log(static_cast<double>(gn));
+    const double y = std::log(best);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+    ++points;
+    bench::JsonObject row;
+    row.set("n", static_cast<std::int64_t>(gn))
+        .set("m", static_cast<std::int64_t>(gg.num_edges()))
+        .set("build_s", best);
+    growth_rows.push(row);
+  }
+  const double growth_exponent =
+      points >= 2 ? (points * sxy - sx * sy) / (points * sxx - sx * sx) : 0;
+  std::cout << "dual build growth exponent over n = " << (tn >> 2) << ".."
+            << tn << ": " << growth_exponent << "\n";
+
+  bench::JsonObject hardware;
+  hardware
+      .set("nproc", static_cast<std::int64_t>(
+                        std::max(1u, std::thread::hardware_concurrency())))
+      .set("cpu_model", cpu_model());
 
   out->set_raw("identity_per_seed", rows.str(2))
       .set("timing_n", static_cast<std::int64_t>(tn))
@@ -891,8 +956,12 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
       .set("build_s_dfs", dfs_s)
       .set("build_s_independent", ind_s)
       .set("speedup_build", speedup)
+      .set("speedup_gate", speed_gate)
       .set("work_dfs", big_work_dfs)
       .set("work_independent", big_work_ind)
+      .set_raw("growth", growth_rows.str(2))
+      .set("growth_exponent", growth_exponent)
+      .set_raw("hardware", hardware.str(2))
       .set("bit_identical", identical)
       .set("work_strictly_lower", work_ok)
       .set("gates_ok", identical && work_ok && speed_ok);

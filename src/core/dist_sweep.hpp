@@ -23,28 +23,63 @@
 // Only distances are produced (no parents), which is exactly what the
 // engines' tables store — so the output is trivially independent of
 // processing order and bit-identical to the full-BFS rows.
+//
+// The same seeding drives the dual build's punctured trees: T_f, the
+// canonical tree of G \ {f}, equals T0 outside the subtree below f, so
+// only that subtree is relabeled. PuncturedTree serves the result as an
+// overlay on T0 (the production path, per-site cost subtree-local);
+// rebase_punctured_tree materializes it as a full BfsTree (the referee).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/graph/bfs_tree.hpp"
 
 namespace ftb {
 
-/// Work accounting for the rebase seam: how many per-vertex label
-/// assignments (full copies, undo restores, canonical relabels) and how
-/// many Dial-sweep vertex visits a punctured-tree production performed.
-/// The dual build's schedule referee compares these totals — the DFS
-/// schedule's patch-and-undo must come in strictly below the independent
-/// schedule's full per-site label copies.
+/// Work accounting for the punctured-tree seam: how many per-vertex label
+/// assignments (canonical relabels of the affected slice, plus the referee
+/// rebase's full label copy) and how many Dial-sweep vertex visits a
+/// punctured-tree production performed. The dual build's schedule referee
+/// compares these totals — the production overlay must come in strictly
+/// below the independent rebase's full per-site label copies.
 struct SweepWorkStats {
   std::int64_t label_writes = 0;
   std::int64_t sweep_visits = 0;
   std::int64_t total() const { return label_writes + sweep_visits; }
 };
+
+class ReplacementSweepScratch;
+
+/// Computes dist(s, v, G \ {fault}) for every v ∈ `affected`, where
+/// `affected` is the preorder subtree slice below the fault
+/// (tree.subtree(lower_endpoint(banned_edge)) or tree.subtree(banned_vertex))
+/// and exactly one of banned_edge / banned_vertex identifies the fault (pass
+/// kInvalidEdge / kInvalidVertex for the other). A banned vertex inside the
+/// span is skipped. Results are read back through scratch.dist(). The span
+/// must start at its subtree's root; the order of the rest is free.
+///
+/// `ambient_edge` / `ambient_vertex` exclude one more graph element from
+/// every step of the sweep: this is how the dual-failure pipeline reuses the
+/// sweep over a punctured graph G \ {first failure} (the `tree` must then be
+/// the canonical tree of that punctured graph, so depth() seeding stays
+/// exact). Both default to "none", which is the single-fault sweep verbatim.
+/// `work`, when given, accumulates the sweep's vertex visits (marking,
+/// seeding and non-stale bucket pops).
+///
+/// `Tree` is BfsTree or PuncturedTree (the sweep reads only graph() and
+/// depth()); both are instantiated in dist_sweep.cpp.
+template <class Tree>
+void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
+                            Vertex banned_vertex,
+                            std::span<const Vertex> affected,
+                            ReplacementSweepScratch& scratch,
+                            EdgeId ambient_edge = kInvalidEdge,
+                            Vertex ambient_vertex = kInvalidVertex,
+                            SweepWorkStats* work = nullptr);
 
 /// Reusable per-thread arena for replacement_dist_sweep. Zero steady-state
 /// allocations: affected marking is epoch-stamped, buckets retain capacity.
@@ -58,7 +93,8 @@ class ReplacementSweepScratch {
   }
 
  private:
-  friend void replacement_dist_sweep(const BfsTree&, EdgeId, Vertex,
+  template <class Tree>
+  friend void replacement_dist_sweep(const Tree&, EdgeId, Vertex,
                                      std::span<const Vertex>,
                                      ReplacementSweepScratch&, EdgeId, Vertex,
                                      SweepWorkStats*);
@@ -74,33 +110,11 @@ class ReplacementSweepScratch {
   std::vector<std::vector<Vertex>> buckets_;       // Dial queue, relative keys
 };
 
-/// Computes dist(s, v, G \ {fault}) for every v ∈ `affected`, where
-/// `affected` is the preorder subtree slice below the fault
-/// (tree.subtree(lower_endpoint(banned_edge)) or tree.subtree(banned_vertex))
-/// and exactly one of banned_edge / banned_vertex identifies the fault (pass
-/// kInvalidEdge / kInvalidVertex for the other). A banned vertex inside the
-/// span is skipped. Results are read back through scratch.dist().
-///
-/// `ambient_edge` / `ambient_vertex` exclude one more graph element from
-/// every step of the sweep: this is how the dual-failure pipeline reuses the
-/// sweep over a punctured graph G \ {first failure} (the `tree` must then be
-/// the canonical tree of that punctured graph, so depth() seeding stays
-/// exact). Both default to "none", which is the single-fault sweep verbatim.
-/// `work`, when given, accumulates the sweep's vertex visits (marking,
-/// seeding and non-stale bucket pops).
-void replacement_dist_sweep(const BfsTree& tree, EdgeId banned_edge,
-                            Vertex banned_vertex,
-                            std::span<const Vertex> affected,
-                            ReplacementSweepScratch& scratch,
-                            EdgeId ambient_edge = kInvalidEdge,
-                            Vertex ambient_vertex = kInvalidVertex,
-                            SweepWorkStats* work = nullptr);
-
-/// Incremental punctured-tree rebase: the canonical tree of G \ {fault}
-/// built from `base` (the canonical tree of G) by recomputing labels ONLY
-/// for the subtree hanging below the fault. Exactly one of banned_edge
-/// (a tree edge of `base`) / banned_vertex (a reachable non-source vertex)
-/// identifies the fault.
+/// The punctured-tree REFEREE: the canonical tree of G \ {fault} as a full
+/// BfsTree, built from `base` (the canonical tree of G) by recomputing
+/// labels ONLY for the subtree hanging below the fault. Exactly one of
+/// banned_edge (a tree edge of `base`) / banned_vertex (a reachable
+/// non-source vertex) identifies the fault.
 ///
 /// Why this is exact: a vertex u outside the affected subtree keeps its
 /// tree path π(s,u), which avoids the fault; the canonical path of G is
@@ -110,67 +124,196 @@ void replacement_dist_sweep(const BfsTree& tree, EdgeId banned_edge,
 /// vertices get their punctured hop distances from replacement_dist_sweep
 /// (seeded by the unaffected boundary) and then the same canonical parent
 /// rule as canonical_sp pass 2, processed in ascending level order. The
-/// result is bit-identical to BfsTree(g, W, source, bans) at a cost
-/// proportional to the affected subtree's volume plus O(n + m) for the
-/// label copy and derived tree arrays (no graph traversal — the win over
-/// a full rebuild is the BFS and the canonical relaxation, not the array
-/// bookkeeping) — this is the sibling-prefix reuse the dual-failure
-/// recursion leans on (one rebase per first-failure site instead of one
-/// full canonical BFS of G each).
+/// result is bit-identical to BfsTree(g, W, source, bans). The relabel
+/// costs the affected subtree's volume; materializing the result as a
+/// full tree adds O(n + m) for the label copy, the finalization-order
+/// merge and the derived tree arrays. The production dual build pays none
+/// of that (it serves the same labels through PuncturedTree); this full
+/// tree is what the independent-schedule referee and the tests compare it
+/// against.
 BfsTree rebase_punctured_tree(const BfsTree& base, EdgeId banned_edge,
                               Vertex banned_vertex,
                               SweepWorkStats* work = nullptr);
 
-/// Per-thread punctured-tree workspace — the DFS-order ancestor-sweep
-/// sharing seam of the dual build.
+namespace detail {
+
+/// The punctured canonical labels of an affected slice A_f, indexed by
+/// tin0(v) − tin0(top): what the overlay patches onto T0 and what the
+/// referee rebase writes into its full label copy.
+struct SliceLabels {
+  std::vector<std::int32_t> hops;
+  std::vector<std::uint64_t> wsum;
+  std::vector<Vertex> parent;
+  std::vector<EdgeId> parent_edge;
+  std::vector<Vertex> first_hop;
+};
+
+}  // namespace detail
+
+/// The canonical tree T_f of G \ {f} as an OVERLAY on T0 — the punctured
+/// tree the production dual build hands its restricted engines.
 ///
-/// rebase_punctured_tree pays three O(n) terms per site that have nothing
-/// to do with the fault's subtree: the full label copy `sp = base.sp()`,
-/// the fresh order/derived-array allocations, and their deallocation. The
-/// workspace amortizes all three across a DFS-ordered run of sites: it
-/// binds to the base tree ONCE (one full label copy), then each puncture()
-/// patches only the affected subtree's labels in place and rebuilds the
-/// derived arrays into retained capacity.
+/// Outside the affected slice A_f = T0-subtree(top) (top = the failed
+/// edge's lower endpoint, or the failed vertex) every label of T_f equals
+/// T0 verbatim (see rebase_punctured_tree), so the overlay reads T0 there
+/// and keeps a per-site patch sized |A_f| for the slice, indexed by
+/// tin0(v) − tin0(top). Membership is the interval test on T0's preorder.
+/// A puncture therefore costs O(vol(A_f)) plus one walk over the outer
+/// ancestors' subtrees (see subtree()), with no pass over n or m.
 ///
-/// The reuse invariant that makes the patch sound: outside the affected
-/// subtree A_f every label of T_f equals T0 verbatim, so a workspace whose
-/// labels are "T0 everywhere except the previously patched subtree" only
-/// has to restore the STALE DIFFERENCE — the previous site's subtree minus
-/// the new site's subtree (undo values come straight from the base tree;
-/// no undo log is needed). Walking sites in T0 DFS order makes that
-/// difference the ancestor→site path segment: a child site's subtree nests
-/// inside its processed ancestor's, so the ancestor's patch is mostly
-/// overwritten, not undone, and the per-site label traffic is O(vol(A_f))
-/// instead of O(n). Produced trees are bit-identical to
-/// rebase_punctured_tree (both run the one shared relabel-and-merge
-/// implementation).
+/// The accessor set is exactly what the restricted engines
+/// (FaultReplacementEngine<·, PuncturedTree> with restrict_terminals =
+/// A_f), replacement_dist_sweep and the dual build's per-site body call:
+///  * labels — depth, parent, parent_edge, reachable: any vertex;
+///  * children(v) — v ∈ A_f only. A vertex outside A_f keeps its T0
+///    parent, which lies outside A_f too, so every T_f child of an
+///    affected vertex is affected: a local CSR;
+///  * is_ancestor_or_equal / on_source_path — any pair: local tin/tout
+///    over the T_f forest on A_f, plus each affected vertex's EXIT (its
+///    first T_f ancestor outside A_f), against which an outer ancestor is
+///    tested in T0 (outer vertices keep their T0 paths);
+///  * is_tree_edge / lower_endpoint / edge_depth — from the endpoints'
+///    parent_edge, so no per-edge table exists;
+///  * subtree / subtree_size — for v ∈ A_f (a slice of the forest
+///    preorder) and for the T_f ancestors of A_f outside it other than the
+///    source (the restricted engines' outer sweep sites), whose subtree is
+///    (T0-slice(u) minus the A_f interval) ∪ {affected vertices whose exit
+///    is under u}. The puncture materializes those once, as one T_f
+///    preorder of the outer ancestors' top-level subtrees — the engines'
+///    sweeps over them cost that volume anyway. No other vertex's subtree
+///    is available.
+/// Every const accessor is a pure read, safe to call concurrently (the
+/// engines call them from parallel_for). Valid until the owning
+/// workspace's next puncture() or bind().
+class PuncturedTree {
+ public:
+  const Graph& graph() const { return base_->graph(); }
+  const EdgeWeights& weights() const { return base_->weights(); }
+  Vertex source() const { return base_->source(); }
+
+  // ---- per-vertex labels ------------------------------------------------
+  std::int32_t depth(Vertex v) const {
+    const std::int32_t i = slot(v);
+    return i >= 0 ? labels_.hops[static_cast<std::size_t>(i)] : base_->depth(v);
+  }
+  bool reachable(Vertex v) const { return depth(v) < kInfHops; }
+  Vertex parent(Vertex v) const {
+    const std::int32_t i = slot(v);
+    return i >= 0 ? labels_.parent[static_cast<std::size_t>(i)]
+                  : base_->parent(v);
+  }
+  EdgeId parent_edge(Vertex v) const {
+    const std::int32_t i = slot(v);
+    return i >= 0 ? labels_.parent_edge[static_cast<std::size_t>(i)]
+                  : base_->parent_edge(v);
+  }
+  /// T_f children of an affected vertex, sorted by id.
+  std::span<const Vertex> children(Vertex v) const;
+  std::int32_t subtree_size(Vertex v) const {
+    const std::span<const Vertex> s = subtree_or_empty(v);
+    return static_cast<std::int32_t>(s.size());
+  }
+  /// Vertices of v's T_f subtree, v first (see the class comment for
+  /// which v are available).
+  std::span<const Vertex> subtree(Vertex v) const {
+    FTB_DCHECK(reachable(v));
+    return subtree_or_empty(v);
+  }
+
+  // ---- tree edges -------------------------------------------------------
+  bool is_tree_edge(EdgeId e) const {
+    const auto [u, w] = graph().edge(e);
+    return parent_edge(u) == e || parent_edge(w) == e;
+  }
+  Vertex lower_endpoint(EdgeId e) const {
+    FTB_DCHECK(is_tree_edge(e));
+    const auto [u, w] = graph().edge(e);
+    return parent_edge(u) == e ? u : w;
+  }
+  std::int32_t edge_depth(EdgeId e) const { return depth(lower_endpoint(e)); }
+
+  // ---- ancestry ---------------------------------------------------------
+  /// True iff `a` is a T_f ancestor of `d` or a == d (both reachable).
+  bool is_ancestor_or_equal(Vertex a, Vertex d) const;
+  bool on_source_path(EdgeId e, Vertex v) const {
+    return is_tree_edge(e) && is_ancestor_or_equal(lower_endpoint(e), v);
+  }
+  /// The T_f path [s, ..., v]. Precondition: reachable(v).
+  std::vector<Vertex> path_from_source(Vertex v) const;
+
+ private:
+  friend class PuncturedWorkspace;
+
+  /// Patch index of v (tin0(v) − tin0(top)), or −1 outside A_f — the
+  /// two-comparison interval test, folded into one unsigned compare
+  /// (unreachable vertices have tin0 == −1).
+  std::int32_t slot(Vertex v) const {
+    const std::int32_t i = base_->tin(v) - lo_;
+    return static_cast<std::uint32_t>(i) < static_cast<std::uint32_t>(size_)
+               ? i
+               : -1;
+  }
+  std::span<const Vertex> subtree_or_empty(Vertex v) const;
+
+  /// Builds the derived slice structures from labels_: exits, children
+  /// CSR, forest preorder and the outer ancestors' subtrees. `by_level`
+  /// is A_f in (T_f hops, id) order; the rest is caller scratch.
+  void derive(std::span<const Vertex> by_level, std::vector<Vertex>& roots,
+              std::vector<std::pair<std::int32_t, std::int32_t>>& stack);
+
+  const BfsTree* base_ = nullptr;
+  std::int32_t lo_ = 0;    // tin0(top)
+  std::int32_t size_ = 0;  // |A_f|
+
+  // Indexed by slot.
+  detail::SliceLabels labels_;
+  std::vector<Vertex> exit_;                 // first T_f ancestor ∉ A_f
+  std::vector<std::int32_t> child_offsets_;  // size_ + 1
+  std::vector<Vertex> child_list_;
+  std::vector<std::int32_t> tin_, tout_;     // into preorder_, −1 unreachable
+
+  std::vector<Vertex> preorder_;        // T_f forest on A_f, reachable only
+  std::vector<Vertex> outer_preorder_;  // T_f preorder of the outer blocks
+  // Per T0 preorder position t: offset into outer_preorder_ where the T0
+  // vertex at t (or the A_f gap at t == lo_) starts. Written only over
+  // the current puncture's outer blocks; sized once per bind.
+  std::vector<std::int32_t> outer_at_;
+};
+
+/// Per-thread punctured-tree workspace of the dual build: owns one
+/// PuncturedTree overlay and the scratch that produces it.
+///
+/// bind() only records the base tree (and grows the one T0-position
+/// array the overlay indexes on first use), so it is cheap enough to
+/// reset on every call — there is no state a rebind to another tree could
+/// inherit. Each puncture() runs the Dial sweep and the canonical relabel
+/// over A_f (the one relabel implementation rebase_punctured_tree runs
+/// too, so the two agree bit for bit) and derives the overlay's slice
+/// structures; nothing it does is sized by n or m.
 ///
 /// Exclusive ownership while in use: the dual build leases one per worker
 /// from a FreeListPool. The tree returned by puncture() is valid until the
 /// next puncture()/bind() on the same workspace.
 class PuncturedWorkspace {
  public:
-  /// Binds to `base` (one full O(n) label copy, counted in stats). A
-  /// rebind to the SAME tree object is a no-op — that is what makes pooled
-  /// reuse across work chunks of one build cheap.
+  /// Binds to `base`, dropping every earlier puncture.
   void bind(const BfsTree& base);
 
-  /// The canonical tree of G \ {fault}, bit-identical to
-  /// rebase_punctured_tree(base, banned_edge, banned_vertex). Same
-  /// precondition: exactly one failed element, a tree edge or a reachable
-  /// non-source vertex.
-  const BfsTree& puncture(EdgeId banned_edge, Vertex banned_vertex);
+  /// The canonical tree of G \ {fault} over the bound base, label-for-
+  /// label equal to rebase_punctured_tree(base, banned_edge,
+  /// banned_vertex). Same precondition: exactly one failed element, a
+  /// tree edge or a reachable non-source vertex.
+  const PuncturedTree& puncture(EdgeId banned_edge, Vertex banned_vertex);
 
-  /// Cumulative rebase work this workspace performed (never reset).
+  /// Cumulative puncture work this workspace performed (never reset).
   const SweepWorkStats& stats() const { return stats_; }
 
  private:
-  const BfsTree* base_ = nullptr;
-  std::optional<BfsTree> tree_;     // the reused punctured tree
+  PuncturedTree tree_;
   ReplacementSweepScratch sweep_;
-  std::vector<Vertex> by_level_;    // phase 2 processing order
-  std::vector<Vertex> order_;       // phase 3 merge buffer (swapped in)
-  Vertex dirty_top_ = kInvalidVertex;  // root of the last patched subtree
+  std::vector<Vertex> by_level_;  // relabel processing order
+  std::vector<Vertex> roots_;     // forest roots, by exit position
+  std::vector<std::pair<std::int32_t, std::int32_t>> stack_;  // forest DFS
   SweepWorkStats stats_;
 };
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <type_traits>
 
 #include "src/core/dist_sweep.hpp"
 #include "src/graph/multi_source_bfs_kernel.hpp"
@@ -56,9 +57,10 @@ struct SiteDistRows {
 /// element x, the engines' replacement_dist(v, x) — by the punctured-engine
 /// contract that IS dist(s, v, G \ {f, x}), the true two-failure answer.
 /// Valid for restricted engines too: every queried v is a restricted
-/// terminal, every queried x an ancestor element of it.
-template <class EdgeEngine, class VertexEngine>
-void harvest_site_dist(const BfsTree& tree, Vertex top, const BfsTree& tf,
+/// terminal, every queried x an ancestor element of it. `tf` is the
+/// punctured tree the engines answer for (a BfsTree or the overlay).
+template <class PuncturedT, class EdgeEngine, class VertexEngine>
+void harvest_site_dist(const BfsTree& tree, Vertex top, const PuncturedT& tf,
                        const EdgeEngine& ee, const VertexEngine& ve,
                        SiteDistRows& sr) {
   const std::span<const Vertex> terms = tree.subtree(top);
@@ -188,26 +190,32 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       });
     }
   } else {
-    // Pruned (production): the punctured tree is REBASED from T0 (only the
-    // affected subtree is relabeled) and the engines are restricted to the
-    // affected terminals, so a site costs its subtree's volume; the subset
-    // keeps only the segment those terminals consume — their T_f parent
-    // edges plus their uncovered-pair last edges (see the file comment's
-    // induction for why that is sufficient). Already incremental, so
-    // `bit_parallel` has nothing to fuse here.
+    // Pruned (production): the punctured tree is an overlay on T0 (only
+    // the affected subtree is relabeled) and the engines are restricted to
+    // the affected terminals, so a site costs its subtree's volume; the
+    // subset keeps only the segment those terminals consume — their T_f
+    // parent edges plus their uncovered-pair last edges (see the file
+    // comment's induction for why that is sufficient). Already
+    // incremental, so `bit_parallel` has nothing to fuse here.
     std::atomic<std::int64_t> label_writes{0};
     std::atomic<std::int64_t> sweep_visits{0};
 
     // The per-site body both schedules share — everything except how the
-    // punctured tree `tf` was produced, so bit-identity between the
-    // schedules reduces to bit-identity of `tf` (pinned at the rebase
-    // seam: one shared relabel-and-merge implementation).
+    // punctured tree `tf` was produced (the overlay or the referee's full
+    // BfsTree; the same engine and harvest code runs on either), so
+    // bit-identity between the schedules reduces to label identity of
+    // `tf` (pinned at the rebase seam: one shared relabel implementation).
     const auto run_pruned_site = [&](std::size_t i, EdgeId fe, Vertex fv,
-                                     Vertex top, const BfsTree& tf) {
-      FaultReplacementEngine<EdgeFault>::Config ec;
-      FaultReplacementEngine<VertexFault>::Config vc;
+                                     Vertex top, const auto& tf) {
+      using PuncturedT = std::decay_t<decltype(tf)>;
+      typename FaultReplacementEngine<EdgeFault, PuncturedT>::Config ec;
+      typename FaultReplacementEngine<VertexFault, PuncturedT>::Config vc;
       ec.collect_detours = vc.collect_detours = false;  // only last edges
-      ec.pool = vc.pool = pool_ptr;
+      // Sites are the unit of parallelism: a site's engines run on the
+      // worker that owns it. Their loops span one subtree's sites and
+      // terminals; nesting them in `pool` would wake every idle worker per
+      // loop, thousands of times per build, for a few microseconds of work.
+      ec.pool = vc.pool = &ThreadPool::caller_only();
       ec.reference_kernel = vc.reference_kernel = reference_kernel;
       ec.ambient_banned_edge = vc.ambient_banned_edge = fe;
       ec.ambient_banned_vertex = vc.ambient_banned_vertex = fv;
@@ -215,8 +223,8 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       std::vector<EdgeId>& sub = subsets[i];
       const std::span<const Vertex> affected = tree.subtree(top);
       ec.restrict_terminals = vc.restrict_terminals = affected;
-      const FaultReplacementEngine<EdgeFault> ee(tf, ec);
-      const FaultReplacementEngine<VertexFault> ve(tf, vc);
+      const FaultReplacementEngine<EdgeFault, PuncturedT> ee(tf, ec);
+      const FaultReplacementEngine<VertexFault, PuncturedT> ve(tf, vc);
 
       for (const Vertex v : affected) {
         if (tf.reachable(v)) sub.push_back(tf.parent_edge(v));
@@ -236,11 +244,12 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
     if (dfs_schedule) {
       // DFS schedule: visit sites by ascending T0 preorder position of
       // their subtree root, chunked per top-level subtree, one
-      // PuncturedWorkspace leased per chunk. Each site's rebase then
-      // patches against its processed ancestor's state — the workspace
-      // only restores the ancestor→site difference instead of paying an
-      // independent full label copy (see PuncturedWorkspace). Iterations
-      // still write disjoint slots, so the flatten below is untouched.
+      // PuncturedWorkspace leased per chunk. Each site's punctured tree is
+      // an overlay on T0 built over its affected subtree only (see
+      // PuncturedTree), so a site pays no per-site O(n + m) label copy or
+      // tree rebuild; the DFS order keeps a chunk's sites in one
+      // top-level subtree. Iterations still write disjoint slots, so the
+      // flatten below is untouched.
       const std::size_t num_sites = table.sites.size();
       std::vector<Vertex> tops(num_sites);
       for (std::size_t i = 0; i < num_sites; ++i) {
@@ -251,8 +260,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       std::vector<std::uint32_t> dfs_order(num_sites);
       std::iota(dfs_order.begin(), dfs_order.end(), 0);
       // stable: at equal tin (edge into t, then vertex t — identical
-      // affected windows) the edge site keeps its lower index, so the
-      // vertex site's undo is empty.
+      // affected windows) the edge site keeps its lower index.
       std::stable_sort(dfs_order.begin(), dfs_order.end(),
                        [&](std::uint32_t a, std::uint32_t b) {
                          return tree.tin(tops[a]) < tree.tin(tops[b]);
@@ -299,7 +307,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       });
     } else {
       // Independent schedule (the differential referee): every site pays
-      // its own full rebase from T0.
+      // its own full rebase from T0 into a materialized BfsTree.
       pool.parallel_for(table.sites.size(), [&](std::size_t i) {
         EdgeId fe;
         Vertex fv, top;

@@ -215,11 +215,12 @@ DualMultiSourceResult build_dual_failure_ftmbfs_impl(
 /// ban pair per lane) through the bit-parallel kernel in ≤64-lane groups;
 /// the pruned branch rebases incrementally and ignores it. `dfs_schedule`
 /// walks the pruned branch's sites in T0 DFS order on per-thread
-/// PuncturedWorkspace arenas (dist_sweep.hpp), so each site's rebase
-/// patches its processed ancestor's state; false is the independent-rebase
-/// referee, which pays a full rebase from T0 per site. `sweep_work`, when
-/// given, receives the summed rebase-seam work. Output is bit-identical
-/// under every parameter combination.
+/// PuncturedWorkspace arenas (dist_sweep.hpp), serving each site's
+/// punctured tree as a PuncturedTree overlay on T0 sized to the site's
+/// subtree; false is the independent-rebase referee, which materializes a
+/// full BfsTree from T0 per site (rebase_punctured_tree). `sweep_work`,
+/// when given, receives the summed rebase-seam work. Output is
+/// bit-identical under every parameter combination.
 DualSiteTable build_dual_site_table(const BfsTree& tree, ThreadPool* pool,
                                     bool reference_kernel,
                                     std::vector<EdgeId>* edges_out,

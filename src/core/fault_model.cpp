@@ -5,11 +5,14 @@
 #include "src/core/fault_model.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <type_traits>
 
 #include "src/core/dist_sweep.hpp"
 #include "src/graph/bfs_kernel.hpp"
+#include "src/util/free_list_pool.hpp"
 #include "src/util/timer.hpp"
 
 namespace ftb {
@@ -37,12 +40,60 @@ struct DetourCandidate {
   }
 };
 
+/// Whether `Tree` materializes every derived array (preorder() included),
+/// as the full engine's site enumeration needs.
+template <class Tree>
+constexpr bool kFullTree = std::is_same_v<Tree, BfsTree>;
+
 }  // namespace
 
-template <class Model>
-FaultReplacementEngine<Model>::FaultReplacementEngine(const BfsTree& tree,
-                                                      Config cfg)
+namespace detail {
+
+struct RestrictedIndex {
+  std::vector<std::uint32_t> row_stamp;   // == epoch: vertex has rows
+  std::vector<std::uint32_t> site_stamp;  // == epoch: sweep site collected
+  std::vector<std::int64_t> row_offset;   // first row of a row vertex
+  std::vector<std::int64_t> pairs_offset;  // n + 1, valid at terminals v, v+1
+  std::uint32_t epoch = 0;
+
+  /// Opens a fresh epoch over n vertices; grows (and zero-fills) only when
+  /// n exceeds every earlier lease of this object.
+  void begin(std::size_t n) {
+    if (row_stamp.size() < n) {
+      row_stamp.assign(n, 0);
+      site_stamp.assign(n, 0);
+      row_offset.resize(n);
+      pairs_offset.resize(n + 1);
+      epoch = 0;
+    }
+    if (epoch == std::numeric_limits<std::uint32_t>::max()) {
+      std::fill(row_stamp.begin(), row_stamp.end(), 0);
+      std::fill(site_stamp.begin(), site_stamp.end(), 0);
+      epoch = 0;
+    }
+    ++epoch;
+  }
+};
+
+namespace {
+const FreeListPool<RestrictedIndex>& restricted_index_pool() {
+  static const FreeListPool<RestrictedIndex> pool;
+  return pool;
+}
+}  // namespace
+
+void RestrictedIndexRelease::operator()(RestrictedIndex* index) const {
+  restricted_index_pool().release(std::unique_ptr<RestrictedIndex>(index));
+}
+
+}  // namespace detail
+
+template <class Model, class Tree>
+FaultReplacementEngine<Model, Tree>::FaultReplacementEngine(const Tree& tree,
+                                                            Config cfg)
     : tree_(&tree), cfg_(cfg) {
+  FTB_CHECK_MSG(kFullTree<Tree> || !cfg_.restrict_terminals.empty(),
+                "a punctured-tree overlay serves restricted engines only");
   // Ambient-failure preconditions: at most one punctured element, and the
   // tree must actually be the canonical tree of that punctured graph —
   // otherwise every table row would answer for a different G'.
@@ -66,30 +117,33 @@ FaultReplacementEngine<Model>::FaultReplacementEngine(const BfsTree& tree,
   stats_.seconds_detours = t.seconds();
 }
 
-template <class Model>
-void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
+template <class Model, class Tree>
+void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
   const Graph& g = graph();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
-  // Terminal restriction:
-  //  * row_needed — vertices whose table rows the restricted classification
-  //    reads: the terminals themselves plus their tree parents (children of
-  //    a restricted terminal are restricted too — the span is a subtree
-  //    slice). Everyone else gets a ZERO-row allocation, so the table costs
-  //    the restriction's volume, not Σ_v depth(v).
+  // Terminal restriction, on the leased index (epoch-stamped, so nothing
+  // here is filled over n):
+  //  * row vertices — vertices whose table rows the restricted
+  //    classification reads: the terminals themselves plus their tree
+  //    parents (children of a restricted terminal are restricted too — the
+  //    set is children-closed). Only they get rows, so the table costs the
+  //    restriction's volume, not Σ_v depth(v).
   //  * sweep_sites — fault sites with a restricted terminal in their
   //    subtree (the terminals' ancestors-or-selves): the only sweeps whose
   //    rows anyone reads, collected by path walks below.
-  std::vector<std::uint8_t> row_needed;
-  std::vector<std::uint8_t> site_seen;
-  std::vector<Vertex> row_vertices;  // restricted: exactly {v : row_needed}
+  const bool restricted = !cfg_.restrict_terminals.empty();
+  std::vector<Vertex> row_vertices;  // restricted: the vertices with rows
   std::vector<Vertex> sweep_sites;   // restricted: exactly the needed sites
-  if (!cfg_.restrict_terminals.empty()) {
-    row_needed.assign(n, 0);
-    site_seen.assign(n, 0);
+  detail::RestrictedIndex* index = nullptr;
+  if (restricted) {
+    index_.reset(detail::restricted_index_pool().acquire().release());
+    index = index_.get();
+    index->begin(n);
     const auto need_row = [&](Vertex v) {
-      if (row_needed[static_cast<std::size_t>(v)]) return;
-      row_needed[static_cast<std::size_t>(v)] = 1;
+      std::uint32_t& stamp = index->row_stamp[static_cast<std::size_t>(v)];
+      if (stamp == index->epoch) return;
+      stamp = index->epoch;
       row_vertices.push_back(v);
     };
     for (const Vertex v : cfg_.restrict_terminals) {
@@ -105,10 +159,10 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
       // keeps a restricted engine's site scan at the restriction's volume
       // (the pruned dual build constructs two engines per first-failure
       // site, so an O(n) scan here turns the whole build quadratic).
-      for (Vertex u = v;
-           u != kInvalidVertex && !site_seen[static_cast<std::size_t>(u)];
-           u = tree_->parent(u)) {
-        site_seen[static_cast<std::size_t>(u)] = 1;
+      for (Vertex u = v; u != kInvalidVertex; u = tree_->parent(u)) {
+        std::uint32_t& stamp = index->site_stamp[static_cast<std::size_t>(u)];
+        if (stamp == index->epoch) break;
+        stamp = index->epoch;
         sweep_sites.push_back(u);
       }
     }
@@ -122,20 +176,28 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
     return d >= kInfHops ? 0
                          : std::max<std::int32_t>(0, d - Model::kFirstPos);
   };
-  row_offset_.assign(n + 1, 0);
-  if (row_needed.empty()) {
+  std::span<const Vertex> sites;
+  if (restricted) {
+    // Only the restriction's rows are allocated, and only their offsets
+    // are written.
+    std::int64_t total = 0;
+    for (const Vertex v : row_vertices) {
+      index->row_offset[static_cast<std::size_t>(v)] = total;
+      total += row_count(v);
+    }
+    row_off_ = index->row_offset.data();
+    rows_.assign(static_cast<std::size_t>(total), kInfHops);
+    sites = sweep_sites;
+  } else if constexpr (kFullTree<Tree>) {
+    row_offset_.assign(n + 1, 0);
     for (std::size_t v = 0; v < n; ++v) {
       row_offset_[v + 1] = row_count(static_cast<Vertex>(v));
     }
-  } else {
-    // Only the restriction's rows are allocated; everyone else keeps a
-    // zero-row slot through the shared prefix-sum below.
-    for (const Vertex v : row_vertices) {
-      row_offset_[static_cast<std::size_t>(v) + 1] = row_count(v);
-    }
+    for (std::size_t v = 0; v < n; ++v) row_offset_[v + 1] += row_offset_[v];
+    row_off_ = row_offset_.data();
+    rows_.assign(static_cast<std::size_t>(row_offset_[n]), kInfHops);
+    sites = tree_->preorder();
   }
-  for (std::size_t v = 0; v < n; ++v) row_offset_[v + 1] += row_offset_[v];
-  rows_.assign(static_cast<std::size_t>(row_offset_[n]), kInfHops);
   stats_.pairs_total = static_cast<std::int64_t>(rows_.size());
 
   // One replacement-distance computation per fault site; fill the row slot
@@ -145,9 +207,6 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
   // Rows of different faults write disjoint slots, so the loop is safely
   // parallel. The per-thread scratch arenas make a steady-state iteration
   // allocation-free.
-  const std::span<const Vertex> sites = cfg_.restrict_terminals.empty()
-                                            ? tree_->preorder()
-                                            : std::span<const Vertex>(sweep_sites);
   pool.parallel_for(sites.size(), [&](std::size_t idx) {
     const Vertex u = sites[idx];
     if (u == tree_->source()) return;
@@ -157,12 +216,12 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
     const auto affected = tree_->subtree(u);
     auto row_slot = [&](Vertex v) -> std::int32_t& {
       return rows_[static_cast<std::size_t>(
-          row_offset_[static_cast<std::size_t>(v)] + row)];
+          row_off_[static_cast<std::size_t>(v)] + row)];
     };
     // Vertices without an allocated row (restriction) must not be written.
     const auto has_row = [&](Vertex v) {
-      return row_needed.empty() ||
-             row_needed[static_cast<std::size_t>(v)] != 0;
+      return !restricted ||
+             index->row_stamp[static_cast<std::size_t>(v)] == index->epoch;
     };
     if (cfg_.reference_kernel) {
       thread_local std::vector<std::uint8_t> mask;
@@ -206,8 +265,8 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
   });
 }
 
-template <class Model>
-std::int32_t FaultReplacementEngine<Model>::replacement_dist(
+template <class Model, class Tree>
+std::int32_t FaultReplacementEngine<Model, Tree>::replacement_dist(
     Vertex v, FaultId fault) const {
   Model::validate_query(*tree_, fault);
   if (!tree_->reachable(v)) return kInfHops;
@@ -231,8 +290,8 @@ struct VertexPairs {
 
 }  // namespace
 
-template <class Model>
-void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
+template <class Model, class Tree>
+void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const Graph& g = graph();
   const EdgeWeights& W = tree_->weights();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
@@ -468,7 +527,17 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
   pairs_.clear();
   pair_ids_.clear();
   detour_arena_.clear();
-  pairs_offset_.assign(n + 1, 0);
+  // Full engines own an n + 1 CSR; restricted engines write only their
+  // terminals' entries v and v + 1 of the leased one — terminals flatten in
+  // ascending id with contiguous pair ranges, so a terminal's end offset
+  // and the next terminal's start offset never disagree.
+  std::int64_t* offsets = nullptr;
+  if (restrict_mode) {
+    offsets = index_->pairs_offset.data();
+  } else {
+    pairs_offset_.assign(n + 1, 0);
+    offsets = pairs_offset_.data();
+  }
   for (std::size_t t = 0; t < terminal_count; ++t) {
     const std::size_t slot = restrict_mode ? flatten_order[t] : t;
     const std::size_t vi = static_cast<std::size_t>(
@@ -478,6 +547,9 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
     stats_.pairs_infinite += src.infinite;
     const std::int64_t arena_base =
         static_cast<std::int64_t>(detour_arena_.size());
+    if (restrict_mode) {
+      offsets[vi] = static_cast<std::int64_t>(pairs_.size());
+    }
     for (Pair p : src.pairs) {
       p.detour_begin += arena_base;
       p.detour_end += arena_base;
@@ -486,33 +558,38 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
     }
     detour_arena_.insert(detour_arena_.end(), src.detour_storage.begin(),
                          src.detour_storage.end());
-    pairs_offset_[vi + 1] = static_cast<std::int64_t>(src.pairs.size());
+    if (restrict_mode) {
+      offsets[vi + 1] = static_cast<std::int64_t>(pairs_.size());
+    } else {
+      offsets[vi + 1] = static_cast<std::int64_t>(src.pairs.size());
+    }
   }
-  for (std::size_t vi = 0; vi < n; ++vi) {
-    pairs_offset_[vi + 1] += pairs_offset_[vi];
+  if (!restrict_mode) {
+    for (std::size_t vi = 0; vi < n; ++vi) offsets[vi + 1] += offsets[vi];
   }
+  pair_off_ = offsets;
   stats_.pairs_uncovered = static_cast<std::int64_t>(pairs_.size());
   stats_.detour_vertices = static_cast<std::int64_t>(detour_arena_.size());
 }
 
-template <class Model>
-std::span<const std::int32_t> FaultReplacementEngine<Model>::uncovered_of(
+template <class Model, class Tree>
+std::span<const std::int32_t> FaultReplacementEngine<Model, Tree>::uncovered_of(
     Vertex v) const {
   const std::size_t vi = static_cast<std::size_t>(v);
-  return {pair_ids_.data() + pairs_offset_[vi],
-          pair_ids_.data() + pairs_offset_[vi + 1]};
+  return {pair_ids_.data() + pair_off_[vi],
+          pair_ids_.data() + pair_off_[vi + 1]};
 }
 
-template <class Model>
-std::span<const Vertex> FaultReplacementEngine<Model>::detour(
+template <class Model, class Tree>
+std::span<const Vertex> FaultReplacementEngine<Model, Tree>::detour(
     const Pair& p) const {
   FTB_CHECK_MSG(cfg_.collect_detours, "detours were not collected");
   return {detour_arena_.data() + p.detour_begin,
           detour_arena_.data() + p.detour_end};
 }
 
-template <class Model>
-bool FaultReplacementEngine<Model>::covered(Vertex v, FaultId fault) const {
+template <class Model, class Tree>
+bool FaultReplacementEngine<Model, Tree>::covered(Vertex v, FaultId fault) const {
   FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault) &&
             Model::on_path(*tree_, fault, v));
   const std::int32_t pos = Model::fault_pos(*tree_, fault);
@@ -529,8 +606,8 @@ bool FaultReplacementEngine<Model>::covered(Vertex v, FaultId fault) const {
   return false;
 }
 
-template <class Model>
-std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
+template <class Model, class Tree>
+std::vector<Vertex> FaultReplacementEngine<Model, Tree>::replacement_path(
     Vertex v, FaultId fault) const {
   Model::validate_query(*tree_, fault);
   FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault));
@@ -577,5 +654,7 @@ std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
 
 template class FaultReplacementEngine<EdgeFault>;
 template class FaultReplacementEngine<VertexFault>;
+template class FaultReplacementEngine<EdgeFault, PuncturedTree>;
+template class FaultReplacementEngine<VertexFault, PuncturedTree>;
 
 }  // namespace ftb

@@ -32,9 +32,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "src/core/dist_sweep.hpp"
 #include "src/core/structure.hpp"
 #include "src/graph/bfs_tree.hpp"
 #include "src/util/thread_pool.hpp"
@@ -74,6 +76,18 @@ struct VertexFaultPair {
   std::int64_t detour_end = 0;
 };
 
+namespace detail {
+
+/// The per-vertex scratch of a restricted engine (fault_model.cpp): row and
+/// pair offsets plus epoch-stamped membership, leased from a process-wide
+/// pool for the engine's lifetime and handed back by the deleter.
+struct RestrictedIndex;
+struct RestrictedIndexRelease {
+  void operator()(RestrictedIndex* index) const;
+};
+
+}  // namespace detail
+
 /// Policy for single EDGE failures (the paper's primary model).
 struct EdgeFault {
   using FaultId = EdgeId;
@@ -92,17 +106,20 @@ struct EdgeFault {
   // ---- fault enumeration over the tree ---------------------------------
   // Sites are keyed by non-source preorder vertices u; the edge model's
   // fault at site u is u's parent edge (a bijection onto the tree edges).
-  static bool site_active(const BfsTree& t, Vertex u) {
+  template <class Tree>
+  static bool site_active(const Tree& t, Vertex u) {
     (void)t;
     (void)u;
     return true;
   }
-  static FaultId site_fault(const BfsTree& t, Vertex u) {
+  template <class Tree>
+  static FaultId site_fault(const Tree& t, Vertex u) {
     return t.parent_edge(u);
   }
 
   // ---- pair plumbing ----------------------------------------------------
-  static FaultId fault_at(const BfsTree& t, std::span<const Vertex> path,
+  template <class Tree>
+  static FaultId fault_at(const Tree& t, std::span<const Vertex> path,
                           std::int32_t i) {
     return t.parent_edge(path[static_cast<std::size_t>(i) + 1]);
   }
@@ -114,7 +131,8 @@ struct EdgeFault {
   }
 
   // ---- query-side geometry ----------------------------------------------
-  static void validate_query(const BfsTree& t, FaultId f) {
+  template <class Tree>
+  static void validate_query(const Tree& t, FaultId f) {
     (void)t;
     (void)f;
   }
@@ -125,11 +143,13 @@ struct EdgeFault {
     return false;
   }
   /// True iff the fault lies on π(s,v) — i.e. v has a stored table row.
-  static bool on_path(const BfsTree& t, FaultId f, Vertex v) {
+  template <class Tree>
+  static bool on_path(const Tree& t, FaultId f, Vertex v) {
     return t.is_tree_edge(f) && t.on_source_path(f, v);
   }
   /// Path position of the fault (valid when on_path).
-  static std::int32_t fault_pos(const BfsTree& t, FaultId f) {
+  template <class Tree>
+  static std::int32_t fault_pos(const Tree& t, FaultId f) {
     return t.edge_depth(f) - 1;
   }
 
@@ -167,16 +187,19 @@ struct VertexFault {
   // ---- fault enumeration over the tree ---------------------------------
   // Site u fails as itself; only internal vertices (with strict
   // descendants) seed a table.
-  static bool site_active(const BfsTree& t, Vertex u) {
+  template <class Tree>
+  static bool site_active(const Tree& t, Vertex u) {
     return t.subtree_size(u) > 1;
   }
-  static FaultId site_fault(const BfsTree& t, Vertex u) {
+  template <class Tree>
+  static FaultId site_fault(const Tree& t, Vertex u) {
     (void)t;
     return u;
   }
 
   // ---- pair plumbing ----------------------------------------------------
-  static FaultId fault_at(const BfsTree& t, std::span<const Vertex> path,
+  template <class Tree>
+  static FaultId fault_at(const Tree& t, std::span<const Vertex> path,
                           std::int32_t i) {
     (void)t;
     return path[static_cast<std::size_t>(i)];
@@ -189,14 +212,17 @@ struct VertexFault {
   }
 
   // ---- query-side geometry ----------------------------------------------
-  static void validate_query(const BfsTree& t, FaultId f) {
+  template <class Tree>
+  static void validate_query(const Tree& t, FaultId f) {
     FTB_CHECK_MSG(f != t.source(), "the source never fails");
   }
   static bool hits_terminal(Vertex v, FaultId f) { return v == f; }
-  static bool on_path(const BfsTree& t, FaultId f, Vertex v) {
+  template <class Tree>
+  static bool on_path(const Tree& t, FaultId f, Vertex v) {
     return t.reachable(f) && t.is_ancestor_or_equal(f, v);
   }
-  static std::int32_t fault_pos(const BfsTree& t, FaultId f) {
+  template <class Tree>
+  static std::int32_t fault_pos(const Tree& t, FaultId f) {
     return t.depth(f);
   }
 
@@ -234,7 +260,11 @@ struct VertexFault {
 ///     the divergence point of the pair at position i is u_{j*} with
 ///     j* = min{ j ≤ i − kDivergeGap : j + detlen(j) = dist_f(v) }.
 /// Both sweeps are O(n·m) total and run on the thread pool.
-template <class Model>
+///
+/// `Tree` is the tree the engine answers for: a BfsTree (every full engine,
+/// and restricted ones on a materialized tree), or the dual build's
+/// PuncturedTree overlay, which serves restricted engines only.
+template <class Model, class Tree = BfsTree>
 class FaultReplacementEngine {
  public:
   using FaultId = typename Model::FaultId;
@@ -268,30 +298,36 @@ class FaultReplacementEngine {
     Vertex ambient_banned_vertex = kInvalidVertex;
     /// Restrict the pair plane to these terminals (empty = every vertex,
     /// the full engine). The set must be closed under `tree`'s children
-    /// relation — a subtree slice qualifies, and so does a T0-subtree
-    /// handed to the rebased punctured tree (re-parented vertices stay
-    /// below the fault) — since the covered test reads the tree-neighbor
-    /// rows of every terminal. With a
-    /// restriction the engine allocates table rows only for the terminals
-    /// and their parents, runs sweeps only for fault sites with a
+    /// relation, since the covered test reads the tree-neighbor rows of
+    /// every terminal. Two tree types qualify:
+    ///   * a BfsTree, with any children-closed set — a subtree slice, or a
+    ///     T0-subtree handed to the materialized punctured tree
+    ///     (rebase_punctured_tree: re-parented vertices stay below the
+    ///     fault);
+    ///   * a PuncturedTree overlay, with exactly its affected slice A_f
+    ///     (the T0 preorder slice below the fault) — the only terminals
+    ///     whose children, subtrees and ancestors the overlay answers for.
+    /// With a restriction the engine allocates table rows only for the
+    /// terminals and their parents, runs sweeps only for fault sites with a
     /// restricted terminal in their subtree (their ancestors-or-selves)
-    /// and enumerates/classifies pairs only for the listed terminals, so a
-    /// build costs the restricted set's tree volume (ancestor sweeps
-    /// included) instead of the whole graph. uncovered_pairs() then holds
-    /// exactly the full engine's pairs whose terminal is listed, and
-    /// replacement_dist() is valid only for listed terminals. This is the
-    /// incremental-rebase entry point of the dual-failure pipeline: per
-    /// first-failure site it hands the engine the rebased punctured tree
-    /// (rebase_punctured_tree) plus the affected subtree as the terminal
-    /// set. The span is read during construction only.
+    /// and enumerates/classifies pairs only for the listed terminals. Its
+    /// per-vertex row and pair indexes live in a pooled, epoch-stamped
+    /// scratch written only at the restricted vertices, so a build costs
+    /// the restricted set's tree volume (ancestor sweeps included) and no
+    /// O(n) fill. uncovered_pairs() then holds exactly the full engine's
+    /// pairs whose terminal is listed, and replacement_dist() /
+    /// uncovered_of() are valid only for listed terminals. This is the
+    /// entry point of the dual-failure pipeline: per first-failure site it
+    /// hands the engine the punctured tree plus the affected subtree as the
+    /// terminal set. The span is read during construction only.
     std::span<const Vertex> restrict_terminals = {};
   };
 
-  explicit FaultReplacementEngine(const BfsTree& tree)
+  explicit FaultReplacementEngine(const Tree& tree)
       : FaultReplacementEngine(tree, Config()) {}
-  FaultReplacementEngine(const BfsTree& tree, Config cfg);
+  FaultReplacementEngine(const Tree& tree, Config cfg);
 
-  const BfsTree& tree() const { return *tree_; }
+  const Tree& tree() const { return *tree_; }
   const Graph& graph() const { return tree_->graph(); }
 
   /// dist(s, v, G \ {fault}) for any vertex v and any fault. O(1):
@@ -340,28 +376,37 @@ class FaultReplacementEngine {
   void build_pairs(ThreadPool& pool);
 
   /// Stored row index: the fault at path position i of π(s,v) lives at
-  /// rows_[row_offset_[v] + i − Model::kFirstPos].
+  /// rows_[row_off_[v] + i − Model::kFirstPos].
   std::int32_t table_dist(Vertex v, std::int32_t pos) const {
     return rows_[static_cast<std::size_t>(
-        row_offset_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
+        row_off_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
   }
 
-  const BfsTree* tree_;
+  const Tree* tree_;
   Config cfg_;
 
-  std::vector<std::int64_t> row_offset_;  // per vertex
-  std::vector<std::int32_t> rows_;        // Σ_v (depth(v) − kFirstPos) rows
+  // Per-vertex indexes: owned by a full engine, leased (written only at
+  // the restricted vertices) by a restricted one. row_off_ / pair_off_
+  // point at whichever holds them.
+  std::vector<std::int64_t> row_offset_;    // full: per vertex
+  std::vector<std::int64_t> pairs_offset_;  // full: per vertex, n + 1
+  std::unique_ptr<detail::RestrictedIndex, detail::RestrictedIndexRelease>
+      index_;                               // restricted
+  const std::int64_t* row_off_ = nullptr;
+  const std::int64_t* pair_off_ = nullptr;
 
+  std::vector<std::int32_t> rows_;        // Σ_v (depth(v) − kFirstPos) rows
   std::vector<Pair> pairs_;
-  std::vector<std::int64_t> pairs_offset_;  // per vertex, into pair_ids_
   std::vector<std::int32_t> pair_ids_;      // pair indices grouped by v
   std::vector<Vertex> detour_arena_;
 
   Stats stats_;
 };
 
-// The two instantiations live in fault_model.cpp.
+// The instantiations live in fault_model.cpp.
 extern template class FaultReplacementEngine<EdgeFault>;
 extern template class FaultReplacementEngine<VertexFault>;
+extern template class FaultReplacementEngine<EdgeFault, PuncturedTree>;
+extern template class FaultReplacementEngine<VertexFault, PuncturedTree>;
 
 }  // namespace ftb

@@ -31,17 +31,19 @@ void BfsTree::build_derived() {
   }
   for (std::size_t i = 0; i < n; ++i) child_offsets_[i + 1] += child_offsets_[i];
   child_list_.resize(static_cast<std::size_t>(child_offsets_[n]));
-  {
-    csr_cursor_.assign(child_offsets_.begin(), child_offsets_.end() - 1);
-    for (std::size_t v = 0; v < n; ++v) {
-      const Vertex p = sp_.parent[v];
-      if (p != kInvalidVertex) {
-        child_list_[static_cast<std::size_t>(
-            csr_cursor_[static_cast<std::size_t>(p)]++)] =
-            static_cast<Vertex>(v);
-      }
+  // Fill with each parent's start offset as its cursor, which leaves it at
+  // the parent's end — the next parent's start — so one shift restores the
+  // starts without a separate cursor array.
+  for (std::size_t v = 0; v < n; ++v) {
+    const Vertex p = sp_.parent[v];
+    if (p != kInvalidVertex) {
+      child_list_[static_cast<std::size_t>(
+          child_offsets_[static_cast<std::size_t>(p)]++)] =
+          static_cast<Vertex>(v);
     }
   }
+  for (std::size_t i = n; i > 0; --i) child_offsets_[i] = child_offsets_[i - 1];
+  child_offsets_[0] = 0;
 
   // Iterative preorder DFS with tin/tout and subtree sizes.
   tin_.assign(n, -1);
@@ -49,8 +51,7 @@ void BfsTree::build_derived() {
   subtree_size_.assign(n, 0);
   preorder_.clear();
   if (sp_.reachable(source_)) {
-    auto& stack = dfs_stack_;  // (vertex, child idx)
-    stack.clear();
+    std::vector<std::pair<Vertex, std::size_t>> stack;  // (vertex, child idx)
     stack.emplace_back(source_, 0);
     std::int32_t clock = 0;
     tin_[idx(source_)] = clock++;

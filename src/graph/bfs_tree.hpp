@@ -37,9 +37,10 @@ class BfsTree {
   /// Adopts an already-computed canonical label set and builds the derived
   /// tree machinery (children CSR, preorder intervals, tree-edge table) on
   /// top of it. `sp` must be exactly canonical_sp(g, weights, source, ·) of
-  /// the graph the caller answers for — this is the seam the incremental
-  /// punctured-tree rebase (rebase_punctured_tree in dist_sweep.hpp) plugs
-  /// into instead of paying a full O(m) canonical BFS per first failure.
+  /// the graph the caller answers for — this is the seam the referee
+  /// punctured-tree rebase (rebase_punctured_tree in dist_sweep.hpp) and the
+  /// fused multi-lane canonical sweeps plug into instead of paying a full
+  /// O(m) canonical BFS per tree.
   BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source,
           CanonicalSp sp);
 
@@ -104,27 +105,12 @@ class BfsTree {
   /// Preorder sequence of reachable vertices (source first).
   std::span<const Vertex> preorder() const { return {preorder_}; }
 
-  // ---- workspace seam ---------------------------------------------------
-  // The DFS-order dual rebase (PuncturedWorkspace in dist_sweep.hpp) reuses
-  // ONE tree object across many punctures: it patches the label set in
-  // place, then rebuild_derived() restores every derived invariant with all
-  // vector capacities retained — zero steady-state allocation. Between the
-  // two calls the tree is NOT immutable; the workspace owns it exclusively
-  // and nothing else may observe it in that window.
-
-  /// Mutable access to the label set for in-place patching. Every accessor
-  /// is stale until the next rebuild_derived().
-  CanonicalSp& mutable_sp() { return sp_; }
-  /// Recomputes everything derived from sp() (children CSR, preorder,
-  /// tin/tout, subtree sizes, tree-edge table), reusing capacity.
-  void rebuild_derived() { build_derived(); }
-
  private:
   static std::size_t idx(Vertex v) { return static_cast<std::size_t>(v); }
   static std::size_t eidx(EdgeId e) { return static_cast<std::size_t>(e); }
 
   /// Builds everything derived from sp_ (children CSR, preorder, tin/tout,
-  /// subtree sizes, tree-edge table). Shared by all constructors.
+  /// subtree sizes, tree-edge table). Runs once, from the constructors.
   void build_derived();
 
   const Graph* g_;
@@ -142,11 +128,6 @@ class BfsTree {
   std::vector<Vertex> lower_;           // per EdgeId: lower endpoint or invalid
   std::vector<EdgeId> tree_edges_;
   std::int32_t num_reachable_ = 0;
-
-  // build_derived scratch, members so rebuild_derived() allocates nothing
-  // in steady state.
-  std::vector<std::int64_t> csr_cursor_;
-  std::vector<std::pair<Vertex, std::size_t>> dfs_stack_;
 };
 
 }  // namespace ftb

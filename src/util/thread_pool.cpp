@@ -133,4 +133,9 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+ThreadPool& ThreadPool::caller_only() {
+  static ThreadPool pool{NoWorkers{}};
+  return pool;
+}
+
 }  // namespace ftb

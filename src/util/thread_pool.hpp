@@ -64,7 +64,15 @@ class ThreadPool {
   /// The process-wide default pool (sized to hardware concurrency).
   static ThreadPool& global();
 
+  /// A pool without workers: parallel_for runs every iteration on the
+  /// calling thread. For loops nested inside an outer parallel_for whose
+  /// iterations are already the unit of parallelism.
+  static ThreadPool& caller_only();
+
  private:
+  struct NoWorkers {};
+  explicit ThreadPool(NoWorkers) {}
+
   using BlockFn = void (*)(const void* ctx, std::size_t i);
 
   template <class Fn>

@@ -12,6 +12,10 @@
 //     restrict_terminals engine emits exactly the full engine's pairs for
 //     the restricted terminals — the two legs the pruned dual pipeline
 //     stands on;
+//   * the PuncturedTree overlay answers every accessor the restricted
+//     engines read exactly like the referee's full rebased BfsTree, on
+//     every site, in T0 DFS order and in shuffled order, and a workspace
+//     rebound to a new tree at a recycled address starts fresh;
 //   * vertex-fault StructureOracle queries agree with literal BFS on
 //     G \ {x} exhaustively at small n.
 // Failing property cases print their one-command reproduction via
@@ -19,6 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <random>
+#include <set>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dist_sweep.hpp"
@@ -66,6 +73,101 @@ void expect_engines_bit_identical(const BfsTree& tree) {
     EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
     EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
     EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
+  }
+}
+
+
+/// Every first-failure site of `base` (edge sites, then vertex sites) with
+/// its affected subtree root.
+struct PunctureSite {
+  EdgeId fe = kInvalidEdge;
+  Vertex fv = kInvalidVertex;
+  Vertex top = kInvalidVertex;
+};
+std::vector<PunctureSite> puncture_sites(const BfsTree& base) {
+  std::vector<PunctureSite> sites;
+  for (const EdgeId e : base.tree_edges()) {
+    sites.push_back({e, kInvalidVertex, base.lower_endpoint(e)});
+  }
+  for (const Vertex u : base.preorder()) {
+    if (u != base.source() && base.subtree_size(u) > 1) {
+      sites.push_back({kInvalidEdge, u, u});
+    }
+  }
+  return sites;
+}
+
+/// Punctures every site of `base` on ONE workspace, in T0 DFS order and
+/// then in a seeded shuffled order (so transitions between unrelated sites
+/// are covered), and compares each overlay accessor the restricted engines
+/// read with the referee's full rebased tree.
+void expect_overlay_matches_referee(const BfsTree& base,
+                                    std::uint64_t shuffle_seed) {
+  const Graph& g = base.graph();
+  std::vector<PunctureSite> sites = puncture_sites(base);
+  std::stable_sort(sites.begin(), sites.end(),
+                   [&](const PunctureSite& a, const PunctureSite& b) {
+                     return base.tin(a.top) < base.tin(b.top);
+                   });
+  std::vector<PunctureSite> shuffled = sites;
+  std::mt19937_64 rng(shuffle_seed);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+  PuncturedWorkspace ws;
+  ws.bind(base);
+  for (const auto* order : {&sites, &shuffled}) {
+    for (const PunctureSite& f : *order) {
+      const PuncturedTree& tf = ws.puncture(f.fe, f.fv);
+      const BfsTree full = rebase_punctured_tree(base, f.fe, f.fv);
+      SCOPED_TRACE(::testing::Message() << "fe=" << f.fe << " fv=" << f.fv);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(tf.reachable(v), full.reachable(v)) << "v=" << v;
+        ASSERT_EQ(tf.depth(v), full.depth(v)) << "v=" << v;
+        ASSERT_EQ(tf.parent(v), full.parent(v)) << "v=" << v;
+        ASSERT_EQ(tf.parent_edge(v), full.parent_edge(v)) << "v=" << v;
+      }
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        ASSERT_EQ(tf.is_tree_edge(e), full.is_tree_edge(e)) << "e=" << e;
+        if (full.is_tree_edge(e)) {
+          ASSERT_EQ(tf.lower_endpoint(e), full.lower_endpoint(e)) << "e=" << e;
+          ASSERT_EQ(tf.edge_depth(e), full.edge_depth(e)) << "e=" << e;
+        }
+      }
+      if (f.fe != kInvalidEdge) {
+        ASSERT_FALSE(tf.is_tree_edge(f.fe));
+      }
+
+      // Terminals (A_f) and the engines' sweep sites: the terminals'
+      // T_f ancestors-or-selves, the source excluded.
+      std::set<Vertex> sweep_sites;
+      for (const Vertex d : base.subtree(f.top)) {
+        if (!full.reachable(d)) continue;
+        const auto kids = tf.children(d);
+        const auto want = full.children(d);
+        ASSERT_TRUE(std::equal(kids.begin(), kids.end(), want.begin(),
+                               want.end()))
+            << "children of " << d;
+        for (Vertex a = 0; a < g.num_vertices(); ++a) {
+          if (!full.reachable(a)) continue;
+          ASSERT_EQ(tf.is_ancestor_or_equal(a, d),
+                    full.is_ancestor_or_equal(a, d))
+              << "a=" << a << " d=" << d;
+        }
+        for (Vertex u = d; u != base.source(); u = full.parent(u)) {
+          sweep_sites.insert(u);
+        }
+      }
+      for (const Vertex u : sweep_sites) {
+        const auto got = tf.subtree(u);
+        const auto want = full.subtree(u);
+        ASSERT_EQ(got.front(), u);
+        ASSERT_EQ(std::multiset<Vertex>(got.begin(), got.end()),
+                  std::multiset<Vertex>(want.begin(), want.end()))
+            << "subtree of " << u;
+        ASSERT_EQ(tf.subtree_size(u) > 1, full.subtree_size(u) > 1)
+            << "subtree_size of " << u;
+      }
+    }
   }
 }
 
@@ -223,10 +325,64 @@ TEST_P(FaultModelFamilyTest, RestrictedEngineMatchesFullEngineOnTerminals) {
   }
 }
 
+TEST_P(FaultModelFamilyTest, PuncturedOverlayMatchesRebasedTree) {
+  // The overlay leg of the production dual build: on every site, every
+  // accessor the restricted engines, the site-dist harvest and the per-site
+  // body read of the punctured tree must agree with the referee's full
+  // rebased BfsTree.
+  const test::PropertyCase& pc = sweep_cases()[GetParam()];
+  FTB_PROPERTY_TRACE(pc, "fault_model_test");
+  const EdgeWeights w = EdgeWeights::uniform_random(pc.graph, 47);
+  const BfsTree base(pc.graph, w, pc.source);
+  expect_overlay_matches_referee(base, pc.seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Families, FaultModelFamilyTest,
     ::testing::Range<std::size_t>(0, sweep_cases().size()),
     [](const auto& pinfo) { return sweep_cases()[pinfo.param].name(); });
+
+// ---- punctured-tree overlay ----------------------------------------------
+
+TEST(PuncturedWorkspace, OverlayMatchesRebasedTreeOnRmat) {
+  // Skewed degrees: many forest roots per site, exits spread over many
+  // top-level subtrees — the outer-block splice under load.
+  const Graph g = gen::rmat_connected(7, 3 * 128, 5);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, 1);
+  const BfsTree base(g, w, 0);
+  expect_overlay_matches_referee(base, 0x5EED);
+}
+
+TEST(PuncturedWorkspace, RebindToRecycledAddressIsFresh) {
+  // A workspace must never trust a tree's address: a different tree built
+  // in the same storage (pooled workspaces outlive the trees they served)
+  // must get punctures of ITS labels everywhere, not the old tree's.
+  const Graph g = gen::rmat_connected(8, 3 * 256, 1);
+  const EdgeWeights w1 = EdgeWeights::uniform_random(g, 1);
+  const EdgeWeights w99 = EdgeWeights::uniform_random(g, 99);
+  std::optional<BfsTree> slot;
+  slot.emplace(g, w1, 0);
+  PuncturedWorkspace ws;
+  ws.bind(*slot);
+  (void)ws.puncture(slot->tree_edges().front(), kInvalidVertex);
+
+  const BfsTree* const first_address = &*slot;
+  slot.reset();
+  slot.emplace(g, w99, 0);
+  ASSERT_EQ(&*slot, first_address);
+  ws.bind(*slot);
+  std::int64_t differing = 0;
+  for (const EdgeId e : slot->tree_edges()) {
+    const PuncturedTree& tf = ws.puncture(e, kInvalidVertex);
+    const BfsTree want = rebase_punctured_tree(*slot, e, kInvalidVertex);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      differing += tf.depth(v) != want.depth(v) ||
+                   tf.parent(v) != want.parent(v) ||
+                   tf.parent_edge(v) != want.parent_edge(v);
+    }
+  }
+  EXPECT_EQ(differing, 0);
+}
 
 // ---- vertex-fault serving stack ------------------------------------------
 

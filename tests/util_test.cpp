@@ -201,6 +201,24 @@ TEST(ThreadPool, GlobalPoolSingleton) {
   EXPECT_GE(ThreadPool::global().thread_count(), 1u);
 }
 
+TEST(ThreadPool, CallerOnlyRunsEveryIterationOnTheCaller) {
+  // Called from inside a global-pool job, the way the dual build's
+  // per-site engines call it.
+  ThreadPool& inner = ThreadPool::caller_only();
+  EXPECT_EQ(inner.thread_count(), 0u);
+  std::atomic<int> off_thread{0};
+  std::atomic<int> visits{0};
+  ThreadPool::global().parallel_for(8, [&](std::size_t) {
+    const std::thread::id caller = std::this_thread::get_id();
+    inner.parallel_for(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) ++off_thread;
+      ++visits;
+    });
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(visits.load(), 8 * 64);
+}
+
 TEST(ThreadPool, ParallelForIsDeterministicOnDisjointWrites) {
   // The atomic-cursor scheduler may assign blocks to threads in any order;
   // iterations with disjoint side effects must nevertheless produce the
