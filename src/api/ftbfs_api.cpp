@@ -14,7 +14,6 @@
 #include "src/core/dual_fault.hpp"
 #include "src/core/fault_model.hpp"
 #include "src/core/multi_source.hpp"
-#include "src/core/replacement.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_kernel.hpp"
@@ -224,11 +223,13 @@ struct Session::Impl {
   FtBfsStructure structure;
   EdgeWeights weights;
   std::vector<BfsTree> trees;  // one per source, over `weights`
-  // Engines per source; filled per the fault class (edge: every model but
-  // kVertex; vertex: every model but kEdge). All immutable after
-  // construction.
-  std::vector<ReplacementPathEngine> edge_engines;
-  std::vector<VertexReplacementEngine> vertex_engines;
+  // Replacement-distance tables per source; filled per the fault class
+  // (edge: every model but kVertex; vertex: every model but kEdge). Rows
+  // only: serving answers off them and never classifies a pair, so a load
+  // pays one subtree-seeded sweep per fault site and no pair plane. All
+  // immutable after construction.
+  std::vector<ReplacementTable<EdgeFault>> edge_tables;
+  std::vector<ReplacementTable<VertexFault>> vertex_tables;
   // Dual-failure serving state, one entry per source (kDual only): the
   // first-failure pair tables and the oracle classifying/answering pairs.
   std::vector<DualSiteTable> dual_tables;
@@ -282,7 +283,7 @@ struct Session::Impl {
     }
 
     // The rebuilt canonical trees must be exactly the trees the structure
-    // was built around — otherwise the engines' tables answer for a
+    // was built around — otherwise the replacement tables answer for a
     // different T0 and every "in-model" reply would be silently wrong
     // (classic cause: serving with a different weight_seed than the
     // build used).
@@ -301,18 +302,16 @@ struct Session::Impl {
     const bool covers_edge = model != FaultClass::kVertex;
     const bool covers_vertex = model != FaultClass::kEdge;
     if (covers_edge) {
-      ReplacementPathEngine::Config cfg;
-      cfg.collect_detours = false;  // the plane serves distances only
+      ReplacementTable<EdgeFault>::Config cfg;
       cfg.pool = pool;
-      edge_engines.reserve(trees.size());
-      for (const BfsTree& t : trees) edge_engines.emplace_back(t, cfg);
+      edge_tables.reserve(trees.size());
+      for (const BfsTree& t : trees) edge_tables.emplace_back(t, cfg);
     }
     if (covers_vertex) {
-      VertexReplacementEngine::Config cfg;
-      cfg.collect_detours = false;
+      ReplacementTable<VertexFault>::Config cfg;
       cfg.pool = pool;
-      vertex_engines.reserve(trees.size());
-      for (const BfsTree& t : trees) vertex_engines.emplace_back(t, cfg);
+      vertex_tables.reserve(trees.size());
+      for (const BfsTree& t : trees) vertex_tables.emplace_back(t, cfg);
     }
     if (model == FaultClass::kDual) {
       // Pair tables: artifact-provided (v4), or rebuilt deterministically
@@ -359,8 +358,8 @@ struct Session::Impl {
       }
       dual_oracles.reserve(trees.size());
       for (std::size_t i = 0; i < trees.size(); ++i) {
-        dual_oracles.emplace_back(trees[i], edge_engines[i],
-                                  vertex_engines[i], dual_tables[i]);
+        dual_oracles.emplace_back(trees[i], edge_tables[i], vertex_tables[i],
+                                  dual_tables[i]);
       }
       if (dual_site_dist.size() == sources.size()) {
         // dual_site_dist never changes after this point, so the attached
@@ -452,9 +451,9 @@ struct Session::Impl {
   std::int32_t in_model_dist(const Query& q) const {
     const auto si = static_cast<std::size_t>(q.source_index);
     if (q.kind == FaultClass::kEdge) {
-      return edge_engines[si].replacement_dist(q.v, q.fault);
+      return edge_tables[si].replacement_dist(q.v, q.fault);
     }
-    return vertex_engines[si].replacement_dist(q.v, q.fault);
+    return vertex_tables[si].replacement_dist(q.v, q.fault);
   }
 
   /// Literal BFS on H minus the query's failure (or failure pair) from
@@ -497,7 +496,7 @@ struct Session::Impl {
   /// this runs). A query's own source never fails — refused even as a
   /// what-if, and a pair containing it is refused whole. Another source of
   /// a multi-source session CAN fail: the FT-MBFS vertex contract is per
-  /// source (x ∉ {s} for each s ∈ S), and the engine serving source_index
+  /// source (x ∉ {s} for each s ∈ S), and the table serving source_index
   /// answers any other vertex in O(1).
   QueryOutcome classify(const Query& q) const {
     const Vertex src = sources[static_cast<std::size_t>(q.source_index)];
@@ -1020,6 +1019,27 @@ FsckReport Session::fsck() const {
                    tree_union.end());
   audit(tree_union == h.tree_edges(),
         "canonical tree union != deployed tree edges");
+
+  // Replacement tables against their trees: one per source and covered
+  // model, each with exactly one row per ⟨v, fault ∈ π(s,v)⟩ and no row
+  // below v's failure-free depth.
+  const auto audit_tables = [&](const auto& tables, auto model,
+                                bool covered, const char* kind) {
+    using Model = decltype(model);
+    audit(tables.size() == (covered ? im.trees.size() : 0),
+          std::string(kind) + " replacement-table count != source count");
+    for (std::size_t i = 0; i < tables.size() && i < im.trees.size(); ++i) {
+      const std::string tag = " (" + std::string(kind) + " table, source " +
+                              std::to_string(im.sources[i]) + ")";
+      const RowAudit rows =
+          audit_replacement_rows<Model>(im.trees[i], tables[i].rows());
+      audit(rows.count_ok, "replacement-table row count != tree volume" + tag);
+      audit(rows.bounds_ok,
+            "replacement-table row below depth or above n - 1" + tag);
+    }
+  };
+  audit_tables(im.edge_tables, EdgeFault{}, im.covers_edge(), "edge");
+  audit_tables(im.vertex_tables, VertexFault{}, im.covers_vertex(), "vertex");
 
   // Dual pair tables: one per source; offsets a monotone cover of the
   // edge pool; every pooled edge a structure edge, sorted per site.

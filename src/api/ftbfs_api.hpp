@@ -31,7 +31,7 @@
 //     bit-parallel sweep, a single source runs the scalar canonical BFS.
 //
 //   * Session — a type-erased deployment of the result (structure + tree +
-//     replacement engines per source, no templates in sight) serving a
+//     replacement tables per source, no templates in sight) serving a
 //     batched, THREAD-SAFE query plane. `query(QueryBatch)` classifies
 //     every query as an in-model O(1) contract hit, an out-of-model
 //     what-if (answered by a literal BFS on H \ {fault}), or refused; it
@@ -137,7 +137,7 @@ BuildResult build(const Graph& g, const BuildSpec& spec);
 /// How a query was answered.
 enum class QueryOutcome : std::uint8_t {
   /// In-model O(1) contract hit: dist(s, v, H \ {fault}) read straight
-  /// from the replacement engine's tables.
+  /// from the source's replacement-distance table.
   kInModel = 0,
   /// Out-of-model what-if (reinforced edge, or a fault kind the session's
   /// model does not cover): answered by a literal BFS on H \ {fault},
@@ -153,8 +153,8 @@ enum class QueryOutcome : std::uint8_t {
   /// is bit-identical to a clean rebuild (pinned by the degraded-session
   /// property test); the outcome tag exists so operators can see they are
   /// serving off a damaged artifact. Only in-model dual-pair answers carry
-  /// it — single-fault engines are always rebuilt from the graph and never
-  /// depend on artifact tables.
+  /// it — single-fault replacement tables are always rebuilt from the
+  /// graph and never depend on artifact tables.
   kDegraded = 3,
   /// Not answered: the batch's traversal budget (BatchOptions::
   /// max_traversals) or deadline ran out before this query's traversal
@@ -289,8 +289,9 @@ struct FsckReport {
 };
 
 /// A deployed structure plus everything needed to serve it: the canonical
-/// trees and replacement engines per source (edge and/or vertex flavor,
-/// per the fault class) behind a non-template face.
+/// trees and replacement-distance tables per source (edge and/or vertex
+/// flavor, per the fault class — rows only, no pair classification)
+/// behind a non-template face.
 ///
 /// Thread safety: all members are immutable after construction and query()
 /// works exclusively on pooled scratch arenas, so concurrent query() /
@@ -309,10 +310,12 @@ class Session {
   /// generation is auto-detected by magic, so text v1–v5 and binary v6
   /// load through the same call; v3 keeps the multi-source set, v4+ the
   /// dual pair tables — an artifact saved without tables gets them rebuilt
-  /// here) and rebuilds the serving engines. A v6 artifact's persisted
-  /// tables attach off a read-only mmap (zero-copy validation against the
-  /// page cache); the graph-recompute path remains the fallback when they
-  /// are absent or dropped. With cfg.tolerate_corruption (the default) a
+  /// here), then rebuilds the canonical trees and one replacement-distance
+  /// table per source and covered model: one subtree-seeded sweep per
+  /// fault site, and none of the build's pair classification. A v6
+  /// artifact's persisted tables attach off a read-only mmap (zero-copy
+  /// validation against the page cache); the graph-recompute path remains
+  /// the fallback when they are absent or dropped. With cfg.tolerate_corruption (the default) a
   /// corrupt pair-table section downgrades the session to degraded service
   /// instead of refusing the load; see fsck().
   static Session load(const Graph& g, const std::string& path,
@@ -347,8 +350,9 @@ class Session {
   QueryResult query_one(const Query& q) const;
 
   /// Audits the loaded structure and serving state: structure edge-set
-  /// relations, per-source tree parent/depth invariants, dual pair-table
-  /// shape and coverage. Read-only and cheap (no traversals, no table
+  /// relations, per-source tree parent/depth invariants, every
+  /// replacement table's row count and bounds against its tree, dual
+  /// pair-table shape and coverage. Read-only and cheap (no traversals, no table
   /// rebuilds); safe to call concurrently with query(). A session that
   /// loaded clean and passes fsck serves kInModel; a degraded one serves
   /// correct answers tagged kDegraded.

@@ -396,12 +396,12 @@ DualBuildResult detail::build_dual_failure_ftbfs_impl(
 // DualFaultOracle
 
 DualFaultOracle::DualFaultOracle(
-    const BfsTree& tree, const FaultReplacementEngine<EdgeFault>& edge_engine,
-    const FaultReplacementEngine<VertexFault>& vertex_engine,
+    const BfsTree& tree, const ReplacementTable<EdgeFault>& edge_table,
+    const ReplacementTable<VertexFault>& vertex_table,
     const DualSiteTable& tables)
     : tree_(&tree),
-      edge_engine_(&edge_engine),
-      vertex_engine_(&vertex_engine),
+      edge_table_(&edge_table),
+      vertex_table_(&vertex_table),
       tables_(&tables) {
   FTB_CHECK_MSG(tables.offsets.size() == tables.sites.size() + 1 &&
                     !tables.offsets.empty() &&
@@ -435,10 +435,10 @@ std::int32_t DualFaultOracle::site_of(DualSite f) const {
 
 std::int32_t DualFaultOracle::single_dist(Vertex v, DualSite f) const {
   if (f.kind == FaultClass::kEdge) {
-    return edge_engine_->replacement_dist(v, f.id);
+    return edge_table_->replacement_dist(v, f.id);
   }
   if (v == f.id) return kInfHops;
-  return vertex_engine_->replacement_dist(v, f.id);
+  return vertex_table_->replacement_dist(v, f.id);
 }
 
 bool DualFaultOracle::reducible(DualSite f1, DualSite f2) const {

@@ -270,13 +270,13 @@ class DualQueryArena {
 /// one oracle concurrently on distinct arenas.
 class DualFaultOracle {
  public:
-  /// `tree`, the engines and `tables` must all come from the same source
-  /// and weight seed; the site list is checked against the tree (CheckError
-  /// on mismatch — the classic cause is loading an artifact with the wrong
-  /// weight_seed).
+  /// `tree`, the single-fault replacement tables and `tables` must all
+  /// come from the same source and weight seed; the site list is checked
+  /// against the tree (CheckError on mismatch — the classic cause is
+  /// loading an artifact with the wrong weight_seed).
   DualFaultOracle(const BfsTree& tree,
-                  const FaultReplacementEngine<EdgeFault>& edge_engine,
-                  const FaultReplacementEngine<VertexFault>& vertex_engine,
+                  const ReplacementTable<EdgeFault>& edge_table,
+                  const ReplacementTable<VertexFault>& vertex_table,
                   const DualSiteTable& tables);
 
   /// dist(s, v, G \ {f1, f2}), order-free in (f1, f2). Preconditions:
@@ -320,8 +320,8 @@ class DualFaultOracle {
   Vertex site_top(std::size_t site) const;
 
   const BfsTree* tree_;
-  const FaultReplacementEngine<EdgeFault>* edge_engine_;
-  const FaultReplacementEngine<VertexFault>* vertex_engine_;
+  const ReplacementTable<EdgeFault>* edge_table_;
+  const ReplacementTable<VertexFault>* vertex_table_;
   const DualSiteTable* tables_;
   const DualSiteDistTable* site_dist_ = nullptr;  // optional accelerator
   std::vector<std::int32_t> edge_site_;    // EdgeId → site index or -1

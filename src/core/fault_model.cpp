@@ -1,7 +1,8 @@
-// fault_model.cpp — the single S0 engine body, instantiated once per fault
-// model. This is the file the two historical engines (replacement.cpp and
-// the engine half of vertex_ftbfs.cpp) collapsed into; the policy hooks in
-// fault_model.hpp are the only thing that differs between the models.
+// fault_model.cpp — the replacement table and the S0 engine bodies,
+// instantiated once per fault model. This is the file the two historical
+// engines (replacement.cpp and the engine half of vertex_ftbfs.cpp)
+// collapsed into; the policy hooks in fault_model.hpp are the only thing
+// that differs between the models.
 #include "src/core/fault_model.hpp"
 
 #include <algorithm>
@@ -89,37 +90,45 @@ void RestrictedIndexRelease::operator()(RestrictedIndex* index) const {
 }  // namespace detail
 
 template <class Model, class Tree>
-FaultReplacementEngine<Model, Tree>::FaultReplacementEngine(const Tree& tree,
-                                                            Config cfg)
-    : tree_(&tree), cfg_(cfg) {
-  FTB_CHECK_MSG(kFullTree<Tree> || !cfg_.restrict_terminals.empty(),
-                "a punctured-tree overlay serves restricted engines only");
+ReplacementTable<Model, Tree>::ReplacementTable(const Tree& tree,
+                                                const Config& cfg)
+    : tree_(&tree) {
+  FTB_CHECK_MSG(kFullTree<Tree> || !cfg.restrict_terminals.empty(),
+                "a punctured-tree overlay serves restricted tables only");
   // Ambient-failure preconditions: at most one punctured element, and the
   // tree must actually be the canonical tree of that punctured graph —
   // otherwise every table row would answer for a different G'.
-  FTB_CHECK_MSG(cfg_.ambient_banned_edge == kInvalidEdge ||
-                    cfg_.ambient_banned_vertex == kInvalidVertex,
-                "at most one ambient failure per engine");
-  FTB_CHECK_MSG(cfg_.ambient_banned_vertex == kInvalidVertex ||
-                    !tree.reachable(cfg_.ambient_banned_vertex),
+  FTB_CHECK_MSG(cfg.ambient_banned_edge == kInvalidEdge ||
+                    cfg.ambient_banned_vertex == kInvalidVertex,
+                "at most one ambient failure per table");
+  FTB_CHECK_MSG(cfg.ambient_banned_vertex == kInvalidVertex ||
+                    !tree.reachable(cfg.ambient_banned_vertex),
                 "ambient vertex is reachable — the tree is not the "
                 "punctured graph's canonical tree");
-  FTB_CHECK_MSG(cfg_.ambient_banned_edge == kInvalidEdge ||
-                    !tree.is_tree_edge(cfg_.ambient_banned_edge),
+  FTB_CHECK_MSG(cfg.ambient_banned_edge == kInvalidEdge ||
+                    !tree.is_tree_edge(cfg.ambient_banned_edge),
                 "ambient edge is a tree edge — the tree is not the "
                 "punctured graph's canonical tree");
-  ThreadPool& pool = cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::global();
-  Timer t;
-  build_dist_tables(pool);
-  stats_.seconds_dist_tables = t.seconds();
-  t.restart();
-  build_pairs(pool);
+  const Timer t;
+  build_dist_tables(cfg, cfg.pool != nullptr ? *cfg.pool : ThreadPool::global());
+  seconds_ = t.seconds();
+}
+
+template <class Model, class Tree>
+FaultReplacementEngine<Model, Tree>::FaultReplacementEngine(const Tree& tree,
+                                                            Config cfg)
+    : cfg_(cfg), table_(tree, cfg_) {
+  stats_.pairs_total = table_.pairs_total();
+  stats_.seconds_dist_tables = table_.seconds();
+  const Timer t;
+  build_pairs(cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::global());
   stats_.seconds_detours = t.seconds();
 }
 
 template <class Model, class Tree>
-void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
-  const Graph& g = graph();
+void ReplacementTable<Model, Tree>::build_dist_tables(const Config& cfg,
+                                                      ThreadPool& pool) {
+  const Graph& g = tree_->graph();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   // Terminal restriction, on the leased index (epoch-stamped, so nothing
@@ -132,7 +141,7 @@ void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
   //  * sweep_sites — fault sites with a restricted terminal in their
   //    subtree (the terminals' ancestors-or-selves): the only sweeps whose
   //    rows anyone reads, collected by path walks below.
-  const bool restricted = !cfg_.restrict_terminals.empty();
+  const bool restricted = !cfg.restrict_terminals.empty();
   std::vector<Vertex> row_vertices;  // restricted: the vertices with rows
   std::vector<Vertex> sweep_sites;   // restricted: exactly the needed sites
   detail::RestrictedIndex* index = nullptr;
@@ -146,7 +155,7 @@ void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
       stamp = index->epoch;
       row_vertices.push_back(v);
     };
-    for (const Vertex v : cfg_.restrict_terminals) {
+    for (const Vertex v : cfg.restrict_terminals) {
       if (!tree_->reachable(v)) continue;
       need_row(v);
       const Vertex p = tree_->parent(v);
@@ -198,7 +207,6 @@ void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
     rows_.assign(static_cast<std::size_t>(row_offset_[n]), kInfHops);
     sites = tree_->preorder();
   }
-  stats_.pairs_total = static_cast<std::int64_t>(rows_.size());
 
   // One replacement-distance computation per fault site; fill the row slot
   // of every vertex below the fault. Sites are the non-source preorder
@@ -223,12 +231,12 @@ void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
       return !restricted ||
              index->row_stamp[static_cast<std::size_t>(v)] == index->epoch;
     };
-    if (cfg_.reference_kernel) {
+    if (cfg.reference_kernel) {
       thread_local std::vector<std::uint8_t> mask;
       BfsBans bans;
       Model::ban(fault, bans, mask, n);
-      bans.banned_edge2 = cfg_.ambient_banned_edge;
-      bans.banned_vertex_one = cfg_.ambient_banned_vertex;
+      bans.banned_edge2 = cfg.ambient_banned_edge;
+      bans.banned_vertex_one = cfg.ambient_banned_vertex;
       const BfsResult res = plain_bfs_reference(g, tree_->source(), bans);
       for (const Vertex v : affected) {
         if (Model::kSkipFailedSite && v == u) continue;
@@ -236,37 +244,23 @@ void FaultReplacementEngine<Model, Tree>::build_dist_tables(ThreadPool& pool) {
         row_slot(v) = res.dist[static_cast<std::size_t>(v)];
       }
       Model::unban(fault, mask);
-    } else if (cfg_.incremental_dist) {
+    } else {
       thread_local ReplacementSweepScratch sweep;
       replacement_dist_sweep(*tree_, Model::sweep_banned_edge(fault),
                              Model::sweep_banned_vertex(fault), affected,
-                             sweep, cfg_.ambient_banned_edge,
-                             cfg_.ambient_banned_vertex);
+                             sweep, cfg.ambient_banned_edge,
+                             cfg.ambient_banned_vertex);
       for (const Vertex v : affected) {
         if (Model::kSkipFailedSite && v == u) continue;
         if (!has_row(v)) continue;
         row_slot(v) = sweep.dist(v);
       }
-    } else {
-      thread_local std::vector<std::uint8_t> mask;
-      thread_local BfsScratch scratch;
-      BfsBans bans;
-      Model::ban(fault, bans, mask, n);
-      bans.banned_edge2 = cfg_.ambient_banned_edge;
-      bans.banned_vertex_one = cfg_.ambient_banned_vertex;
-      bfs_run(g, tree_->source(), bans, scratch);
-      for (const Vertex v : affected) {
-        if (Model::kSkipFailedSite && v == u) continue;
-        if (!has_row(v)) continue;
-        row_slot(v) = scratch.dist(v);
-      }
-      Model::unban(fault, mask);
     }
   });
 }
 
 template <class Model, class Tree>
-std::int32_t FaultReplacementEngine<Model, Tree>::replacement_dist(
+std::int32_t ReplacementTable<Model, Tree>::replacement_dist(
     Vertex v, FaultId fault) const {
   Model::validate_query(*tree_, fault);
   if (!tree_->reachable(v)) return kInfHops;
@@ -293,7 +287,7 @@ struct VertexPairs {
 template <class Model, class Tree>
 void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const Graph& g = graph();
-  const EdgeWeights& W = tree_->weights();
+  const EdgeWeights& W = tree().weights();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   // Restricted engines size every per-terminal structure by the
@@ -314,7 +308,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
                       std::vector<std::int32_t>& uncovered_pos) {
     uncovered_pos.clear();
     for (std::int32_t i = Model::kFirstPos; i < k; ++i) {
-      const std::int32_t rd = table_dist(v, i);
+      const std::int32_t rd = table_.table_dist(v, i);
       if (rd >= kInfHops) {
         ++out.infinite;
         continue;
@@ -325,13 +319,13 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       // — for edges that means the fault is not v's parent edge, for
       // vertices that it is not the parent itself.
       bool is_covered = false;
-      const Vertex parent = tree_->parent(v);
+      const Vertex parent = tree().parent(v);
       if (parent != kInvalidVertex && i + 1 < k) {
-        if (table_dist(parent, i) + 1 == rd) is_covered = true;
+        if (table_.table_dist(parent, i) + 1 == rd) is_covered = true;
       }
       if (!is_covered) {
-        for (const Vertex c : tree_->children(v)) {
-          if (table_dist(c, i) + 1 == rd) {
+        for (const Vertex c : tree().children(v)) {
+          if (table_.table_dist(c, i) + 1 == rd) {
             is_covered = true;
             break;
           }
@@ -360,7 +354,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     // Candidates are only ever consumed at divergence depths ≤
     // max_diverge(deepest uncovered position).
     const std::int32_t jmax = uncovered_pos.back() - Model::kDivergeGap;
-    const EdgeId parent_e = tree_->parent_edge(v);
+    const EdgeId parent_e = tree().parent_edge(v);
     thread_local std::vector<DetourCandidate> det;
     det.assign(static_cast<std::size_t>(jmax) + 1, DetourCandidate{});
     for (std::int32_t j = 0; j <= jmax; ++j) {
@@ -400,7 +394,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     // Positions ascending for the deterministic pair order (classification
     // already filtered the covered / disconnecting ones).
     for (const std::int32_t i : uncovered_pos) {
-      const std::int32_t rd = table_dist(v, i);
+      const std::int32_t rd = table_.table_dist(v, i);
 
       // New-ending pair: divergence point as close to s as possible.
       std::int32_t jstar = -1;
@@ -419,7 +413,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
 
       Pair p;
       p.v = v;
-      Model::set_fault(p, Model::fault_at(*tree_, path, i), i);
+      Model::set_fault(p, Model::fault_at(tree(), path, i), i);
       p.rep_dist = rd;
       p.diverge = path[static_cast<std::size_t>(jstar)];
       p.diverge_depth = jstar;
@@ -452,7 +446,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   // the flatten below re-establishes ascending vertex id.
   pool.parallel_for(terminal_count, [&](std::size_t ti) {
     const Vertex v = restrict_mode ? restricted[ti] : static_cast<Vertex>(ti);
-    const std::int32_t k = tree_->depth(v);
+    const std::int32_t k = tree().depth(v);
     // No failing positions: source/too-shallow or unreachable terminals.
     if (k <= Model::kFirstPos || k >= kInfHops) return;
     VertexPairs<Pair>& out = per_vertex[ti];
@@ -460,7 +454,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     // π(s,v) = u_0..u_k into a reusable buffer.
     thread_local std::vector<Vertex> path;
     path.clear();
-    for (Vertex u = v; u != kInvalidVertex; u = tree_->parent(u)) {
+    for (Vertex u = v; u != kInvalidVertex; u = tree().parent(u)) {
       path.push_back(u);
     }
     std::reverse(path.begin(), path.end());
@@ -496,7 +490,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       // there (see canonical_sp_run).
       std::int32_t max_rd = 0;
       for (const std::int32_t i : uncovered_pos) {
-        max_rd = std::max(max_rd, table_dist(v, i));
+        max_rd = std::max(max_rd, table_.table_dist(v, i));
       }
       thread_local CanonicalSpScratch sps;
       canonical_sp_run(g, W, v, bans, sps, max_rd - 1);
@@ -533,7 +527,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   // and the next terminal's start offset never disagree.
   std::int64_t* offsets = nullptr;
   if (restrict_mode) {
-    offsets = index_->pairs_offset.data();
+    offsets = table_.index_->pairs_offset.data();
   } else {
     pairs_offset_.assign(n + 1, 0);
     offsets = pairs_offset_.data();
@@ -590,18 +584,18 @@ std::span<const Vertex> FaultReplacementEngine<Model, Tree>::detour(
 
 template <class Model, class Tree>
 bool FaultReplacementEngine<Model, Tree>::covered(Vertex v, FaultId fault) const {
-  FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault) &&
-            Model::on_path(*tree_, fault, v));
-  const std::int32_t pos = Model::fault_pos(*tree_, fault);
-  const std::int32_t rd = table_dist(v, pos);
+  FTB_CHECK(tree().reachable(v) && !Model::hits_terminal(v, fault) &&
+            Model::on_path(tree(), fault, v));
+  const std::int32_t pos = Model::fault_pos(tree(), fault);
+  const std::int32_t rd = table_.table_dist(v, pos);
   FTB_CHECK_MSG(rd < kInfHops, "covered() on a disconnecting failure");
-  const std::int32_t k = tree_->depth(v);
-  const Vertex parent = tree_->parent(v);
+  const std::int32_t k = tree().depth(v);
+  const Vertex parent = tree().parent(v);
   if (parent != kInvalidVertex && pos + 1 < k) {
-    if (table_dist(parent, pos) + 1 == rd) return true;
+    if (table_.table_dist(parent, pos) + 1 == rd) return true;
   }
-  for (const Vertex c : tree_->children(v)) {
-    if (table_dist(c, pos) + 1 == rd) return true;
+  for (const Vertex c : tree().children(v)) {
+    if (table_.table_dist(c, pos) + 1 == rd) return true;
   }
   return false;
 }
@@ -609,10 +603,10 @@ bool FaultReplacementEngine<Model, Tree>::covered(Vertex v, FaultId fault) const
 template <class Model, class Tree>
 std::vector<Vertex> FaultReplacementEngine<Model, Tree>::replacement_path(
     Vertex v, FaultId fault) const {
-  Model::validate_query(*tree_, fault);
-  FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault));
-  if (!Model::on_path(*tree_, fault, v)) {
-    return tree_->path_from_source(v);  // π(s,v) is itself a replacement path
+  Model::validate_query(tree(), fault);
+  FTB_CHECK(tree().reachable(v) && !Model::hits_terminal(v, fault));
+  if (!Model::on_path(tree(), fault, v)) {
+    return tree().path_from_source(v);  // π(s,v) is itself a replacement path
   }
   const std::int32_t rd = replacement_dist(v, fault);
   FTB_CHECK_MSG(rd < kInfHops, "no replacement path: failure disconnects v");
@@ -621,7 +615,7 @@ std::vector<Vertex> FaultReplacementEngine<Model, Tree>::replacement_path(
   for (const std::int32_t id : uncovered_of(v)) {
     const Pair& p = pairs_[static_cast<std::size_t>(id)];
     if (Model::fault_of(p) != fault) continue;
-    std::vector<Vertex> out = tree_->path_from_source(p.diverge);
+    std::vector<Vertex> out = tree().path_from_source(p.diverge);
     const auto det = detour(p);
     out.insert(out.end(), det.begin() + 1, det.end());
     return out;
@@ -634,8 +628,8 @@ std::vector<Vertex> FaultReplacementEngine<Model, Tree>::replacement_path(
                                       0);
   for (const Arc& a : g.neighbors(v)) {
     const bool tree_incident =
-        a.edge == tree_->parent_edge(v) ||
-        (tree_->is_tree_edge(a.edge) && tree_->lower_endpoint(a.edge) == a.to);
+        a.edge == tree().parent_edge(v) ||
+        (tree().is_tree_edge(a.edge) && tree().lower_endpoint(a.edge) == a.to);
     if (!tree_incident) edge_mask[static_cast<std::size_t>(a.edge)] = 1;
   }
   BfsBans bans;
@@ -646,12 +640,45 @@ std::vector<Vertex> FaultReplacementEngine<Model, Tree>::replacement_path(
   bans.banned_edge2 = cfg_.ambient_banned_edge;
   bans.banned_vertex_one = cfg_.ambient_banned_vertex;
   const CanonicalSp sp =
-      canonical_sp(g, tree_->weights(), tree_->source(), bans);
+      canonical_sp(g, tree().weights(), tree().source(), bans);
   FTB_CHECK_MSG(sp.reachable(v) && sp.hops[static_cast<std::size_t>(v)] == rd,
                 "covered pair reconstruction does not match the G'(v) test");
   return sp.path_from_source(v);
 }
 
+template <class Model>
+RowAudit audit_replacement_rows(const BfsTree& tree,
+                                std::span<const std::int32_t> rows) {
+  const std::int32_t n = tree.graph().num_vertices();
+  const auto row_count = [&](Vertex v) {
+    const std::int32_t d = tree.depth(v);
+    return d >= kInfHops ? 0 : std::max<std::int32_t>(0, d - Model::kFirstPos);
+  };
+  RowAudit audit;
+  std::size_t total = 0;
+  for (Vertex v = 0; v < n; ++v) total += static_cast<std::size_t>(row_count(v));
+  audit.count_ok = total == rows.size();
+  if (!audit.count_ok) return audit;
+  std::size_t at = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const std::int32_t d = tree.depth(v);
+    for (std::int32_t r = 0; r < row_count(v); ++r, ++at) {
+      const std::int32_t rd = rows[at];
+      if (rd != kInfHops && (rd < d || rd > n - 1)) audit.bounds_ok = false;
+    }
+  }
+  return audit;
+}
+
+template RowAudit audit_replacement_rows<EdgeFault>(
+    const BfsTree&, std::span<const std::int32_t>);
+template RowAudit audit_replacement_rows<VertexFault>(
+    const BfsTree&, std::span<const std::int32_t>);
+
+template class ReplacementTable<EdgeFault>;
+template class ReplacementTable<VertexFault>;
+template class ReplacementTable<EdgeFault, PuncturedTree>;
+template class ReplacementTable<VertexFault, PuncturedTree>;
 template class FaultReplacementEngine<EdgeFault>;
 template class FaultReplacementEngine<VertexFault>;
 template class FaultReplacementEngine<EdgeFault, PuncturedTree>;

@@ -23,11 +23,20 @@
 //                          path may diverge (edges: j ≤ i; vertices:
 //                          j ≤ i−1, strictly above the failed vertex).
 //
-// FaultReplacementEngine<Model> (declared below, defined once in
-// fault_model.cpp) is the single S0 engine; replacement.hpp and
-// vertex_ftbfs.hpp alias it for the two models. A future fault model —
-// e.g. the dual-failure setting of the PAPERS.md follow-ups — is a new
-// policy struct, not a fork. docs/architecture.md walks through the
+// Two types carry it, both defined once in fault_model.cpp:
+//
+//   * ReplacementTable<Model> — the per-failure distance rows and the
+//                          subtree-seeded sweep that fills them: all a
+//                          post-failure query reads, and all the serving
+//                          plane (api::Session, DualFaultOracle) builds;
+//   * FaultReplacementEngine<Model> — a table plus the covered/uncovered
+//                          pair classification and canonical detours the
+//                          constructions consume (build side only);
+//                          replacement.hpp and vertex_ftbfs.hpp alias it
+//                          for the two models.
+//
+// A future fault model — e.g. the dual-failure setting of the PAPERS.md
+// follow-ups — is a new policy struct, not a fork. docs/architecture.md walks through the
 // layering.
 #pragma once
 
@@ -78,9 +87,9 @@ struct VertexFaultPair {
 
 namespace detail {
 
-/// The per-vertex scratch of a restricted engine (fault_model.cpp): row and
+/// The per-vertex scratch of a restricted table (fault_model.cpp): row and
 /// pair offsets plus epoch-stamped membership, leased from a process-wide
-/// pool for the engine's lifetime and handed back by the deleter.
+/// pool for the table's lifetime and handed back by the deleter.
 struct RestrictedIndex;
 struct RestrictedIndexRelease {
   void operator()(RestrictedIndex* index) const;
@@ -243,15 +252,148 @@ struct VertexFault {
   static Vertex sweep_banned_vertex(FaultId f) { return f; }
 };
 
-/// The single S0 engine, generic over the fault model. Construct once per
+/// The replacement-distance rows of one source, generic over the fault
+/// model: dist(s, v, G \ {fault}) for every vertex v below every fault
+/// site, filled by one subtree-seeded sweep per site (dist_sweep.hpp).
+/// This is everything a query needs — the serving plane (api::Session,
+/// DualFaultOracle) holds tables and never classifies a pair; the build
+/// pipelines get the same rows inside a FaultReplacementEngine.
+///
+/// Rows are stored only for vertices below the fault (pairs with the fault
+/// on π(s,v)): row v holds the failures of the positions [kFirstPos,
+/// depth(v)) of π(s,v) — depth(v) rows for edge faults, depth(v) − 1 for
+/// vertex faults (the source and the terminal itself never seed a row). A
+/// full table lays them out in vertex-id order (rows() is then the span
+/// audit_replacement_rows checks); a restricted one only for its
+/// terminals and their parents.
+///
+/// `Tree` is the tree the table answers for: a BfsTree (every full table,
+/// and restricted ones on a materialized tree), or the dual build's
+/// PuncturedTree overlay, which serves restricted tables only.
+template <class Model, class Tree = BfsTree>
+class ReplacementTable {
+ public:
+  using FaultId = typename Model::FaultId;
+
+  struct Config {
+    /// Worker pool; nullptr = ThreadPool::global().
+    ThreadPool* pool = nullptr;
+    /// Run the naive reference kernel (one full queue BFS per fault site)
+    /// instead of the subtree-seeded sweep. Differential-testing / bench
+    /// baseline; the rows are bit-identical either way (and so is the
+    /// engine's pair plane, whose reference canonical SP this also picks).
+    bool reference_kernel = false;
+    /// Ambient first failure: the table then computes over the PUNCTURED
+    /// graph G \ {ambient} — every row (and every covered test and
+    /// canonical detour of an engine on top) excludes the ambient element
+    /// on top of the model's own fault. At most one of the two may be set,
+    /// and the `tree` handed to the constructor must be the canonical tree
+    /// of the same punctured graph (BfsTree's bans overload). This is how
+    /// the dual-failure pipeline (dual_fault.hpp) reuses the single-fault
+    /// engine once per first failure. Defaults reproduce the single-fault
+    /// tables bit-identically.
+    EdgeId ambient_banned_edge = kInvalidEdge;
+    Vertex ambient_banned_vertex = kInvalidVertex;
+    /// Restrict the table (and an engine's pair plane) to these terminals
+    /// (empty = every vertex, the full table). The set must be closed
+    /// under `tree`'s children relation, since the covered test reads the
+    /// tree-neighbor rows of every terminal. Two tree types qualify:
+    ///   * a BfsTree, with any children-closed set — a subtree slice, or a
+    ///     T0-subtree handed to the materialized punctured tree
+    ///     (rebase_punctured_tree: re-parented vertices stay below the
+    ///     fault);
+    ///   * a PuncturedTree overlay, with exactly its affected slice A_f
+    ///     (the T0 preorder slice below the fault) — the only terminals
+    ///     whose children, subtrees and ancestors the overlay answers for.
+    /// With a restriction the table allocates rows only for the terminals
+    /// and their parents and runs sweeps only for fault sites with a
+    /// restricted terminal in their subtree (their ancestors-or-selves);
+    /// an engine enumerates/classifies pairs only for the listed
+    /// terminals. The per-vertex row and pair indexes live in a pooled,
+    /// epoch-stamped scratch written only at the restricted vertices, so a
+    /// build costs the restricted set's tree volume (ancestor sweeps
+    /// included) and no O(n) fill. replacement_dist() is then valid only
+    /// for listed terminals. This is the entry point of the dual-failure
+    /// pipeline: per first-failure site it hands the engine the punctured
+    /// tree plus the affected subtree as the terminal set. The span is
+    /// read during construction only.
+    std::span<const Vertex> restrict_terminals = {};
+  };
+
+  explicit ReplacementTable(const Tree& tree)
+      : ReplacementTable(tree, Config()) {}
+  ReplacementTable(const Tree& tree, const Config& cfg);
+
+  const Tree& tree() const { return *tree_; }
+
+  /// dist(s, v, G \ {fault}) for any vertex v and any fault. O(1):
+  ///  * fault not on π(s,v)  → dist(s,v,G) (π survives);
+  ///  * fault ∈ π(s,v)       → stored table row;
+  ///  * disconnected / fault destroys v itself → kInfHops.
+  /// Vertex model only: the source never fails (CheckError).
+  std::int32_t replacement_dist(Vertex v, FaultId fault) const;
+
+  /// Every stored row (Σ_v max(0, depth(v) − kFirstPos) for a full
+  /// table, in vertex-id order).
+  std::span<const std::int32_t> rows() const { return rows_; }
+  /// All ⟨v,fault⟩ with fault ∈ π(s,v) — one per stored row.
+  std::int64_t pairs_total() const {
+    return static_cast<std::int64_t>(rows_.size());
+  }
+  /// Wall time of the sweeps that filled the rows.
+  double seconds() const { return seconds_; }
+
+ private:
+  template <class, class>
+  friend class FaultReplacementEngine;
+
+  void build_dist_tables(const Config& cfg, ThreadPool& pool);
+
+  /// Stored row index: the fault at path position i of π(s,v) lives at
+  /// rows_[row_off_[v] + i − Model::kFirstPos].
+  std::int32_t table_dist(Vertex v, std::int32_t pos) const {
+    return rows_[static_cast<std::size_t>(
+        row_off_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
+  }
+
+  const Tree* tree_;
+  // Per-vertex row index: owned by a full table, leased (written only at
+  // the restricted vertices) by a restricted one. row_off_ points at
+  // whichever holds it; a restricted engine keeps its pair offsets in the
+  // same lease.
+  std::vector<std::int64_t> row_offset_;  // full: per vertex, n + 1
+  std::unique_ptr<detail::RestrictedIndex, detail::RestrictedIndexRelease>
+      index_;                             // restricted
+  const std::int64_t* row_off_ = nullptr;
+  std::vector<std::int32_t> rows_;
+  double seconds_ = 0;
+};
+
+/// Checks a full table's rows against its tree: `count_ok` iff there are
+/// exactly Σ_v max(0, depth(v) − kFirstPos) of them, `bounds_ok` iff every
+/// row of v is kInfHops or lies in [depth(v), n − 1] (a failure never
+/// shortens a distance, and a simple path has at most n − 1 edges). The
+/// bounds are read only when the count matches. Session::fsck runs it per
+/// source and model.
+struct RowAudit {
+  bool count_ok = true;
+  bool bounds_ok = true;
+};
+template <class Model>
+RowAudit audit_replacement_rows(const BfsTree& tree,
+                                std::span<const std::int32_t> rows);
+
+/// The S0 engine, generic over the fault model: a ReplacementTable plus
+/// the covered/uncovered classification of every ⟨v, fault⟩ pair and the
+/// canonical detours of the uncovered ones — the build-time input of
+/// S1/S2, the vertex/dual pipelines and the optimizer. Construct once per
 /// (graph, source, weights); everything else reads from it.
 ///
 /// Engine realization (see replacement.hpp's file comment and DESIGN.md for
 /// the equivalence proofs; everything below holds verbatim for both models
 /// with the policy hooks substituted):
 ///   * one replacement-distance computation per fault site gives
-///     dist(s,·,G\{fault}); rows are stored only for vertices below the
-///     fault (pairs with the fault on π(s,v));
+///     dist(s,·,G\{fault}) — the table;
 ///   * the covered test for ⟨v,fault⟩ reduces to: some T0-neighbor u of v,
 ///     not destroyed by the fault, with dist_f(u) + 1 = dist_f(v);
 ///   * one canonical BFS from v in the off-path graph
@@ -260,82 +402,34 @@ struct VertexFault {
 ///     the divergence point of the pair at position i is u_{j*} with
 ///     j* = min{ j ≤ i − kDivergeGap : j + detlen(j) = dist_f(v) }.
 /// Both sweeps are O(n·m) total and run on the thread pool.
-///
-/// `Tree` is the tree the engine answers for: a BfsTree (every full engine,
-/// and restricted ones on a materialized tree), or the dual build's
-/// PuncturedTree overlay, which serves restricted engines only.
 template <class Model, class Tree = BfsTree>
 class FaultReplacementEngine {
  public:
   using FaultId = typename Model::FaultId;
   using Pair = typename Model::Pair;
+  using Table = ReplacementTable<Model, Tree>;
 
-  struct Config {
+  /// The table's knobs (pool, reference kernel, ambient failure, terminal
+  /// restriction — see ReplacementTable::Config) plus the pair plane's.
+  struct Config : Table::Config {
     /// Record detour vertex lists (needed by the interference machinery of
     /// the ε algorithm and by replacement_path(); the ESA'13 baselines can
     /// skip them).
     bool collect_detours = true;
-    /// Worker pool; nullptr = ThreadPool::global().
-    ThreadPool* pool = nullptr;
-    /// Run the naive reference kernels (one full queue BFS per fault,
-    /// materializing two-pass canonical SP per vertex) instead of the
-    /// scratch-arena kernels. Differential-testing / bench baseline; the
-    /// produced tables and pairs are bit-identical either way.
-    bool reference_kernel = false;
-    /// Distance tables via the subtree-seeded replacement sweep
-    /// (dist_sweep.hpp) instead of one full kernel BFS per fault site.
-    /// Ignored under reference_kernel.
-    bool incremental_dist = true;
-    /// Ambient first failure: the engine then computes over the PUNCTURED
-    /// graph G \ {ambient} — every table row, covered test and canonical
-    /// detour excludes the ambient element on top of the model's own fault.
-    /// At most one of the two may be set, and the `tree` handed to the
-    /// constructor must be the canonical tree of the same punctured graph
-    /// (BfsTree's bans overload). This is how the dual-failure pipeline
-    /// (dual_fault.hpp) reuses the single-fault engine once per first
-    /// failure. Defaults reproduce the single-fault engine bit-identically.
-    EdgeId ambient_banned_edge = kInvalidEdge;
-    Vertex ambient_banned_vertex = kInvalidVertex;
-    /// Restrict the pair plane to these terminals (empty = every vertex,
-    /// the full engine). The set must be closed under `tree`'s children
-    /// relation, since the covered test reads the tree-neighbor rows of
-    /// every terminal. Two tree types qualify:
-    ///   * a BfsTree, with any children-closed set — a subtree slice, or a
-    ///     T0-subtree handed to the materialized punctured tree
-    ///     (rebase_punctured_tree: re-parented vertices stay below the
-    ///     fault);
-    ///   * a PuncturedTree overlay, with exactly its affected slice A_f
-    ///     (the T0 preorder slice below the fault) — the only terminals
-    ///     whose children, subtrees and ancestors the overlay answers for.
-    /// With a restriction the engine allocates table rows only for the
-    /// terminals and their parents, runs sweeps only for fault sites with a
-    /// restricted terminal in their subtree (their ancestors-or-selves)
-    /// and enumerates/classifies pairs only for the listed terminals. Its
-    /// per-vertex row and pair indexes live in a pooled, epoch-stamped
-    /// scratch written only at the restricted vertices, so a build costs
-    /// the restricted set's tree volume (ancestor sweeps included) and no
-    /// O(n) fill. uncovered_pairs() then holds exactly the full engine's
-    /// pairs whose terminal is listed, and replacement_dist() /
-    /// uncovered_of() are valid only for listed terminals. This is the
-    /// entry point of the dual-failure pipeline: per first-failure site it
-    /// hands the engine the punctured tree plus the affected subtree as the
-    /// terminal set. The span is read during construction only.
-    std::span<const Vertex> restrict_terminals = {};
   };
 
   explicit FaultReplacementEngine(const Tree& tree)
       : FaultReplacementEngine(tree, Config()) {}
   FaultReplacementEngine(const Tree& tree, Config cfg);
 
-  const Tree& tree() const { return *tree_; }
-  const Graph& graph() const { return tree_->graph(); }
+  const Tree& tree() const { return table_.tree(); }
+  const Graph& graph() const { return tree().graph(); }
+  const Table& table() const { return table_; }
 
-  /// dist(s, v, G \ {fault}) for any vertex v and any fault. O(1):
-  ///  * fault not on π(s,v)  → dist(s,v,G) (π survives);
-  ///  * fault ∈ π(s,v)       → stored table row;
-  ///  * disconnected / fault destroys v itself → kInfHops.
-  /// Vertex model only: the source never fails (CheckError).
-  std::int32_t replacement_dist(Vertex v, FaultId fault) const;
+  /// dist(s, v, G \ {fault}); see ReplacementTable::replacement_dist.
+  std::int32_t replacement_dist(Vertex v, FaultId fault) const {
+    return table_.replacement_dist(v, fault);
+  }
 
   /// All uncovered pairs, grouped by terminal v and ordered by increasing
   /// fault position within each terminal.
@@ -372,30 +466,16 @@ class FaultReplacementEngine {
   const Stats& stats() const { return stats_; }
 
  private:
-  void build_dist_tables(ThreadPool& pool);
   void build_pairs(ThreadPool& pool);
 
-  /// Stored row index: the fault at path position i of π(s,v) lives at
-  /// rows_[row_off_[v] + i − Model::kFirstPos].
-  std::int32_t table_dist(Vertex v, std::int32_t pos) const {
-    return rows_[static_cast<std::size_t>(
-        row_off_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
-  }
-
-  const Tree* tree_;
   Config cfg_;
+  Table table_;
 
-  // Per-vertex indexes: owned by a full engine, leased (written only at
-  // the restricted vertices) by a restricted one. row_off_ / pair_off_
-  // point at whichever holds them.
-  std::vector<std::int64_t> row_offset_;    // full: per vertex
-  std::vector<std::int64_t> pairs_offset_;  // full: per vertex, n + 1
-  std::unique_ptr<detail::RestrictedIndex, detail::RestrictedIndexRelease>
-      index_;                               // restricted
-  const std::int64_t* row_off_ = nullptr;
+  // Per-vertex pair index: owned by a full engine (n + 1), or the table's
+  // lease (written only at the restricted terminals) for a restricted one.
+  std::vector<std::int64_t> pairs_offset_;
   const std::int64_t* pair_off_ = nullptr;
 
-  std::vector<std::int32_t> rows_;        // Σ_v (depth(v) − kFirstPos) rows
   std::vector<Pair> pairs_;
   std::vector<std::int32_t> pair_ids_;      // pair indices grouped by v
   std::vector<Vertex> detour_arena_;
@@ -404,6 +484,10 @@ class FaultReplacementEngine {
 };
 
 // The instantiations live in fault_model.cpp.
+extern template class ReplacementTable<EdgeFault>;
+extern template class ReplacementTable<VertexFault>;
+extern template class ReplacementTable<EdgeFault, PuncturedTree>;
+extern template class ReplacementTable<VertexFault, PuncturedTree>;
 extern template class FaultReplacementEngine<EdgeFault>;
 extern template class FaultReplacementEngine<VertexFault>;
 extern template class FaultReplacementEngine<EdgeFault, PuncturedTree>;

@@ -278,7 +278,7 @@ DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
 // ---------------------------------------------------------------------------
 // Session-served drills: the surviving-graph side of every comparison is a
 // batched in-model query (the FT contract pins it to dist(s,·,G\{fault}),
-// an O(1) engine lookup), so each drill costs one literal traversal (the
+// an O(1) table lookup), so each drill costs one literal traversal (the
 // surviving structure) instead of two.
 
 namespace {

@@ -77,7 +77,7 @@ DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
 /// Session-served drill: same storm, same report shape and the same
 /// violation semantics as the structure overloads, but the surviving-graph
 /// side of every comparison comes from ONE batched in-model query() call
-/// (O(1) per query off the engine tables) instead of a literal BFS of
+/// (O(1) per query off the replacement tables) instead of a literal BFS of
 /// G \ {fault} per drill — halving the traversals per drill and exercising
 /// the production query plane. `storm` must be covered by the session's
 /// fault model (CheckError otherwise); kEither runs both single-fault

@@ -451,6 +451,107 @@ TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndRebuilds) {
   std::remove(path.c_str());
 }
 
+/// Flips one bit inside a saved v5 artifact's pair-table payload, so a
+/// tolerant load recomputes the tables and serves degraded (CRC-32C
+/// catches every single-bit error).
+void corrupt_pair_tables(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string bytes = buf.str();
+  const std::size_t hdr = bytes.find("section pair-tables ");
+  ASSERT_NE(hdr, std::string::npos);
+  const std::size_t payload = bytes.find('\n', hdr) + 1;
+  bytes[payload + 40] ^= 0x10;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(ApiSession, SingleFaultAnswersMatchBuildSideEnginesAcrossLoads) {
+  // Sessions serve off replacement tables, not engines: every in-model
+  // single-fault answer of a deployed, a v5-loaded, a v6-loaded and (for
+  // the dual model, the only one with pair tables to drop) a degraded
+  // session equals a build-side engine's replacement_dist, for every fault
+  // model at σ = 3.
+  const Graph g = gen::random_connected(24, 60, 5);
+  const std::vector<Vertex> sources = {0, 9, 17};
+  const std::string v5 = ::testing::TempDir() + "/api_session_tables.v5";
+  const std::string v6 = ::testing::TempDir() + "/api_session_tables.v6";
+  for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
+                                 FaultClass::kEither, FaultClass::kDual}) {
+    SCOPED_TRACE(to_string(model));
+    api::BuildSpec spec;
+    spec.fault_model = model;
+    spec.sources = sources;
+    const api::Session deployed =
+        api::Session::deploy(g, api::build(g, spec));
+    deployed.save_v5(v5);
+    deployed.save_v6(v6);
+    std::vector<std::pair<const char*, api::Session>> sessions = {
+        {"deploy", deployed},
+        {"v5 load", api::Session::load(g, v5)},
+        {"v6 load", api::Session::load(g, v6)}};
+    if (model == FaultClass::kDual) {
+      corrupt_pair_tables(v5);
+      sessions.emplace_back("degraded load", api::Session::load(g, v5));
+      ASSERT_TRUE(sessions.back().second.degraded());
+    }
+
+    // Every single fault of the model's kinds, from every source, with the
+    // build side's answer.
+    const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+    std::vector<Query> batch;
+    std::vector<std::int32_t> want;
+    for (std::size_t si = 0; si < sources.size(); ++si) {
+      const BfsTree tree(g, w, sources[si]);
+      Query q;
+      q.source_index = static_cast<std::int32_t>(si);
+      if (model != FaultClass::kVertex) {
+        const ReplacementPathEngine engine(tree);
+        q.kind = FaultClass::kEdge;
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            q.v = v;
+            q.fault = e;
+            batch.push_back(q);
+            want.push_back(engine.replacement_dist(v, e));
+          }
+        }
+      }
+      if (model != FaultClass::kEdge) {
+        const VertexReplacementEngine engine(tree);
+        q.kind = FaultClass::kVertex;
+        for (Vertex x = 0; x < g.num_vertices(); ++x) {
+          if (x == sources[si]) continue;
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            q.v = v;
+            q.fault = x;
+            batch.push_back(q);
+            want.push_back(engine.replacement_dist(v, x));
+          }
+        }
+      }
+    }
+    for (const auto& [how, session] : sessions) {
+      const QueryResponse resp = session.query(batch);
+      std::int64_t served = 0;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const QueryOutcome o = resp.results[i].outcome;
+        if (o != QueryOutcome::kInModel && o != QueryOutcome::kDegraded) {
+          continue;
+        }
+        ++served;
+        ASSERT_EQ(resp.results[i].dist, want[i])
+            << how << " source_index=" << batch[i].source_index
+            << " v=" << batch[i].v << " fault=" << batch[i].fault;
+      }
+      EXPECT_GT(served, static_cast<std::int64_t>(batch.size()) / 2) << how;
+    }
+  }
+  std::remove(v5.c_str());
+  std::remove(v6.c_str());
+}
+
 TEST(ApiSession, InlineCutoverBoundaryBitIdentical) {
   // BatchOptions::inline_threshold pins the strategy: a batch exactly at
   // the threshold serves inline on the caller thread, one past it shards
@@ -516,18 +617,7 @@ TEST(ApiSession, InlineCutoverBoundaryOnDegradedSessions) {
   const std::string path =
       ::testing::TempDir() + "/api_session_cutover_degraded.ftbfs";
   fresh.save_v5(path);
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
-    const std::size_t hdr = bytes.find("section pair-tables ");
-    ASSERT_NE(hdr, std::string::npos);
-    const std::size_t payload = bytes.find('\n', hdr) + 1;
-    bytes[payload + 40] ^= 0x10;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
+  corrupt_pair_tables(path);
   const api::Session session = api::Session::load(g, path);
   ASSERT_TRUE(session.degraded());
 
@@ -721,20 +811,7 @@ TEST(ApiSessionConcurrency, DegradedSessionServesConcurrentStorms) {
   const std::string path =
       ::testing::TempDir() + "/api_session_degraded.ftbfs";
   fresh.save_v5(path);
-  {
-    // Flip one bit in the pair-table payload so the tolerant reload
-    // degrades (CRC-32C catches every single-bit error).
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
-    const std::size_t hdr = bytes.find("section pair-tables ");
-    ASSERT_NE(hdr, std::string::npos);
-    const std::size_t payload = bytes.find('\n', hdr) + 1;
-    bytes[payload + 40] ^= 0x10;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
+  corrupt_pair_tables(path);
   const api::Session session = api::Session::load(g, path);
   ASSERT_TRUE(session.degraded());
 

@@ -278,33 +278,28 @@ TEST(EngineEquivalence, ReferenceAndOptimizedKernelsAgree) {
     ReplacementPathEngine::Config ref_cfg;
     ref_cfg.reference_kernel = true;
     const ReplacementPathEngine ref(tree, ref_cfg);
+    const ReplacementPathEngine opt(tree);
 
-    for (const bool incremental : {false, true}) {
-      ReplacementPathEngine::Config cfg;
-      cfg.incremental_dist = incremental;
-      const ReplacementPathEngine opt(tree, cfg);
-
-      ASSERT_EQ(opt.stats().pairs_total, ref.stats().pairs_total) << fc.name;
-      ASSERT_EQ(opt.stats().pairs_covered, ref.stats().pairs_covered)
-          << fc.name;
-      ASSERT_EQ(opt.stats().pairs_infinite, ref.stats().pairs_infinite)
-          << fc.name;
-      const auto& rp = ref.uncovered_pairs();
-      const auto& op = opt.uncovered_pairs();
-      ASSERT_EQ(op.size(), rp.size()) << fc.name;
-      for (std::size_t i = 0; i < rp.size(); ++i) {
-        ASSERT_EQ(op[i].v, rp[i].v) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].e, rp[i].e) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].rep_dist, rp[i].rep_dist) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].diverge, rp[i].diverge) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].last_edge, rp[i].last_edge) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].detour_len, rp[i].detour_len) << fc.name << " i=" << i;
-        const auto rd = ref.detour(rp[i]);
-        const auto od = opt.detour(op[i]);
-        ASSERT_EQ(std::vector<Vertex>(od.begin(), od.end()),
-                  std::vector<Vertex>(rd.begin(), rd.end()))
-            << fc.name << " i=" << i;
-      }
+    ASSERT_EQ(opt.stats().pairs_total, ref.stats().pairs_total) << fc.name;
+    ASSERT_EQ(opt.stats().pairs_covered, ref.stats().pairs_covered)
+        << fc.name;
+    ASSERT_EQ(opt.stats().pairs_infinite, ref.stats().pairs_infinite)
+        << fc.name;
+    const auto& rp = ref.uncovered_pairs();
+    const auto& op = opt.uncovered_pairs();
+    ASSERT_EQ(op.size(), rp.size()) << fc.name;
+    for (std::size_t i = 0; i < rp.size(); ++i) {
+      ASSERT_EQ(op[i].v, rp[i].v) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].e, rp[i].e) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].rep_dist, rp[i].rep_dist) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].diverge, rp[i].diverge) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].last_edge, rp[i].last_edge) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].detour_len, rp[i].detour_len) << fc.name << " i=" << i;
+      const auto rd = ref.detour(rp[i]);
+      const auto od = opt.detour(op[i]);
+      ASSERT_EQ(std::vector<Vertex>(od.begin(), od.end()),
+                std::vector<Vertex>(rd.begin(), rd.end()))
+          << fc.name << " i=" << i;
     }
   }
 }
@@ -317,26 +312,21 @@ TEST(EngineEquivalence, VertexEngineReferenceAndOptimizedAgree) {
     VertexReplacementEngine::Config ref_cfg;
     ref_cfg.reference_kernel = true;
     const VertexReplacementEngine ref(tree, ref_cfg);
+    const VertexReplacementEngine opt(tree);
 
-    for (const bool incremental : {false, true}) {
-      VertexReplacementEngine::Config cfg;
-      cfg.incremental_dist = incremental;
-      const VertexReplacementEngine opt(tree, cfg);
-
-      ASSERT_EQ(opt.stats().pairs_covered, ref.stats().pairs_covered)
-          << fc.name;
-      ASSERT_EQ(opt.stats().pairs_infinite, ref.stats().pairs_infinite)
-          << fc.name;
-      const auto& rp = ref.uncovered_pairs();
-      const auto& op = opt.uncovered_pairs();
-      ASSERT_EQ(op.size(), rp.size()) << fc.name;
-      for (std::size_t i = 0; i < rp.size(); ++i) {
-        ASSERT_EQ(op[i].v, rp[i].v) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].x, rp[i].x) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].rep_dist, rp[i].rep_dist) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].diverge, rp[i].diverge) << fc.name << " i=" << i;
-        ASSERT_EQ(op[i].last_edge, rp[i].last_edge) << fc.name << " i=" << i;
-      }
+    ASSERT_EQ(opt.stats().pairs_covered, ref.stats().pairs_covered)
+        << fc.name;
+    ASSERT_EQ(opt.stats().pairs_infinite, ref.stats().pairs_infinite)
+        << fc.name;
+    const auto& rp = ref.uncovered_pairs();
+    const auto& op = opt.uncovered_pairs();
+    ASSERT_EQ(op.size(), rp.size()) << fc.name;
+    for (std::size_t i = 0; i < rp.size(); ++i) {
+      ASSERT_EQ(op[i].v, rp[i].v) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].x, rp[i].x) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].rep_dist, rp[i].rep_dist) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].diverge, rp[i].diverge) << fc.name << " i=" << i;
+      ASSERT_EQ(op[i].last_edge, rp[i].last_edge) << fc.name << " i=" << i;
     }
   }
 }

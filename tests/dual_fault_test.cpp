@@ -232,7 +232,8 @@ TEST(DualFault, OracleFastPathsAreExactAndTraversalFree) {
   VertexReplacementEngine::Config vcfg;
   vcfg.collect_detours = false;
   const VertexReplacementEngine ve(tree, vcfg);
-  const DualFaultOracle oracle(tree, ee, ve, res.dual_tables.front());
+  const DualFaultOracle oracle(tree, ee.table(), ve.table(),
+                               res.dual_tables.front());
   DualQueryArena arena;
 
   // (a) a doubled element degenerates to the single-fault tables;
@@ -319,7 +320,8 @@ TEST(DualFault, OracleArenaCountsHitsMissesAndEvictions) {
   VertexReplacementEngine::Config vcfg;
   vcfg.collect_detours = false;
   const VertexReplacementEngine ve(tree, vcfg);
-  const DualFaultOracle oracle(tree, ee, ve, res.dual_tables.front());
+  const DualFaultOracle oracle(tree, ee.table(), ve.table(),
+                               res.dual_tables.front());
   DualQueryArena arena;
 
   // Two distinct non-reducible pairs: adjacent tree edges always share a

@@ -16,6 +16,9 @@
 //     engines read exactly like the referee's full rebased BfsTree, on
 //     every site, in T0 DFS order and in shuffled order, and a workspace
 //     rebound to a new tree at a recycled address starts fresh;
+//   * a full ReplacementTable answers every fault and every vertex like a
+//     literal BFS of the punctured graph, and a table restricted to a
+//     subtree slice agrees with it at every listed terminal;
 //   * vertex-fault StructureOracle queries agree with literal BFS on
 //     G \ {x} exhaustively at small n.
 // Failing property cases print their one-command reproduction via
@@ -26,6 +29,7 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <type_traits>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dist_sweep.hpp"
@@ -41,41 +45,38 @@ namespace {
 
 template <class Model>
 void expect_engines_bit_identical(const BfsTree& tree) {
-  typename FaultReplacementEngine<Model>::Config ref_cfg, opt_cfg;
+  typename FaultReplacementEngine<Model>::Config ref_cfg;
   ref_cfg.reference_kernel = true;
   const FaultReplacementEngine<Model> ref(tree, ref_cfg);
-  // Both kernel paths of the optimized engine.
-  for (const bool incremental : {true, false}) {
-    opt_cfg.incremental_dist = incremental;
-    const FaultReplacementEngine<Model> opt(tree, opt_cfg);
+  const FaultReplacementEngine<Model> opt(tree);
 
-    const auto& rp = ref.uncovered_pairs();
-    const auto& op = opt.uncovered_pairs();
-    ASSERT_EQ(rp.size(), op.size());
-    for (std::size_t i = 0; i < rp.size(); ++i) {
-      ASSERT_EQ(rp[i].v, op[i].v) << i;
-      ASSERT_EQ(Model::fault_of(rp[i]), Model::fault_of(op[i])) << i;
-      ASSERT_EQ(Model::pos_of(rp[i]), Model::pos_of(op[i])) << i;
-      ASSERT_EQ(rp[i].rep_dist, op[i].rep_dist) << i;
-      ASSERT_EQ(rp[i].diverge, op[i].diverge) << i;
-      ASSERT_EQ(rp[i].diverge_depth, op[i].diverge_depth) << i;
-      ASSERT_EQ(rp[i].last_edge, op[i].last_edge) << i;
-      ASSERT_EQ(rp[i].detour_len, op[i].detour_len) << i;
-      const auto rd = ref.detour(rp[i]);
-      const auto od = opt.detour(op[i]);
-      ASSERT_TRUE(std::equal(rd.begin(), rd.end(), od.begin(), od.end()))
-          << i;
-    }
-    const auto& rs = ref.stats();
-    const auto& os = opt.stats();
-    EXPECT_EQ(rs.pairs_total, os.pairs_total);
-    EXPECT_EQ(rs.pairs_covered, os.pairs_covered);
-    EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
-    EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
-    EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
+  const auto rr = ref.table().rows();
+  const auto orows = opt.table().rows();
+  ASSERT_TRUE(std::equal(rr.begin(), rr.end(), orows.begin(), orows.end()));
+  const auto& rp = ref.uncovered_pairs();
+  const auto& op = opt.uncovered_pairs();
+  ASSERT_EQ(rp.size(), op.size());
+  for (std::size_t i = 0; i < rp.size(); ++i) {
+    ASSERT_EQ(rp[i].v, op[i].v) << i;
+    ASSERT_EQ(Model::fault_of(rp[i]), Model::fault_of(op[i])) << i;
+    ASSERT_EQ(Model::pos_of(rp[i]), Model::pos_of(op[i])) << i;
+    ASSERT_EQ(rp[i].rep_dist, op[i].rep_dist) << i;
+    ASSERT_EQ(rp[i].diverge, op[i].diverge) << i;
+    ASSERT_EQ(rp[i].diverge_depth, op[i].diverge_depth) << i;
+    ASSERT_EQ(rp[i].last_edge, op[i].last_edge) << i;
+    ASSERT_EQ(rp[i].detour_len, op[i].detour_len) << i;
+    const auto rd = ref.detour(rp[i]);
+    const auto od = opt.detour(op[i]);
+    ASSERT_TRUE(std::equal(rd.begin(), rd.end(), od.begin(), od.end())) << i;
   }
+  const auto& rs = ref.stats();
+  const auto& os = opt.stats();
+  EXPECT_EQ(rs.pairs_total, os.pairs_total);
+  EXPECT_EQ(rs.pairs_covered, os.pairs_covered);
+  EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
+  EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
+  EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
 }
-
 
 /// Every first-failure site of `base` (edge sites, then vertex sites) with
 /// its affected subtree root.
@@ -323,6 +324,87 @@ TEST_P(FaultModelFamilyTest, RestrictedEngineMatchesFullEngineOnTerminals) {
     run(EdgeFault{});
     run(VertexFault{});
   }
+}
+
+/// Every fault of `Model` in G, source excluded for vertex faults: the
+/// failure universe a table answers for (tree sites and the faults off
+/// every tree path alike).
+template <class Model>
+std::vector<typename Model::FaultId> all_faults(const BfsTree& tree) {
+  std::vector<typename Model::FaultId> faults;
+  if constexpr (std::is_same_v<Model, EdgeFault>) {
+    for (EdgeId e = 0; e < tree.graph().num_edges(); ++e) faults.push_back(e);
+  } else {
+    for (Vertex x = 0; x < tree.graph().num_vertices(); ++x) {
+      if (x != tree.source()) faults.push_back(x);
+    }
+  }
+  return faults;
+}
+
+TEST_P(FaultModelFamilyTest, ReplacementTableMatchesBruteForce) {
+  // A full table answers dist(s, v, G \ {f}) for every fault and every v
+  // exactly like a literal BFS of the punctured graph.
+  const test::PropertyCase& pc = sweep_cases()[GetParam()];
+  FTB_PROPERTY_TRACE(pc, "fault_model_test");
+  const EdgeWeights w = EdgeWeights::uniform_random(pc.graph, 48);
+  const BfsTree tree(pc.graph, w, pc.source);
+  const auto run = [&](auto model_tag) {
+    using Model = decltype(model_tag);
+    const ReplacementTable<Model> table(tree);
+    EXPECT_EQ(table.pairs_total(),
+              static_cast<std::int64_t>(table.rows().size()));
+    for (const auto f : all_faults<Model>(tree)) {
+      BfsBans bans;
+      if constexpr (std::is_same_v<Model, EdgeFault>) {
+        bans.banned_edge = f;
+      } else {
+        bans.banned_vertex_one = f;
+      }
+      const BfsResult bfs = plain_bfs_reference(pc.graph, pc.source, bans);
+      for (Vertex v = 0; v < pc.graph.num_vertices(); ++v) {
+        ASSERT_EQ(table.replacement_dist(v, f),
+                  bfs.dist[static_cast<std::size_t>(v)])
+            << to_string(Model::kClass) << " f=" << f << " v=" << v;
+      }
+    }
+  };
+  run(EdgeFault{});
+  run(VertexFault{});
+}
+
+TEST_P(FaultModelFamilyTest, RestrictedTableMatchesFullTableOnTerminals) {
+  // A table restricted to a BfsTree subtree slice answers every listed
+  // terminal, under every fault, exactly like the full table.
+  const test::PropertyCase& pc = sweep_cases()[GetParam()];
+  FTB_PROPERTY_TRACE(pc, "fault_model_test");
+  const EdgeWeights w = EdgeWeights::uniform_random(pc.graph, 49);
+  const BfsTree tree(pc.graph, w, pc.source);
+  const auto run = [&](auto model_tag) {
+    using Model = decltype(model_tag);
+    const ReplacementTable<Model> full(tree);
+    const auto faults = all_faults<Model>(tree);
+    // Every subtree slice on small trees, a deterministic stride on big
+    // ones (each slice already checks |slice| · |faults| answers).
+    const auto& pre = tree.preorder();
+    const std::size_t stride = std::max<std::size_t>(1, pre.size() / 12);
+    for (std::size_t i = 0; i < pre.size(); i += stride) {
+      const Vertex top = pre[i];
+      typename ReplacementTable<Model>::Config cfg;
+      cfg.restrict_terminals = tree.subtree(top);
+      const ReplacementTable<Model> restricted(tree, cfg);
+      for (const Vertex v : cfg.restrict_terminals) {
+        for (const auto f : faults) {
+          ASSERT_EQ(restricted.replacement_dist(v, f),
+                    full.replacement_dist(v, f))
+              << to_string(Model::kClass) << " top=" << top << " v=" << v
+              << " f=" << f;
+        }
+      }
+    }
+  };
+  run(EdgeFault{});
+  run(VertexFault{});
 }
 
 TEST_P(FaultModelFamilyTest, PuncturedOverlayMatchesRebasedTree) {

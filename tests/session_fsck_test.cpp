@@ -1,11 +1,12 @@
 // session_fsck_test.cpp — the graceful-degradation plane: fsck's audit on
-// clean and degraded sessions, the seeded property that a session reloaded
-// from a corrupted pair-table artifact serves the full query mix with
-// answers BIT-IDENTICAL to a fresh build (outcomes downgraded to
-// kDegraded), per-batch traversal budgets/deadlines, and the end-to-end
-// chaos drill.
+// clean and degraded sessions (replacement-table rows included), the
+// seeded property that a session reloaded from a corrupted pair-table
+// artifact serves the full query mix with answers BIT-IDENTICAL to a fresh
+// build (outcomes downgraded to kDegraded), per-batch traversal
+// budgets/deadlines, and the end-to-end chaos drill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "src/api/ftbfs_api.hpp"
+#include "src/core/fault_model.hpp"
+#include "src/graph/bfs_tree.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sim/failure_sim.hpp"
 #include "src/util/rng.hpp"
@@ -57,8 +60,8 @@ bool corrupt_pair_table_payload(const std::string& path, Rng& rng) {
 }
 
 /// The query mix of the degradation property: pairs (the degraded plane),
-/// single faults (never degraded — engines are always graph-rebuilt) and
-/// one refusal (the source itself failing).
+/// single faults (never degraded — replacement tables are always
+/// graph-rebuilt) and one refusal (the source itself failing).
 std::vector<Query> mixed_batch(const Graph& g, Vertex source,
                                std::uint64_t seed) {
   test::FaultSampler sampler(g, source, seed);
@@ -117,6 +120,46 @@ TEST(SessionFsck, CleanMultiSourceEdgeSessionPasses) {
   EXPECT_TRUE(rep.ok) << rep.to_string();
   EXPECT_FALSE(rep.degraded);
   EXPECT_GT(rep.checks, 0);
+}
+
+// The replacement-table audit fsck runs per source and model: the live
+// rows pass, and a copy with one row lowered below its vertex's
+// failure-free depth (or one row missing) fails.
+template <class Model>
+void expect_row_audit_catches_mutants(const BfsTree& tree) {
+  const ReplacementTable<Model> table(tree);
+  const RowAudit clean = audit_replacement_rows<Model>(tree, table.rows());
+  EXPECT_TRUE(clean.count_ok && clean.bounds_ok) << to_string(Model::kClass);
+
+  // The deepest vertex's first row: position kFirstPos of its path.
+  Vertex deepest = tree.source();
+  std::size_t at = 0, deepest_at = 0;
+  for (Vertex v = 0; v < tree.graph().num_vertices(); ++v) {
+    if (!tree.reachable(v)) continue;
+    if (tree.depth(v) > tree.depth(deepest)) {
+      deepest = v;
+      deepest_at = at;
+    }
+    at += static_cast<std::size_t>(
+        std::max(0, tree.depth(v) - Model::kFirstPos));
+  }
+  ASSERT_GT(tree.depth(deepest), Model::kFirstPos);
+  std::vector<std::int32_t> lowered(table.rows().begin(), table.rows().end());
+  lowered[deepest_at] = tree.depth(deepest) - 1;
+  const RowAudit low = audit_replacement_rows<Model>(tree, lowered);
+  EXPECT_TRUE(low.count_ok) << to_string(Model::kClass);
+  EXPECT_FALSE(low.bounds_ok) << to_string(Model::kClass);
+
+  lowered.pop_back();
+  EXPECT_FALSE(audit_replacement_rows<Model>(tree, lowered).count_ok)
+      << to_string(Model::kClass);
+}
+
+TEST(SessionFsck, ReplacementRowAuditCatchesALoweredRow) {
+  const Graph g = gen::random_connected(30, 80, 11);
+  const BfsTree tree(g, EdgeWeights::uniform_random(g, 5), 0);
+  expect_row_audit_catches_mutants<EdgeFault>(tree);
+  expect_row_audit_catches_mutants<VertexFault>(tree);
 }
 
 TEST(SessionFsck, ReloadedV5ArtifactPassesFsck) {

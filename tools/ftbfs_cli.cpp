@@ -492,7 +492,7 @@ int cmd_drill(const Options& opt) {
   // Serve the drill through the batched query plane whenever the storm
   // matches the artifact's own model. Two ways to land on the literal-BFS
   // drill instead: a --fault-model override asking for a storm the
-  // session's engines cannot answer in-model, or an artifact built with a
+  // session's tables cannot answer in-model, or an artifact built with a
   // weight seed other than --weight-seed (the rebuilt canonical trees then
   // don't match, and the session refuses to serve wrong answers).
   std::optional<api::Session> session;
