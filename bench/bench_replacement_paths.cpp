@@ -2,13 +2,13 @@
 // replacement-path machinery of refs [9]/[17] as realized here).
 //
 // Isolates the engine's sub-phases: per-tree-edge BFS (distance tables),
-// per-vertex off-path detour BFS, oracle queries, and the interference
-// index build.
+// per-vertex off-path detour BFS, O(1) replacement-distance queries, and
+// the interference index build.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"
 #include "src/core/interference.hpp"
-#include "src/core/oracle.hpp"
+#include "src/core/replacement.hpp"
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/lca.hpp"
 
@@ -111,7 +111,6 @@ void BM_OracleQueries(benchmark::State& state) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, 13);
   const BfsTree tree(g, w, 0);
   const ReplacementPathEngine engine(tree);
-  const ReplacementOracle oracle(engine);
   std::uint64_t x = 0;
   Rng rng(17);
   std::vector<std::pair<Vertex, EdgeId>> queries;
@@ -123,7 +122,7 @@ void BM_OracleQueries(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const auto& [v, e] : queries) {
-      x += static_cast<std::uint64_t>(oracle.distance(v, e));
+      x += static_cast<std::uint64_t>(engine.replacement_dist(v, e));
     }
     benchmark::DoNotOptimize(x);
   }

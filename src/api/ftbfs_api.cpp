@@ -609,11 +609,6 @@ Session Session::load(const Graph& g, const std::string& path,
       cfg.site_dist_oracle, std::move(accel_drops)));
 }
 
-void Session::save(const std::string& path) const {
-  io::save_structure(impl_->structure, impl_->sources, impl_->dual_tables,
-                     path);
-}
-
 void Session::save_v5(const std::string& path) const {
   io::save_structure_v5(impl_->structure, impl_->sources, impl_->dual_tables,
                         impl_->dual_site_dist, path);

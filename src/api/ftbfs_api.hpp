@@ -37,10 +37,9 @@
 //     what-if (answered by a literal BFS on H \ {fault}), or refused; it
 //     shards in-model lookups across the thread pool and groups what-if
 //     queries by fault so each distinct failure costs ONE traversal per
-//     batch — the mutable-under-const single-scratch oracle is replaced by
-//     a pool of per-worker scratch arenas, so any number of threads can
-//     call query() on one Session concurrently (enforced by the TSan CI
-//     job over the concurrency-tagged tests).
+//     batch — traversals run on a pool of per-worker scratch arenas, so
+//     any number of threads can call query() on one Session concurrently
+//     (enforced by the TSan CI job over the concurrency-tagged tests).
 #pragma once
 
 #include <cstdint>
@@ -295,9 +294,8 @@ struct FsckReport {
 ///
 /// Thread safety: all members are immutable after construction and query()
 /// works exclusively on pooled scratch arenas, so concurrent query() /
-/// query_one() calls from any number of threads are safe — this replaces
-/// the "NOT thread-safe" single-scratch FaultStructureOracle as the
-/// serving path. Copying a Session is a cheap shared handle.
+/// query_one() calls from any number of threads are safe. Session is the
+/// library's only serving path. Copying a Session is a cheap shared handle.
 class Session {
  public:
   using Config = SessionConfig;
@@ -320,11 +318,10 @@ class Session {
   /// instead of refusing the load; see fsck().
   static Session load(const Graph& g, const std::string& path,
                       const Config& cfg = {});
-  /// Saves the structure (+ source set when multi-source) via structure_io.
-  void save(const std::string& path) const;
-  /// Saves the checksummed structure_io v5 framing of the same artifact
-  /// (per-section lengths + CRC-32C, so storage corruption is caught at
-  /// load time). load() reads either form.
+  /// Saves the artifact (structure, source set, pair tables and site-dist
+  /// tables) in the checksummed structure_io v5 text framing (per-section
+  /// lengths + CRC-32C, so storage corruption is caught at load time).
+  /// Throws CheckError when the write fails.
   void save_v5(const std::string& path) const;
   /// Saves the binary, mmap-able structure_io v6 container of the same
   /// artifact (binary_io.hpp: sectioned directory + per-section CRC-32C,

@@ -69,9 +69,9 @@
 //     DualQueryArena (the api::Session batched plane groups queries by
 //     distinct pair, so a storm pays one traversal per pair).
 // The per-site edge subsets C_f are the *pair tables* serialized by
-// structure_io v4, so a reloaded Session serves pairs without re-running
-// the recursion. (v4 artifacts written by the unpruned referee carry the
-// full H_f subsets — supersets of C_f — and serve identically.)
+// structure_io (v4 and later), so a reloaded Session serves pairs without
+// re-running the recursion. (Artifacts written by the unpruned referee
+// carry the full H_f subsets — supersets of C_f — and serve identically.)
 #pragma once
 
 #include <cstdint>

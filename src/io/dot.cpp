@@ -48,12 +48,16 @@ void save_dot(const Graph& g, const std::string& path) {
   std::ofstream f(path);
   FTB_CHECK_MSG(f.good(), "cannot open " << path << " for writing");
   write_dot(g, f);
+  f.flush();
+  FTB_CHECK_MSG(f.good(), "short write to " << path);
 }
 
 void save_dot(const FtBfsStructure& h, const std::string& path) {
   std::ofstream f(path);
   FTB_CHECK_MSG(f.good(), "cannot open " << path << " for writing");
   write_dot(h, f);
+  f.flush();
+  FTB_CHECK_MSG(f.good(), "short write to " << path);
 }
 
 }  // namespace ftb::io

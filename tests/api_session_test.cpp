@@ -3,9 +3,8 @@
 // Three claims under test:
 //   1. classification — every query lands in the documented outcome cell
 //      (in-model O(1) hit / what-if BFS / refused);
-//   2. answers — bit-identical to the serial ground truth: the legacy
-//      FaultStructureOracle for in-model + reinforced what-ifs, literal
-//      BFS for everything else;
+//   2. answers — bit-identical to the serial ground truth: a literal BFS
+//      on H minus the fault(s);
 //   3. thread safety — many threads hammering one Session with mixed
 //      batches get exactly the serial answers (this test carries the
 //      `concurrency` ctest label and runs under the TSan CI job).
@@ -19,7 +18,6 @@
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/replacement.hpp"
-#include "src/core/structure_oracle.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/sim/failure_sim.hpp"
 #include "src/graph/bfs_tree.hpp"
@@ -35,8 +33,8 @@ using api::Query;
 using api::QueryOutcome;
 using api::QueryResponse;
 
-/// Serial ground truth for any query the session can answer, via the
-/// legacy single-scratch machinery (engine tables + literal BFS).
+/// Serial ground truth for any single-fault query the session can answer:
+/// a literal BFS on H \ {fault}.
 std::int32_t serial_truth(const api::Session& session, const Query& q) {
   const Graph& g = session.graph();
   const FtBfsStructure& h = session.structure();
@@ -63,17 +61,12 @@ std::int32_t serial_truth(const api::Session& session, const Query& q) {
   return scratch.dist(q.v);
 }
 
-TEST(ApiSession, InModelAnswersMatchLegacyOracle) {
+TEST(ApiSession, InModelAnswersMatchLiteralBfs) {
   const Graph g = gen::lollipop(14, 9);
   api::BuildSpec spec;
   spec.eps = 0.05;  // deep tail → reinforcement exists at this ε
   const api::Session session = api::Session::open(g, spec);
   const FtBfsStructure& h = session.structure();
-
-  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
-  const BfsTree tree(g, w, 0);
-  const ReplacementPathEngine engine(tree);
-  const StructureOracle oracle(h, engine);
 
   std::vector<Query> batch;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -92,9 +85,7 @@ TEST(ApiSession, InModelAnswersMatchLegacyOracle) {
     const bool reinforced = h.is_reinforced(q.fault);
     EXPECT_EQ(resp.results[i].outcome, reinforced ? QueryOutcome::kWhatIf
                                                   : QueryOutcome::kInModel);
-    // query_unchecked answers both cells serially: O(1) in-model, cached
-    // literal BFS for reinforced what-ifs.
-    EXPECT_EQ(resp.results[i].dist, oracle.query_unchecked(q.v, q.fault))
+    EXPECT_EQ(resp.results[i].dist, serial_truth(session, q))
         << "v=" << q.v << " e=" << q.fault;
   }
   EXPECT_EQ(resp.in_model + resp.what_if, static_cast<std::int64_t>(
@@ -152,7 +143,7 @@ TEST(ApiSession, RefusalAndWhatIfCells) {
   }
 }
 
-TEST(ApiSession, VertexSessionMatchesVertexOracle) {
+TEST(ApiSession, VertexSessionMatchesVertexEngine) {
   const Graph g = gen::random_connected(40, 100, 9);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kVertex;
@@ -161,7 +152,6 @@ TEST(ApiSession, VertexSessionMatchesVertexOracle) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const BfsTree tree(g, w, 0);
   const VertexReplacementEngine engine(tree);
-  const VertexStructureOracle oracle(session.structure(), engine);
 
   std::vector<Query> batch;
   for (Vertex x = 1; x < g.num_vertices(); ++x) {
@@ -177,7 +167,7 @@ TEST(ApiSession, VertexSessionMatchesVertexOracle) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(resp.results[i].outcome, QueryOutcome::kInModel);
     EXPECT_EQ(resp.results[i].dist,
-              oracle.query(batch[i].v, batch[i].fault))
+              engine.replacement_dist(batch[i].v, batch[i].fault))
         << "v=" << batch[i].v << " x=" << batch[i].fault;
   }
 }
@@ -338,6 +328,41 @@ TEST(ApiSession, SiteDistOracleServesPairStormsTraversalFree) {
   const api::FsckReport rep = fast.fsck();
   EXPECT_TRUE(rep.ok);
   EXPECT_FALSE(rep.degraded);
+}
+
+TEST(ApiSession, MultiSourceSiteDistRoundTripsThroughSaveV5) {
+  // save_v5 carries every source's site-dist accelerator: a plain load of
+  // the artifact serves pair storms from every source traversal-free,
+  // bit-identical to the session that built it.
+  const Graph g = gen::random_connected(30, 70, 13);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0, 11};
+  spec.site_dist_oracle = true;
+  const api::Session built = api::Session::open(g, spec);
+  const std::string path =
+      ::testing::TempDir() + "/api_session_ms_site_dist.ftbfs";
+  built.save_v5(path);
+  const api::Session loaded = api::Session::load(g, path);
+  std::remove(path.c_str());
+
+  std::vector<Query> batch = pair_storm(built, 3);
+  const std::size_t per_source = batch.size();
+  for (std::size_t i = 0; i < per_source; ++i) {
+    Query q = batch[i];
+    q.source_index = 1;
+    batch.push_back(q);
+  }
+  const QueryResponse want = built.query(batch);
+  const QueryResponse got = loaded.query(batch);
+  EXPECT_FALSE(loaded.degraded());
+  EXPECT_EQ(got.pair_traversals, 0);
+  EXPECT_GT(got.site_oracle_hits, 0);
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
+    EXPECT_EQ(got.results[i].outcome, want.results[i].outcome) << "i=" << i;
+  }
 }
 
 TEST(ApiSession, PairCacheCountersSurface) {

@@ -11,11 +11,14 @@
 # Covered refusals: unknown command / empty argv, bad --fault-model,
 # malformed --sources (including the trailing-garbage form "5x" that a
 # lenient strtoll would silently truncate), bad --graph-format, a missing
-# graph file, --eps on a non-edge pipeline, --site-dist without v5/v6
-# persistence, keys and positional arguments the subcommand does not read
-# (usage error, exit 2), and structure upgrade / verify on a truncated
+# graph file, --eps on a non-edge pipeline, keys and positional arguments
+# the subcommand does not read (usage error, exit 2; this includes the
+# removed --v5 key, v5 being what --out writes), outputs that cannot be
+# written (/dev/full), and structure upgrade / verify on a truncated
 # v5/v6 artifact. The CLI also must not read FTBFS_<KEY> environment
-# variables (those are the benches' fallback, not the CLI's).
+# variables (those are the benches' fallback, not the CLI's). One positive
+# check rides along: a --site-dist build persists its accelerator, so fsck
+# of the artifact is clean with no drop note.
 set -u
 
 CLI="$1"
@@ -76,8 +79,8 @@ GRAPH="$TMP/g.edges"
   >/dev/null 2>&1 || { echo "FAIL(setup): generate"; exit 1; }
 
 ART="$TMP/h.ftbfs"
-"$CLI" build --graph="$GRAPH" --fault-model=dual --v5 --out="$ART" \
-  >/dev/null 2>&1 || { echo "FAIL(setup): build v5"; exit 1; }
+"$CLI" build --graph="$GRAPH" --fault-model=dual --out="$ART" \
+  >/dev/null 2>&1 || { echo "FAIL(setup): build"; exit 1; }
 
 # Argument-layer refusals.
 expect_fail no_command "$CLI"
@@ -94,15 +97,35 @@ expect_fail missing_graph_file \
   "$CLI" info --graph="$TMP/nope.edges"
 expect_fail eps_on_dual \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --eps=0.25
-expect_fail site_dist_without_v5 \
-  "$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
-  --out="$TMP/x.ftbfs"
+expect_fail build_out_unwritable \
+  "$CLI" build --graph="$GRAPH" --out=/dev/full
+expect_fail generate_out_unwritable \
+  "$CLI" generate --family=gnm --n=40 --m=120 --seed=1 --out=/dev/full
 expect_usage unknown_key_underscore_spelling \
   "$CLI" build --graph="$GRAPH" --fault_model=dual
 expect_usage removed_dual_dfs_schedule_key \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=off
+expect_usage removed_v5_key \
+  "$CLI" build --graph="$GRAPH" --fault-model=dual --v5 --out="$TMP/v5.ftbfs"
 expect_usage stray_positional_path \
   "$CLI" build --graph="$GRAPH" "$TMP/stray.edges"
+
+# The site-dist accelerator persists through the default --out framing:
+# the artifact carries the section and fsck loads it clean, with no note
+# about a dropped section.
+"$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
+  --out="$TMP/sd.ftbfs" >/dev/null 2>&1
+"$CLI" fsck --graph="$GRAPH" --structure="$TMP/sd.ftbfs" \
+  >"$TMP/fsck_sd.out" 2>&1
+rc=$?
+if [ "$rc" -ne 0 ] || grep -q "site-dist" "$TMP/fsck_sd.out" ||
+   ! grep -q "^section site-dist " "$TMP/sd.ftbfs"; then
+  echo "FAIL(site_dist_persists): fsck exit $rc (or no site-dist section):"
+  sed 's/^/    /' "$TMP/fsck_sd.out"
+  fails=$((fails + 1))
+else
+  echo "ok(site_dist_persists): fsck exit 0, no drop note"
+fi
 
 # Environment isolation: FTBFS_N / FTBFS_M must not reach generate.
 "$CLI" generate --family=gnm --seed=1 --out="$TMP/plain.edges" >/dev/null

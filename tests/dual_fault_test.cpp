@@ -393,14 +393,14 @@ TEST(DualFault, SavedSessionReloadsAndServesIdentically) {
   const api::Session original = api::Session::open(g, spec);
 
   const std::string path = ::testing::TempDir() + "/dual_session.ftbfs";
-  original.save(path);
+  original.save_v5(path);
 
-  // The artifact is a v4 file with its pair tables.
+  // The artifact is a v5 file with its pair tables.
   {
     std::ifstream f(path);
     std::string first;
     std::getline(f, first);
-    EXPECT_EQ(first, "ftbfs-structure 4");
+    EXPECT_EQ(first, "ftbfs-structure 5");
     std::stringstream rest;
     rest << f.rdbuf();
     EXPECT_NE(rest.str().find("fault-model dual"), std::string::npos);
@@ -447,11 +447,12 @@ TEST(DualFault, ArtifactWithoutTablesIsRebuiltOnLoad) {
   spec.fault_model = FaultClass::kDual;
   const api::Session original = api::Session::open(g, spec);
 
-  // A v4 artifact written WITHOUT pair tables (pair-tables 0) still loads;
-  // the session rebuilds the tables deterministically from the weight seed.
+  // An artifact written WITHOUT pair tables (no pair-tables section) still
+  // loads; the session rebuilds the tables deterministically from the
+  // weight seed.
   std::ostringstream os;
-  io::write_structure(original.structure(), original.sources(), {}, os);
-  EXPECT_NE(os.str().find("pair-tables 0"), std::string::npos);
+  io::write_structure_v5(original.structure(), original.sources(), {}, os);
+  EXPECT_EQ(os.str().find("pair-tables"), std::string::npos);
   const std::string path = ::testing::TempDir() + "/dual_no_tables.ftbfs";
   {
     std::ofstream f(path);
@@ -820,7 +821,7 @@ TEST(DualFault, WrongWeightSeedIsRefusedAtLoad) {
   spec.weight_seed = 1234;
   const api::Session session = api::Session::open(g, spec);
   const std::string path = ::testing::TempDir() + "/dual_seed.ftbfs";
-  session.save(path);
+  session.save_v5(path);
   api::SessionConfig cfg;
   cfg.weight_seed = 1235;
   EXPECT_THROW(api::Session::load(g, path, cfg), CheckError);

@@ -19,8 +19,8 @@
 //   * a full ReplacementTable answers every fault and every vertex like a
 //     literal BFS of the punctured graph, and a table restricted to a
 //     subtree slice agrees with it at every listed terminal;
-//   * vertex-fault StructureOracle queries agree with literal BFS on
-//     G \ {x} exhaustively at small n.
+//   * vertex-fault replacement tables agree with literal BFS on H \ {x}
+//     exhaustively at small n, and a vertex Session refuses the source.
 // Failing property cases print their one-command reproduction via
 // FTB_PROPERTY_TRACE.
 #include <gtest/gtest.h>
@@ -35,7 +35,6 @@
 #include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/ftbfs.hpp"
-#include "src/core/structure_oracle.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "tests/property_test_util.hpp"
 #include "tests/test_util.hpp"
@@ -468,7 +467,9 @@ TEST(PuncturedWorkspace, RebindToRecycledAddressIsFresh) {
 
 // ---- vertex-fault serving stack ------------------------------------------
 
-TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
+TEST(VertexServingTest, MatchesLiteralBfsExhaustively) {
+  // The FT-BFS contract the serving plane reads: the vertex engine's O(1)
+  // table on G equals a literal BFS in the deployed H \ {x}.
   for (const auto& fc : test::property_cases(18, 1)) {
     FTB_PROPERTY_TRACE(fc, "fault_model_test");
     const VertexFtBfsOptions opts;  // default weight seed
@@ -478,7 +479,6 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
     const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, opts);
     ASSERT_EQ(h.fault_class(), FaultClass::kVertex);
     const VertexReplacementEngine engine(tree);
-    const VertexStructureOracle oracle(h, engine);
     const std::size_t n = static_cast<std::size_t>(fc.graph.num_vertices());
     for (Vertex x = 0; x < fc.graph.num_vertices(); ++x) {
       if (x == fc.source) continue;
@@ -491,35 +491,35 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
       const BfsResult brute = plain_bfs(fc.graph, fc.source, bans);
       for (Vertex v = 0; v < fc.graph.num_vertices(); ++v) {
         if (v == x) continue;
-        ASSERT_EQ(oracle.query(v, x),
+        ASSERT_EQ(engine.replacement_dist(v, x),
                   brute.dist[static_cast<std::size_t>(v)])
             << " v=" << v << " x=" << x;
-        ASSERT_EQ(oracle.query_unchecked(v, x), oracle.query(v, x));
       }
     }
   }
 }
 
-TEST(VertexStructureOracleTest, SourceFailureRefused) {
+TEST(VertexServingTest, SourceFailureRefused) {
+  // The source never fails under any model: refused, even as a what-if.
   const Graph g = gen::cycle_graph(8);
-  const VertexFtBfsOptions opts;
-  const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree(g, w, 0);
-  const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, opts);
-  const VertexReplacementEngine engine(tree);
-  const VertexStructureOracle oracle(h, engine);
-  EXPECT_THROW(oracle.query(3, 0), CheckError);
+  const api::Session session =
+      api::Session::open(g, {.fault_model = FaultClass::kVertex});
+  api::Query q;
+  q.v = 3;
+  q.kind = FaultClass::kVertex;
+  q.fault = 0;
+  q.allow_what_if = true;
+  EXPECT_EQ(session.query_one(q).outcome, api::QueryOutcome::kRefused);
 }
 
-TEST(VertexOracleTest, PathQueriesAreValidReplacementPaths) {
+TEST(VertexEngineTest, PathQueriesAreValidReplacementPaths) {
   for (const auto& fc : test::property_cases(20, 1)) {
     FTB_PROPERTY_TRACE(fc, "fault_model_test");
     const EdgeWeights w = EdgeWeights::uniform_random(fc.graph, 44);
     const BfsTree tree(fc.graph, w, fc.source);
     const VertexReplacementEngine engine(tree);  // detours collected
-    const VertexReplacementOracle oracle(engine);
     for (const VertexFaultPair& p : engine.uncovered_pairs()) {
-      const std::vector<Vertex> path = oracle.path(p.v, p.x);
+      const std::vector<Vertex> path = engine.replacement_path(p.v, p.x);
       ASSERT_EQ(path.front(), fc.source);
       ASSERT_EQ(path.back(), p.v);
       ASSERT_EQ(static_cast<std::int32_t>(path.size()) - 1, p.rep_dist);

@@ -11,7 +11,7 @@
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/optimizer.hpp"
-#include "src/core/structure_oracle.hpp"
+#include "src/core/replacement.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
@@ -23,6 +23,14 @@
 
 namespace ftb {
 namespace {
+
+/// Ships a single-source structure through the v5 wire format.
+FtBfsStructure ship(const FtBfsStructure& h, const Graph& g) {
+  const Vertex anchor[] = {h.source()};
+  std::stringstream wire;
+  io::write_structure_v5(h, anchor, {}, wire);
+  return io::read_structure(g, wire);
+}
 
 TEST(Integration, FullDeploymentPipeline) {
   // 1. generate + ship the graph
@@ -37,9 +45,7 @@ TEST(Integration, FullDeploymentPipeline) {
   const EpsilonResult designed = design_cheapest(g, 0, prices, grid);
 
   // 3. ship the structure
-  std::stringstream struct_wire;
-  io::write_structure(designed.structure, struct_wire);
-  const FtBfsStructure deployed = io::read_structure(g, struct_wire);
+  const FtBfsStructure deployed = ship(designed.structure, g);
 
   // 4. verify + drill the deployed artifact
   EXPECT_TRUE(verify_structure(deployed).ok);
@@ -48,7 +54,7 @@ TEST(Integration, FullDeploymentPipeline) {
   EXPECT_DOUBLE_EQ(drill.max_stretch, 1.0);
 }
 
-TEST(Integration, OracleAgreesWithDeployedStructure) {
+TEST(Integration, EngineTablesAgreeWithDeployedStructure) {
   const Graph g = gen::gnm(50, 220, 405);
   const std::uint64_t seed = 7;
   api::BuildSpec spec;
@@ -59,7 +65,6 @@ TEST(Integration, OracleAgreesWithDeployedStructure) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, seed);
   const BfsTree tree(g, w, 0);
   const ReplacementPathEngine engine(tree);
-  const StructureOracle oracle(res.structure, engine);
 
   Rng rng(11);
   for (int i = 0; i < 60; ++i) {
@@ -69,7 +74,8 @@ TEST(Integration, OracleAgreesWithDeployedStructure) {
     const auto bfs = res.structure.distances_avoiding(e);
     const Vertex v = static_cast<Vertex>(
         rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
-    ASSERT_EQ(oracle.query(v, e), bfs[static_cast<std::size_t>(v)]);
+    ASSERT_EQ(engine.replacement_dist(v, e),
+              bfs[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -77,9 +83,7 @@ TEST(Integration, FrontierDesignsRoundTripAndVerify) {
   const Graph g = gen::gnm(40, 170, 406);
   const GreedyFrontier frontier(g, 0);
   const FtBfsStructure budget_design = frontier.design_max_reinforced(10);
-  std::stringstream wire;
-  io::write_structure(budget_design, wire);
-  const FtBfsStructure back = io::read_structure(g, wire);
+  const FtBfsStructure back = ship(budget_design, g);
   EXPECT_EQ(back.num_reinforced(), budget_design.num_reinforced());
   EXPECT_TRUE(verify_structure(back).ok);
 }
@@ -117,7 +121,7 @@ TEST(Integration, MultiSourceDeploymentStormAcrossSigma) {
 
     const std::string path = ::testing::TempDir() + "/ms_storm_" +
                              std::to_string(sigma) + ".ftbfs";
-    built.save(path);
+    built.save_v5(path);
     const api::Session session = api::Session::load(g, path);
     std::remove(path.c_str());
 

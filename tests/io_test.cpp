@@ -99,5 +99,15 @@ TEST(Dot, StructureOutputMarksEdgeClasses) {
   EXPECT_NE(s.find("fillcolor=gold"), std::string::npos);  // source
 }
 
+TEST(Savers, ShortWritesThrow) {
+  // /dev/full opens fine and fails every write, so a saver that returns
+  // without flushing and checking its stream would report success.
+  const Graph g = gen::path_graph(4);
+  const FtBfsStructure h(g, 0, {0, 1, 2}, {}, {0, 1, 2});
+  EXPECT_THROW(io::save_edge_list(g, "/dev/full"), CheckError);
+  EXPECT_THROW(io::save_dot(g, "/dev/full"), CheckError);
+  EXPECT_THROW(io::save_dot(h, "/dev/full"), CheckError);
+}
+
 }  // namespace
 }  // namespace ftb

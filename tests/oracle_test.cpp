@@ -1,7 +1,8 @@
-// oracle_test.cpp — O(1) replacement-distance queries vs. literal BFS.
+// oracle_test.cpp — the engine's O(1) replacement-distance and O(len)
+// replacement-path queries vs. literal BFS.
 #include <gtest/gtest.h>
 
-#include "src/core/oracle.hpp"
+#include "src/core/replacement.hpp"
 #include "src/graph/canonical_bfs.hpp"
 #include "tests/test_util.hpp"
 
@@ -14,15 +15,13 @@ struct OracleFixture {
   EdgeWeights w;
   BfsTree tree;
   ReplacementPathEngine engine;
-  ReplacementOracle oracle;
 
   explicit OracleFixture(test::FamilyCase fc)
       : g(std::move(fc.graph)),
         source(fc.source),
         w(EdgeWeights::uniform_random(g, 13)),
         tree(g, w, source),
-        engine(tree),
-        oracle(engine) {}
+        engine(tree) {}
 };
 
 TEST(Oracle, DistancesMatchBfsForEveryEdgeFailure) {
@@ -34,7 +33,7 @@ TEST(Oracle, DistancesMatchBfsForEveryEdgeFailure) {
       bans.banned_edge = e;
       const BfsResult brute = plain_bfs(fx.g, fx.source, bans);
       for (Vertex v = 0; v < fx.g.num_vertices(); ++v) {
-        ASSERT_EQ(fx.oracle.distance(v, e),
+        ASSERT_EQ(fx.engine.replacement_dist(v, e),
                   brute.dist[static_cast<std::size_t>(v)])
             << name << " v=" << v << " e=" << e;
       }
@@ -46,7 +45,7 @@ TEST(Oracle, NoFailureDistance) {
   OracleFixture fx({"gnm", gen::gnm(30, 110, 3), 0});
   const BfsResult r = plain_bfs(fx.g, 0);
   for (Vertex v = 0; v < fx.g.num_vertices(); ++v) {
-    EXPECT_EQ(fx.oracle.distance(v), r.dist[static_cast<std::size_t>(v)]);
+    EXPECT_EQ(fx.tree.depth(v), r.dist[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -54,12 +53,9 @@ TEST(Oracle, PathsAreValidAndShortest) {
   OracleFixture fx({"gnm", gen::gnm(28, 100, 5), 0});
   for (const EdgeId e : fx.tree.tree_edges()) {
     for (Vertex v = 1; v < fx.g.num_vertices(); ++v) {
-      const std::int32_t d = fx.oracle.distance(v, e);
-      const auto path = fx.oracle.path(v, e);
-      if (d >= kInfHops) {
-        EXPECT_TRUE(path.empty());
-        continue;
-      }
+      const std::int32_t d = fx.engine.replacement_dist(v, e);
+      if (d >= kInfHops) continue;  // see DisconnectionReportsInfinity
+      const auto path = fx.engine.replacement_path(v, e);
       ASSERT_EQ(static_cast<std::int32_t>(path.size()) - 1, d);
       ASSERT_EQ(path.front(), fx.source);
       ASSERT_EQ(path.back(), v);
@@ -77,11 +73,11 @@ TEST(Oracle, DisconnectionReportsInfinity) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, 7);
   const BfsTree tree(g, w, 0);
   const ReplacementPathEngine engine(tree);
-  const ReplacementOracle oracle(engine);
   const EdgeId mid = g.find_edge(2, 3);
-  EXPECT_EQ(oracle.distance(5, mid), kInfHops);
-  EXPECT_TRUE(oracle.path(5, mid).empty());
-  EXPECT_EQ(oracle.distance(1, mid), 1);
+  EXPECT_EQ(engine.replacement_dist(5, mid), kInfHops);
+  // No path to reconstruct: the engine refuses instead of inventing one.
+  EXPECT_THROW(engine.replacement_path(5, mid), CheckError);
+  EXPECT_EQ(engine.replacement_dist(1, mid), 1);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 // build/verify/drill speak every fault model: --fault-model={edge,vertex,
 // either,dual} selects the construction at build time ("either" is the one-
 // failure-of-either-kind union, "dual" the two-simultaneous-failure model
-// of arXiv:1505.00692 — saved as a v4 artifact with its pair tables);
+// of arXiv:1505.00692 — saved with its pair tables);
 // verify and drill default to the model tag stored in the structure file
 // and accept the flag as an override. build takes one --source or a comma-separated --sources list
 // (FT-MBFS union, preserved in the artifact). drill serves the storm
@@ -28,9 +28,9 @@
 // --strict) and audits the serving invariants — exit 0 clean, 1 degraded,
 // 2 broken. On a v6 binary artifact, fsck first mmaps the container and
 // audits the section directory (alignment, padding, per-section CRC-32C)
-// before the Session parse. build --v5 writes the checksummed structure_io
-// v5 text framing, build --v6 the mmap-able binary container; every other
-// command reads all of them (auto-detected by magic).
+// before the Session parse. build --out writes the checksummed
+// structure_io v5 text framing, --v6 the mmap-able binary container; every
+// other command reads v1–v6 (auto-detected by magic).
 //
 // Graph inputs are text or binary edge lists, auto-detected by magic;
 // --graph-format=auto|text|binary pins the parser. convert rewrites
@@ -93,10 +93,10 @@ int usage() {
          "           (edge-list re-encode; add --structure=IN to upgrade a\n"
          "            v1-v5 structure artifact to the v6 binary container)\n"
          "  build    --graph=PATH [--source=0 | --sources=0,5,10]\n"
-         "           [--eps=0.25] [--out=PATH] [--v5|--v6] [--json]\n"
+         "           [--eps=0.25] [--out=PATH] [--v6] [--json]\n"
          "           [--fault-model=edge|vertex|either|dual]\n"
          "           [--site-dist]   (dual: harvest the site-local pair\n"
-         "                            oracle; persisted only by --v5/--v6)\n"
+         "                            oracle)\n"
          "  verify   --graph=PATH --structure=PATH [--nontree] [--json]\n"
          "           [--fault-model=...]   (default: the structure's tag)\n"
          "           [--pairs=N]   (dual: failure pairs to check; -1 = all)\n"
@@ -275,29 +275,17 @@ int cmd_build(const Options& opt) {
 
   const api::BuildResult res = api::build(g, spec);
   const FtBfsStructure& h = res.structure;
-  FTB_CHECK_MSG(!(opt.has("v5") && opt.has("v6")),
-                "--v5 and --v6 are mutually exclusive");
   if (!out.empty()) {
+    // The checksummed v5 text framing by default (every section carries
+    // its length and CRC-32C); --v6 selects the mmap-able binary container
+    // over the same logical sections. Both carry the site-dist oracle when
+    // harvested.
     if (opt.has("v6")) {
-      // The binary container: a section directory over the same logical
-      // sections as v5, 64-byte-aligned payloads, mmap-able on load.
       io::save_structure_v6(h, res.sources, res.dual_tables,
                             res.dual_site_dist, out);
-    } else if (opt.has("v5")) {
-      // The checksummed framing: every section carries its length and
-      // CRC-32C, so storage corruption is caught at load time. The
-      // site-dist oracle (when harvested) rides along as its own section.
+    } else {
       io::save_structure_v5(h, res.sources, res.dual_tables,
                             res.dual_site_dist, out);
-    } else {
-      // Dual-failure artifacts ride structure_io v4 with their pair
-      // tables; everything else keeps the v2/v3 forms byte-stably. Only
-      // v5 and v6 can carry the site-dist section — refuse to drop it
-      // silently.
-      FTB_CHECK_MSG(res.dual_site_dist.empty(),
-                    "--site-dist tables persist only in the v5/v6 framings "
-                    "— add --v5 or --v6 (or drop --out)");
-      io::save_structure(h, res.sources, res.dual_tables, out);
     }
   }
 
@@ -739,7 +727,7 @@ const std::vector<Command>& commands() {
       {"info", cmd_info, {"graph", "graph-format"}},
       {"build", cmd_build,
        {"graph", "graph-format", "fault-model", "sources", "source", "eps",
-        "seed", "site-dist", "out", "v5", "v6", "json"}},
+        "seed", "site-dist", "out", "v6", "json"}},
       {"verify", cmd_verify,
        {"graph", "graph-format", "structure", "fault-model", "nontree",
         "pairs", "seed", "json"}},
