@@ -18,7 +18,6 @@
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/bfs_tree.hpp"
-#include "src/graph/multi_source_bfs_kernel.hpp"
 #include "src/io/binary_io.hpp"
 #include "src/io/structure_io.hpp"
 #include "src/util/free_list_pool.hpp"
@@ -131,9 +130,6 @@ struct WhatIfArena {
   std::int32_t cached_fault2 = -1;
 };
 
-// The pooled-scratch machinery (FreeListPool + PoolLease) moved to
-// src/util/free_list_pool.hpp so the multi-source kernel's lane scratch can
-// ride the same lock-free free list as the what-if arenas.
 using ArenaLease = PoolLease<WhatIfArena>;
 
 /// One traversal group of a batch: every query naming the same normalized
@@ -276,11 +272,7 @@ struct Session::Impl {
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
     trees.reserve(sources.size());
-    std::vector<CanonicalSp> sps =
-        canonical_source_sps(graph, weights, sources);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      trees.emplace_back(graph, weights, sources[i], std::move(sps[i]));
-    }
+    for (const Vertex s : sources) trees.emplace_back(graph, weights, s);
 
     // The rebuilt canonical trees must be exactly the trees the structure
     // was built around — otherwise the replacement tables answer for a

@@ -26,9 +26,9 @@
 //                       dual_fault.hpp) + pair tables (Gupta–Khan
 //                       multi-source setting for σ > 1)
 //
-//     Every build (and every Session deploy or load) gets its canonical
-//     trees from canonical_source_sps: σ ≥ 2 sources fuse into one
-//     bit-parallel sweep, a single source runs the scalar canonical BFS.
+//     Every build (and every Session deploy or load) builds each source's
+//     canonical tree on its own, on the one fused canonical kernel
+//     (canonical_sp_run in src/graph/bfs_kernel.hpp).
 //
 //   * Session — a type-erased deployment of the result (structure + tree +
 //     replacement tables per source, no templates in sight) serving a

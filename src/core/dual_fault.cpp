@@ -10,7 +10,6 @@
 #include <type_traits>
 
 #include "src/core/dist_sweep.hpp"
-#include "src/graph/multi_source_bfs_kernel.hpp"
 #include "src/util/free_list_pool.hpp"
 #include "src/util/rng.hpp"
 
@@ -96,7 +95,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
                                             std::vector<EdgeId>* edges_out,
                                             bool unpruned,
                                             DualSiteDistTable* site_dist_out,
-                                            bool bit_parallel,
+                                            bool /*ignored*/,
                                             bool dfs_schedule,
                                             SweepWorkStats* sweep_work) {
   const Graph& g = tree.graph();
@@ -123,12 +122,15 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
 
   if (unpruned) {
     // Unpruned (the PR 4 referee): full punctured tree build, full
-    // engines, subset = T_f ∪ all last edges. Shared per-site body; the
-    // caller hands in the punctured tree T_f.
-    const auto run_site = [&](std::size_t i, const BfsTree& tf) {
+    // engines, subset = T_f ∪ all last edges.
+    pool.parallel_for(table.sites.size(), [&](std::size_t i) {
       EdgeId fe;
       Vertex fv, top;
       site_fault(i, &fe, &fv, &top);
+      BfsBans bans;
+      bans.banned_edge = fe;
+      bans.banned_vertex_one = fv;
+      const BfsTree tf(g, W, tree.source(), bans);
       FaultReplacementEngine<EdgeFault>::Config ec;
       FaultReplacementEngine<VertexFault>::Config vc;
       ec.collect_detours = vc.collect_detours = false;  // only last edges
@@ -150,53 +152,14 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       if (site_dist_out != nullptr) {
         harvest_site_dist(tree, top, tf, ee, ve, site_dist_rows[i]);
       }
-    };
-
-    if (bit_parallel && table.sites.size() >= 2) {
-      // Bit-parallel: the per-site punctured canonical rebuilds all share
-      // the source and differ only in their one-failure bans — exactly one
-      // kernel lane each. Batch sites in ≤64-lane groups (one lane word),
-      // fuse each group's hop phase into one sweep, then run the engines
-      // per site on the pool. Labels adopted via the rebase seam are
-      // bit-identical to the scalar punctured build.
-      for (std::size_t g0 = 0; g0 < table.sites.size(); g0 += 64) {
-        const std::size_t cnt =
-            std::min<std::size_t>(64, table.sites.size() - g0);
-        std::vector<BfsLane> lanes(cnt);
-        for (std::size_t i = 0; i < cnt; ++i) {
-          EdgeId fe;
-          Vertex fv, top;
-          site_fault(g0 + i, &fe, &fv, &top);
-          lanes[i].source = tree.source();
-          lanes[i].bans.banned_edge = fe;
-          lanes[i].bans.banned_vertex_one = fv;
-        }
-        std::vector<CanonicalSp> sps = ms_canonical_sp(g, W, lanes);
-        pool.parallel_for(cnt, [&](std::size_t i) {
-          const BfsTree tf(g, W, tree.source(), std::move(sps[i]));
-          run_site(g0 + i, tf);
-        });
-      }
-    } else {
-      pool.parallel_for(table.sites.size(), [&](std::size_t i) {
-        EdgeId fe;
-        Vertex fv, top;
-        site_fault(i, &fe, &fv, &top);
-        BfsBans bans;
-        bans.banned_edge = fe;
-        bans.banned_vertex_one = fv;
-        const BfsTree tf(g, W, tree.source(), bans);
-        run_site(i, tf);
-      });
-    }
+    });
   } else {
     // Pruned (production): the punctured tree is an overlay on T0 (only
     // the affected subtree is relabeled) and the engines are restricted to
     // the affected terminals, so a site costs its subtree's volume; the
     // subset keeps only the segment those terminals consume — their T_f
     // parent edges plus their uncovered-pair last edges (see the file
-    // comment's induction for why that is sufficient). Already
-    // incremental, so `bit_parallel` has nothing to fuse here.
+    // comment's induction for why that is sufficient).
     std::atomic<std::int64_t> label_writes{0};
     std::atomic<std::int64_t> sweep_visits{0};
 
@@ -384,7 +347,7 @@ DualBuildResult detail::build_dual_failure_ftbfs_impl(
   SweepWorkStats sweep_work;
   DualSiteTable table = detail::build_dual_site_table(
       tree, opts.pool, /*reference_kernel=*/false, &edges, /*unpruned=*/false,
-      opts.site_dist_oracle ? &site_dist : nullptr, /*bit_parallel=*/true,
+      opts.site_dist_oracle ? &site_dist : nullptr, /*ignored=*/true,
       /*dfs_schedule=*/true, &sweep_work);
   FtBfsStructure h(tree.graph(), tree.source(), std::move(edges),
                    /*reinforced=*/{}, tree.tree_edges(), FaultClass::kDual);

@@ -210,15 +210,16 @@ DualMultiSourceResult build_dual_failure_ftmbfs_impl(
 /// tables are harvested from the punctured engines in the same pass (valid
 /// for the pruned and the unpruned construction alike — the harvested rows
 /// are identical). `reference_kernel` runs the engines on the naive
-/// reference kernels. `bit_parallel` batches the unpruned referee's
-/// per-site punctured canonical rebuilds (same source, one {edge, vertex}
-/// ban pair per lane) through the bit-parallel kernel in ≤64-lane groups;
-/// the pruned branch rebases incrementally and ignores it. `dfs_schedule`
-/// walks the pruned branch's sites in T0 DFS order on per-thread
-/// PuncturedWorkspace arenas (dist_sweep.hpp), serving each site's
-/// punctured tree as a PuncturedTree overlay on T0 sized to the site's
-/// subtree; false is the independent-rebase referee, which materializes a
-/// full BfsTree from T0 per site (rebase_punctured_tree). `sweep_work`,
+/// reference kernels. The seventh parameter is ignored: every punctured
+/// tree is built on the one canonical kernel, so there is no rebuild
+/// strategy left to pick, and it stays so callers of the nine-parameter
+/// signature (the end-to-end benchmark's layer probe) keep compiling.
+/// `dfs_schedule` walks the pruned branch's sites in T0 DFS order on
+/// per-thread PuncturedWorkspace arenas (dist_sweep.hpp), serving each
+/// site's punctured tree as a PuncturedTree overlay on T0 sized to the
+/// site's subtree; false is the independent-rebase referee, which
+/// materializes a full BfsTree from T0 per site (rebase_punctured_tree).
+/// `sweep_work`,
 /// when given, receives the summed rebase-seam work. Output is
 /// bit-identical under every parameter combination.
 DualSiteTable build_dual_site_table(const BfsTree& tree, ThreadPool* pool,
@@ -226,7 +227,7 @@ DualSiteTable build_dual_site_table(const BfsTree& tree, ThreadPool* pool,
                                     std::vector<EdgeId>* edges_out,
                                     bool unpruned = false,
                                     DualSiteDistTable* site_dist_out = nullptr,
-                                    bool bit_parallel = true,
+                                    bool /*ignored*/ = true,
                                     bool dfs_schedule = true,
                                     SweepWorkStats* sweep_work = nullptr);
 }  // namespace detail

@@ -3,7 +3,6 @@
 #include "src/core/dual_fault.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/verifier.hpp"
-#include "src/graph/multi_source_bfs_kernel.hpp"
 
 namespace ftb {
 
@@ -11,20 +10,18 @@ namespace {
 
 /// The §5 union over `sources`: `per_source(tree)` builds one source's
 /// structure on its canonical tree, and the edge sets merge into one
-/// structure tagged `model`. Every label set comes from one
-/// canonical_source_sps call; each tree is built just before its structure
-/// and dropped right after, so the peak holds σ label sets plus one tree.
-/// A single source's structure (already tagged `model`) is returned as
-/// built — σ = 1 pays no merge copy.
+/// structure tagged `model`. Each source's tree is built just before its
+/// structure and dropped right after, so the peak holds one tree. A single
+/// source's structure (already tagged `model`) is returned as built —
+/// σ = 1 pays no merge copy.
 template <class PerSource>
 FtBfsStructure union_over_sources(const Graph& g,
                                   const std::vector<Vertex>& sources,
                                   std::uint64_t weight_seed, FaultClass model,
                                   PerSource&& per_source) {
   const EdgeWeights weights = EdgeWeights::uniform_random(g, weight_seed);
-  std::vector<CanonicalSp> sps = canonical_source_sps(g, weights, sources);
   if (sources.size() == 1) {
-    return per_source(BfsTree(g, weights, sources.front(), std::move(sps[0])));
+    return per_source(BfsTree(g, weights, sources.front()));
   }
   std::vector<EdgeId> edges;
   std::vector<EdgeId> reinforced;
@@ -35,7 +32,7 @@ FtBfsStructure union_over_sources(const Graph& g,
   tree_edges.reserve(sources.size() *
                      static_cast<std::size_t>(g.num_vertices()));
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const BfsTree tree(g, weights, sources[i], std::move(sps[i]));
+    const BfsTree tree(g, weights, sources[i]);
     const FtBfsStructure h = per_source(tree);
     edges.insert(edges.end(), h.edges().begin(), h.edges().end());
     reinforced.insert(reinforced.end(), h.reinforced().begin(),

@@ -252,4 +252,31 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
   }
 }
 
+CanonicalSp canonical_sp_fused(const Graph& g, const EdgeWeights& weights,
+                               Vertex src, const BfsBans& bans) {
+  CanonicalSpScratch scratch;
+  canonical_sp_run(g, weights, src, bans, scratch);
+
+  // wsum/first_hop hold stale values off the reached set, so copy over
+  // order() only and leave the reference's defaults everywhere else.
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  CanonicalSp sp;
+  sp.hops.assign(n, kInfHops);
+  sp.wsum.assign(n, 0);
+  sp.parent.assign(n, kInvalidVertex);
+  sp.parent_edge.assign(n, kInvalidEdge);
+  sp.first_hop.assign(n, kInvalidVertex);
+  const auto order = scratch.order();
+  sp.order.assign(order.begin(), order.end());
+  for (const Vertex v : order) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    sp.hops[vi] = scratch.hops(v);
+    sp.wsum[vi] = scratch.wsum(v);
+    sp.parent[vi] = scratch.parent(v);
+    sp.parent_edge[vi] = scratch.parent_edge(v);
+    sp.first_hop[vi] = scratch.first_hop(v);
+  }
+  return sp;
+}
+
 }  // namespace ftb

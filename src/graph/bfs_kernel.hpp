@@ -37,7 +37,9 @@
 // second O(m) sweep, with the same (wsum, parent id, edge id) tie-breaking
 // as the two-pass reference. It is top-down only — the canonical rule needs
 // *all* admissible predecessors of a vertex, so the bottom-up early exit
-// does not apply.
+// does not apply. It is the one canonical-tree kernel: BfsTree's building
+// constructors (per source, per punctured graph) run it through
+// canonical_sp_fused, and the engines' off-path traversals run it directly.
 #pragma once
 
 #include <cstdint>
@@ -205,5 +207,12 @@ struct CanonicalSpScratchView {
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& scratch,
                       std::int32_t depth_limit = kInfHops);
+
+/// canonical_sp_run materialized into a CanonicalSp — the label set every
+/// BfsTree is built from, field for field equal to canonical_sp(), the
+/// two-pass reference (unreachable entries included). Runs on a call-local
+/// scratch: the arena is freed with the call instead of pinned per thread.
+CanonicalSp canonical_sp_fused(const Graph& g, const EdgeWeights& weights,
+                               Vertex src, const BfsBans& bans = {});
 
 }  // namespace ftb

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/graph/bfs_kernel.hpp"
+
 namespace ftb {
 
 BfsTree::BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source)
@@ -9,7 +11,8 @@ BfsTree::BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source)
 
 BfsTree::BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source,
                  const BfsBans& bans)
-    : BfsTree(g, weights, source, canonical_sp(g, weights, source, bans)) {}
+    : BfsTree(g, weights, source,
+              canonical_sp_fused(g, weights, source, bans)) {}
 
 BfsTree::BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source,
                  CanonicalSp sp)

@@ -22,7 +22,8 @@ namespace ftb {
 /// Canonical BFS tree rooted at a source vertex. Immutable.
 class BfsTree {
  public:
-  /// Builds T0 for (g, weights, source). Unreachable vertices get
+  /// Builds T0 for (g, weights, source) on the fused canonical kernel
+  /// (canonical_sp_fused in bfs_kernel.hpp). Unreachable vertices get
   /// depth == kInfHops and take part in no tree structure.
   BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source);
 
@@ -37,10 +38,11 @@ class BfsTree {
   /// Adopts an already-computed canonical label set and builds the derived
   /// tree machinery (children CSR, preorder intervals, tree-edge table) on
   /// top of it. `sp` must be exactly canonical_sp(g, weights, source, ·) of
-  /// the graph the caller answers for — this is the seam the referee
-  /// punctured-tree rebase (rebase_punctured_tree in dist_sweep.hpp) and the
-  /// fused multi-lane canonical sweeps plug into instead of paying a full
-  /// O(m) canonical BFS per tree.
+  /// the graph the caller answers for. Two callers plug in here: the
+  /// referee punctured-tree rebase (rebase_punctured_tree in
+  /// dist_sweep.hpp), which skips a full O(m) canonical BFS per tree, and
+  /// the differential referees, which build trees on the two-pass
+  /// canonical_sp so they never share the production kernel.
   BfsTree(const Graph& g, const EdgeWeights& weights, Vertex source,
           CanonicalSp sp);
 

@@ -125,8 +125,9 @@ struct CanonicalSp {
 /// Computes the canonical shortest-path tree from `src` in G minus bans.
 /// This is the two-pass reference implementation (layered BFS + relaxation
 /// sweep), kept independent of the fused kernel (canonical_sp_run in
-/// bfs_kernel.hpp) for differential testing; cold callers that want a
-/// materialized CanonicalSp use it directly.
+/// bfs_kernel.hpp) as the referee: tests, the engines' `reference_kernel`
+/// path and replacement_path call it. Production trees never go through
+/// it — BfsTree builds on canonical_sp_fused.
 CanonicalSp canonical_sp(const Graph& g, const EdgeWeights& weights,
                          Vertex src, const BfsBans& bans = {});
 

@@ -8,9 +8,9 @@
 // exchange). An empty pool allocates; a full pool deletes — both only off
 // the warm path, so steady-state serving is allocation-free.
 //
-// Shared by the api::Session what-if arenas and the multi-source BFS
-// kernel's lane scratch (any default-constructible epoch-stamped arena
-// qualifies).
+// Shared by the api::Session what-if and batch arenas, the dual build's
+// punctured workspaces and the restricted replacement-table indexes (any
+// default-constructible epoch-stamped arena qualifies).
 #pragma once
 
 #include <array>

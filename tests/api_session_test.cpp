@@ -1051,11 +1051,11 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
 }
 
 TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
-  // σ = 64 sources: one fused kernel sweep builds every tree (a full lane
-  // word), and the session is then stormed from competing threads across
-  // all 64 source indices. The scalar per-source union (tests/referee.hpp)
-  // is the referee — identical structure, identical served answers — and
-  // the TSan job runs this under -L concurrency.
+  // σ = 64 sources, each tree on the fused canonical kernel, and the
+  // session is then stormed from competing threads across all 64 source
+  // indices. The per-source union on two-pass canonical_sp trees
+  // (tests/referee.hpp) is the referee — identical structure, identical
+  // served answers — and the TSan job runs this under -L concurrency.
   const Graph g = gen::random_connected(96, 300, 41);
   std::vector<Vertex> sources;
   for (std::size_t k = 0; k < 64; ++k) {
@@ -1064,12 +1064,13 @@ TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
   api::BuildSpec spec;
   spec.eps = 0.3;
   spec.sources = sources;
-  const api::Session fused = api::Session::open(g, spec);
-  const api::Session scalar =
+  const api::Session production = api::Session::open(g, spec);
+  const api::Session referee =
       api::Session::deploy(g, test::referee_build(g, spec));
-  ASSERT_EQ(fused.sources().size(), 64u);
-  EXPECT_EQ(fused.structure().edges(), scalar.structure().edges());
-  EXPECT_EQ(fused.structure().tree_edges(), scalar.structure().tree_edges());
+  ASSERT_EQ(production.sources().size(), 64u);
+  EXPECT_EQ(production.structure().edges(), referee.structure().edges());
+  EXPECT_EQ(production.structure().tree_edges(),
+            referee.structure().tree_edges());
 
   // A mixed batch touching every source index.
   Rng rng(4141);
@@ -1087,10 +1088,10 @@ TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
       batch.push_back(q);
     }
   }
-  const QueryResponse want = fused.query(batch);
+  const QueryResponse want = production.query(batch);
   // Referee every answer of the batch against the serial ground truth.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(want.results[i].dist, serial_truth(fused, batch[i])) << i;
+    ASSERT_EQ(want.results[i].dist, serial_truth(production, batch[i])) << i;
   }
 
   std::atomic<int> mismatches{0};
@@ -1108,8 +1109,8 @@ TEST(ApiSessionConcurrency, SigmaWideMultiSourceSessionStorm) {
   };
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
-    threads.emplace_back(storm, std::cref(fused));
-    threads.emplace_back(storm, std::cref(scalar));
+    threads.emplace_back(storm, std::cref(production));
+    threads.emplace_back(storm, std::cref(referee));
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);

@@ -597,63 +597,56 @@ TEST(DualFault, DualDrillsReportZeroViolations) {
   EXPECT_EQ(served.reachable_queries, structural.reachable_queries);
 }
 
-TEST(DualFault, FusedMatchesScalarRefereeOnStructuresAndAnswers) {
-  // The bit-parallel kernel batches the unpruned referee's per-site
-  // punctured rebuilds (per-lane BfsBans carrying each site's failure).
-  // The pruned production build and the fused unpruned referee each race
-  // their scalar referee (tests/referee.hpp): the structure, the pair
-  // tables, AND the batched session answers must agree byte for byte.
+TEST(DualFault, ProductionMatchesTwoPassRefereeOnStructuresAndAnswers) {
+  // The production build (trees on the fused canonical kernel) races the
+  // referee of tests/referee.hpp, whose trees come from the two-pass
+  // canonical_sp: the structure, the pair tables, AND the batched session
+  // answers must agree byte for byte.
   for (const auto& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
-    for (const bool unpruned : {false, true}) {
-      api::BuildSpec spec;
-      spec.fault_model = FaultClass::kDual;
-      spec.sources = {pc.source};
-      const api::BuildResult ra =
-          unpruned ? test::referee_build(pc.graph, spec, {.unpruned = true})
-                   : api::build(pc.graph, spec);
-      const api::BuildResult rb = test::referee_build(
-          pc.graph, spec, {.unpruned = unpruned, .bit_parallel = false});
-      EXPECT_EQ(ra.structure.edges(), rb.structure.edges())
-          << pc.name() << " unpruned=" << unpruned;
-      EXPECT_EQ(ra.structure.tree_edges(), rb.structure.tree_edges())
-          << pc.name() << " unpruned=" << unpruned;
-      ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
-      EXPECT_TRUE(
-          test::same_tables(ra.dual_tables.front(), rb.dual_tables.front()))
-          << pc.name() << " unpruned=" << unpruned;
+    api::BuildSpec spec;
+    spec.fault_model = FaultClass::kDual;
+    spec.sources = {pc.source};
+    const api::BuildResult ra = api::build(pc.graph, spec);
+    const api::BuildResult rb = test::referee_build(pc.graph, spec);
+    EXPECT_EQ(ra.structure.edges(), rb.structure.edges()) << pc.name();
+    EXPECT_EQ(ra.structure.tree_edges(), rb.structure.tree_edges())
+        << pc.name();
+    ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
+    EXPECT_TRUE(
+        test::same_tables(ra.dual_tables.front(), rb.dual_tables.front()))
+        << pc.name();
 
-      const api::Session sa = api::Session::deploy(pc.graph, ra);
-      const api::Session sb = api::Session::deploy(pc.graph, rb);
-      test::FaultSampler sampler(pc.graph, pc.source, pc.seed ^ 0xB17A);
-      std::vector<api::Query> batch;
-      for (const auto& [x, y] : sampler.sample_pairs(40)) {
-        for (Vertex v = 0; v < pc.graph.num_vertices(); v += 3) {
-          api::Query q;
-          q.v = v;
-          q.kind = x.kind;
-          q.fault = x.id;
-          q.kind2 = y.kind;
-          q.fault2 = y.id;
-          batch.push_back(q);
-        }
+    const api::Session sa = api::Session::deploy(pc.graph, ra);
+    const api::Session sb = api::Session::deploy(pc.graph, rb);
+    test::FaultSampler sampler(pc.graph, pc.source, pc.seed ^ 0xB17A);
+    std::vector<api::Query> batch;
+    for (const auto& [x, y] : sampler.sample_pairs(40)) {
+      for (Vertex v = 0; v < pc.graph.num_vertices(); v += 3) {
+        api::Query q;
+        q.v = v;
+        q.kind = x.kind;
+        q.fault = x.id;
+        q.kind2 = y.kind;
+        q.fault2 = y.id;
+        batch.push_back(q);
       }
-      const api::QueryResponse qa = sa.query(batch);
-      const api::QueryResponse qb = sb.query(batch);
-      ASSERT_EQ(qa.results.size(), qb.results.size());
-      for (std::size_t i = 0; i < qa.results.size(); ++i) {
-        ASSERT_EQ(qa.results[i].dist, qb.results[i].dist)
-            << pc.name() << " unpruned=" << unpruned << " query " << i;
-        ASSERT_EQ(qa.results[i].outcome, qb.results[i].outcome)
-            << pc.name() << " unpruned=" << unpruned << " query " << i;
-      }
+    }
+    const api::QueryResponse qa = sa.query(batch);
+    const api::QueryResponse qb = sb.query(batch);
+    ASSERT_EQ(qa.results.size(), qb.results.size());
+    for (std::size_t i = 0; i < qa.results.size(); ++i) {
+      ASSERT_EQ(qa.results[i].dist, qb.results[i].dist)
+          << pc.name() << " query " << i;
+      ASSERT_EQ(qa.results[i].outcome, qb.results[i].outcome)
+          << pc.name() << " query " << i;
     }
   }
 }
 
-TEST(DualFault, MultiSourceDualFusedMatchesScalarReferee) {
-  // The multi-source dual path crosses both seams at once: the fused
-  // per-source canonical builds AND the per-source pair-table builds.
+TEST(DualFault, MultiSourceDualMatchesTwoPassReferee) {
+  // The multi-source dual path crosses both seams at once: the per-source
+  // canonical trees AND the per-source pair-table builds.
   const Graph g = gen::random_connected(32, 70, 23);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;

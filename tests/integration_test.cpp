@@ -104,7 +104,7 @@ TEST(Integration, ConnectivityExplainsDrillDisconnections) {
 
 TEST(Integration, MultiSourceDeploymentStormAcrossSigma) {
   // The full-pipeline flow was single-source only; this sweeps σ: one
-  // union build over σ sources (the fused kernel path at σ ≥ 2), a
+  // union build over σ sources (one canonical tree per source), a
   // save/reload round trip, then a FaultSampler-driven query storm per
   // source index, refereed by literal BFS.
   const Graph g = gen::random_connected(48, 160, 408);

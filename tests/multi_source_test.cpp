@@ -147,11 +147,12 @@ TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
   }
 }
 
-TEST(MultiSource, FusedUnionsMatchScalarReferee) {
-  // The fused multi-source build (one canonical_source_sps sweep) vs the
-  // scalar per-source union of tests/referee.hpp: every union flavor must
-  // emit the same structure byte for byte across the property harness's
-  // adversarial families.
+TEST(MultiSource, UnionsMatchTwoPassReferee) {
+  // The production multi-source build (per-source trees on the fused
+  // canonical kernel) vs the per-source union of tests/referee.hpp on
+  // two-pass canonical_sp trees: every union flavor must emit the same
+  // structure byte for byte across the property harness's adversarial
+  // families.
   for (const test::PropertyCase& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "multi_source_test");
     const Vertex n = pc.graph.num_vertices();

@@ -5,14 +5,13 @@
 // alternatives that differential checks race it against live here, built
 // from the seams the library keeps:
 //
-//  * the scalar per-source union — each source's canonical tree from the
-//    scalar canonical BFS (never the fused canonical_source_sps sweep),
-//    the per-source detail::*_impl(tree, ·) builds, merged like the §5
-//    unions;
+//  * the per-source union — each source's canonical tree from the
+//    two-pass reference canonical_sp (never the fused canonical_sp_run
+//    kernel that production trees come from), the per-source
+//    detail::*_impl(tree, ·) builds, merged like the §5 unions;
 //  * the dual referees — detail::build_dual_site_table's referee
-//    parameters: the naive reference kernels, the unpruned recursion
-//    (with its per-site punctured rebuilds fused or scalar), and the
-//    independent-rebase site schedule.
+//    parameters: the naive reference kernels, the unpruned recursion and
+//    the independent-rebase site schedule.
 //
 // referee_build returns an api::BuildResult, so Session::deploy serves a
 // referee exactly like a production build.
@@ -33,13 +32,12 @@ namespace ftb::test {
 struct DualReferee {
   bool reference_kernel = false;  // naive reference engine kernels
   bool unpruned = false;          // full H_f per site, no segment pruning
-  bool bit_parallel = true;       // unpruned: fuse per-site rebuilds
   bool dfs_schedule = true;       // pruned: false = independent rebase
 };
 
-/// Builds `spec` source by source on scalar canonical trees and merges the
+/// Builds `spec` source by source on two-pass canonical trees and merges the
 /// per-source structures (a single source's structure is returned as
-/// built, so a σ = 1 referee costs what the production build costs); a
+/// built, so a σ = 1 referee pays no merge copy); a
 /// dual spec runs each source's site table under `dual`. `work`, when
 /// given, accumulates the dual rebase-seam work.
 inline api::BuildResult referee_build(const Graph& g,
@@ -53,7 +51,7 @@ inline api::BuildResult referee_build(const Graph& g,
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
   for (const Vertex s : spec.sources) {
-    const BfsTree tree(g, weights, s);  // scalar canonical_sp
+    const BfsTree tree(g, weights, s, canonical_sp(g, weights, s));
     switch (spec.fault_model) {
       case FaultClass::kEdge: {
         EpsilonResult r =
@@ -76,7 +74,7 @@ inline api::BuildResult referee_build(const Graph& g,
         SweepWorkStats w;
         tables.push_back(detail::build_dual_site_table(
             tree, spec.pool, dual.reference_kernel, &dual_edges, dual.unpruned,
-            spec.site_dist_oracle ? &sd : nullptr, dual.bit_parallel,
+            spec.site_dist_oracle ? &sd : nullptr, /*ignored=*/true,
             dual.dfs_schedule, &w));
         if (spec.site_dist_oracle) site_dist.push_back(std::move(sd));
         if (work != nullptr) {

@@ -91,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StressSweep,
                          });
 
 TEST(Stress, ManySourcesOnOneGraph) {
-  // One union structure over σ sources (the fused multi-source build path)
+  // One union structure over σ sources (the multi-source build path)
   // instead of σ independent single-source builds, swept over σ — then a
   // FaultSampler storm per source: every sampled non-reinforced edge
   // failure preserves that source's distances in the union.
