@@ -37,6 +37,7 @@
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/canonical_bfs.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/lower_bound.hpp"
 #include "src/io/binary_io.hpp"
 #include "src/io/structure_io.hpp"
 #include "src/util/rng.hpp"
@@ -152,6 +153,27 @@ double time_engine(const BfsTree& tree, bool reference,
   return sec;
 }
 
+// ---- gates -----------------------------------------------------------------
+
+/// A section's gates, one {name, kind, ok} row each in its JSON `gates`
+/// array; every tripped gate also prints one `!!! [kind]` line. kind is
+/// "hard" (bit-identity, work counters, size budgets: deterministic, any
+/// failure is a regression) or "statistical" (a timing with an explicit
+/// margin, best-of-k where the section repeats).
+struct GateList {
+  bench::JsonArray rows;
+  bool all_ok = true;
+
+  void add(const char* name, const char* kind, bool ok) {
+    bench::JsonObject row;
+    row.set("name", std::string(name))
+        .set("kind", std::string(kind))
+        .set("ok", ok);
+    rows.push(row);
+    all_ok = all_ok && ok;
+  }
+};
+
 // ---- the serving plane: QPS, tail latency, and the cutover/oracle gates ---
 
 /// Percentile (0..1) of per-batch service times, in microseconds.
@@ -163,7 +185,7 @@ double percentile_us(std::vector<double> lats, double p) {
   return lats[idx] * 1e6;
 }
 
-/// The "millions of users" acceptance for the Session read path. Four
+/// The "millions of users" acceptance for the Session read path. Five
 /// storms, each with its own regression gate. Every gate carries a kind:
 /// "hard" (bit-identity, traversal counts: deterministic, any failure is a
 /// regression) or "statistical" (best-of-k timing with an explicit margin),
@@ -187,6 +209,13 @@ double percentile_us(std::vector<double> lats, double p) {
 ///     GATE: every answer identical to the serial server (hard). Its
 ///     speedup feeds the top-level speedup_query_batched_vs_serial
 ///     (reported, not gated).
+///  3b. what-if failure PAIRS on an edge session over the lower-bound
+///     family at ε = 0.05 (n = 300, which reinforces; an edge session
+///     covers single failures only, so every pair is a what-if):
+///     reinforced edges with router vertices, and router-vertex pairs —
+///     failures whose T0 subtrees nest and failures whose subtrees are
+///     disjoint. GATE what_if_pair_storm_identical: every answer identical
+///     to a serial one-slot BFS server on H \ {f1, f2} (hard).
 ///  4. a dual-pair storm through a site_dist_oracle session. GATES: zero
 ///     pair traversals and site_oracle_hits > 0 (hard), and every answer
 ///     identical to the traversing (plain dual) session (hard).
@@ -484,6 +513,101 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
   }
   const double storm_speedup = storm_serial_s / storm_batched_s;
 
+  // Storm 3b: what-if failure pairs, interleaved, on their own edge
+  // session over the lower-bound family at ε = 0.05 (fixed n = 300). The
+  // dense workload above reinforces nothing, and there almost every vertex
+  // keeps its depth under any failure, so a mis-swept slice would not show
+  // in its answers; this structure reinforces, and its deep paths detour
+  // far around a failure.
+  const lb::SingleSourceLb lbg = lb::build_single_source(300, 0.5);
+  api::BuildSpec lspec;
+  lspec.sources = {lbg.source};
+  lspec.eps = 0.05;
+  lspec.pool = &pool;
+  const api::Session lsession = api::Session::open(lbg.graph, lspec);
+  const FtBfsStructure& lh = lsession.structure();
+  const Vertex ln = lbg.graph.num_vertices();
+  std::vector<std::pair<DualSite, DualSite>> wpairs;
+  {
+    // Routers are T0's internal vertices: a leaf's failure moves no other
+    // vertex, so only these exercise the sweep.
+    const EdgeWeights lw =
+        EdgeWeights::uniform_random(lbg.graph, lspec.weight_seed);
+    const BfsTree lt(lbg.graph, lw, lbg.source);
+    std::vector<Vertex> routers;
+    for (const Vertex x : lt.preorder()) {
+      if (x != lbg.source && lt.subtree_size(x) > 1) routers.push_back(x);
+    }
+    for (const EdgeId e : lh.reinforced()) {
+      for (const Vertex x : routers) {
+        wpairs.emplace_back(DualSite{FaultClass::kEdge, e},
+                            DualSite{FaultClass::kVertex, x});
+      }
+    }
+    for (std::size_t i = 0; i < routers.size(); ++i) {
+      for (std::size_t j = i + 1; j < routers.size(); j += 2) {
+        wpairs.emplace_back(DualSite{FaultClass::kVertex, routers[i]},
+                            DualSite{FaultClass::kVertex, routers[j]});
+      }
+    }
+  }
+  std::vector<api::Query> pair_storm;
+  for (Vertex v = 0; v < ln; v += 8) {
+    for (const auto& [a, b] : wpairs) {
+      api::Query q;
+      q.v = v;
+      q.kind = a.kind;
+      q.fault = a.id;
+      q.kind2 = b.kind;
+      q.fault2 = b.id;
+      q.allow_what_if = true;
+      pair_storm.push_back(q);
+    }
+  }
+  double pstorm_serial_s = 1e300, pstorm_batched_s = 1e300;
+  std::int64_t pstorm_traversals = 0;
+  bool pair_storm_identical = true;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::int32_t> serial;
+    serial.reserve(pair_storm.size());
+    Timer t;
+    BfsScratch scratch;
+    std::vector<std::uint8_t> mask;
+    const api::Query* cached = nullptr;  // the one-slot cache's pair
+    for (const api::Query& q : pair_storm) {
+      const DualSite a{q.kind, q.fault}, b{q.kind2, q.fault2};
+      if (cached == nullptr || cached->fault != q.fault ||
+          cached->kind != q.kind || cached->fault2 != q.fault2 ||
+          cached->kind2 != q.kind2) {
+        BfsBans bans;
+        bans.banned_edge_mask = &lh.complement_mask();
+        const PairBans ban(a, b, mask, static_cast<std::size_t>(ln), bans);
+        bfs_run(lbg.graph, lbg.source, bans, scratch);
+        cached = &q;
+      }
+      const bool destroyed =
+          (a.kind == FaultClass::kVertex && a.id == q.v) ||
+          (b.kind == FaultClass::kVertex && b.id == q.v);
+      serial.push_back(destroyed ? kInfHops : scratch.dist(q.v));
+    }
+    pstorm_serial_s = std::min(pstorm_serial_s, t.seconds());
+    t.restart();
+    const api::QueryResponse resp = lsession.query(pair_storm);
+    pstorm_batched_s = std::min(pstorm_batched_s, t.seconds());
+    pstorm_traversals = resp.what_if_traversals;
+    for (std::size_t i = 0; i < pair_storm.size(); ++i) {
+      if (resp.results[i].dist != serial[i] ||
+          resp.results[i].outcome != api::QueryOutcome::kWhatIf) {
+        if (pair_storm_identical) {
+          std::cout << "!!! [hard] query qps: what-if pair storm diverges "
+                       "from the serial one-slot BFS server at "
+                    << i << "\n";
+        }
+        pair_storm_identical = false;
+      }
+    }
+  }
+
   // Storm 4: the dual-pair plane — plain (traversing) session vs the
   // site-dist oracle session over the same storm, bit-identity enforced.
   std::vector<api::Query> pairs;
@@ -560,20 +684,19 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
             << "what-if storm: " << storm.size() << " queries over "
             << faults.size() << " distinct faults, " << storm_speedup
             << "x over the serial one-slot BFS server (" << storm_traversals
+            << " traversals batched)\n"
+            << "what-if pair storm: " << pair_storm.size()
+            << " queries over " << wpairs.size() << " distinct pairs, "
+            << pstorm_serial_s / pstorm_batched_s
+            << "x over the serial one-slot BFS server (" << pstorm_traversals
             << " traversals batched)\n";
 
-  bench::JsonArray gates;
-  const auto gate = [&gates](const char* name, const char* kind, bool ok) {
-    bench::JsonObject row;
-    row.set("name", std::string(name))
-        .set("kind", std::string(kind))
-        .set("ok", ok);
-    gates.push(row);
-  };
-  gate("answers_identical", "hard", identical);
-  gate("what_if_storm_identical", "hard", storm_identical);
-  gate("oracle_traversal_free", "hard", oracle_ok);
-  gate("cutover_speedup_ok", "statistical", cutover_ok);
+  GateList gates;
+  gates.add("answers_identical", "hard", identical);
+  gates.add("what_if_storm_identical", "hard", storm_identical);
+  gates.add("what_if_pair_storm_identical", "hard", pair_storm_identical);
+  gates.add("oracle_traversal_free", "hard", oracle_ok);
+  gates.add("cutover_speedup_ok", "statistical", cutover_ok);
 
   bench::JsonObject qq;
   qq.set("threads", static_cast<std::int64_t>(kThreads))
@@ -601,10 +724,19 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
       .set("what_if_serial_s", storm_serial_s)
       .set("what_if_batched_s", storm_batched_s)
       .set("speedup_what_if_storm", storm_speedup)
-      .set_raw("gates", gates.str(2));
+      .set("what_if_pair_n", static_cast<std::int64_t>(ln))
+      .set("what_if_pair_queries",
+           static_cast<std::int64_t>(pair_storm.size()))
+      .set("what_if_distinct_pairs",
+           static_cast<std::int64_t>(wpairs.size()))
+      .set("what_if_pair_traversals", pstorm_traversals)
+      .set("what_if_pair_serial_s", pstorm_serial_s)
+      .set("what_if_pair_batched_s", pstorm_batched_s)
+      .set("speedup_what_if_pair_storm", pstorm_serial_s / pstorm_batched_s)
+      .set_raw("gates", gates.rows.str(2));
   *out = qq;
   *headline = storm_speedup;
-  return identical && storm_identical && cutover_ok && oracle_ok;
+  return gates.all_ok;
 }
 
 // ---- the dual-failure pipeline: build timing + brute-force identity -------
@@ -660,25 +792,30 @@ bool run_dual_scale_report(bench::JsonObject* out) {
       .set("build_s_pruned", pruned_s)
       .set("build_s_unpruned", unpruned_s)
       .set("speedup_build", speedup)
-      .set("verify_violations", violations)
-      .set("gates_ok", size_ok && speed_ok && violations == 0);
+      .set("verify_violations", violations);
   std::cout << "dual scale (n=" << n << "): pruned "
             << pruned.structure.num_edges() << " edges in " << pruned_s
             << "s, unpruned " << unpruned.structure.num_edges()
             << " edges in " << unpruned_s << "s — " << speedup
             << "x build speedup\n";
   if (!size_ok) {
-    std::cout << "!!! pruned dual structure is not smaller than the "
+    std::cout << "!!! [hard] pruned dual structure is not smaller than the "
                  "unpruned referee at n=" << n << "\n";
   }
   if (!speed_ok) {
-    std::cout << "!!! pruned dual build speedup below 3x at n=" << n << "\n";
+    std::cout << "!!! [statistical] pruned dual build speedup below 3x at n="
+              << n << "\n";
   }
   if (violations != 0) {
-    std::cout << "!!! pruned dual structure fails verification at n=" << n
-              << "\n";
+    std::cout << "!!! [hard] pruned dual structure fails verification at n="
+              << n << "\n";
   }
-  return size_ok && speed_ok && violations == 0;
+  GateList gates;
+  gates.add("pruned_strictly_smaller", "hard", size_ok);
+  gates.add("verify_clean", "hard", violations == 0);
+  gates.add("speedup_build_3x", "statistical", speed_ok);
+  out->set_raw("gates", gates.rows.str(2)).set("gates_ok", gates.all_ok);
+  return gates.all_ok;
 }
 
 /// The single-source (vertex 0) dual build under the independent-rebase
@@ -775,12 +912,13 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
         test::same_site_dist(dfs.site_dist, ind.dual_site_dist.front());
     const bool lower = dfs.sweep_work.total() < ind_work.total();
     if (!same) {
-      std::cout << "!!! dual dfs schedule diverges from the independent "
-                   "referee at n=" << id_n << " seed=" << seed << "\n";
+      std::cout << "!!! [hard] dual dfs schedule diverges from the "
+                   "independent referee at n="
+                << id_n << " seed=" << seed << "\n";
     }
     if (!lower) {
-      std::cout << "!!! dual dfs schedule work not strictly below the "
-                   "independent referee at n=" << id_n << " seed=" << seed
+      std::cout << "!!! [hard] dual dfs schedule work not strictly below "
+                   "the independent referee at n=" << id_n << " seed=" << seed
                 << " (" << dfs.sweep_work.total() << " vs "
                 << ind_work.total() << ")\n";
     }
@@ -844,15 +982,16 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   identical = identical && big_identical;
   work_ok = work_ok && big_work_ok;
   if (!big_identical) {
-    std::cout << "!!! dual dfs schedule diverges from the independent "
-                 "referee at the timing tier (n=" << tn << ")\n";
+    std::cout << "!!! [hard] dual dfs schedule diverges from the "
+                 "independent referee at the timing tier (n=" << tn << ")\n";
   }
   if (!big_work_ok) {
-    std::cout << "!!! dual dfs schedule work not strictly below the "
+    std::cout << "!!! [hard] dual dfs schedule work not strictly below the "
                  "independent referee at n=" << tn << "\n";
   }
   if (!speed_ok) {
-    std::cout << "!!! dual dfs schedule wall-clock speedup " << speedup
+    std::cout << "!!! [statistical] dual dfs schedule wall-clock speedup "
+              << speedup
               << "x below the " << speed_gate << "x gate at n=" << tn
               << "\n";
   }
@@ -909,9 +1048,13 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
       .set("growth_exponent", growth_exponent)
       .set_raw("hardware", hardware_json().str(2))
       .set("bit_identical", identical)
-      .set("work_strictly_lower", work_ok)
-      .set("gates_ok", identical && work_ok && speed_ok);
-  return identical && work_ok && speed_ok;
+      .set("work_strictly_lower", work_ok);
+  GateList gates;
+  gates.add("bit_identical", "hard", identical);
+  gates.add("work_strictly_lower", "hard", work_ok);
+  gates.add("speedup_build", "statistical", speed_ok);
+  out->set_raw("gates", gates.rows.str(2)).set("gates_ok", gates.all_ok);
+  return gates.all_ok;
 }
 
 /// Builds the dual-failure structure per bench seed — pruned AND the
@@ -931,7 +1074,9 @@ bool run_dual_report(bench::JsonObject* out) {
   }();
   constexpr std::int64_t kPairsPerSeed = 400;
 
-  bool identical = true;
+  bool identical = true;      // every answer, both referees
+  bool sizes_ok = true;       // pruned strictly below the unpruned size
+  bool budgets_ok = true;     // verification under the per-seed budget
   bench::JsonArray rows;
   double build_s_last = 0;
   for (const std::uint64_t seed : {3ULL, 5ULL, 7ULL}) {
@@ -951,18 +1096,18 @@ bool run_dual_report(bench::JsonObject* out) {
     const double build_unpruned_s = t.seconds();
     const bool size_ok = res.structure.num_edges() < ref.structure.num_edges();
     if (!size_ok) {
-      identical = false;
-      std::cout << "!!! pruned dual structure not strictly below the PR 4 "
-                   "baseline at seed " << seed << "\n";
+      sizes_ok = false;
+      std::cout << "!!! [hard] pruned dual structure not strictly below the "
+                   "unpruned baseline at seed " << seed << "\n";
     }
     // Size-regression referee: the pruned structure must verify under the
     // recorded per-seed bound (the unpruned size minus one — strictness).
     if (verify_dual_structure(res.structure, /*max_pairs=*/300,
                               /*seed=*/seed, nullptr,
                               ref.structure.num_edges() - 1) != 0) {
-      identical = false;
-      std::cout << "!!! pruned dual structure fails verification under the "
-                   "per-seed budget at seed " << seed << "\n";
+      budgets_ok = false;
+      std::cout << "!!! [hard] pruned dual structure fails verification "
+                   "under the per-seed budget at seed " << seed << "\n";
     }
     const api::Session ref_session = api::Session::deploy(g, ref);
     const api::Session session = api::Session::deploy(g, res);
@@ -1016,8 +1161,8 @@ bool run_dual_report(bench::JsonObject* out) {
         }
       }
       if (!agree) {
-        std::cout << "!!! pruned dual answers diverge from the unpruned "
-                     "referee at seed " << seed << "\n";
+        std::cout << "!!! [hard] pruned dual answers diverge from the "
+                     "unpruned referee at seed " << seed << "\n";
       }
     }
 
@@ -1048,8 +1193,8 @@ bool run_dual_report(bench::JsonObject* out) {
     const double serial_s = t.seconds();
     if (!agree) {
       identical = false;
-      std::cout << "!!! dual answers diverge from brute-force two-failure "
-                   "BFS at seed "
+      std::cout << "!!! [hard] dual answers diverge from brute-force "
+                   "two-failure BFS at seed "
                 << seed << "\n";
     }
 
@@ -1075,16 +1220,21 @@ bool run_dual_report(bench::JsonObject* out) {
     rows.push(row);
   }
 
+  GateList gates;
+  gates.add("answers_identical", "hard", identical);
+  gates.add("size_strictly_below_baseline", "hard", sizes_ok);
+  gates.add("verify_within_budget", "hard", budgets_ok);
   bench::JsonObject dual;
   dual.set("n", static_cast<std::int64_t>(n))
       .set("build_s", build_s_last)
       .set_raw("per_seed", rows.str(2))
-      .set("answers_identical", identical);
+      .set("answers_identical", identical)
+      .set_raw("gates", gates.rows.str(2));
   *out = dual;
   std::cout << "dual-failure pipeline (n=" << n << "): answers "
             << (identical ? "bit-identical to" : "DIVERGE from")
             << " brute-force two-failure BFS across seeds {3,5,7}\n";
-  return identical;
+  return gates.all_ok;
 }
 
 /// Times the zero-trust artifact plane on a dual session: checksummed v5
@@ -1145,8 +1295,11 @@ bool run_io_integrity_report(bench::JsonObject* out) {
   std::remove(path.c_str());
 
   const double total_s = save_s + load_s + fsck_s;
-  const bool ok =
-      rep.ok && !rep.degraded && identical && total_s < 30.0;
+  GateList gates;
+  gates.add("reload_answers_identical", "hard", identical);
+  gates.add("fsck_clean", "hard", rep.ok && !rep.degraded);
+  gates.add("round_trip_under_30s", "statistical", total_s < 30.0);
+  const bool ok = gates.all_ok;
   out->set("n", static_cast<std::int64_t>(n))
       .set("artifact_bytes", artifact_bytes)
       .set("save_v5_s", save_s)
@@ -1156,16 +1309,23 @@ bool run_io_integrity_report(bench::JsonObject* out) {
       .set("fsck_ok", rep.ok)
       .set("degraded", rep.degraded)
       .set("reload_answers_identical", identical)
+      .set_raw("gates", gates.rows.str(2))
       .set("gates_ok", ok);
   std::cout << "io integrity (n=" << n << "): v5 save " << save_s
             << "s, strict load " << load_s << "s, fsck " << fsck_s << "s ("
             << rep.checks << " checks) — "
             << (ok ? "ok" : "GATE FAILED") << "\n";
   if (!identical) {
-    std::cout << "!!! reloaded v5 session diverges from the live session\n";
+    std::cout << "!!! [hard] reloaded v5 session diverges from the live "
+                 "session\n";
   }
   if (!rep.ok || rep.degraded) {
-    std::cout << "!!! fsck on a clean v5 reload: " << rep.to_string() << "\n";
+    std::cout << "!!! [hard] fsck on a clean v5 reload: " << rep.to_string()
+              << "\n";
+  }
+  if (!(total_s < 30.0)) {
+    std::cout << "!!! [statistical] v5 save + strict load + fsck took "
+              << total_s << "s, over the 30s ceiling\n";
   }
   return ok;
 }
@@ -1273,7 +1433,8 @@ bool run_artifact_plane_report(bench::JsonObject* out) {
   const double want_speedup = n_rmat >= 50000 ? 10.0 : 2.0;
   const bool speed_ok = attach_speedup >= want_speedup;
   if (!speed_ok) {
-    std::cout << "!!! artifact plane: v6 mmap attach only " << attach_speedup
+    std::cout << "!!! [statistical] artifact plane: v6 mmap attach only "
+              << attach_speedup
               << "x over the v5 text load (gate " << want_speedup
               << "x at n=" << n_rmat << ")\n";
   }
@@ -1295,7 +1456,7 @@ bool run_artifact_plane_report(bench::JsonObject* out) {
     resave_identical =
         io::write_structure_v6_bytes(h6, s6, tb6, sd6) == disk;
     if (!resave_identical) {
-      std::cout << "!!! artifact plane: v6 decode + re-encode is not "
+      std::cout << "!!! [hard] artifact plane: v6 decode + re-encode is not "
                    "byte-identical to the on-disk artifact\n";
     }
   }
@@ -1344,13 +1505,17 @@ bool run_artifact_plane_report(bench::JsonObject* out) {
     }
   }
   if (!identical) {
-    std::cout << "!!! artifact plane: v5- and v6-loaded sessions diverge on "
-                 "the pair storm\n";
+    std::cout << "!!! [hard] artifact plane: v5- and v6-loaded sessions "
+                 "diverge on the pair storm\n";
   }
   std::remove(v5_path.c_str());
   std::remove(v6_path.c_str());
 
-  const bool ok = speed_ok && identical && resave_identical;
+  GateList gates;
+  gates.add("answers_identical", "hard", identical);
+  gates.add("resave_identical", "hard", resave_identical);
+  gates.add("attach_speedup", "statistical", speed_ok);
+  const bool ok = gates.all_ok;
   out->set("n", static_cast<std::int64_t>(n_rmat))
       .set("m", static_cast<std::int64_t>(g.num_edges()))
       .set("rmat_scale", static_cast<std::int64_t>(scale))
@@ -1372,6 +1537,7 @@ bool run_artifact_plane_report(bench::JsonObject* out) {
       .set("storm_queries", static_cast<std::int64_t>(storm.size()))
       .set("answers_identical", identical)
       .set("resave_identical", resave_identical)
+      .set_raw("gates", gates.rows.str(2))
       .set("gates_ok", ok);
   std::cout << "artifact plane (n=" << n_rmat << ", m=" << g.num_edges()
             << "): v5 load " << v5_load_s << "s, v6 mmap attach "
@@ -1458,18 +1624,14 @@ bool run_canonical_trees_report(bench::JsonObject* out) {
               << production_s << "s — " << reference_s / production_s
               << "x\n";
   }
-  bench::JsonArray gates;
-  bench::JsonObject gate;
-  gate.set("name", std::string("trees_identical"))
-      .set("kind", std::string("hard"))
-      .set("ok", all_identical);
-  gates.push(gate);
+  GateList gates;
+  gates.add("trees_identical", "hard", all_identical);
   out->set("n", static_cast<std::int64_t>(n))
       .set("m", static_cast<std::int64_t>(g.num_edges()))
       .set_raw("per_sigma", rows.str(2))
-      .set_raw("gates", gates.str(2))
-      .set("gates_ok", all_identical);
-  return all_identical;
+      .set_raw("gates", gates.rows.str(2))
+      .set("gates_ok", gates.all_ok);
+  return gates.all_ok;
 }
 
 /// Returns false when any reference-vs-optimized edge-set comparison

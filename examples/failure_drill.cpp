@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   // What-if sweep: the model says reinforced links never fail, and routers
   // are outside the edge model entirely — but the operator still wants the
   // nightmare numbers. One batched query() answers both: the plane groups
-  // the out-of-model failures and pays ONE literal traversal per distinct
+  // the out-of-model failures and pays ONE subtree sweep per distinct
   // fault, fanned out across the pool's workers.
   {
     std::vector<api::Query> storm;
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << "\nwhat-if: " << storm.size() << " out-of-model queries ("
-              << what_if.what_if_traversals << " literal traversals) in "
+              << what_if.what_if_traversals << " subtree sweeps) in "
               << t.seconds() << "s: " << degraded << " degraded, " << cutoff
               << " cut off\n";
   }

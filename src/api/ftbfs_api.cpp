@@ -11,12 +11,12 @@
 #include <thread>
 #include <unordered_map>
 
+#include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/fault_model.hpp"
 #include "src/core/multi_source.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/vertex_ftbfs.hpp"
-#include "src/graph/bfs_kernel.hpp"
 #include "src/graph/bfs_tree.hpp"
 #include "src/io/binary_io.hpp"
 #include "src/io/structure_io.hpp"
@@ -112,14 +112,17 @@ BuildResult build(const Graph& g, const BuildSpec& spec) {
 
 namespace {
 
-/// One worker's what-if workspace: a BFS arena plus the vertex-ban mask,
-/// with the key of the traversal the arena currently holds so a repeat of
-/// the same failure (across groups or batches) skips the BFS entirely.
-/// Dual-failure serving keeps its own site-restricted arena alongside
-/// (grown lazily, so non-dual sessions never pay for it).
+/// One worker's what-if workspace: the subtree sweep of the last what-if
+/// failure (pair) — the swept distances plus the T0 preorder intervals
+/// they cover — with the key of that sweep, so a repeat of the same
+/// failure (across groups or batches) skips it entirely. Dual-failure
+/// serving keeps its own site-restricted arena alongside (grown lazily, so
+/// non-dual sessions never pay for it).
 struct WhatIfArena {
-  BfsScratch bfs;
-  std::vector<std::uint8_t> vertex_mask;  // all-zero whenever idle
+  ReplacementSweepScratch sweep;
+  // [tin, tout) of each swept slice under the cached source's tree; an
+  // empty interval (lo == hi) for a failure that moves no vertex.
+  std::array<std::pair<std::int32_t, std::int32_t>, 2> swept{};
   DualQueryArena dual;
   // Cached traversal key: (source, normalized fault pair); source ==
   // kInvalidVertex means "holds nothing". fault2 == -1 ⇔ single failure.
@@ -448,11 +451,32 @@ struct Session::Impl {
     return vertex_tables[si].replacement_dist(q.v, q.fault);
   }
 
-  /// Literal BFS on H minus the query's failure (or failure pair) from
-  /// the query's source into `arena`, unless the arena already holds
-  /// exactly that traversal. Returns true when a traversal actually ran.
+  /// The T0 preorder slice whose depths a failure can change: the
+  /// subtree below a failed tree edge, or below (and including) a failed
+  /// reachable vertex. Empty for any other failure — a non-tree edge, an
+  /// edge outside H, an unreachable vertex, an absent second element —
+  /// since every tree path avoids it and T0 ⊆ H.
+  static std::span<const Vertex> affected_slice(const BfsTree& t,
+                                                DualSite f) {
+    if (f.id < 0) return {};
+    if (f.kind == FaultClass::kVertex) {
+      return t.reachable(f.id) ? t.subtree(f.id) : std::span<const Vertex>{};
+    }
+    return t.is_tree_edge(f.id) ? t.subtree(t.lower_endpoint(f.id))
+                                : std::span<const Vertex>{};
+  }
+
+  /// Sweeps the query's failure (or failure pair) into `arena`, unless the
+  /// arena already holds exactly that sweep. Every vertex outside the
+  /// failures' T0 slices keeps its tree depth in H minus the failures (its
+  /// tree path avoids them, and T0 ⊆ H), so only the union of the slices
+  /// is recomputed: replacement_dist_sweep over H's edges, seeded from the
+  /// slices' admitted neighbours outside them. Cost: the slices' volume,
+  /// not O(n + m). Returns true when a sweep actually ran (a cache miss,
+  /// an empty affected set included).
   bool what_if_traverse(const Query& q, WhatIfArena& arena) const {
-    const Vertex src = sources[static_cast<std::size_t>(q.source_index)];
+    const BfsTree& t = trees[static_cast<std::size_t>(q.source_index)];
+    const Vertex src = t.source();
     // Normalized pair → {a, b} and {b, a} share one cache entry, exactly
     // like the batch grouping key.
     const auto [a, b] = normalized_pair(q);
@@ -461,13 +485,35 @@ struct Session::Impl {
         arena.cached_fault2 == b.id) {
       return false;
     }
-    BfsBans bans;
-    bans.banned_edge_mask = &structure.complement_mask();
-    {
-      const PairBans pair(a, b, arena.vertex_mask,
-                          static_cast<std::size_t>(g->num_vertices()), bans);
-      bfs_run(*g, src, bans, arena.bfs);
+    // T0 slices are laminar: two failures' slices nest or are disjoint.
+    // Shallower root first (the sweep's bucket base), so a nested inner
+    // slice is the second one, and it adds nothing.
+    std::span<const Vertex> first = affected_slice(t, a);
+    std::span<const Vertex> second = affected_slice(t, b);
+    if (first.empty() || (!second.empty() && t.depth(second.front()) <
+                                                 t.depth(first.front()))) {
+      std::swap(first, second);
     }
+    if (!second.empty() &&
+        t.is_ancestor_or_equal(first.front(), second.front())) {
+      second = {};
+    }
+    // An absent second element is {kEdge, -1}: kInvalidEdge.
+    const auto edge_of = [](DualSite f) {
+      return f.kind == FaultClass::kEdge ? f.id : kInvalidEdge;
+    };
+    const auto vertex_of = [](DualSite f) {
+      return f.kind == FaultClass::kVertex ? f.id : kInvalidVertex;
+    };
+    replacement_dist_sweep(t, edge_of(a), vertex_of(a), first, arena.sweep,
+                           edge_of(b), vertex_of(b), nullptr, second,
+                           EdgesOfH{structure.complement_mask().data()});
+    const auto interval = [&](std::span<const Vertex> slice) {
+      return slice.empty()
+                 ? std::pair<std::int32_t, std::int32_t>{0, 0}
+                 : std::pair{t.tin(slice.front()), t.tout(slice.front())};
+    };
+    arena.swept = {interval(first), interval(second)};
     arena.cached_source = src;
     arena.cached_kind = a.kind;
     arena.cached_fault = a.id;
@@ -476,12 +522,21 @@ struct Session::Impl {
     return true;
   }
 
+  /// dist(s, v) in H minus the query's failure(s), off the arena's sweep
+  /// (what_if_traverse ran for this query's key): kInfHops for a failed
+  /// vertex, the swept distance inside a swept slice, the tree depth
+  /// everywhere else.
   std::int32_t what_if_dist(const Query& q, const WhatIfArena& arena) const {
     if (q.kind == FaultClass::kVertex && q.v == q.fault) return kInfHops;
     if (q.fault2 >= 0 && q.kind2 == FaultClass::kVertex && q.v == q.fault2) {
       return kInfHops;
     }
-    return arena.bfs.dist(q.v);
+    const BfsTree& t = trees[static_cast<std::size_t>(q.source_index)];
+    const std::int32_t tv = t.tin(q.v);
+    for (const auto& [lo, hi] : arena.swept) {
+      if (tv >= lo && tv < hi) return arena.sweep.dist(q.v);
+    }
+    return t.depth(q.v);
   }
 
   /// Model-level classification (malformed queries are rejected before

@@ -34,7 +34,8 @@
 //     replacement tables per source, no templates in sight) serving a
 //     batched, THREAD-SAFE query plane. `query(QueryBatch)` classifies
 //     every query as an in-model O(1) contract hit, an out-of-model
-//     what-if (answered by a literal BFS on H \ {fault}), or refused; it
+//     what-if (dist in H \ {fault}, swept over the fault's T0 subtree
+//     only), or refused; it
 //     shards in-model lookups across the thread pool and groups what-if
 //     queries by fault so each distinct failure costs ONE traversal per
 //     batch — traversals run on a pool of per-worker scratch arenas, so
@@ -139,7 +140,8 @@ enum class QueryOutcome : std::uint8_t {
   /// from the source's replacement-distance table.
   kInModel = 0,
   /// Out-of-model what-if (reinforced edge, or a fault kind the session's
-  /// model does not cover): answered by a literal BFS on H \ {fault},
+  /// model does not cover): dist(s, v, H \ {fault}), from one sweep of the
+  /// fault's T0 subtree over H (every other vertex keeps its tree depth),
   /// shared by every query of the batch that names the same fault.
   kWhatIf = 1,
   /// Outside the model and allow_what_if was not set — or the fault is
@@ -176,12 +178,13 @@ struct Query {
   /// dual-failure query for dist(s, v | {fault, fault2}), unordered. A
   /// dual-model session answers pairs in-model (one traversal per distinct
   /// pair per batch, site-restricted); other sessions treat a pair as a
-  /// what-if (literal BFS on H minus both) or refuse it.
+  /// what-if (one sweep of both failures' T0 subtrees over H) or refuse
+  /// it.
   FaultClass kind2 = FaultClass::kEdge;
   std::int32_t fault2 = -1;
   /// Which source asks (index into Session::sources()).
   std::int32_t source_index = 0;
-  /// Permit an out-of-model answer via literal BFS on H \ {fault(s)}.
+  /// Permit an out-of-model answer: dist in H \ {fault(s)}.
   bool allow_what_if = false;
 };
 
@@ -200,8 +203,8 @@ struct QueryResponse {
   std::int64_t in_model = 0;
   std::int64_t what_if = 0;
   std::int64_t refused = 0;
-  /// Literal traversals actually run (≤ distinct what-if faults in the
-  /// batch; arena caching can drop repeats across batches).
+  /// What-if subtree sweeps actually run (≤ distinct what-if faults in
+  /// the batch; arena caching can drop repeats across batches).
   std::int64_t what_if_traversals = 0;
   /// Site-restricted traversals paid for in-model dual-failure queries
   /// (≤ distinct non-reducible pairs in the batch — reducible pairs are

@@ -29,54 +29,62 @@ std::vector<std::pair<std::int32_t, Vertex>>& sweep_seeds() {
 
 }  // namespace
 
-template <class Tree>
+template <class Tree, class Admit>
 void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
                             Vertex banned_vertex,
                             std::span<const Vertex> affected,
                             ReplacementSweepScratch& s, EdgeId ambient_edge,
-                            Vertex ambient_vertex, SweepWorkStats* work) {
+                            Vertex ambient_vertex, SweepWorkStats* work,
+                            std::span<const Vertex> affected2, Admit admit) {
   const Graph& g = tree.graph();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   s.prepare(n);
+  FTB_DCHECK(!affected.empty() || affected2.empty());
   if (affected.empty()) return;
 
   // All replacement distances of A sit at or below no key smaller than the
-  // depth of the subtree root (dist' ≥ depth ≥ depth(root of A)), so the
-  // bucket queue can be based there.
+  // depth of the shallowest slice root (dist' ≥ depth ≥ depth(root)), so
+  // the bucket queue can be based there.
   const std::int32_t base = tree.depth(affected.front());
+  FTB_DCHECK(affected2.empty() || tree.depth(affected2.front()) >= base);
+  const auto for_each_affected = [&](auto&& body) {
+    for (const Vertex v : affected) body(v);
+    for (const Vertex v : affected2) body(v);
+  };
+  const auto steps = [&](const Arc& a) {
+    return a.edge != banned_edge && a.edge != ambient_edge && admit(a.edge) &&
+           a.to != banned_vertex && a.to != ambient_vertex;
+  };
 
   // Mark A first so the seeding pass can tell inside from outside.
-  for (const Vertex v : affected) {
-    if (v == banned_vertex || v == ambient_vertex) continue;
+  for_each_affected([&](Vertex v) {
+    if (v == banned_vertex || v == ambient_vertex) return;
     const std::size_t vi = static_cast<std::size_t>(v);
     s.stamp_[vi] = s.epoch_;
     s.dist_[vi] = kInfHops;
-  }
+  });
 
   // Seed c_out(v): the best admissible step from an unaffected vertex.
   std::int32_t max_seed_rel = -1;
   std::int64_t visits = 0;
   std::vector<std::pair<std::int32_t, Vertex>>& seeds = sweep_seeds();
   seeds.clear();
-  for (const Vertex v : affected) {
-    if (v == banned_vertex || v == ambient_vertex) continue;
+  for_each_affected([&](Vertex v) {
+    if (v == banned_vertex || v == ambient_vertex) return;
     ++visits;
     std::int32_t best = kInfHops;
     for (const Arc& a : g.neighbors(v)) {
-      if (a.edge == banned_edge || a.edge == ambient_edge) continue;
-      const Vertex u = a.to;
-      if (u == banned_vertex || u == ambient_vertex) continue;
-      if (s.in_set(u)) continue;
-      const std::int32_t du = tree.depth(u);
+      if (!steps(a) || s.in_set(a.to)) continue;
+      const std::int32_t du = tree.depth(a.to);
       if (du >= kInfHops) continue;  // unreachable even in G
       best = std::min(best, du + 1);
     }
-    if (best >= kInfHops) continue;
+    if (best >= kInfHops) return;
     FTB_DCHECK(best >= base);
     const std::int32_t rel = best - base;
     seeds.emplace_back(rel, v);
     max_seed_rel = std::max(max_seed_rel, rel);
-  }
+  });
   if (max_seed_rel < 0) {  // fault disconnects the whole subtree
     if (work != nullptr) work->sweep_visits += visits;
     return;
@@ -86,8 +94,8 @@ void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
   // exceed max_seed_rel + |A|. Sizing the bucket array up front keeps the
   // relaxation loop free of reallocation (bucket capacity is retained
   // across sweeps, so this is a steady-state no-op).
-  const std::size_t num_buckets =
-      static_cast<std::size_t>(max_seed_rel) + affected.size() + 2;
+  const std::size_t num_buckets = static_cast<std::size_t>(max_seed_rel) +
+                                  affected.size() + affected2.size() + 2;
   if (s.buckets_.size() < num_buckets) s.buckets_.resize(num_buckets);
   for (const auto& [rel, v] : seeds) {
     s.dist_[static_cast<std::size_t>(v)] = base + rel;
@@ -104,11 +112,8 @@ void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
       if (s.dist_[static_cast<std::size_t>(v)] != base + k) continue;  // stale
       ++visits;
       for (const Arc& a : g.neighbors(v)) {
-        if (a.edge == banned_edge || a.edge == ambient_edge) continue;
         const Vertex u = a.to;
-        if (u == banned_vertex || u == ambient_vertex || !s.in_set(u)) {
-          continue;
-        }
+        if (!steps(a) || !s.in_set(u)) continue;
         auto& du = s.dist_[static_cast<std::size_t>(u)];
         if (du > base + k + 1) {
           du = base + k + 1;
@@ -126,11 +131,18 @@ void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
 template void replacement_dist_sweep(const BfsTree&, EdgeId, Vertex,
                                      std::span<const Vertex>,
                                      ReplacementSweepScratch&, EdgeId, Vertex,
-                                     SweepWorkStats*);
+                                     SweepWorkStats*, std::span<const Vertex>,
+                                     AnyEdge);
 template void replacement_dist_sweep(const PuncturedTree&, EdgeId, Vertex,
                                      std::span<const Vertex>,
                                      ReplacementSweepScratch&, EdgeId, Vertex,
-                                     SweepWorkStats*);
+                                     SweepWorkStats*, std::span<const Vertex>,
+                                     AnyEdge);
+template void replacement_dist_sweep(const BfsTree&, EdgeId, Vertex,
+                                     std::span<const Vertex>,
+                                     ReplacementSweepScratch&, EdgeId, Vertex,
+                                     SweepWorkStats*, std::span<const Vertex>,
+                                     EdgesOfH);
 
 namespace {
 

@@ -29,6 +29,11 @@
 // only that subtree is relabeled. PuncturedTree serves the result as an
 // overlay on T0 (the production path, per-site cost subtree-local);
 // rebase_punctured_tree materializes it as a full BfsTree (the referee).
+//
+// And it serves what-if queries: T0 ⊆ H for every structure H, so the
+// same argument holds in H \ {f1[, f2]} — a Session sweeps the union of
+// the failures' T0 slices over H's edges (the EdgesOfH policy) and reads
+// T0 depths everywhere else.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,23 @@ struct SweepWorkStats {
 
 class ReplacementSweepScratch;
 
+/// Admissibility policy of a sweep step: every graph edge may carry one.
+/// The engines' and the punctured trees' sweeps run on G with it, so their
+/// instantiation carries no per-arc mask test.
+struct AnyEdge {
+  bool operator()(EdgeId) const { return true; }
+};
+
+/// Admissibility policy of a what-if sweep: only edges of a structure H
+/// may carry a step. `out_of_h` is the structure's complement_mask()
+/// (1 = outside H), indexed by EdgeId.
+struct EdgesOfH {
+  const std::uint8_t* out_of_h;
+  bool operator()(EdgeId e) const {
+    return out_of_h[static_cast<std::size_t>(e)] == 0;
+  }
+};
+
 /// Computes dist(s, v, G \ {fault}) for every v ∈ `affected`, where
 /// `affected` is the preorder subtree slice below the fault
 /// (tree.subtree(lower_endpoint(banned_edge)) or tree.subtree(banned_vertex))
@@ -70,16 +92,27 @@ class ReplacementSweepScratch;
 /// `work`, when given, accumulates the sweep's vertex visits (marking,
 /// seeding and non-stale bucket pops).
 ///
+/// `affected2`, when non-empty, is a second slice disjoint from the first
+/// whose root is no shallower than the first's (the first vertex of
+/// `affected` carries the minimum depth, the bucket queue's base); the
+/// sweep then covers their union. That is the affected set of a failure
+/// pair whose T0 slices do not nest — the second failure rides in the
+/// ambient slots. `admit` restricts every step to the edges it accepts
+/// (EdgesOfH: the sweep runs on a structure H ⊇ T0 instead of G).
+///
 /// `Tree` is BfsTree or PuncturedTree (the sweep reads only graph() and
-/// depth()); both are instantiated in dist_sweep.cpp.
-template <class Tree>
+/// depth()); dist_sweep.cpp instantiates both with AnyEdge, and BfsTree
+/// with EdgesOfH.
+template <class Tree, class Admit = AnyEdge>
 void replacement_dist_sweep(const Tree& tree, EdgeId banned_edge,
                             Vertex banned_vertex,
                             std::span<const Vertex> affected,
                             ReplacementSweepScratch& scratch,
                             EdgeId ambient_edge = kInvalidEdge,
                             Vertex ambient_vertex = kInvalidVertex,
-                            SweepWorkStats* work = nullptr);
+                            SweepWorkStats* work = nullptr,
+                            std::span<const Vertex> affected2 = {},
+                            Admit admit = {});
 
 /// Reusable per-thread arena for replacement_dist_sweep. Zero steady-state
 /// allocations: affected marking is epoch-stamped, buckets retain capacity.
@@ -93,11 +126,12 @@ class ReplacementSweepScratch {
   }
 
  private:
-  template <class Tree>
+  template <class Tree, class Admit>
   friend void replacement_dist_sweep(const Tree&, EdgeId, Vertex,
                                      std::span<const Vertex>,
                                      ReplacementSweepScratch&, EdgeId, Vertex,
-                                     SweepWorkStats*);
+                                     SweepWorkStats*, std::span<const Vertex>,
+                                     Admit);
 
   void prepare(std::size_t n);
   bool in_set(Vertex v) const {
