@@ -3,12 +3,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <limits>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "src/core/dist_sweep.hpp"
@@ -112,7 +109,8 @@ BuildResult build(const Graph& g, const BuildSpec& spec) {
 
 namespace {
 
-/// One worker's what-if workspace: the subtree sweep of the last what-if
+/// A leased what-if workspace (one per batch or query_one call, so one
+/// per calling thread at a time): the subtree sweep of the last what-if
 /// failure (pair) — the swept distances plus the T0 preorder intervals
 /// they cover — with the key of that sweep, so a repeat of the same
 /// failure (across groups or batches) skips it entirely. Dual-failure
@@ -172,13 +170,11 @@ struct GroupKeyHash {
 /// capacity, group storage is reused up to n_groups, and the hash map is
 /// cleared (buckets kept), not destroyed.
 struct BatchScratch {
-  std::vector<std::uint32_t> in_model;
   std::vector<QueryGroup> groups;  // high-water storage; n_groups live
   std::size_t n_groups = 0;
   std::unordered_map<GroupKey, std::size_t, GroupKeyHash> group_of;
 
   void reset() {
-    in_model.clear();
     for (std::size_t i = 0; i < n_groups; ++i) groups[i].members.clear();
     n_groups = 0;
     group_of.clear();
@@ -189,16 +185,6 @@ struct BatchScratch {
     grp.in_model_pair = in_model_pair;
     return grp;
   }
-};
-
-/// Per-plane counter accumulator, folded into the QueryResponse once per
-/// worker instead of one atomic bump per query.
-struct PlaneCounters {
-  std::int64_t what_if_traversals = 0;
-  std::int64_t pair_traversals = 0;
-  std::int64_t site_oracle_hits = 0;
-  std::int64_t pair_cache_hits = 0;
-  std::int64_t pair_cache_misses = 0;
 };
 
 /// The normalized (unordered) failure pair of a query: elements sorted by
@@ -237,14 +223,8 @@ struct Session::Impl {
   // to the source set they are attached to the oracles and every in-model
   // pair answers O(1), zero traversals.
   std::vector<DualSiteDistTable> dual_site_dist;
-  ThreadPool* pool;  // nullptr = global
   FreeListPool<WhatIfArena> arenas;
   FreeListPool<BatchScratch> batch_scratch;
-  // Auto-tuned inline/sharded cutover (BatchOptions::inline_threshold < 0):
-  // -1 = not measured yet. Benign racy init — concurrent first batches may
-  // both measure and store near-identical values; the threshold is pure
-  // strategy and never changes an answer.
-  mutable std::atomic<std::int32_t> auto_inline_threshold{-1};
   // Degradation state: true when this session serves recomputed pair
   // tables because the artifact's were corrupt or absent (see
   // SessionConfig::tolerate_corruption). Immutable after construction —
@@ -257,7 +237,7 @@ struct Session::Impl {
   std::vector<std::string> accel_notes;
 
   Impl(const Graph& graph, FtBfsStructure&& h, std::vector<Vertex> srcs,
-       std::uint64_t weight_seed, ThreadPool* pool_in,
+       std::uint64_t weight_seed, ThreadPool* pool,
        std::vector<DualSiteTable> tables = {},
        std::vector<std::string> load_drops = {},
        std::vector<DualSiteDistTable> site_dist = {},
@@ -270,7 +250,6 @@ struct Session::Impl {
         weights(EdgeWeights::uniform_random(graph, weight_seed)),
         dual_tables(std::move(tables)),
         dual_site_dist(std::move(site_dist)),
-        pool(pool_in),
         serving_degraded(!load_drops.empty()),
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
@@ -371,10 +350,6 @@ struct Session::Impl {
     }
   }
 
-  ThreadPool& worker_pool() const {
-    return pool != nullptr ? *pool : ThreadPool::global();
-  }
-
   bool covers_edge() const { return model != FaultClass::kVertex; }
   bool covers_vertex() const { return model != FaultClass::kEdge; }
   bool covers_pairs() const { return model == FaultClass::kDual; }
@@ -407,39 +382,6 @@ struct Session::Impl {
     return dual_oracles[si].dist(q.v, DualSite{q.kind, q.fault},
                                  DualSite{q.kind2, q.fault2}, arena.dual,
                                  traversals);
-  }
-
-  /// The measured inline/sharded break-even: batches at most this large
-  /// are served on the caller thread. One empty pool dispatch is timed
-  /// (amortized over a few reps) and weighed against ~50ns per in-model
-  /// lookup and the fraction of work parallelism can actually take off
-  /// the caller — capped by the HARDWARE concurrency, since an 8-thread
-  /// pool on a 1-core box removes nothing from the caller's critical
-  /// path and sharding there is pure overhead at any batch size. The
-  /// result is clamped to sane bounds and cached for the session's
-  /// lifetime.
-  std::int32_t inline_cutover() const {
-    std::int32_t cached = auto_inline_threshold.load(std::memory_order_relaxed);
-    if (cached >= 0) return cached;
-    ThreadPool& wp = worker_pool();
-    const std::size_t hw =
-        std::max<unsigned>(1, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min(wp.thread_count(), hw);
-    std::int32_t n_star = std::numeric_limits<std::int32_t>::max();
-    if (workers > 1) {
-      constexpr int kReps = 16;
-      Timer t;
-      for (int r = 0; r < kReps; ++r) {
-        wp.parallel_for(workers, [](std::size_t) {});
-      }
-      const double dispatch_ns = t.seconds() * 1e9 / kReps;
-      constexpr double kLookupNs = 50.0;
-      const double gain = 1.0 - 1.0 / static_cast<double>(workers);
-      n_star = static_cast<std::int32_t>(dispatch_ns / (kLookupNs * gain));
-      n_star = std::clamp(n_star, 256, 1 << 20);
-    }
-    auto_inline_threshold.store(n_star, std::memory_order_relaxed);
-    return n_star;
   }
 
   /// In-model O(1) answer. Precondition: classified kInModel.
@@ -576,8 +518,8 @@ struct Session::Impl {
     return q.allow_what_if ? QueryOutcome::kWhatIf : QueryOutcome::kRefused;
   }
 
-  /// Batch-level input validation: API misuse throws, serially, before any
-  /// parallel work starts.
+  /// Batch-level input validation: API misuse throws before any traversal
+  /// runs.
   void validate_query(const Query& q) const {
     FTB_CHECK_MSG(q.kind == FaultClass::kEdge || q.kind == FaultClass::kVertex,
                   "invalid Query: kind must be kEdge or kVertex");
@@ -728,38 +670,22 @@ QueryResponse Session::query(QueryBatch batch,
   resp.results.assign(batch.size(), QueryResult{});
   if (batch.empty()) return resp;
 
-  // Adaptive cutover: below the (measured or overridden) break-even the
-  // whole batch is served inline on the caller thread — no pool dispatch,
-  // and O(1) answers are written during the classification pass itself.
-  const std::int32_t threshold = opts.inline_threshold >= 0
-                                     ? opts.inline_threshold
-                                     : im.inline_cutover();
-  const bool inline_serve =
-      batch.size() <= static_cast<std::size_t>(threshold);
-  // With the site-local oracle attached every in-model pair is O(1) and
-  // joins the in-model plane; without it pairs group for (at most) one
-  // site-restricted traversal per distinct pair.
+  // With the site-local oracle attached every in-model pair is O(1);
+  // without it pairs group for (at most) one site-restricted traversal per
+  // distinct pair.
   const bool oracle_pairs = im.has_site_dist();
 
-  // Serial pass over a pooled scratch (zero per-batch allocation once the
-  // high-water marks are warm): validate (throws before any parallel
-  // work), classify, and group every traversal-shaped query — what-ifs
-  // and non-oracle in-model pairs — by (source, normalized fault[,
-  // fault2]) so each distinct failure (pair) is traversed at most once.
-  // The scratch is leased LAZILY: an inline batch whose every answer is
-  // O(1) — the high-QPS steady state — pays for the response vector and
-  // nothing else, so small batches stay ahead of a bare query_one loop.
+  // One pass on the calling thread over a pooled scratch (zero per-batch
+  // allocation once the high-water marks are warm): validate (throws
+  // before any traversal runs), classify, write every O(1) answer, and
+  // group every traversal-shaped query — what-ifs and non-oracle in-model
+  // pairs — by (source, normalized fault[, fault2]) so each distinct
+  // failure (pair) is traversed at most once. The scratch is leased
+  // LAZILY: a batch whose every answer is O(1) — the high-QPS steady
+  // state — pays for the response vector and nothing else, so small
+  // batches stay ahead of a bare query_one loop.
   std::optional<PoolLease<BatchScratch>> scratch;
   BatchScratch* scp = nullptr;
-  const auto sc_get = [&]() -> BatchScratch& {
-    if (scp == nullptr) {
-      scratch.emplace(im.batch_scratch);
-      scp = &**scratch;
-      scp->reset();
-    }
-    return *scp;
-  };
-  if (!inline_serve) sc_get();  // the sharded path always shards a list
   const auto key_of = [](const Query& q) {
     const auto [a, b] = normalized_pair(q);
     return GroupKey{q.source_index, static_cast<std::uint8_t>(a.kind), a.id,
@@ -767,35 +693,37 @@ QueryResponse Session::query(QueryBatch batch,
   };
   const auto group_push = [&](std::size_t i, const Query& q,
                               bool in_model_pair) {
-    BatchScratch& sc = sc_get();
+    if (scp == nullptr) {
+      scratch.emplace(im.batch_scratch);
+      scp = &**scratch;
+      scp->reset();
+    }
     const auto [it, inserted] =
-        sc.group_of.try_emplace(key_of(q), sc.n_groups);
-    if (inserted) sc.push_group(in_model_pair);
-    sc.groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
+        scp->group_of.try_emplace(key_of(q), scp->n_groups);
+    if (inserted) scp->push_group(in_model_pair);
+    scp->groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
   };
-  PlaneCounters inline_pc;
   std::int64_t n_in_model = 0, n_what_if = 0, n_refused = 0, n_degraded = 0;
+  // Held in a register across the table reads, which the compiler cannot
+  // see through (reloading resp.results.data() per query is measurable).
+  QueryResult* const out = resp.results.data();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
     im.validate_query(q);
     const QueryOutcome outcome = im.classify(q);
-    resp.results[i].outcome = outcome;
+    out[i].outcome = outcome;
     switch (outcome) {
       case QueryOutcome::kInModel:
       case QueryOutcome::kDegraded:  // recomputed tables, same serving path
         outcome == QueryOutcome::kInModel ? ++n_in_model : ++n_degraded;
-        if (q.fault2 >= 0 && !oracle_pairs) {
-          group_push(i, q, /*in_model_pair=*/true);
-        } else if (inline_serve) {
-          if (q.fault2 >= 0) {
-            bool used_oracle = false;
-            im.pair_fast(q, &resp.results[i].dist, &used_oracle);
-            if (used_oracle) ++inline_pc.site_oracle_hits;
-          } else {
-            resp.results[i].dist = im.in_model_dist(q);
-          }
+        if (q.fault2 < 0) {
+          out[i].dist = im.in_model_dist(q);
+        } else if (oracle_pairs) {
+          bool used_oracle = false;
+          im.pair_fast(q, &out[i].dist, &used_oracle);
+          if (used_oracle) ++resp.site_oracle_hits;
         } else {
-          scp->in_model.push_back(static_cast<std::uint32_t>(i));
+          group_push(i, q, /*in_model_pair=*/true);
         }
         break;
       case QueryOutcome::kWhatIf:
@@ -810,157 +738,92 @@ QueryResponse Session::query(QueryBatch batch,
     }
   }
 
-  // Traversal-plane service limits: the batch budget charges one unit per
-  // group up front and refunds it when no traversal actually ran (arena
-  // cache hit, or a pair group the reducible ladder absorbed) — the
-  // budget bounds work actually paid for, not queries served. A deadline
-  // is checked once per group before it starts; a group already
-  // traversing is finished, not aborted.
+  if (scp == nullptr || scp->n_groups == 0) {
+    // No traversal group: every classified outcome stands.
+    resp.in_model = n_in_model;
+    resp.what_if = n_what_if;
+    resp.refused = n_refused;
+    resp.degraded = n_degraded;
+    return resp;
+  }
+
+  // Traversal plane: the groups drain in first-appearance order on ONE
+  // arena whose traversal cache persists across the whole batch, each
+  // paying at most one traversal (a subtree sweep for what-ifs, a
+  // site-restricted BFS for non-oracle pairs) and fanning its answer out
+  // to every member.
+  // Service limits: the budget charges one unit per group up front and
+  // refunds it when no traversal actually ran (arena cache hit, or a pair
+  // group the reducible ladder absorbed) — it bounds work actually paid
+  // for, not queries served. A deadline is checked once per group before
+  // it starts; a group already traversing is finished, not aborted. Both
+  // limits only ever cut a suffix of the group order: once the budget
+  // reaches 0 nothing is charged (so nothing is refunded), and the clock
+  // only moves forward.
   const bool has_budget = opts.max_traversals >= 0;
+  std::int64_t budget = has_budget ? opts.max_traversals : 0;
   const auto deadline =
       batch_start + std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(
                             has_deadline ? opts.deadline_seconds : 0));
-  std::atomic<std::int64_t> budget{has_budget ? opts.max_traversals : 0};
-
-  // One group's service: at most one traversal (literal for what-ifs,
-  // site-restricted for non-oracle pairs), answers fanned out to every
-  // member, counters accumulated locally and folded in once per worker.
-  const auto serve_group = [&](const QueryGroup& grp, WhatIfArena& arena,
-                               PlaneCounters& pc) {
-    const auto exhaust = [&] {
+  ArenaLease lease(im.arenas);
+  WhatIfArena& arena = *lease;
+  for (std::size_t gi = 0; gi < scp->n_groups; ++gi) {
+    const QueryGroup& grp = scp->groups[gi];
+    if ((has_deadline && std::chrono::steady_clock::now() >= deadline) ||
+        (has_budget && budget == 0)) {
       for (const std::uint32_t idx : grp.members) {
         resp.results[idx].outcome = QueryOutcome::kBudgetExhausted;
         resp.results[idx].dist = kInfHops;
       }
-    };
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
-      exhaust();
-      return;
+      continue;
     }
-    if (has_budget &&
-        budget.fetch_sub(1, std::memory_order_relaxed) <= 0) {
-      budget.fetch_add(1, std::memory_order_relaxed);
-      exhaust();
-      return;
-    }
+    if (has_budget) --budget;
+    bool traversed = false;
     if (grp.in_model_pair) {
       const std::int64_t h0 = arena.dual.cache_hits();
       const std::int64_t m0 = arena.dual.cache_misses();
       std::int64_t ran = 0;
       for (const std::uint32_t idx : grp.members) {
-        resp.results[idx].dist =
-            im.dual_dist(batch[idx], arena, &ran, &pc.site_oracle_hits);
+        resp.results[idx].dist = im.dual_dist(batch[idx], arena, &ran,
+                                              &resp.site_oracle_hits);
       }
-      pc.pair_cache_hits += arena.dual.cache_hits() - h0;
-      pc.pair_cache_misses += arena.dual.cache_misses() - m0;
-      if (ran != 0) {
-        pc.pair_traversals += ran;
-      } else if (has_budget) {
-        budget.fetch_add(1, std::memory_order_relaxed);  // reducible/cached
-      }
-      return;
-    }
-    if (im.what_if_traverse(batch[grp.members.front()], arena)) {
-      ++pc.what_if_traversals;
-    } else if (has_budget) {
-      budget.fetch_add(1, std::memory_order_relaxed);  // arena cache hit
-    }
-    for (const std::uint32_t idx : grp.members) {
-      resp.results[idx].dist = im.what_if_dist(batch[idx], arena);
-    }
-  };
-  const auto fold = [&resp](const PlaneCounters& pc) {
-    resp.what_if_traversals += pc.what_if_traversals;
-    resp.pair_traversals += pc.pair_traversals;
-    resp.site_oracle_hits += pc.site_oracle_hits;
-    resp.pair_cache_hits += pc.pair_cache_hits;
-    resp.pair_cache_misses += pc.pair_cache_misses;
-  };
-
-  if (inline_serve) {
-    // O(1) answers were written during the serial pass; drain the groups
-    // on the caller thread with ONE arena whose traversal cache persists
-    // across the whole batch. A group-free batch never leased a scratch.
-    if (scp != nullptr && scp->n_groups > 0) {
-      ArenaLease arena(im.arenas);
-      for (std::size_t gi = 0; gi < scp->n_groups; ++gi) {
-        serve_group(scp->groups[gi], *arena, inline_pc);
+      resp.pair_cache_hits += arena.dual.cache_hits() - h0;
+      resp.pair_cache_misses += arena.dual.cache_misses() - m0;
+      resp.pair_traversals += ran;
+      traversed = ran != 0;
+    } else {
+      traversed = im.what_if_traverse(batch[grp.members.front()], arena);
+      if (traversed) ++resp.what_if_traversals;
+      for (const std::uint32_t idx : grp.members) {
+        resp.results[idx].dist = im.what_if_dist(batch[idx], arena);
       }
     }
-    fold(inline_pc);
-  } else {
-    BatchScratch& sc = *scp;
-    ThreadPool& pool = im.worker_pool();
-    // In-model plane: pure O(1) table/oracle reads against immutable
-    // state — embarrassingly parallel, no scratch beyond the index list.
-    std::atomic<std::int64_t> oracle_hits{0};
-    pool.parallel_for(sc.in_model.size(), [&](std::size_t k) {
-      const std::uint32_t idx = sc.in_model[k];
-      const Query& q = batch[idx];
-      if (q.fault2 >= 0) {
-        bool used_oracle = false;
-        im.pair_fast(q, &resp.results[idx].dist, &used_oracle);
-        if (used_oracle) {
-          oracle_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        resp.results[idx].dist = im.in_model_dist(q);
-      }
-    });
-    resp.site_oracle_hits += oracle_hits.load();
-
-    // Traversal plane: one leased arena per group.
-    std::atomic<std::int64_t> wt{0}, pt{0}, oh{0}, ch{0}, cm{0};
-    pool.parallel_for(sc.n_groups, [&](std::size_t gi) {
-      ArenaLease arena(im.arenas);
-      PlaneCounters pc;
-      serve_group(sc.groups[gi], *arena, pc);
-      wt.fetch_add(pc.what_if_traversals, std::memory_order_relaxed);
-      pt.fetch_add(pc.pair_traversals, std::memory_order_relaxed);
-      oh.fetch_add(pc.site_oracle_hits, std::memory_order_relaxed);
-      ch.fetch_add(pc.pair_cache_hits, std::memory_order_relaxed);
-      cm.fetch_add(pc.pair_cache_misses, std::memory_order_relaxed);
-    });
-    resp.what_if_traversals += wt.load();
-    resp.pair_traversals += pt.load();
-    resp.site_oracle_hits += oh.load();
-    resp.pair_cache_hits += ch.load();
-    resp.pair_cache_misses += cm.load();
+    if (has_budget && !traversed) ++budget;  // reducible or cached: refund
   }
 
-  // Counter tally: a batch that served no groups kept every classified
-  // outcome, so the serial-pass counts stand as-is. A group that lost the
-  // budget race (or the deadline) flipped its members' outcomes, so only
-  // group-bearing batches pay the re-count over the results.
-  if (scp != nullptr && scp->n_groups > 0) {
-    for (const QueryResult& r : resp.results) {
-      switch (r.outcome) {
-        case QueryOutcome::kInModel:
-          ++resp.in_model;
-          break;
-        case QueryOutcome::kWhatIf:
-          ++resp.what_if;
-          break;
-        case QueryOutcome::kRefused:
-          ++resp.refused;
-          break;
-        case QueryOutcome::kDegraded:
-          ++resp.degraded;
-          break;
-        case QueryOutcome::kBudgetExhausted:
-          ++resp.budget_exhausted;
-          break;
-      }
+  // A group that lost the budget (or the deadline) flipped its members'
+  // outcomes, so a group-bearing batch re-counts over the results.
+  for (const QueryResult& r : resp.results) {
+    switch (r.outcome) {
+      case QueryOutcome::kInModel:
+        ++resp.in_model;
+        break;
+      case QueryOutcome::kWhatIf:
+        ++resp.what_if;
+        break;
+      case QueryOutcome::kRefused:
+        ++resp.refused;
+        break;
+      case QueryOutcome::kDegraded:
+        ++resp.degraded;
+        break;
+      case QueryOutcome::kBudgetExhausted:
+        ++resp.budget_exhausted;
+        break;
     }
-  } else {
-    resp.in_model = n_in_model;
-    resp.what_if = n_what_if;
-    resp.refused = n_refused;
-    resp.degraded = n_degraded;
   }
-
   return resp;
 }
 

@@ -35,12 +35,13 @@
 //     batched, THREAD-SAFE query plane. `query(QueryBatch)` classifies
 //     every query as an in-model O(1) contract hit, an out-of-model
 //     what-if (dist in H \ {fault}, swept over the fault's T0 subtree
-//     only), or refused; it
-//     shards in-model lookups across the thread pool and groups what-if
-//     queries by fault so each distinct failure costs ONE traversal per
-//     batch — traversals run on a pool of per-worker scratch arenas, so
-//     any number of threads can call query() on one Session concurrently
-//     (enforced by the TSan CI job over the concurrency-tagged tests).
+//     only), or refused. A batch is served on its calling thread: in-model
+//     lookups are answered as they are classified, and what-if queries
+//     group by fault so each distinct failure costs ONE traversal per
+//     batch. Each batch leases its scratch from lock-free pools, so any
+//     number of threads can call query() on one Session concurrently
+//     (enforced by the TSan CI job over the concurrency-tagged tests) —
+//     that is how serving scales across cores.
 #pragma once
 
 #include <cstdint>
@@ -232,21 +233,20 @@ struct QueryResponse {
 /// TRAVERSAL plane only (literal what-if BFS runs and site-restricted
 /// pair traversals); O(1) in-model lookups are always served.
 struct BatchOptions {
-  /// Max traversal groups this batch may pay for; < 0 = unlimited. With
-  /// max_traversals == 0 the outcome is deterministic: every group that
-  /// would need a traversal returns kBudgetExhausted. Positive budgets are
-  /// best-effort — which groups win the budget depends on scheduling.
+  /// Max traversal groups this batch may pay for; < 0 = unlimited. Groups
+  /// are served in order of their first query in the batch, and a group
+  /// that runs no traversal (a cached or reducible answer) is refunded, so
+  /// the outcome is deterministic: the groups served are always a prefix
+  /// of that order and the rest return kBudgetExhausted (with 0, every
+  /// group that would need a traversal).
   std::int64_t max_traversals = -1;
   /// Wall-clock deadline in seconds from the start of query(); <= 0 = no
   /// deadline. Groups starting after the deadline return kBudgetExhausted
   /// (a group already traversing is finished, not aborted).
   double deadline_seconds = 0;
-  /// Adaptive cutover override: batches of at most this many queries are
-  /// served inline on the caller thread (no pool dispatch); larger ones
-  /// shard across the ThreadPool. < 0 (the default) auto-tunes the
-  /// break-even from a measured dispatch cost, once per session; 0 forces
-  /// sharding for every non-empty batch. Strategy only — answers are
-  /// bit-identical either way.
+  /// Ignored: every batch is served on the calling thread. Kept only
+  /// because the end-to-end benchmark's two sharded-lookup probes
+  /// (perfbench/src/layers.cpp) still set it; it goes together with them.
   std::int32_t inline_threshold = -1;
 };
 
@@ -256,6 +256,7 @@ struct SessionConfig {
   /// rebuilt canonical trees will not match the deployed tree edges
   /// (checked; CheckError on mismatch).
   std::uint64_t weight_seed = 0x5EED0001ULL;
+  /// Builds the replacement tables at load; query() never uses it.
   ThreadPool* pool = nullptr;  // nullptr = global pool
   /// Degrade instead of refuse: when the artifact's pair-table section is
   /// corrupt or truncated, drop it, rebuild the tables from the graph, and
@@ -297,8 +298,9 @@ struct FsckReport {
 ///
 /// Thread safety: all members are immutable after construction and query()
 /// works exclusively on pooled scratch arenas, so concurrent query() /
-/// query_one() calls from any number of threads are safe. Session is the
-/// library's only serving path. Copying a Session is a cheap shared handle.
+/// query_one() calls from any number of threads are safe — and, since each
+/// batch is served on its calling thread, concurrent callers are how a
+/// Session uses several cores. Session is the library's only serving path. Copying a Session is a cheap shared handle.
 class Session {
  public:
   using Config = SessionConfig;
@@ -333,17 +335,20 @@ class Session {
   /// an mmap. load() auto-detects it by magic.
   void save_v6(const std::string& path) const;
 
-  /// Answers a batch: in-model single-fault lookups shard across the
-  /// thread pool; what-if queries and in-model dual-failure pairs are
-  /// grouped by (source, fault[, fault2]) — unordered in the pair — so
-  /// each distinct failure (or failure pair) costs at most one traversal.
+  /// Answers a batch on the calling thread: in-model single-fault lookups
+  /// are O(1) table reads; what-if queries and in-model dual-failure pairs
+  /// are grouped by (source, fault[, fault2]) — unordered in the pair — so
+  /// each distinct failure (or failure pair) costs at most one traversal,
+  /// and the groups are served in order of first appearance. The session's
+  /// thread pool is never used here; to serve on several cores, call
+  /// query() from several threads.
   /// Throws CheckError on malformed queries (out-of-range vertex / fault /
   /// fault2 / source_index); model-level refusals are reported per query
   /// as kRefused, never thrown.
   QueryResponse query(QueryBatch batch) const;
   /// Budgeted variant: `opts` caps the traversal plane (see BatchOptions);
-  /// queries that lose the budget race come back kBudgetExhausted instead
-  /// of blocking the batch. query(batch) == query(batch, {}).
+  /// queries whose group falls past the budget or the deadline come back
+  /// kBudgetExhausted instead of blocking the batch. query(batch) == query(batch, {}).
   QueryResponse query(QueryBatch batch, const BatchOptions& opts) const;
 
   /// Single-query convenience (serial; same classification rules).

@@ -285,7 +285,7 @@ namespace {
 
 /// Storms are chunked so the in-flight batch (queries + results) stays
 /// bounded regardless of drill count or graph size — big enough that the
-/// plane's grouping and sharding still have plenty to chew on per call.
+/// plane's grouping still has plenty to chew on per call.
 constexpr std::size_t kMaxBatchQueries = std::size_t{1} << 20;
 
 /// The shared session-drill loop: per chunk, one batched in-model query()

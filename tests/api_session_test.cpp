@@ -268,8 +268,8 @@ TEST(ApiSession, AnotherSourceMayFailInModel) {
 
 // ---------------------------------------------------------------------------
 // The serving-plane additions: the site-local dual oracle (zero-traversal
-// pair answers), the surfaced arena-cache counters, and the adaptive
-// inline/sharded cutover — all bit-identical to the serial referee.
+// pair answers), the surfaced arena-cache counters, and mixed and
+// degraded batches — all bit-identical to the serial referee.
 
 /// A storm of dual-pair queries (edge×edge over consecutive tree edges,
 /// plus edge×vertex mixes) across every destination stride.
@@ -577,10 +577,10 @@ TEST(ApiSession, SingleFaultAnswersMatchBuildSideEnginesAcrossLoads) {
   std::remove(v6.c_str());
 }
 
-TEST(ApiSession, InlineCutoverBoundaryBitIdentical) {
-  // BatchOptions::inline_threshold pins the strategy: a batch exactly at
-  // the threshold serves inline on the caller thread, one past it shards
-  // across the pool — and the answers must not know the difference.
+TEST(ApiSession, MixedPairAndSingleBatchMatchesQueryOne) {
+  // One batch mixing traversal-grouped dual pairs with O(1) single-fault
+  // lookups answers every query exactly as query_one does. (Budget 0 on
+  // such a batch: SessionBudget.ZeroBudgetExhaustsEveryTraversalGroup.)
   const Graph g = gen::random_connected(36, 90, 41);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
@@ -598,49 +598,23 @@ TEST(ApiSession, InlineCutoverBoundaryBitIdentical) {
   expected.reserve(batch.size());
   for (const Query& q : batch) expected.push_back(session.query_one(q));
 
-  const auto n = static_cast<std::int32_t>(batch.size());
-  for (const std::int32_t threshold : {n, n - 1, 0, -1}) {
-    api::BatchOptions opts;
-    opts.inline_threshold = threshold;
-    const QueryResponse resp = session.query(batch, opts);
-    ASSERT_EQ(resp.results.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(resp.results[i].dist, expected[i].dist)
-          << "threshold=" << threshold << " i=" << i;
-      EXPECT_EQ(resp.results[i].outcome, expected[i].outcome)
-          << "threshold=" << threshold << " i=" << i;
-    }
-  }
-
-  // kBudgetExhausted interplay is path-independent at budget 0: every
-  // traversal group exhausts, every O(1) answer is still served — on the
-  // inline path and the sharded path alike.
-  api::BatchOptions starved_inline;
-  starved_inline.max_traversals = 0;
-  starved_inline.inline_threshold = n;
-  api::BatchOptions starved_sharded;
-  starved_sharded.max_traversals = 0;
-  starved_sharded.inline_threshold = 0;
-  const QueryResponse ri = session.query(batch, starved_inline);
-  const QueryResponse rs = session.query(batch, starved_sharded);
-  EXPECT_GT(ri.budget_exhausted, 0);
-  EXPECT_EQ(ri.budget_exhausted, rs.budget_exhausted);
-  EXPECT_EQ(ri.in_model, rs.in_model);
+  const QueryResponse resp = session.query(batch);
+  ASSERT_EQ(resp.results.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(ri.results[i].dist, rs.results[i].dist) << "i=" << i;
-    EXPECT_EQ(ri.results[i].outcome, rs.results[i].outcome) << "i=" << i;
+    EXPECT_EQ(resp.results[i].dist, expected[i].dist) << "i=" << i;
+    EXPECT_EQ(resp.results[i].outcome, expected[i].outcome) << "i=" << i;
   }
 }
 
-TEST(ApiSession, InlineCutoverBoundaryOnDegradedSessions) {
-  // The cutover is pure strategy on degraded sessions too: recomputed
-  // tables, kDegraded tags, identical distances on both paths.
+TEST(ApiSession, DegradedPairStormTagsEveryAnswer) {
+  // A degraded session serves a pair storm off recomputed tables: every
+  // answer tagged kDegraded, every distance equal to query_one's.
   const Graph g = gen::grid_graph(5, 5);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
   const api::Session fresh = api::Session::open(g, spec);
   const std::string path =
-      ::testing::TempDir() + "/api_session_cutover_degraded.ftbfs";
+      ::testing::TempDir() + "/api_session_degraded_storm.ftbfs";
   fresh.save_v5(path);
   corrupt_pair_tables(path);
   const api::Session session = api::Session::load(g, path);
@@ -651,17 +625,10 @@ TEST(ApiSession, InlineCutoverBoundaryOnDegradedSessions) {
   expected.reserve(batch.size());
   for (const Query& q : batch) expected.push_back(session.query_one(q));
 
-  const auto n = static_cast<std::int32_t>(batch.size());
-  for (const std::int32_t threshold : {n, 0}) {
-    api::BatchOptions opts;
-    opts.inline_threshold = threshold;
-    const QueryResponse resp = session.query(batch, opts);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(resp.results[i].dist, expected[i].dist)
-          << "threshold=" << threshold << " i=" << i;
-      EXPECT_EQ(resp.results[i].outcome, QueryOutcome::kDegraded)
-          << "threshold=" << threshold << " i=" << i;
-    }
+  const QueryResponse resp = session.query(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(resp.results[i].dist, expected[i].dist) << "i=" << i;
+    EXPECT_EQ(resp.results[i].outcome, QueryOutcome::kDegraded) << "i=" << i;
   }
   std::remove(path.c_str());
 }
@@ -980,12 +947,13 @@ TEST(ApiSessionConcurrency, PrunedDualArenaCacheChurnsUnderConcurrentStorms) {
   for (const std::string& f : failures) EXPECT_EQ(f, "");
 }
 
-TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
-  // The lock-free arena freelist under fire: threads alternate tiny
-  // batches (inline path — caller-thread lease/release churn) with large
-  // forced-sharded batches (pool threads leasing concurrently), plus the
-  // site-dist oracle plane in the mix. Every answer bit-identical to the
-  // serial referee; TSan (ctest -L concurrency) watches the freelist.
+TEST(ApiSessionConcurrency, ArenaFreeListStormTinyAndWholeBatches) {
+  // The lock-free arena and scratch freelists under fire: 8 caller threads
+  // alternate streams of tiny batches (one lease/release per batch, so
+  // the freelists churn) with whole-storm batches (many groups drained on
+  // one held arena), plus the site-dist oracle plane in the mix. Every
+  // answer bit-identical to the serial referee; TSan (ctest -L
+  // concurrency) watches the freelists.
   const Graph g = gen::random_connected(32, 80, 17);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
@@ -1018,11 +986,9 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
         std::vector<std::uint32_t> order(all.size());
         for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
         rng.shuffle(order);
-        // Odd rounds: the whole storm forced through the sharded path.
-        // Even rounds: a stream of tiny inline batches (size ≤ 8), each
-        // leasing and releasing scratch + arenas on the caller thread.
-        api::BatchOptions opts;
-        opts.inline_threshold = (round % 2 == 1) ? 0 : 1 << 20;
+        // Odd rounds: the whole storm as one batch. Even rounds: a stream
+        // of tiny batches (size ≤ 8), each leasing and releasing scratch
+        // and an arena.
         const std::size_t step = (round % 2 == 1) ? order.size() : 8;
         for (std::size_t lo = 0; lo < order.size(); lo += step) {
           const std::size_t hi = std::min(lo + step, order.size());
@@ -1030,7 +996,7 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
           batch.reserve(hi - lo);
           for (std::size_t k = lo; k < hi; ++k)
             batch.push_back(all[order[k]]);
-          const QueryResponse resp = session.query(batch, opts);
+          const QueryResponse resp = session.query(batch);
           for (std::size_t k = lo; k < hi; ++k) {
             const api::QueryResult& want = expected[order[k]];
             const api::QueryResult& got = resp.results[k - lo];

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/api/ftbfs_api.hpp"
@@ -308,8 +309,8 @@ TEST(SessionBudget, PositiveBudgetBoundsPaidTraversals) {
   BatchOptions opts;
   opts.max_traversals = 2;
   const QueryResponse resp = session.query(batch, opts);
-  // The budget bounds work actually paid for; which groups win is
-  // scheduling-dependent, but nothing beyond the cap ever runs.
+  // The budget bounds work actually paid for: nothing beyond the cap ever
+  // runs (which groups are served: PositiveBudgetServesAPrefixOfGroups).
   EXPECT_LE(resp.pair_traversals, 2);
   EXPECT_EQ(resp.in_model + resp.budget_exhausted,
             static_cast<std::int64_t>(batch.size()));
@@ -318,6 +319,74 @@ TEST(SessionBudget, PositiveBudgetBoundsPaidTraversals) {
       EXPECT_EQ(r.dist, kInfHops);
     }
   }
+}
+
+TEST(SessionBudget, PositiveBudgetServesAPrefixOfGroups) {
+  // G distinct what-if vertex failures, each an internal tree vertex (so
+  // its sweep moves more than the failed vertex), interleaved so every
+  // group's first query comes in failure order. On a fresh session every
+  // group pays one traversal, so a budget of k < G serves exactly the
+  // first k groups and exhausts the rest — on every session, from every
+  // calling thread.
+  const Graph g = gen::grid_graph(6, 6);
+  const BuildSpec spec;  // edge model: a vertex failure is a what-if
+  const BfsTree t(g, EdgeWeights::uniform_random(g, spec.weight_seed), 0);
+  std::vector<Vertex> failed;
+  for (const Vertex x : t.preorder()) {
+    if (x != 0 && t.subtree_size(x) > 1) failed.push_back(x);
+    if (failed.size() == 6) break;
+  }
+  ASSERT_EQ(failed.size(), 6u);
+  std::vector<Query> batch;
+  for (Vertex v = 0; v < g.num_vertices(); v += 5) {
+    for (const Vertex x : failed) {
+      Query q;
+      q.v = v;
+      q.kind = FaultClass::kVertex;
+      q.fault = x;
+      q.allow_what_if = true;
+      batch.push_back(q);
+    }
+  }
+  constexpr std::int64_t kBudget = 4;
+  BatchOptions opts;
+  opts.max_traversals = kBudget;
+
+  // A separate session answers the referee queries, so the sessions under
+  // test start with cold arenas.
+  const Session referee = Session::open(g, spec);
+  const auto check = [&](const QueryResponse& resp) {
+    EXPECT_EQ(resp.what_if_traversals, kBudget);
+    ASSERT_EQ(resp.results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const bool served = static_cast<std::int64_t>(i % failed.size()) <
+                          kBudget;
+      const api::QueryResult want = referee.query_one(batch[i]);
+      EXPECT_EQ(resp.results[i].outcome,
+                served ? QueryOutcome::kWhatIf
+                       : QueryOutcome::kBudgetExhausted)
+          << "i=" << i;
+      EXPECT_EQ(resp.results[i].dist, served ? want.dist : kInfHops)
+          << "i=" << i;
+    }
+  };
+  check(Session::open(g, spec).query(batch, opts));
+
+  constexpr int kThreads = 4;
+  std::vector<Session> sessions;
+  for (int k = 0; k < kThreads; ++k) {
+    sessions.push_back(Session::open(g, spec));
+  }
+  std::vector<QueryResponse> resps(kThreads);
+  std::vector<std::thread> callers;
+  for (int k = 0; k < kThreads; ++k) {
+    callers.emplace_back([&, k] {
+      resps[static_cast<std::size_t>(k)] =
+          sessions[static_cast<std::size_t>(k)].query(batch, opts);
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (const QueryResponse& resp : resps) check(resp);
 }
 
 TEST(SessionBudget, TinyDeadlineExhaustsTraversalGroups) {

@@ -9,13 +9,12 @@
 // outside H, unreachable vertices), leaf and internal vertices, reinforced
 // tree edges, and pairs whose slices nest, are disjoint, mix an edge and a
 // vertex, or sit side by side in one subtree — for every source of a
-// multi-source session, on the inline and the sharded serving paths, with
-// the same failure repeated under different sources within and across
-// batches (the arena cache key is (source, normalized pair)).
+// multi-source session, with the same failure repeated under different
+// sources within and across batches (the arena cache key is (source,
+// normalized pair)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -208,8 +207,8 @@ Query make_query(const Failure& f, std::int32_t si, Vertex v, bool swap) {
   return q;
 }
 
-/// Serves every failure under every source on both paths and checks each
-/// answer against literal BFS; what-if answers feed `cov`.
+/// Serves every failure under every source and checks each answer
+/// against literal BFS; what-if answers feed `cov`.
 void check_session(const api::Session& session, const BfsTree& t0,
                    Rng& rng, Coverage& cov, const std::string& label) {
   const FtBfsStructure& h = session.structure();
@@ -231,65 +230,59 @@ void check_session(const api::Session& session, const BfsTree& t0,
   }
 
   const Vertex stride = std::max<Vertex>(1, g.num_vertices() / 48);
-  for (const std::int32_t threshold :
-       {0, std::numeric_limits<std::int32_t>::max()}) {
-    api::BatchOptions opts;
-    opts.inline_threshold = threshold;
-    const std::string path = threshold == 0 ? "sharded" : "inline";
-    // Within a batch: each failure under every source back to back, and
-    // the pair spelled both ways. Across batches: one batch per (failure
-    // chunk, source), so consecutive batches repeat a failure under the
-    // next source.
-    std::vector<std::vector<std::pair<Query, std::int32_t>>> batches(1);
-    for (std::size_t fi = 0; fi < failures.size(); ++fi) {
-      for (std::int32_t si = 0; si < sigma; ++si) {
-        for (Vertex v = static_cast<Vertex>(fi % 3); v < g.num_vertices();
-             v += stride) {
-          batches.back().emplace_back(
-              make_query(failures[fi], si, v, (v / stride) % 2 == 1),
-              static_cast<std::int32_t>(fi));
-        }
-      }
-      if (fi % 4 == 3) batches.emplace_back();
-    }
-    for (std::size_t fi = 0; fi < failures.size(); ++fi) {
-      for (std::int32_t si = sigma - 1; si >= 0; --si) {
-        auto& one = batches.emplace_back();
-        for (Vertex v = 0; v < g.num_vertices(); v += stride) {
-          one.emplace_back(make_query(failures[fi], si, v, false),
-                           static_cast<std::int32_t>(fi));
-        }
+  // Within a batch: each failure under every source back to back, and
+  // the pair spelled both ways. Across batches: one batch per (failure
+  // chunk, source), so consecutive batches repeat a failure under the
+  // next source.
+  std::vector<std::vector<std::pair<Query, std::int32_t>>> batches(1);
+  for (std::size_t fi = 0; fi < failures.size(); ++fi) {
+    for (std::int32_t si = 0; si < sigma; ++si) {
+      for (Vertex v = static_cast<Vertex>(fi % 3); v < g.num_vertices();
+           v += stride) {
+        batches.back().emplace_back(
+            make_query(failures[fi], si, v, (v / stride) % 2 == 1),
+            static_cast<std::int32_t>(fi));
       }
     }
-    for (const auto& tagged : batches) {
-      if (tagged.empty()) continue;
-      std::vector<Query> batch;
-      for (const auto& [q, fi] : tagged) batch.push_back(q);
-      const api::QueryResponse resp = session.query(batch, opts);
-      ASSERT_EQ(resp.results.size(), batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const Query& q = batch[i];
-        const auto fi = static_cast<std::size_t>(tagged[i].second);
-        const api::QueryResult& r = resp.results[i];
-        const Vertex src =
-            session.sources()[static_cast<std::size_t>(q.source_index)];
-        if (names_vertex(failures[fi], src)) {
-          // A query's own source never fails: refused, even as a what-if.
-          ASSERT_EQ(r.outcome, QueryOutcome::kRefused) << label;
-          continue;
-        }
-        ASSERT_TRUE(r.outcome == QueryOutcome::kWhatIf ||
-                    r.outcome == QueryOutcome::kInModel)
-            << label << " " << path << " i=" << i;
-        ASSERT_EQ(r.dist,
-                  truth[fi][static_cast<std::size_t>(q.source_index)]
-                       [static_cast<std::size_t>(q.v)])
-            << label << " " << path << " source#" << q.source_index
-            << " v=" << q.v << " fault=" << q.fault << " fault2="
-            << q.fault2 << " outcome=" << static_cast<int>(r.outcome);
-        if (r.outcome == QueryOutcome::kWhatIf && threshold == 0) {
-          ++(cov.*failures[fi].tag);
-        }
+    if (fi % 4 == 3) batches.emplace_back();
+  }
+  for (std::size_t fi = 0; fi < failures.size(); ++fi) {
+    for (std::int32_t si = sigma - 1; si >= 0; --si) {
+      auto& one = batches.emplace_back();
+      for (Vertex v = 0; v < g.num_vertices(); v += stride) {
+        one.emplace_back(make_query(failures[fi], si, v, false),
+                         static_cast<std::int32_t>(fi));
+      }
+    }
+  }
+  for (const auto& tagged : batches) {
+    if (tagged.empty()) continue;
+    std::vector<Query> batch;
+    for (const auto& [q, fi] : tagged) batch.push_back(q);
+    const api::QueryResponse resp = session.query(batch);
+    ASSERT_EQ(resp.results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Query& q = batch[i];
+      const auto fi = static_cast<std::size_t>(tagged[i].second);
+      const api::QueryResult& r = resp.results[i];
+      const Vertex src =
+          session.sources()[static_cast<std::size_t>(q.source_index)];
+      if (names_vertex(failures[fi], src)) {
+        // A query's own source never fails: refused, even as a what-if.
+        ASSERT_EQ(r.outcome, QueryOutcome::kRefused) << label;
+        continue;
+      }
+      ASSERT_TRUE(r.outcome == QueryOutcome::kWhatIf ||
+                  r.outcome == QueryOutcome::kInModel)
+          << label << " i=" << i;
+      ASSERT_EQ(r.dist,
+                truth[fi][static_cast<std::size_t>(q.source_index)]
+                     [static_cast<std::size_t>(q.v)])
+          << label << " source#" << q.source_index
+          << " v=" << q.v << " fault=" << q.fault << " fault2="
+          << q.fault2 << " outcome=" << static_cast<int>(r.outcome);
+      if (r.outcome == QueryOutcome::kWhatIf) {
+        ++(cov.*failures[fi].tag);
       }
     }
   }
