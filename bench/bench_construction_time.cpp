@@ -292,6 +292,10 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
       total += bsz;
     }
     double serial_s = 1e300, batched_s = 1e300;
+    // Per-rep serial/batched ratios, recorded (not gated) so a margin can
+    // later be set from the measured spread.
+    double min_rep_ratio = 1e300, max_rep_ratio = 0;
+    int reps = 0;
     std::int64_t serial_sum = 0, batched_sum = 0;
     // Best-of-N on both sides, extending past 3 reps (up to 8) until the
     // margin clears 1.05 — the gate asserts a steady-state property and
@@ -309,7 +313,8 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
         for (const api::Query& q : s) o.push_back(dual.query_one(q));
         for (const api::QueryResult& r : o) sum += r.dist;
       }
-      serial_s = std::min(serial_s, t.seconds());
+      const double serial_rep = t.seconds();
+      serial_s = std::min(serial_s, serial_rep);
       serial_sum = sum;
 
       sum = 0;
@@ -318,8 +323,12 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
         const api::QueryResponse resp = dual.query(s);
         for (const api::QueryResult& r : resp.results) sum += r.dist;
       }
-      batched_s = std::min(batched_s, t.seconds());
+      const double batched_rep = t.seconds();
+      batched_s = std::min(batched_s, batched_rep);
       batched_sum = sum;
+      ++reps;
+      min_rep_ratio = std::min(min_rep_ratio, serial_rep / batched_rep);
+      max_rep_ratio = std::max(max_rep_ratio, serial_rep / batched_rep);
       if (rep >= 2 && serial_s / batched_s > 1.05) break;
     }
     // Per-request latency sampled in a separate pass so the gate's timer
@@ -359,6 +368,9 @@ bool run_query_qps_report(bench::JsonObject* out, double* headline) {
         .set("serial_qps", static_cast<double>(total) / serial_s)
         .set("batched_qps", qps)
         .set("speedup_in_model", speedup)
+        .set("reps", static_cast<std::int64_t>(reps))
+        .set("rep_ratio_min", min_rep_ratio)
+        .set("rep_ratio_max", max_rep_ratio)
         .set("p50_us", p50)
         .set("p99_us", p99);
     rows.push(row);

@@ -10,7 +10,6 @@
 #include "src/core/interference.hpp"
 #include "src/core/replacement.hpp"
 #include "src/graph/bfs_kernel.hpp"
-#include "src/graph/lca.hpp"
 
 using namespace ftb;
 
@@ -139,10 +138,9 @@ void BM_InterferenceIndex(benchmark::State& state) {
   const EdgeWeights w = EdgeWeights::uniform_random(lbg.graph, 19);
   const BfsTree tree(lbg.graph, w, lbg.source);
   const ReplacementPathEngine engine(tree);
-  const LcaIndex lca(tree);
   for (auto _ : state) {
-    InterferenceIndex ifx(engine, lca);
-    benchmark::DoNotOptimize(ifx.num_pairs());
+    InterferenceIndex ifx(engine);
+    benchmark::DoNotOptimize(ifx.stats());
   }
   state.counters["pairs"] =
       static_cast<double>(engine.stats().pairs_uncovered);

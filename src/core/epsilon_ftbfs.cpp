@@ -8,7 +8,6 @@
 #include "src/core/interference.hpp"
 #include "src/core/replacement.hpp"
 #include "src/graph/heavy_path.hpp"
-#include "src/graph/lca.hpp"
 #include "src/util/timer.hpp"
 
 namespace ftb {
@@ -162,9 +161,9 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
   st.pairs_uncovered = engine.stats().pairs_uncovered;
 
   phase_timer.restart();
-  const LcaIndex lca(tree);
-  const InterferenceIndex interference(engine, lca);
+  const InterferenceIndex interference(engine);
   st.seconds_interference = phase_timer.seconds();
+  st.interference_truncated_buckets = interference.stats().truncated_buckets;
 
   const auto& pairs = engine.uncovered_pairs();
   const std::size_t np = pairs.size();
@@ -197,49 +196,39 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
 
   for (std::int32_t round = 1; round <= K && !P.empty(); ++round) {
     // Type A: π-intersects some (≁)-interfering pair inside P (Eq. (2)).
-    std::vector<std::uint8_t> is_a(np, 0);
-    for (const std::int32_t p : P) {
-      const auto nbrs = interference.neighbors(p);
-      const auto flags = interference.pi_intersects_flags(p);
-      for (std::size_t q = 0; q < nbrs.size(); ++q) {
-        if (in_p[static_cast<std::size_t>(nbrs[q])] && flags[q]) {
-          is_a[static_cast<std::size_t>(p)] = 1;
-          break;
-        }
-      }
-    }
     // Type B: not A, but (≁)-interferes with a non-A pair inside P (Eq. (3)).
-    std::vector<std::uint8_t> is_b(np, 0);
-    for (const std::int32_t p : P) {
-      if (is_a[static_cast<std::size_t>(p)]) continue;
-      for (const std::int32_t q : interference.neighbors(p)) {
-        if (in_p[static_cast<std::size_t>(q)] &&
-            !is_a[static_cast<std::size_t>(q)]) {
-          is_b[static_cast<std::size_t>(p)] = 1;
-          break;
-        }
-      }
-    }
     // Type C → deferred to Phase S2 as a (∼)-set (Observation 4.11).
-    PairSet c_set;
+    enum : std::uint8_t { kC, kA, kB };
+    std::vector<std::uint8_t> type(np, kC);
     for (const std::int32_t p : P) {
-      if (!is_a[static_cast<std::size_t>(p)] &&
-          !is_b[static_cast<std::size_t>(p)]) {
-        c_set.push_back(p);
+      const auto pi = interference.pi_partners(p);
+      if (std::any_of(pi.begin(), pi.end(), [&](std::int32_t q) {
+            return in_p[static_cast<std::size_t>(q)] != 0;
+          })) {
+        type[static_cast<std::size_t>(p)] = kA;
       }
     }
-    if (!c_set.empty()) csets.push_back(std::move(c_set));
+    for (const std::int32_t p : P) {
+      if (type[static_cast<std::size_t>(p)] == kC &&
+          interference.any_partner(p, [&](std::int32_t q) {
+            return in_p[static_cast<std::size_t>(q)] &&
+                   type[static_cast<std::size_t>(q)] != kA;
+          })) {
+        type[static_cast<std::size_t>(p)] = kB;
+      }
+    }
+    PairSet typed[3];  // by type, each ascending
+    for (const std::int32_t p : P) {
+      typed[type[static_cast<std::size_t>(p)]].push_back(p);
+    }
+    if (!typed[kC].empty()) csets.push_back(std::move(typed[kC]));
 
     // Per vertex and type J ∈ {A,B}: walk v's type-J pairs by increasing
     // distance of the failing edge from v (deepest edges first) and add
     // last edges until ⌈n^ε⌉ distinct ones were seen.
-    for (const auto* type_mask : {&is_a, &is_b}) {
-      PairSet typed;
-      for (const std::int32_t p : P) {
-        if ((*type_mask)[static_cast<std::size_t>(p)]) typed.push_back(p);
-      }
+    for (const PairSet* t : {&typed[kA], &typed[kB]}) {
       for_each_terminal_run(
-          typed, pairs, [&](Vertex, std::span<const std::int32_t> run) {
+          *t, pairs, [&](Vertex, std::span<const std::int32_t> run) {
             std::unordered_set<EdgeId> distinct;
             // run is position-ascending; walk it deepest-first.
             for (auto it = run.rbegin(); it != run.rend(); ++it) {
@@ -258,9 +247,8 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
     // P_{i+1} = type-A/B pairs whose last edge is still missing from H.
     PairSet next;
     for (const std::int32_t p : P) {
-      const bool ab = is_a[static_cast<std::size_t>(p)] ||
-                      is_b[static_cast<std::size_t>(p)];
-      if (ab && !H.contains(pairs[static_cast<std::size_t>(p)].last_edge)) {
+      if (type[static_cast<std::size_t>(p)] != kC &&
+          !H.contains(pairs[static_cast<std::size_t>(p)].last_edge)) {
         next.push_back(p);
       }
       in_p[static_cast<std::size_t>(p)] = 0;

@@ -88,6 +88,8 @@ struct EpsilonStats {
   std::int64_t backup = 0;             // b(n)
   std::int64_t reinforced = 0;         // r(n)
 
+  std::int64_t interference_truncated_buckets = 0;  // max_bucket valve hits
+
   double seconds_engine = 0;
   double seconds_interference = 0;
   double seconds_s1 = 0;

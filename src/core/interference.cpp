@@ -1,127 +1,104 @@
 #include "src/core/interference.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "src/util/timer.hpp"
+#include <numeric>
+#include <utility>
 
 namespace ftb {
 
 InterferenceIndex::InterferenceIndex(const ReplacementPathEngine& engine,
-                                     const LcaIndex& lca, Config cfg)
-    : engine_(&engine), lca_(&lca) {
-  Timer timer;
+                                     Config cfg)
+    : engine_(&engine) {
   const auto& pairs = engine.uncovered_pairs();
   const std::size_t np = pairs.size();
   const BfsTree& tree = engine.tree();
+  const std::size_t n = idx(tree.graph().num_vertices());
+  const std::size_t cap = idx(std::max<std::int32_t>(cfg.max_bucket, 0));
 
-  // Inverted index: internal detour vertex → pair ids. Internal = the
-  // detour minus its two endpoints (diverge point and terminal), which is
-  // exactly the exclusion set {d(P), d(P'), v, t} of Eq. (1).
-  std::unordered_map<Vertex, std::vector<std::int32_t>> buckets;
-  buckets.reserve(np * 2);
+  // Per-pair keys, and the [tin, tout) intervals of each pair's detour
+  // vertices that are not ancestors-or-equal of its terminal (the π test's
+  // candidates; the detour endpoints always drop out).
+  keys_.resize(np);
+  std::vector<std::size_t> far_offset(np + 1, 0), count(n, 0);
+  std::vector<std::pair<std::int32_t, std::int32_t>> far;
+  for (std::size_t p = 0; p < np; ++p) {
+    const UncoveredPair& P = pairs[p];
+    const Vertex lower = tree.lower_endpoint(P.e);
+    keys_[p] = {tree.tin(P.v), tree.tin(lower), tree.tout(lower)};
+    const auto det = engine.detour(P);
+    for (std::size_t z = 0; z < det.size(); ++z) {
+      if (!tree.is_ancestor_or_equal(det[z], P.v)) {
+        far.emplace_back(tree.tin(det[z]), tree.tout(det[z]));
+      }
+      if (z > 0 && z + 1 < det.size()) ++count[idx(det[z])];
+    }
+    far_offset[p + 1] = far.size();
+  }
+
+  // Buckets by counting sort: internal detour vertex → pair ids. Pairs are
+  // placed in ascending id order, so a bucket over the valve keeps exactly
+  // its `cap` smallest ids.
+  bucket_offset_.assign(n + 1, 0);
+  for (std::size_t z = 0; z < n; ++z) {
+    if (count[z] > 0) ++stats_.index_vertices;
+    if (count[z] > cap) ++stats_.truncated_buckets;
+    bucket_offset_[z + 1] = bucket_offset_[z] + std::min(count[z], cap);
+  }
+  bucket_.resize(bucket_offset_[n]);
+  std::vector<std::size_t> cursor(bucket_offset_.begin(), bucket_offset_.end());
   for (std::size_t p = 0; p < np; ++p) {
     const auto det = engine.detour(pairs[p]);
     for (std::size_t z = 1; z + 1 < det.size(); ++z) {
-      buckets[det[z]].push_back(static_cast<std::int32_t>(p));
-    }
-  }
-  stats_.index_vertices = static_cast<std::int64_t>(buckets.size());
-
-  // Co-occurrence pass. Different-terminal + (≁)-relation filters applied
-  // inline; duplicates (pairs sharing several vertices) removed afterwards.
-  std::vector<std::vector<std::int32_t>> adj(np);
-  for (auto& [z, bucket] : buckets) {
-    if (static_cast<std::int32_t>(bucket.size()) > cfg.max_bucket) {
-      ++stats_.truncated_buckets;
-      bucket.resize(static_cast<std::size_t>(cfg.max_bucket));
-    }
-    for (std::size_t a = 0; a < bucket.size(); ++a) {
-      const std::int32_t pa = bucket[a];
-      const UncoveredPair& A = pairs[static_cast<std::size_t>(pa)];
-      for (std::size_t b = a + 1; b < bucket.size(); ++b) {
-        const std::int32_t pb = bucket[b];
-        const UncoveredPair& B = pairs[static_cast<std::size_t>(pb)];
-        if (A.v == B.v) continue;                    // same terminal
-        if (tree.edges_related(A.e, B.e)) continue;  // e ∼ e'
-        adj[static_cast<std::size_t>(pa)].push_back(pb);
-        adj[static_cast<std::size_t>(pb)].push_back(pa);
+      const std::size_t b = idx(det[z]);
+      if (cursor[b] < bucket_offset_[b + 1]) {
+        bucket_[cursor[b]++] = static_cast<std::int32_t>(p);
       }
     }
   }
 
-  adj_offset_.assign(np + 1, 0);
-  for (std::size_t p = 0; p < np; ++p) {
-    auto& v = adj[p];
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    adj_offset_[p + 1] = adj_offset_[p] + static_cast<std::int64_t>(v.size());
-  }
-  adj_.resize(static_cast<std::size_t>(adj_offset_[np]));
-  pi_flags_.resize(adj_.size());
-  for (std::size_t p = 0; p < np; ++p) {
-    std::int64_t at = adj_offset_[p];
-    for (const std::int32_t q : adj[p]) {
-      adj_[static_cast<std::size_t>(at)] = q;
-      pi_flags_[static_cast<std::size_t>(at)] =
-          pi_intersects(static_cast<std::int32_t>(p), q) ? 1 : 0;
-      ++at;
+  // Co-occurrence pass: has-partner flags, and the ordered (p, q) entries
+  // where P_p π-intersects P_q, i.e. some far vertex of p is an
+  // ancestor-or-equal of q's terminal.
+  const auto pi_test = [&](std::int32_t p, const PairKey& q) {
+    for (std::size_t i = far_offset[idx(p)]; i < far_offset[idx(p) + 1]; ++i) {
+      if (far[i].first <= q.terminal_tin && q.terminal_tin < far[i].second) {
+        return true;
+      }
+    }
+    return false;
+  };
+  has_partner_.assign(np, 0);
+  std::vector<std::pair<std::int32_t, std::int32_t>> pi_true;
+  for (std::size_t z = 0; z < n; ++z) {
+    for (std::size_t a = bucket_offset_[z]; a < bucket_offset_[z + 1]; ++a) {
+      const std::int32_t pa = bucket_[a];
+      for (std::size_t b = a + 1; b < bucket_offset_[z + 1]; ++b) {
+        const std::int32_t pb = bucket_[b];
+        const PairKey &ka = keys_[idx(pa)], &kb = keys_[idx(pb)];
+        if (!interferes(ka, kb)) continue;
+        has_partner_[idx(pa)] = has_partner_[idx(pb)] = 1;
+        if (pi_test(pa, kb)) pi_true.emplace_back(pa, pb);
+        if (pi_test(pb, ka)) pi_true.emplace_back(pb, pa);
+      }
     }
   }
-  stats_.adjacency_entries = static_cast<std::int64_t>(adj_.size());
-  stats_.seconds_build = timer.seconds();
+
+  // CSR by p in one counting pass. Pairs sharing several buckets repeat
+  // their entry; S1 only asks whether a listed q is in P, so repeats stay.
+  pi_offset_.assign(np + 1, 0);
+  for (const auto& entry : pi_true) ++pi_offset_[idx(entry.first) + 1];
+  std::partial_sum(pi_offset_.begin(), pi_offset_.end(), pi_offset_.begin());
+  pi_.resize(pi_true.size());
+  cursor.assign(pi_offset_.begin(), pi_offset_.end());
+  for (const auto& [p, q] : pi_true) pi_[cursor[idx(p)]++] = q;
+  stats_.pi_entries = static_cast<std::int64_t>(pi_.size());
 }
 
-std::span<const std::int32_t> InterferenceIndex::neighbors(
-    std::int32_t pair_id) const {
-  const std::size_t p = static_cast<std::size_t>(pair_id);
-  return {adj_.data() + adj_offset_[p], adj_.data() + adj_offset_[p + 1]};
-}
-
-std::span<const std::uint8_t> InterferenceIndex::pi_intersects_flags(
-    std::int32_t pair_id) const {
-  const std::size_t p = static_cast<std::size_t>(pair_id);
-  return {pi_flags_.data() + adj_offset_[p],
-          pi_flags_.data() + adj_offset_[p + 1]};
-}
-
-bool InterferenceIndex::pi_intersects(std::int32_t p, std::int32_t q) const {
-  const auto& pairs = engine_->uncovered_pairs();
-  const UncoveredPair& P = pairs[static_cast<std::size_t>(p)];
-  const UncoveredPair& Q = pairs[static_cast<std::size_t>(q)];
-  const BfsTree& tree = engine_->tree();
-  const std::int32_t lca_depth = lca_->lca_depth(P.v, Q.v);
-  // Detour endpoints can never satisfy the test (d(P) is an ancestor of
-  // both LCA candidates; v deeper only when LCA == v), so scanning the full
-  // detour is equivalent and simpler.
-  for (const Vertex z : engine_->detour(P)) {
-    if (tree.depth(z) > lca_depth && tree.is_ancestor_or_equal(z, Q.v)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::int32_t> InterferenceIndex::i1() const {
+std::vector<std::int32_t> InterferenceIndex::with_partner(
+    std::uint8_t want) const {
   std::vector<std::int32_t> out;
-  for (std::int64_t p = 0; p + 1 < static_cast<std::int64_t>(adj_offset_.size());
-       ++p) {
-    if (adj_offset_[static_cast<std::size_t>(p)] !=
-        adj_offset_[static_cast<std::size_t>(p + 1)]) {
-      out.push_back(static_cast<std::int32_t>(p));
-    }
-  }
-  return out;
-}
-
-std::vector<std::int32_t> InterferenceIndex::i2() const {
-  std::vector<std::int32_t> out;
-  for (std::int64_t p = 0; p + 1 < static_cast<std::int64_t>(adj_offset_.size());
-       ++p) {
-    if (adj_offset_[static_cast<std::size_t>(p)] ==
-        adj_offset_[static_cast<std::size_t>(p + 1)]) {
-      out.push_back(static_cast<std::int32_t>(p));
-    }
+  for (std::size_t p = 0; p < has_partner_.size(); ++p) {
+    if (has_partner_[p] == want) out.push_back(static_cast<std::int32_t>(p));
   }
   return out;
 }

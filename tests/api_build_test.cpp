@@ -50,6 +50,9 @@ void expect_same_build(const api::BuildResult& a, const api::BuildResult& b,
     EXPECT_EQ(x.pairs_total, y.pairs_total) << at;
     EXPECT_EQ(x.pairs_uncovered, y.pairs_uncovered) << at;
     EXPECT_EQ(x.s1_added_edges, y.s1_added_edges) << at;
+    EXPECT_EQ(x.interference_truncated_buckets,
+              y.interference_truncated_buckets)
+        << at;
     EXPECT_EQ(x.s2_added_edges, y.s2_added_edges) << at;
     EXPECT_EQ(x.structure_edges, y.structure_edges) << at;
     EXPECT_EQ(x.backup, y.backup) << at;

@@ -16,9 +16,10 @@
 # removed --v5 key, v5 being what --out writes), outputs that cannot be
 # written (/dev/full), and structure upgrade / verify on a truncated
 # v5/v6 artifact. The CLI also must not read FTBFS_<KEY> environment
-# variables (those are the benches' fallback, not the CLI's). One positive
-# check rides along: a --site-dist build persists its accelerator, so fsck
-# of the artifact is clean with no drop note.
+# variables (those are the benches' fallback, not the CLI's). Two positive
+# checks ride along: a --site-dist build persists its accelerator, so fsck
+# of the artifact is clean with no drop note; and a `build --json` row
+# reports the ε pipeline's phase split.
 set -u
 
 CLI="$1"
@@ -175,6 +176,17 @@ if [ "$rc" -ne 2 ]; then
 else
   echo "ok(fsck_truncated_strict): exit 2"
 fi
+
+"$CLI" build --graph="$GRAPH" --eps=0.33 --json >"$TMP/build.json" 2>&1
+before=$fails
+for key in seconds_engine seconds_interference seconds_s1 seconds_s2 \
+  interference_truncated_buckets; do
+  if ! grep -q "\"$key\"" "$TMP/build.json"; then
+    echo "FAIL(build_json_phase_split): per_source row lacks $key"
+    fails=$((fails + 1))
+  fi
+done
+[ "$fails" -eq "$before" ] && echo "ok(build_json_phase_split)"
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails error-path check(s) FAILED"

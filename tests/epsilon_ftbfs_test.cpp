@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <sstream>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
@@ -226,6 +228,117 @@ TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
   EXPECT_GE(rs.front(), rs.back());
   // And the small-eps end genuinely reinforces something here.
   EXPECT_GT(rs.front(), 0);
+}
+
+// ---- Bit-identity pins ----------------------------------------------------
+
+/// FNV-1a over an edge-id list, order included.
+std::uint64_t edge_list_hash(const std::vector<EdgeId>& edges) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const EdgeId e : edges) {
+    h = (h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(e))) *
+        1099511628211ULL;
+  }
+  return h;
+}
+
+struct EpsilonPin {
+  std::uint64_t edges_hash, reinforced_hash;
+  std::int64_t i1_size, i2_size, num_csets, s1_added_edges, s1_leftover_pairs;
+  bool operator==(const EpsilonPin&) const = default;
+};
+
+/// Every structure and S1 count below was produced by the adjacency-based
+/// InterferenceIndex that materialised I≁ (pair-by-pair neighbour lists
+/// with an LCA-computed π flag per entry). The existence index must decide
+/// every type-A/B/C classification exactly as it did. The n = 48 family
+/// graphs build the same structure at every setting; the lower-bound graph
+/// does not, and under the last setting S1's classification decides which
+/// pairs are left over and reinforced.
+TEST(EpsilonFtBfs, StructuresMatchPinnedFingerprints) {
+  struct Setting {
+    double eps;
+    bool baseline_for_large_eps;
+    double threshold_scale;
+    std::int32_t k_rounds_override;
+  };
+  // The last setting caps S1 at one round with threshold 1, so S1's
+  // classification decides which pairs stay behind and get reinforced.
+  const Setting settings[] = {{0.1, true, 1.0, 0},
+                              {0.25, true, 1.0, 0},
+                              {1.0 / 3.0, true, 1.0, 0},
+                              {0.45, false, 1.0, 0},
+                              {0.25, true, 1e-6, 1}};
+  // A fixed base seed: the pins must not move with FTBFS_PROPERTY_SEED.
+  std::vector<test::PropertyCase> cases =
+      test::property_cases(48, 1, /*base_seed=*/1);
+  const EpsilonPin pins[] = {
+      // clang-format off
+      {0x40c3645bb5bbd54fULL, 0xcbf29ce484222325ULL, 69, 1, 1, 42, 0},  // dense_random_n48_s1 eps=0.1 k=0
+      {0x55b7e7daae71882cULL, 0xcbf29ce484222325ULL, 70, 0, 1, 42, 0},  // sparse_random_n48_s2 eps=0.1 k=0
+      {0x26ef227c460ec0cfULL, 0xcbf29ce484222325ULL, 54, 4, 2, 5, 0},  // long_path_n48_s3 eps=0.1 k=0
+      {0x333f6adf6f5c80ffULL, 0xcbf29ce484222325ULL, 62, 5, 2, 31, 0},  // grid_n48_s4 eps=0.1 k=0
+      {0x5ed873d3055995fULL, 0xcbf29ce484222325ULL, 248, 198, 2, 50, 0},  // lb400 eps=0.1 k=0
+      {0x40c3645bb5bbd54fULL, 0xcbf29ce484222325ULL, 69, 1, 1, 42, 0},  // dense_random_n48_s1 eps=0.25 k=0
+      {0x55b7e7daae71882cULL, 0xcbf29ce484222325ULL, 70, 0, 1, 42, 0},  // sparse_random_n48_s2 eps=0.25 k=0
+      {0x26ef227c460ec0cfULL, 0xcbf29ce484222325ULL, 54, 4, 2, 5, 0},  // long_path_n48_s3 eps=0.25 k=0
+      {0x333f6adf6f5c80ffULL, 0xcbf29ce484222325ULL, 62, 5, 2, 31, 0},  // grid_n48_s4 eps=0.25 k=0
+      {0xf35f54e2e1ad53afULL, 0xcbf29ce484222325ULL, 357, 152, 2, 118, 0},  // lb400 eps=0.25 k=0
+      {0x40c3645bb5bbd54fULL, 0xcbf29ce484222325ULL, 69, 1, 1, 42, 0},  // dense_random_n48_s1 eps=0.333333 k=0
+      {0x55b7e7daae71882cULL, 0xcbf29ce484222325ULL, 70, 0, 1, 42, 0},  // sparse_random_n48_s2 eps=0.333333 k=0
+      {0x26ef227c460ec0cfULL, 0xcbf29ce484222325ULL, 54, 4, 2, 5, 0},  // long_path_n48_s3 eps=0.333333 k=0
+      {0x333f6adf6f5c80ffULL, 0xcbf29ce484222325ULL, 62, 5, 2, 31, 0},  // grid_n48_s4 eps=0.333333 k=0
+      {0xf454465f0c5bce38ULL, 0xcbf29ce484222325ULL, 895, 57, 1, 560, 0},  // lb400 eps=0.333333 k=0
+      {0x40c3645bb5bbd54fULL, 0xcbf29ce484222325ULL, 69, 1, 1, 42, 0},  // dense_random_n48_s1 eps=0.45 k=0
+      {0x55b7e7daae71882cULL, 0xcbf29ce484222325ULL, 70, 0, 1, 42, 0},  // sparse_random_n48_s2 eps=0.45 k=0
+      {0x26ef227c460ec0cfULL, 0xcbf29ce484222325ULL, 54, 4, 2, 5, 0},  // long_path_n48_s3 eps=0.45 k=0
+      {0x333f6adf6f5c80ffULL, 0xcbf29ce484222325ULL, 62, 5, 2, 31, 0},  // grid_n48_s4 eps=0.45 k=0
+      {0x683e9315366a47ddULL, 0xcbf29ce484222325ULL, 1498, 16, 1, 1113, 0},  // lb400 eps=0.45 k=0
+      {0x40c3645bb5bbd54fULL, 0xcbf29ce484222325ULL, 69, 1, 1, 42, 0},  // dense_random_n48_s1 eps=0.25 k=1
+      {0x55b7e7daae71882cULL, 0xcbf29ce484222325ULL, 70, 0, 1, 42, 0},  // sparse_random_n48_s2 eps=0.25 k=1
+      {0x26ef227c460ec0cfULL, 0xcbf29ce484222325ULL, 54, 4, 2, 5, 0},  // long_path_n48_s3 eps=0.25 k=1
+      {0x333f6adf6f5c80ffULL, 0xcbf29ce484222325ULL, 62, 5, 2, 31, 0},  // grid_n48_s4 eps=0.25 k=1
+      {0x5df06b1018caceabULL, 0xd14c6275836ebde7ULL, 357, 152, 2, 111, 7},  // lb400 eps=0.25 k=1
+      // clang-format on
+  };
+  std::size_t at = 0;
+  bool all_match = true;
+  std::ostringstream actual;
+  const auto check = [&](const std::string& name, const Graph& g,
+                         Vertex source, const Setting& s) {
+    api::BuildSpec spec;
+    spec.eps = s.eps;
+    spec.baseline_for_large_eps = s.baseline_for_large_eps;
+    spec.threshold_scale = s.threshold_scale;
+    spec.k_rounds_override = s.k_rounds_override;
+    spec.sources = {source};
+    const api::BuildResult res = api::build(g, spec);
+    const EpsilonStats& st = res.per_source.front();
+    const EpsilonPin got{edge_list_hash(res.structure.edges()),
+                         edge_list_hash(res.structure.reinforced()),
+                         st.i1_size,
+                         st.i2_size,
+                         st.num_csets,
+                         st.s1_added_edges,
+                         st.s1_leftover_pairs};
+    actual << "      {0x" << std::hex << got.edges_hash << "ULL, 0x"
+           << got.reinforced_hash << "ULL, " << std::dec << got.i1_size
+           << ", " << got.i2_size << ", " << got.num_csets << ", "
+           << got.s1_added_edges << ", " << got.s1_leftover_pairs << "},  // "
+           << name << " eps=" << s.eps << " k=" << s.k_rounds_override
+           << "\n";
+    if (at >= std::size(pins) || !(pins[at] == got)) all_match = false;
+    ++at;
+  };
+  for (const Setting& s : settings) {
+    for (const test::PropertyCase& pc : cases) {
+      check(pc.name(), pc.graph, pc.source, s);
+    }
+    const auto lbg = lb::build_single_source(400, s.eps);
+    check("lb400", lbg.graph, lbg.source, s);
+  }
+  EXPECT_EQ(at, std::size(pins));
+  EXPECT_TRUE(all_match) << "actual fingerprints:\n" << actual.str();
 }
 
 TEST(EpsilonFtBfs, RejectsOutOfRangeEps) {

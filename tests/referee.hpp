@@ -11,17 +11,26 @@
 //    detail::*_impl(tree, ·) builds, merged like the §5 unions;
 //  * the dual referees — detail::build_dual_site_table's referee
 //    parameters: the naive reference kernels, the unpruned recursion and
-//    the independent-rebase site schedule.
+//    the independent-rebase site schedule;
+//  * the interference referee — Phase S1's (≁)-interference and
+//    π-intersection relations (Section 3.1), decided pair by pair from
+//    their literal definitions.
 //
 // referee_build returns an api::BuildResult, so Session::deploy serves a
 // referee exactly like a production build.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
+#include "src/core/replacement.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_tree.hpp"
 
@@ -123,5 +132,76 @@ inline bool same_site_dist(const DualSiteDistTable& a,
          a.tf_depth == b.tf_depth && a.row_offsets == b.row_offsets &&
          a.rows == b.rows;
 }
+
+/// The (≁)-interference relation of an engine's uncovered pairs, pair by
+/// pair: q ∈ I≁(p) iff the terminals differ, e ≁ e', and the detours share
+/// a vertex internal to both (Eq. (1), by intersecting the internal vertex
+/// sets). With a `max_bucket`, pair p counts internal vertex z only while
+/// fewer than max_bucket smaller pair ids have z internal — the
+/// InterferenceIndex::Config valve, which keeps each vertex's max_bucket
+/// smallest ids. O(np² · |D|): small instances only.
+class InterferenceReferee {
+ public:
+  explicit InterferenceReferee(
+      const ReplacementPathEngine& engine,
+      std::int32_t max_bucket = std::numeric_limits<std::int32_t>::max())
+      : engine_(&engine) {
+    const auto& pairs = engine.uncovered_pairs();
+    std::unordered_map<Vertex, std::int32_t> seen;
+    for (const UncoveredPair& p : pairs) {
+      const auto det = engine.detour(p);
+      std::vector<Vertex>& kept = internal_.emplace_back();
+      for (std::size_t i = 1; i + 1 < det.size(); ++i) {
+        if (seen[det[i]]++ < max_bucket) kept.push_back(det[i]);
+      }
+      std::sort(kept.begin(), kept.end());
+    }
+  }
+
+  bool interferes(std::int32_t p, std::int32_t q) const {
+    const BfsTree& tree = engine_->tree();
+    const UncoveredPair& P = pair(p);
+    const UncoveredPair& Q = pair(q);
+    if (P.v == Q.v || tree.edges_related(P.e, Q.e)) return false;
+    const auto& a = internal_[static_cast<std::size_t>(p)];
+    const auto& b = internal_[static_cast<std::size_t>(q)];
+    std::vector<Vertex> common;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(common));
+    return !common.empty();
+  }
+
+  /// Fig. 2, literally: D(P_p) touches π(LCA(v,t), t) \ {LCA(v,t)}, with
+  /// the LCA found by walking parents.
+  bool pi_intersects(std::int32_t p, std::int32_t q) const {
+    const BfsTree& tree = engine_->tree();
+    const UncoveredPair& P = pair(p);
+    const UncoveredPair& Q = pair(q);
+    Vertex a = P.v, b = Q.v;
+    while (tree.depth(a) > tree.depth(b)) a = tree.parent(a);
+    while (tree.depth(b) > tree.depth(a)) b = tree.parent(b);
+    while (a != b) {
+      a = tree.parent(a);
+      b = tree.parent(b);
+    }
+    std::vector<Vertex> target_path;  // π(LCA, t] vertices
+    for (Vertex u = Q.v; u != a; u = tree.parent(u)) target_path.push_back(u);
+    for (const Vertex z : engine_->detour(P)) {
+      if (std::find(target_path.begin(), target_path.end(), z) !=
+          target_path.end()) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const UncoveredPair& pair(std::int32_t p) const {
+    return engine_->uncovered_pairs()[static_cast<std::size_t>(p)];
+  }
+
+  const ReplacementPathEngine* engine_;
+  std::vector<std::vector<Vertex>> internal_;  // kept internal vertices
+};
 
 }  // namespace ftb::test

@@ -328,6 +328,12 @@ int cmd_build(const Options& opt) {
           .set("structure_edges", st.structure_edges)
           .set("backup_edges", st.backup)
           .set("reinforced_edges", st.reinforced)
+          .set("interference_truncated_buckets",
+               st.interference_truncated_buckets)
+          .set("seconds_engine", st.seconds_engine)
+          .set("seconds_interference", st.seconds_interference)
+          .set("seconds_s1", st.seconds_s1)
+          .set("seconds_s2", st.seconds_s2)
           .set("seconds", st.seconds_total);
       per_source.push(row);
     }
