@@ -909,7 +909,7 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     const Graph g = bench::dense_random(id_n, seed);
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
-    const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
+    const EdgeWeights w = EdgeWeights::uniform_random(g, kDefaultWeightSeed);
     const DualBuildResult dfs =
         detail::build_dual_failure_ftbfs_impl(BfsTree(g, w, 0), opts);
     SweepWorkStats ind_work;
@@ -964,7 +964,8 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     Timer t;
     if (dfs_leg) {
       const DualFtBfsOptions opts;
-      const EdgeWeights w = EdgeWeights::uniform_random(big, opts.weight_seed);
+      const EdgeWeights w =
+          EdgeWeights::uniform_random(big, kDefaultWeightSeed);
       DualBuildResult r =
           detail::build_dual_failure_ftbfs_impl(BfsTree(big, w, 0), opts);
       dfs_s = std::min(dfs_s, t.seconds());
@@ -1020,7 +1021,7 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     const Graph gg =
         gen::rmat_connected(gs, 3 * static_cast<std::int64_t>(gn), 1);
     const DualFtBfsOptions opts;
-    const EdgeWeights w = EdgeWeights::uniform_random(gg, opts.weight_seed);
+    const EdgeWeights w = EdgeWeights::uniform_random(gg, kDefaultWeightSeed);
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       Timer t;
@@ -1671,28 +1672,26 @@ bool run_speedup_report() {
   bench::JsonArray vertex_rows;
   for (const std::uint64_t seed : {3ULL, 5ULL, 7ULL, 11ULL, 13ULL}) {
     const Graph g = bench::dense_random(512, seed);
-    EpsilonOptions ref_opts, opt_opts;
-    ref_opts.eps = opt_opts.eps = eps;
-    ref_opts.reference_kernel = true;
+    EpsilonOptions opts;
+    opts.eps = eps;
     const EdgeWeights seed_w =
-        EdgeWeights::uniform_random(g, ref_opts.weight_seed);
+        EdgeWeights::uniform_random(g, kDefaultWeightSeed);
     const BfsTree seed_tree(g, seed_w, 0);
     const EpsilonResult a =
-        detail::build_epsilon_ftbfs_impl(seed_tree, ref_opts);
-    const EpsilonResult b =
-        detail::build_epsilon_ftbfs_impl(seed_tree, opt_opts);
+        test::referee_epsilon(seed_tree, opts, /*reference_kernel=*/true);
+    const EpsilonResult b = detail::build_epsilon_ftbfs_impl(seed_tree, opts);
     if (a.structure.edges() != b.structure.edges() ||
         a.structure.reinforced() != b.structure.reinforced()) {
       identical = false;
       std::cout << "!!! edge-set mismatch at seed " << seed << "\n";
     }
-    VertexFtBfsOptions vref, vopt;
-    vref.reference_kernel = true;
     Timer vt;
-    const FtBfsStructure va = detail::build_vertex_ftbfs_impl(seed_tree, vref);
+    const FtBfsStructure va =
+        test::referee_vertex(seed_tree, nullptr, /*reference_kernel=*/true);
     const double vsec_ref = vt.seconds();
     vt.restart();
-    const FtBfsStructure vb = detail::build_vertex_ftbfs_impl(seed_tree, vopt);
+    const FtBfsStructure vb =
+        detail::build_vertex_ftbfs_impl(seed_tree, nullptr);
     const double vsec_opt = vt.seconds();
     const bool videntical = va.edges() == vb.edges();
     if (!videntical) {
@@ -1739,19 +1738,17 @@ bool run_speedup_report() {
 
   // The full ε pipeline on the default-seed canonical tree (the tree is
   // built once, outside both timings).
-  EpsilonOptions ref_opts, opt_opts;
-  ref_opts.eps = opt_opts.eps = eps;
-  ref_opts.reference_kernel = true;
-  const EdgeWeights full_w =
-      EdgeWeights::uniform_random(g, ref_opts.weight_seed);
+  EpsilonOptions full_opts;
+  full_opts.eps = eps;
+  const EdgeWeights full_w = EdgeWeights::uniform_random(g, kDefaultWeightSeed);
   const BfsTree full_tree(g, full_w, 0);
   Timer t;
   const EpsilonResult full_ref =
-      detail::build_epsilon_ftbfs_impl(full_tree, ref_opts);
+      test::referee_epsilon(full_tree, full_opts, /*reference_kernel=*/true);
   const double sec_full_ref = t.seconds();
   t.restart();
   const EpsilonResult full_opt =
-      detail::build_epsilon_ftbfs_impl(full_tree, opt_opts);
+      detail::build_epsilon_ftbfs_impl(full_tree, full_opts);
   const double sec_full_opt = t.seconds();
   const bool full_identical =
       full_ref.structure.edges() == full_opt.structure.edges() &&

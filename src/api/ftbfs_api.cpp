@@ -11,7 +11,6 @@
 #include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/fault_model.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_tree.hpp"
@@ -51,53 +50,68 @@ EpsilonOptions BuildSpec::epsilon_options() const {
   return opts;
 }
 
-VertexFtBfsOptions BuildSpec::vertex_options() const {
-  VertexFtBfsOptions opts;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  return opts;
-}
-
-DualFtBfsOptions BuildSpec::dual_options() const {
-  DualFtBfsOptions opts;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  opts.site_dist_oracle = site_dist_oracle;
-  return opts;
-}
-
 BuildResult build(const Graph& g, const BuildSpec& spec) {
   spec.validate(g);
   Timer total;
-  std::optional<FtBfsStructure> structure;
+  const EpsilonOptions eps_opts = spec.epsilon_options();
+  const DualFtBfsOptions dual_opts{spec.pool, spec.site_dist_oracle};
   std::vector<EpsilonStats> per_source;
   std::vector<DualSiteTable> dual_tables;
   std::vector<DualSiteDistTable> dual_site_dist;
-
-  switch (spec.fault_model) {
-    case FaultClass::kEdge: {
-      MultiSourceResult ms = detail::build_epsilon_ftmbfs_impl(
-          g, spec.sources, spec.epsilon_options());
-      per_source = std::move(ms.per_source);
-      structure.emplace(std::move(ms.structure));
+  // The §5 union over the sources: each source's canonical tree is built
+  // just before its structure and dropped right after, so the peak holds
+  // one tree. A single source's structure is returned as built (σ = 1
+  // pays no merge copy).
+  std::optional<FtBfsStructure> structure;
+  std::vector<EdgeId> edges;
+  std::vector<EdgeId> reinforced;
+  std::vector<EdgeId> tree_edges;  // union of the per-source trees
+  if (spec.sources.size() > 1) {
+    // Each per-source tree holds up to n−1 edges; reserving up front keeps
+    // the tree-edge union from reallocating once per source. (The backup
+    // edge union is Õ(n^{1+ε})-sized and grows amortized instead.)
+    tree_edges.reserve(spec.sources.size() *
+                       static_cast<std::size_t>(g.num_vertices()));
+  }
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, spec.weight_seed);
+  for (const Vertex s : spec.sources) {
+    const BfsTree tree(g, weights, s);
+    FtBfsStructure h = [&] {
+      switch (spec.fault_model) {
+        case FaultClass::kEdge: {
+          EpsilonResult r = detail::build_epsilon_ftbfs_impl(tree, eps_opts);
+          per_source.push_back(r.stats);
+          return std::move(r.structure);
+        }
+        case FaultClass::kVertex:
+          return detail::build_vertex_ftbfs_impl(tree, spec.pool);
+        case FaultClass::kEither:
+          return detail::build_either_ftbfs_impl(tree, spec.pool);
+        default: {  // FaultClass::kDual (validate() admits nothing else)
+          DualBuildResult r =
+              detail::build_dual_failure_ftbfs_impl(tree, dual_opts);
+          dual_tables.push_back(std::move(r.tables));
+          if (spec.site_dist_oracle) {
+            dual_site_dist.push_back(std::move(r.site_dist));
+          }
+          return std::move(r.structure);
+        }
+      }
+    }();
+    if (spec.sources.size() == 1) {
+      structure.emplace(std::move(h));
       break;
     }
-    case FaultClass::kVertex:
-      structure.emplace(detail::build_vertex_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options()));
-      break;
-    case FaultClass::kEither:
-      structure.emplace(detail::build_either_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options()));
-      break;
-    case FaultClass::kDual: {
-      DualMultiSourceResult r = detail::build_dual_failure_ftmbfs_impl(
-          g, spec.sources, spec.dual_options());
-      structure.emplace(std::move(r.structure));
-      dual_tables = std::move(r.per_source);
-      dual_site_dist = std::move(r.per_source_site_dist);
-      break;
-    }
+    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
+    reinforced.insert(reinforced.end(), h.reinforced().begin(),
+                      h.reinforced().end());
+    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
+                      h.tree_edges().end());
+  }
+  if (!structure) {
+    structure.emplace(g, spec.sources.front(), std::move(edges),
+                      std::move(reinforced), std::move(tree_edges),
+                      spec.fault_model);
   }
   return BuildResult{spec, spec.sources, std::move(*structure),
                      std::move(per_source), std::move(dual_tables),
@@ -308,9 +322,10 @@ struct Session::Impl {
         fresh.reserve(trees.size());
         for (const BfsTree& t : trees) {
           DualSiteDistTable sd;
+          // The production build's tables: optimized kernels, pruned.
           fresh.push_back(detail::build_dual_site_table(
-              t, pool, /*reference_kernel=*/false, nullptr,
-              /*unpruned=*/false, need_sd ? &sd : nullptr));
+              t, pool, false, nullptr, /*unpruned=*/false,
+              need_sd ? &sd : nullptr));
           if (need_sd) dual_site_dist.push_back(std::move(sd));
         }
         if (need_tables) {

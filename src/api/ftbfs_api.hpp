@@ -73,7 +73,7 @@ struct BuildSpec {
   double eps = 0.25;
   /// Seed of the tie-breaking weight assignment W (also what a Session
   /// needs to rebuild the same canonical trees when loading from disk).
-  std::uint64_t weight_seed = 0x5EED0001ULL;
+  std::uint64_t weight_seed = kDefaultWeightSeed;
   ThreadPool* pool = nullptr;  // nullptr = global pool
 
   // ---- ε pipeline ablation knobs (see EpsilonOptions for semantics) -----
@@ -97,10 +97,6 @@ struct BuildSpec {
 
   /// The EpsilonOptions this spec maps to (edge-model dispatch).
   EpsilonOptions epsilon_options() const;
-  /// The VertexFtBfsOptions this spec maps to (vertex/either dispatch).
-  VertexFtBfsOptions vertex_options() const;
-  /// The DualFtBfsOptions this spec maps to (dual-failure dispatch).
-  DualFtBfsOptions dual_options() const;
 };
 
 /// What one build() returns: the structure plus construction telemetry.
@@ -255,7 +251,7 @@ struct SessionConfig {
   /// Must match the weight seed the structure was built with, or the
   /// rebuilt canonical trees will not match the deployed tree edges
   /// (checked; CheckError on mismatch).
-  std::uint64_t weight_seed = 0x5EED0001ULL;
+  std::uint64_t weight_seed = kDefaultWeightSeed;
   /// Builds the replacement tables at load; query() never uses it.
   ThreadPool* pool = nullptr;  // nullptr = global pool
   /// Degrade instead of refuse: when the artifact's pair-table section is

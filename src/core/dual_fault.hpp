@@ -156,7 +156,6 @@ struct DualSiteDistTable {
 };
 
 struct DualFtBfsOptions {
-  std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
   /// Also harvest the site-local distance tables (DualSiteDistTable) while
   /// the punctured engines are alive, so the oracle serves EVERY pair
@@ -179,27 +178,13 @@ struct DualBuildResult {
   SweepWorkStats sweep_work;
 };
 
-/// Multi-source variant (the Gupta–Khan setting): per-source dual
-/// structures unioned into one subgraph, per-source pair tables kept.
-struct DualMultiSourceResult {
-  FtBfsStructure structure;             // anchored at the first source
-  std::vector<DualSiteTable> per_source;  // aligned with the source set
-  /// Aligned with the source set; empty unless site_dist_oracle was
-  /// requested.
-  std::vector<DualSiteDistTable> per_source_site_dist;
-};
-
 namespace detail {
 /// The dual-failure pipeline for one source, on an already-built canonical
-/// tree (its source and weights; opts.weight_seed is not read).
+/// tree (its source and weights). ftb::api::build runs it once per source
+/// tree and keeps each source's pair tables (the Gupta–Khan multi-source
+/// setting for σ > 1).
 DualBuildResult build_dual_failure_ftbfs_impl(const BfsTree& tree,
                                               const DualFtBfsOptions& opts);
-/// What ftb::api::build dispatches to for fault_model = kDual, at every
-/// σ ≥ 1: the union of the per-source builds; defined in multi_source.cpp
-/// beside the other fault models' unions.
-DualMultiSourceResult build_dual_failure_ftmbfs_impl(
-    const Graph& g, const std::vector<Vertex>& sources,
-    const DualFtBfsOptions& opts);
 
 /// Builds one source's pair tables for an already-built canonical tree.
 /// The production build and Session::load's table rebuild both call it

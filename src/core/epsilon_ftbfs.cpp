@@ -106,8 +106,51 @@ double theorem_reinforce_bound(std::int64_t n, double eps) {
   return (1.0 / eps) * std::pow(nd, 1.0 - eps) * std::log2(nd);
 }
 
+namespace {
+
+/// ε = 0: the whole tree reinforced, no backup at all.
+EpsilonResult reinforce_tree(const BfsTree& tree, double eps) {
+  const Graph& g = tree.graph();
+  Timer total_timer;
+  EpsilonStats st;
+  st.n = g.num_vertices();
+  st.m = g.num_edges();
+  st.eps = eps;
+  FtBfsStructure h(g, tree.source(), tree.tree_edges(), tree.tree_edges(),
+                   tree.tree_edges());
+  st.structure_edges = h.num_edges();
+  st.backup = h.num_backup();
+  st.reinforced = h.num_reinforced();
+  st.seconds_total = total_timer.seconds();
+  return EpsilonResult{std::move(h), st};
+}
+
+/// Theorem 3.1 takes the ESA'13 n^{3/2} branch, which reads no detours.
+bool takes_baseline(const EpsilonOptions& opts) {
+  return opts.eps >= 0.5 && opts.baseline_for_large_eps;
+}
+
+}  // namespace
+
 EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
                                                const EpsilonOptions& opts) {
+  if (opts.eps == 0.0) return reinforce_tree(tree, opts.eps);
+  Timer total_timer;
+  ReplacementPathEngine::Config cfg;
+  cfg.collect_detours = !takes_baseline(opts);
+  cfg.pool = opts.pool;
+  const ReplacementPathEngine engine(tree, cfg);
+  const double seconds_engine = total_timer.seconds();
+  EpsilonResult res = build_epsilon_ftbfs(engine, opts);
+  res.stats.seconds_engine = seconds_engine;
+  res.stats.seconds_total = total_timer.seconds();
+  return res;
+}
+
+EpsilonResult build_epsilon_ftbfs(const ReplacementPathEngine& engine,
+                                  const EpsilonOptions& opts) {
+  const BfsTree& tree = engine.tree();
+  if (opts.eps == 0.0) return reinforce_tree(tree, opts.eps);
   const Graph& g = tree.graph();
   const Vertex source = tree.source();
   Timer total_timer;
@@ -115,30 +158,11 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
   st.n = g.num_vertices();
   st.m = g.num_edges();
   st.eps = opts.eps;
+  st.pairs_total = engine.stats().pairs_total;
+  st.pairs_covered = engine.stats().pairs_covered;
+  st.pairs_uncovered = engine.stats().pairs_uncovered;
 
-  // ε = 0: reinforce the whole tree, no backup at all.
-  if (opts.eps == 0.0) {
-    FtBfsStructure h(g, source, tree.tree_edges(), tree.tree_edges(),
-                     tree.tree_edges());
-    st.structure_edges = h.num_edges();
-    st.backup = h.num_backup();
-    st.reinforced = h.num_reinforced();
-    st.seconds_total = total_timer.seconds();
-    return EpsilonResult{std::move(h), st};
-  }
-
-  // ε ≥ 1/2: Theorem 3.1 takes the ESA'13 n^{3/2} branch.
-  if (opts.eps >= 0.5 && opts.baseline_for_large_eps) {
-    ReplacementPathEngine::Config cfg;
-    cfg.collect_detours = false;
-    cfg.pool = opts.pool;
-    cfg.reference_kernel = opts.reference_kernel;
-    Timer t;
-    const ReplacementPathEngine engine(tree, cfg);
-    st.seconds_engine = t.seconds();
-    st.pairs_total = engine.stats().pairs_total;
-    st.pairs_covered = engine.stats().pairs_covered;
-    st.pairs_uncovered = engine.stats().pairs_uncovered;
+  if (takes_baseline(opts)) {
     st.used_baseline = true;
     FtBfsStructure h = build_ftbfs(engine);
     st.structure_edges = h.num_edges();
@@ -148,19 +172,7 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const BfsTree& tree,
     return EpsilonResult{std::move(h), st};
   }
 
-  // ---------------------------------------------------------------- S0 --
   Timer phase_timer;
-  ReplacementPathEngine::Config cfg;
-  cfg.collect_detours = true;
-  cfg.pool = opts.pool;
-  cfg.reference_kernel = opts.reference_kernel;
-  const ReplacementPathEngine engine(tree, cfg);
-  st.seconds_engine = phase_timer.seconds();
-  st.pairs_total = engine.stats().pairs_total;
-  st.pairs_covered = engine.stats().pairs_covered;
-  st.pairs_uncovered = engine.stats().pairs_uncovered;
-
-  phase_timer.restart();
   const InterferenceIndex interference(engine);
   st.seconds_interference = phase_timer.seconds();
   st.interference_truncated_buckets = interference.stats().truncated_buckets;

@@ -30,18 +30,18 @@
 
 #include <cstdint>
 
+#include "src/core/replacement.hpp"
 #include "src/core/structure.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ftb {
 
-class BfsTree;  // bfs_tree.hpp
-
 struct EpsilonOptions {
   /// The tradeoff exponent ε ∈ [0, 1].
   double eps = 0.25;
-  /// Seed of the tie-breaking weight assignment W.
-  std::uint64_t weight_seed = 0x5EED0001ULL;
+  /// Seed of the tie-breaking weight assignment W (read by the graph-level
+  /// entry points of cost_model.hpp; the per-tree builds below ignore it).
+  std::uint64_t weight_seed = kDefaultWeightSeed;
   ThreadPool* pool = nullptr;  // nullptr = global pool
 
   /// Theorem 3.1 dispatch: with ε ≥ 1/2 run the ESA'13 baseline instead of
@@ -57,11 +57,6 @@ struct EpsilonOptions {
   bool disable_s2_light_flush = false;
   /// Skip the tree-decomposition crossings of Sub-Phase S2.3. Ablation knob.
   bool disable_s2_crossings = false;
-
-  /// Run Phase S0 on the naive reference kernels instead of the
-  /// direction-optimizing scratch-arena kernels. The produced structure is
-  /// bit-identical; this is the bench baseline / differential-testing knob.
-  bool reference_kernel = false;
 };
 
 /// Construction telemetry — one row of every benchmark table.
@@ -107,11 +102,21 @@ struct EpsilonResult {
 namespace detail {
 /// The ε pipeline on one source's canonical tree (its source and weights;
 /// opts.weight_seed is not read; ε must already be validated through
-/// validate.hpp). ftb::api::build reaches it through the edge-model union,
-/// once per source tree.
+/// validate.hpp): builds Phase S0's engine on the production kernels, then
+/// composes build_epsilon_ftbfs on it. ftb::api::build runs it once per
+/// source tree.
 EpsilonResult build_epsilon_ftbfs_impl(const BfsTree& tree,
                                        const EpsilonOptions& opts);
 }  // namespace detail
+
+/// Phases S1/S2/F (or the ε = 0 / ε ≥ 1/2 dispatch) on an already-built
+/// Phase-S0 engine: the S0-reuse composition point, beside build_ftbfs and
+/// build_vertex_ftbfs. The engine must have collected detours unless the
+/// ε ≥ 1/2 baseline is taken; stats.seconds_engine is left 0 (the caller
+/// built the engine). A differential referee hands it an engine on the
+/// naive reference kernels.
+EpsilonResult build_epsilon_ftbfs(const ReplacementPathEngine& engine,
+                                  const EpsilonOptions& opts);
 
 /// Theorem 3.1's backup bound min{1/ε·n^{1+ε}·log n, n^{3/2}} (the Õ
 /// envelope benches normalize against).

@@ -13,11 +13,10 @@ FtBfsStructure build_ftbfs(const ReplacementPathEngine& engine) {
 }
 
 FtBfsStructure detail::build_ftbfs_impl(const BfsTree& tree,
-                                        const FtBfsOptions& opts) {
+                                        ThreadPool* pool) {
   ReplacementPathEngine::Config cfg;
   cfg.collect_detours = false;  // the baseline only needs last edges
-  cfg.pool = opts.pool;
-  cfg.reference_kernel = opts.reference_kernel;
+  cfg.pool = pool;
   const ReplacementPathEngine engine(tree, cfg);
   return build_ftbfs(engine);
 }

@@ -14,19 +14,12 @@
 
 namespace ftb {
 
-struct FtBfsOptions {
-  ThreadPool* pool = nullptr;  // nullptr = global pool
-  /// Run the engine on the naive reference kernels (bench baseline /
-  /// differential testing; output is bit-identical either way).
-  bool reference_kernel = false;
-};
-
 namespace detail {
 /// The baseline pipeline on an already-built canonical tree (its source
-/// and weights). The ftb::api facade reaches the ESA'13 baseline through
-/// the ε pipeline (ε ≥ 1/2); the either union builds its edge half with
-/// this.
-FtBfsStructure build_ftbfs_impl(const BfsTree& tree, const FtBfsOptions& opts);
+/// and weights); `pool` = nullptr runs on the global pool. The ftb::api
+/// facade reaches the ESA'13 baseline through the ε pipeline (ε ≥ 1/2);
+/// the either union builds its edge half with this.
+FtBfsStructure build_ftbfs_impl(const BfsTree& tree, ThreadPool* pool);
 }  // namespace detail
 
 /// The O(n^{3/2})-edge FT-BFS structure H = T0 ∪ {last edges}, reusing an

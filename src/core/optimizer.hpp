@@ -40,7 +40,7 @@ struct FrontierPoint {
 class GreedyFrontier {
  public:
   struct Config {
-    std::uint64_t weight_seed = 0x5EED0001ULL;
+    std::uint64_t weight_seed = kDefaultWeightSeed;
     ThreadPool* pool = nullptr;
   };
 

@@ -1,9 +1,9 @@
 // validate.hpp — the one place build inputs are checked.
 //
-// Every build entry point — the ftb::api facade (and through it the CLI),
-// the multi-source union pipelines it dispatches to, and the cost-model
-// sweep — funnels its (ε, source set) inputs through these helpers, so a
-// bad input produces the SAME CheckError message shape everywhere:
+// Every build entry point — the ftb::api facade (and through it the CLI)
+// and the cost-model sweep — funnels its (ε, source set) inputs through
+// these helpers, so a bad input produces the SAME CheckError message shape
+// everywhere:
 //
 //   invalid BuildSpec: <what is wrong> (got <value>)
 //

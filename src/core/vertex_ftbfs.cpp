@@ -20,27 +20,29 @@ FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine) {
                         tree.tree_edges(), FaultClass::kVertex);
 }
 
+FtBfsStructure build_either_ftbfs(const FtBfsStructure& edge_half,
+                                  const FtBfsStructure& vertex_half) {
+  std::vector<EdgeId> edges = edge_half.edges();
+  edges.insert(edges.end(), vertex_half.edges().begin(),
+               vertex_half.edges().end());
+  return FtBfsStructure(edge_half.graph(), edge_half.source(),
+                        std::move(edges), {}, edge_half.tree_edges(),
+                        FaultClass::kEither);
+}
+
 FtBfsStructure detail::build_vertex_ftbfs_impl(const BfsTree& tree,
-                                               const VertexFtBfsOptions& opts) {
+                                               ThreadPool* pool) {
   VertexReplacementEngine::Config cfg;
-  cfg.pool = opts.pool;
-  cfg.reference_kernel = opts.reference_kernel;
+  cfg.pool = pool;
   cfg.collect_detours = false;  // the baseline only needs last edges
   const VertexReplacementEngine engine(tree, cfg);
   return build_vertex_ftbfs(engine);
 }
 
 FtBfsStructure detail::build_either_ftbfs_impl(const BfsTree& tree,
-                                               const VertexFtBfsOptions& opts) {
-  FtBfsOptions eopts;
-  eopts.pool = opts.pool;
-  eopts.reference_kernel = opts.reference_kernel;
-  const FtBfsStructure edge_h = detail::build_ftbfs_impl(tree, eopts);
-  const FtBfsStructure vertex_h = detail::build_vertex_ftbfs_impl(tree, opts);
-  std::vector<EdgeId> edges = edge_h.edges();
-  edges.insert(edges.end(), vertex_h.edges().begin(), vertex_h.edges().end());
-  return FtBfsStructure(tree.graph(), tree.source(), std::move(edges), {},
-                        edge_h.tree_edges(), FaultClass::kEither);
+                                               ThreadPool* pool) {
+  return build_either_ftbfs(detail::build_ftbfs_impl(tree, pool),
+                            detail::build_vertex_ftbfs_impl(tree, pool));
 }
 
 std::int64_t verify_vertex_structure(const FtBfsStructure& h,

@@ -31,26 +31,16 @@ namespace ftb {
 /// VertexFault policy).
 using VertexReplacementEngine = FaultReplacementEngine<VertexFault>;
 
-struct VertexFtBfsOptions {
-  std::uint64_t weight_seed = 0x5EED0001ULL;
-  ThreadPool* pool = nullptr;
-  /// Run the engine on the naive reference kernels (bench baseline /
-  /// differential testing; output is bit-identical either way).
-  bool reference_kernel = false;
-};
-
 namespace detail {
 /// Pipeline implementations the ftb::api facade dispatches to, one per
-/// source on an already-built canonical tree (its source and weights;
-/// opts.weight_seed is not read).
-FtBfsStructure build_vertex_ftbfs_impl(const BfsTree& tree,
-                                       const VertexFtBfsOptions& opts);
+/// source on an already-built canonical tree (its source and weights);
+/// `pool` = nullptr runs on the global pool.
+FtBfsStructure build_vertex_ftbfs_impl(const BfsTree& tree, ThreadPool* pool);
 /// The "either" union: one structure surviving ONE failure of either kind
 /// (edge FT-BFS ∪ vertex FT-BFS, both halves on this one tree), tagged
 /// FaultClass::kEither. This is what pre-dual releases called the dual
 /// model; the two-simultaneous-failure pipeline lives in dual_fault.hpp.
-FtBfsStructure build_either_ftbfs_impl(const BfsTree& tree,
-                                       const VertexFtBfsOptions& opts);
+FtBfsStructure build_either_ftbfs_impl(const BfsTree& tree, ThreadPool* pool);
 }  // namespace detail
 
 /// The O(n^{3/2}) vertex-fault FT-BFS baseline
@@ -59,6 +49,13 @@ FtBfsStructure build_either_ftbfs_impl(const BfsTree& tree,
 /// build on. (A graph-level build is ftb::api::build(graph, BuildSpec) with
 /// fault_model = kVertex.)
 FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine);
+
+/// The either structure from its two halves on one tree: `edge_half` =
+/// build_ftbfs(edge engine), `vertex_half` = build_vertex_ftbfs(vertex
+/// engine), merged and tagged FaultClass::kEither. The composition point
+/// build_either_ftbfs_impl and the differential referees share.
+FtBfsStructure build_either_ftbfs(const FtBfsStructure& edge_half,
+                                  const FtBfsStructure& vertex_half);
 
 /// Exhaustive vertex-failure verification: BFS of G\{x} vs H\{x} for every
 /// non-source x. Returns the number of (x, v) distance violations.

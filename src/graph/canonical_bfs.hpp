@@ -32,6 +32,12 @@
 
 namespace ftb {
 
+/// The default seed of W for every build and every session. A session
+/// rebuilds its canonical trees from its seed and refuses a structure
+/// whose tree edges they do not match, so build and serving defaults must
+/// never drift: this is their one spelling.
+inline constexpr std::uint64_t kDefaultWeightSeed = 0x5EED0001ULL;
+
 /// The paper's tie-breaking weight assignment W : E → [1, 2^40).
 struct EdgeWeights {
   std::vector<std::uint64_t> w;  // indexed by EdgeId
@@ -125,9 +131,10 @@ struct CanonicalSp {
 /// Computes the canonical shortest-path tree from `src` in G minus bans.
 /// This is the two-pass reference implementation (layered BFS + relaxation
 /// sweep), kept independent of the fused kernel (canonical_sp_run in
-/// bfs_kernel.hpp) as the referee: tests, the engines' `reference_kernel`
-/// path and replacement_path call it. Production trees never go through
-/// it — BfsTree builds on canonical_sp_fused.
+/// bfs_kernel.hpp) as the referee: tests, the engines' reference-kernel
+/// path (selected through ReplacementTable::Config) and replacement_path
+/// call it. Production trees never go through it — BfsTree builds on
+/// canonical_sp_fused.
 CanonicalSp canonical_sp(const Graph& g, const EdgeWeights& weights,
                          Vertex src, const BfsBans& bans = {});
 

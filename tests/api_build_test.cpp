@@ -1,7 +1,7 @@
 // api_build_test.cpp — the facade-vs-referee differential suite.
 //
-// ftb::api::build(graph, BuildSpec) runs one union pipeline per fault
-// model for every source count; it must be byte-identical to the scalar
+// ftb::api::build(graph, BuildSpec) runs one §5 union loop over every
+// fault model and source count; it must be byte-identical to the scalar
 // per-source referee of tests/referee.hpp at σ = 1 and σ = 3: same edges,
 // same reinforced set, same tree edges, same fault tag, same per-source ε
 // stats, same dual pair tables and site-dist rows. Plus the shared
@@ -88,7 +88,8 @@ std::vector<std::vector<Vertex>> source_sets(const test::FamilyCase& fc) {
   return {{fc.source}, {0, n / 3, (2 * n) / 3}};
 }
 
-/// api::build vs test::referee_build for `model` at every σ and ε.
+/// api::build vs test::referee_build for `model` at every σ and ε, with the
+/// referee's engines on the optimized and on the naive reference kernels.
 void expect_model_matches_referee(FaultClass model,
                                   std::initializer_list<double> eps_grid) {
   for (const auto& fc : diff_families()) {
@@ -102,8 +103,12 @@ void expect_model_matches_referee(FaultClass model,
         const std::string what = fc.name + " " + to_string(model) +
                                  " sigma=" + std::to_string(sources.size()) +
                                  " eps=" + std::to_string(eps);
-        expect_same_build(api::build(fc.graph, spec),
-                          test::referee_build(fc.graph, spec), what);
+        const api::BuildResult got = api::build(fc.graph, spec);
+        expect_same_build(got, test::referee_build(fc.graph, spec), what);
+        expect_same_build(
+            got,
+            test::referee_build(fc.graph, spec, {.reference_kernel = true}),
+            what + " reference-kernels");
       }
     }
   }
@@ -139,7 +144,7 @@ TEST(ApiBuild, EpsOneIsTheEsa13Baseline) {
                                                       spec.weight_seed);
     const BfsTree tree(fc.graph, w, fc.source);
     expect_identical(api::build(fc.graph, spec).structure,
-                     detail::build_ftbfs_impl(tree, {}),
+                     detail::build_ftbfs_impl(tree, nullptr),
                      fc.name + " baseline");
   }
 }

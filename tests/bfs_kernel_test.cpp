@@ -17,6 +17,7 @@
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
 #include "src/util/rng.hpp"
+#include "tests/referee.hpp"
 #include "tests/test_util.hpp"
 
 namespace ftb {
@@ -334,16 +335,14 @@ TEST(EngineEquivalence, VertexEngineReferenceAndOptimizedAgree) {
 TEST(EngineEquivalence, EpsilonConstructionEdgeSetsIdentical) {
   for (auto& fc : test::tiny_families()) {
     const EdgeWeights w =
-        EdgeWeights::uniform_random(fc.graph, EpsilonOptions{}.weight_seed);
+        EdgeWeights::uniform_random(fc.graph, kDefaultWeightSeed);
     const BfsTree tree(fc.graph, w, fc.source);
     for (const double eps : {0.25, 0.5}) {
-      EpsilonOptions ref_opts;
-      ref_opts.eps = eps;
-      ref_opts.reference_kernel = true;
-      EpsilonOptions opt_opts;
-      opt_opts.eps = eps;
-      const EpsilonResult a = detail::build_epsilon_ftbfs_impl(tree, ref_opts);
-      const EpsilonResult b = detail::build_epsilon_ftbfs_impl(tree, opt_opts);
+      EpsilonOptions opts;
+      opts.eps = eps;
+      const EpsilonResult a =
+          test::referee_epsilon(tree, opts, /*reference_kernel=*/true);
+      const EpsilonResult b = detail::build_epsilon_ftbfs_impl(tree, opts);
       ASSERT_EQ(a.structure.edges(), b.structure.edges()) << fc.name;
       ASSERT_EQ(a.structure.reinforced(), b.structure.reinforced()) << fc.name;
       ASSERT_EQ(a.structure.tree_edges(), b.structure.tree_edges()) << fc.name;

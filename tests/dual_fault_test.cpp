@@ -684,7 +684,7 @@ TEST(DualFault, DfsScheduleIsByteIdenticalToIndependentRebase) {
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
     const EdgeWeights w =
-        EdgeWeights::uniform_random(pc.graph, opts.weight_seed);
+        EdgeWeights::uniform_random(pc.graph, kDefaultWeightSeed);
     const DualBuildResult a = detail::build_dual_failure_ftbfs_impl(
         BfsTree(pc.graph, w, pc.source), opts);
     SweepWorkStats ind_work;
@@ -709,7 +709,7 @@ TEST(DualFault, DfsScheduleOnDegenerateTrees) {
   for (const Graph& g : {gen::path_graph(64), gen::star_graph(64)}) {
     DualFtBfsOptions opts;
     opts.site_dist_oracle = true;
-    const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
+    const EdgeWeights w = EdgeWeights::uniform_random(g, kDefaultWeightSeed);
     const DualBuildResult a =
         detail::build_dual_failure_ftbfs_impl(BfsTree(g, w, 0), opts);
     SweepWorkStats ind_work;

@@ -210,6 +210,33 @@ TEST(EpsilonFtBfs, SingleRoundOverrideStillCorrect) {
   EXPECT_TRUE(verify_structure(res.structure).ok);
 }
 
+TEST(EpsilonFtBfs, S1UnderTinyThresholdAndOneRoundStillCorrect) {
+  // The property families never bring S1's ⌈n^ε⌉ threshold into play, so
+  // the sweeps above cannot see an S1 classification bug. On the
+  // lower-bound family a near-zero threshold and a single round make S1
+  // stop adding last edges early and leave pairs to reinforcement; every
+  // non-reinforced failure, tree and non-tree, must still preserve every
+  // distance.
+  const auto lb = lb::build_single_source(220, 0.33);
+  std::int64_t rows_with_reinforcement = 0;
+  for (const double eps : {0.15, 0.25, 0.4}) {
+    api::BuildSpec spec;
+    spec.sources = {lb.source};
+    spec.eps = eps;
+    spec.threshold_scale = 1e-6;
+    spec.k_rounds_override = 1;
+    const api::BuildResult res = api::build(lb.graph, spec);
+    const EpsilonStats& st = res.per_source.front();
+    ASSERT_FALSE(st.used_baseline) << "eps=" << eps;
+    VerifyOptions vo;
+    vo.check_nontree_failures = true;
+    const VerifyReport rep = verify_structure(res.structure, vo);
+    EXPECT_TRUE(rep.ok) << "eps=" << eps << ": " << rep.to_string();
+    if (st.reinforced > 0) ++rows_with_reinforcement;
+  }
+  EXPECT_GT(rows_with_reinforcement, 0);
+}
+
 
 TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
   // The headline shape at instance level: on the deep adversarial family,

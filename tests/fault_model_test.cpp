@@ -472,11 +472,10 @@ TEST(VertexServingTest, MatchesLiteralBfsExhaustively) {
   // table on G equals a literal BFS in the deployed H \ {x}.
   for (const auto& fc : test::property_cases(18, 1)) {
     FTB_PROPERTY_TRACE(fc, "fault_model_test");
-    const VertexFtBfsOptions opts;  // default weight seed
     const EdgeWeights w =
-        EdgeWeights::uniform_random(fc.graph, opts.weight_seed);
+        EdgeWeights::uniform_random(fc.graph, kDefaultWeightSeed);
     const BfsTree tree(fc.graph, w, fc.source);
-    const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, opts);
+    const FtBfsStructure h = detail::build_vertex_ftbfs_impl(tree, nullptr);
     ASSERT_EQ(h.fault_class(), FaultClass::kVertex);
     const VertexReplacementEngine engine(tree);
     const std::size_t n = static_cast<std::size_t>(fc.graph.num_vertices());

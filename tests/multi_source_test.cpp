@@ -190,8 +190,8 @@ TEST(MultiSource, VertexSingleSourceDegeneratesToBaseline) {
   spec.sources = {4};
   const api::BuildResult ms = api::build(g, spec);
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
-  const FtBfsStructure single = detail::build_vertex_ftbfs_impl(
-      BfsTree(g, w, 4), spec.vertex_options());
+  const FtBfsStructure single =
+      detail::build_vertex_ftbfs_impl(BfsTree(g, w, 4), spec.pool);
   EXPECT_EQ(ms.structure.edges(), single.edges());
   EXPECT_EQ(ms.structure.tree_edges(), single.tree_edges());
   EXPECT_EQ(ms.structure.fault_class(), single.fault_class());

@@ -7,11 +7,17 @@
 //
 //  * the per-source union — each source's canonical tree from the
 //    two-pass reference canonical_sp (never the fused canonical_sp_run
-//    kernel that production trees come from), the per-source
-//    detail::*_impl(tree, ·) builds, merged like the §5 unions;
-//  * the dual referees — detail::build_dual_site_table's referee
-//    parameters: the naive reference kernels, the unpruned recursion and
-//    the independent-rebase site schedule;
+//    kernel that production trees come from), each source's structure
+//    composed on engines of the referee's own (build_epsilon_ftbfs,
+//    build_vertex_ftbfs, build_either_ftbfs), merged like api::build's
+//    §5 union;
+//  * the kernel referee — those engines on the naive reference kernels
+//    (ReplacementTable::Config::reference_kernel), and the dual site table
+//    on them through detail::build_dual_site_table's parameter: the two
+//    seams the library keeps for it;
+//  * the dual referees — detail::build_dual_site_table's other referee
+//    parameters: the unpruned recursion and the independent-rebase site
+//    schedule;
 //  * the interference referee — Phase S1's (≁)-interference and
 //    π-intersection relations (Section 3.1), decided pair by pair from
 //    their literal definitions.
@@ -30,28 +36,59 @@
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
+#include "src/core/ftbfs.hpp"
 #include "src/core/replacement.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_tree.hpp"
 
 namespace ftb::test {
 
-/// How a referee dual build runs: detail::build_dual_site_table's referee
-/// parameters. The defaults are the production build's.
-struct DualReferee {
+/// How a referee build runs. The defaults are the production build's.
+struct Referee {
   bool reference_kernel = false;  // naive reference engine kernels
-  bool unpruned = false;          // full H_f per site, no segment pruning
-  bool dfs_schedule = true;       // pruned: false = independent rebase
+  bool unpruned = false;          // dual: full H_f per site, no pruning
+  bool dfs_schedule = true;       // dual, pruned: false = independent rebase
 };
+
+/// A Phase-S0 engine of `Engine` (ReplacementPathEngine or
+/// VertexReplacementEngine) on `tree`, on the naive reference kernels when
+/// `reference_kernel`.
+template <class Engine>
+Engine referee_engine(const BfsTree& tree, ThreadPool* pool,
+                      bool reference_kernel, bool collect_detours) {
+  typename Engine::Config cfg;
+  cfg.pool = pool;
+  cfg.reference_kernel = reference_kernel;
+  cfg.collect_detours = collect_detours;
+  return Engine(tree, cfg);
+}
+
+/// One source's ε pipeline composed on a referee engine (detours
+/// collected, whichever branch of Theorem 3.1 `opts` takes).
+inline EpsilonResult referee_epsilon(const BfsTree& tree,
+                                     const EpsilonOptions& opts,
+                                     bool reference_kernel) {
+  return build_epsilon_ftbfs(
+      referee_engine<ReplacementPathEngine>(tree, opts.pool, reference_kernel,
+                                            /*collect_detours=*/true),
+      opts);
+}
+
+/// One source's vertex-fault baseline composed on a referee engine.
+inline FtBfsStructure referee_vertex(const BfsTree& tree, ThreadPool* pool,
+                                     bool reference_kernel) {
+  return build_vertex_ftbfs(referee_engine<VertexReplacementEngine>(
+      tree, pool, reference_kernel, /*collect_detours=*/false));
+}
 
 /// Builds `spec` source by source on two-pass canonical trees and merges the
 /// per-source structures (a single source's structure is returned as
-/// built, so a σ = 1 referee pays no merge copy); a
-/// dual spec runs each source's site table under `dual`. `work`, when
-/// given, accumulates the dual rebase-seam work.
+/// built, so a σ = 1 referee pays no merge copy). `ref` picks the kernels
+/// for every model and, for a dual spec, the site table's recursion and
+/// schedule. `work`, when given, accumulates the dual rebase-seam work.
 inline api::BuildResult referee_build(const Graph& g,
                                       const api::BuildSpec& spec,
-                                      const DualReferee& dual = {},
+                                      const Referee& ref = {},
                                       SweepWorkStats* work = nullptr) {
   spec.validate(g);
   const EdgeWeights weights = EdgeWeights::uniform_random(g, spec.weight_seed);
@@ -64,27 +101,29 @@ inline api::BuildResult referee_build(const Graph& g,
     switch (spec.fault_model) {
       case FaultClass::kEdge: {
         EpsilonResult r =
-            detail::build_epsilon_ftbfs_impl(tree, spec.epsilon_options());
+            referee_epsilon(tree, spec.epsilon_options(), ref.reference_kernel);
         per_source.push_back(r.stats);
         parts.push_back(std::move(r.structure));
         break;
       }
       case FaultClass::kVertex:
-        parts.push_back(
-            detail::build_vertex_ftbfs_impl(tree, spec.vertex_options()));
+        parts.push_back(referee_vertex(tree, spec.pool, ref.reference_kernel));
         break;
       case FaultClass::kEither:
-        parts.push_back(
-            detail::build_either_ftbfs_impl(tree, spec.vertex_options()));
+        parts.push_back(build_either_ftbfs(
+            build_ftbfs(referee_engine<ReplacementPathEngine>(
+                tree, spec.pool, ref.reference_kernel,
+                /*collect_detours=*/false)),
+            referee_vertex(tree, spec.pool, ref.reference_kernel)));
         break;
       case FaultClass::kDual: {
         std::vector<EdgeId> dual_edges;
         DualSiteDistTable sd;
         SweepWorkStats w;
         tables.push_back(detail::build_dual_site_table(
-            tree, spec.pool, dual.reference_kernel, &dual_edges, dual.unpruned,
+            tree, spec.pool, ref.reference_kernel, &dual_edges, ref.unpruned,
             spec.site_dist_oracle ? &sd : nullptr, /*ignored=*/true,
-            dual.dfs_schedule, &w));
+            ref.dfs_schedule, &w));
         if (spec.site_dist_oracle) site_dist.push_back(std::move(sd));
         if (work != nullptr) {
           work->label_writes += w.label_writes;
