@@ -33,6 +33,7 @@
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/replacement.hpp"
+#include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/canonical_bfs.hpp"
@@ -791,10 +792,10 @@ bool run_dual_scale_report(bench::JsonObject* out) {
       pruned.structure.num_edges() < unpruned.structure.num_edges();
   const bool speed_ok = speedup >= 3.0;
   // The pruned structure still honors the dual contract on a seeded pair
-  // sample at this size, under the unpruned size budget.
+  // sample at this size (size_ok is its size budget).
   const std::int64_t violations =
-      verify_dual_structure(pruned.structure, /*max_pairs=*/200, /*seed=*/3,
-                            nullptr, unpruned.structure.num_edges() - 1);
+      verify_structure(pruned.structure, {.max_pairs = 200, .seed = 3})
+          .violations;
   out->set("n", static_cast<std::int64_t>(n))
       .set("m", static_cast<std::int64_t>(g.num_edges()))
       .set("edges_in_H_pruned", pruned.structure.num_edges())
@@ -1074,8 +1075,8 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
 /// two-failure BFS and the referee session (the acceptance gate: non-zero
 /// exit on divergence). The per-seed rows carry the new
 /// `edges_in_H_pruned` column next to the PR 4 `edges_in_H` baseline; a
-/// pruned size at or above the baseline, or over the referee budget in
-/// verify_dual_structure, also trips the gate. Also times the batched
+/// pruned size at or above the baseline, or a sampled-pair verification
+/// failure, also trips the gate. Also times the batched
 /// plane against the naive serve-every-pair-with-a-full-G-BFS baseline.
 bool run_dual_report(bench::JsonObject* out) {
   const Vertex n = [] {
@@ -1087,7 +1088,7 @@ bool run_dual_report(bench::JsonObject* out) {
 
   bool identical = true;      // every answer, both referees
   bool sizes_ok = true;       // pruned strictly below the unpruned size
-  bool budgets_ok = true;     // verification under the per-seed budget
+  bool budgets_ok = true;     // sampled-pair verification clean
   bench::JsonArray rows;
   double build_s_last = 0;
   for (const std::uint64_t seed : {3ULL, 5ULL, 7ULL}) {
@@ -1111,29 +1112,22 @@ bool run_dual_report(bench::JsonObject* out) {
       std::cout << "!!! [hard] pruned dual structure not strictly below the "
                    "unpruned baseline at seed " << seed << "\n";
     }
-    // Size-regression referee: the pruned structure must verify under the
-    // recorded per-seed bound (the unpruned size minus one — strictness).
-    if (verify_dual_structure(res.structure, /*max_pairs=*/300,
-                              /*seed=*/seed, nullptr,
-                              ref.structure.num_edges() - 1) != 0) {
+    // The pruned structure must verify on a seeded pair sample; size_ok
+    // above is its per-seed size budget.
+    if (verify_structure(res.structure, {.max_pairs = 300, .seed = seed})
+            .violations != 0) {
       budgets_ok = false;
       std::cout << "!!! [hard] pruned dual structure fails verification "
-                   "under the per-seed budget at seed " << seed << "\n";
+                   "at seed " << seed << "\n";
     }
     const api::Session ref_session = api::Session::deploy(g, ref);
     const api::Session session = api::Session::deploy(g, res);
     const Vertex src = spec.sources.front();
 
-    // The pair storm: every query of every sampled pair, batched. Same
-    // universe rule as verify_dual_structure: every edge, every
-    // non-source vertex.
-    std::vector<DualSite> universe;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      universe.push_back(DualSite{FaultClass::kEdge, e});
-    }
-    for (Vertex x = 0; x < g.num_vertices(); ++x) {
-      if (x != src) universe.push_back(DualSite{FaultClass::kVertex, x});
-    }
+    // The pair storm: every query of every sampled pair, batched, over the
+    // verifier's failure universe.
+    const std::vector<DualSite> universe =
+        failure_universe(g, src, FaultClass::kDual);
     Rng rng(seed);
     std::vector<std::pair<DualSite, DualSite>> pairs;
     for (std::int64_t i = 0; i < kPairsPerSeed; ++i) {

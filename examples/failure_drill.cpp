@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
   const BfsTree tree(g, w, source);
   const FtBfsStructure naive(g, source, tree.tree_edges(), {},
                              tree.tree_edges());
-  const DrillReport naive_rep = run_failure_drill(naive, drills, 2024);
+  const DrillReport naive_rep =
+      run_failure_drill(naive, FaultClass::kEdge, drills, 2024);
   std::cout << "\nnaive BFS-tree deployment under the same storm:\n  "
             << naive_rep.to_string() << "\n";
   std::cout << "  (stretch " << naive_rep.max_stretch

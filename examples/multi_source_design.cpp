@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "src/api/ftbfs_api.hpp"
-#include "src/core/multi_source.hpp"
+#include "src/core/verifier.hpp"
 #include "src/graph/generators.hpp"
 #include "src/util/options.hpp"
 #include "src/util/table.hpp"
@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
             << "x saved by overlap)\n";
 
   std::cout << "\nverifying the contract for every center, every failure... ";
-  const std::int64_t violations =
-      verify_multi_source(res.structure, res.sources);
-  std::cout << (violations == 0 ? "OK\n" : "FAILED\n");
+  const VerifyReport report =
+      verify_structure(res.structure, {.sources = res.sources});
+  std::cout << report.to_string() << "\n";
 
   // One session serves every center: Query::source_index picks whose
   // post-failure distances a batch entry asks for. deploy() takes the
@@ -95,5 +95,5 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\n";
-  return violations == 0 ? 0 : 1;
+  return report.ok ? 0 : 1;
 }

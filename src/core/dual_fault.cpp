@@ -1,6 +1,6 @@
 // dual_fault.cpp — the dual-failure recursion (one punctured single-fault
 // engine pair per first-failure site), the pair-table builder, the serving
-// oracle and the brute-force verifier. See dual_fault.hpp for the
+// oracle and the brute-force two-failure BFS. See dual_fault.hpp for the
 // correctness argument.
 #include "src/core/dual_fault.hpp"
 
@@ -11,7 +11,6 @@
 
 #include "src/core/dist_sweep.hpp"
 #include "src/util/free_list_pool.hpp"
-#include "src/util/rng.hpp"
 
 namespace ftb {
 
@@ -653,7 +652,7 @@ std::int32_t DualFaultOracle::dist(Vertex v, DualSite f1, DualSite f2,
 }
 
 // ---------------------------------------------------------------------------
-// Brute force and verification
+// Pair bans and brute force
 
 PairBans::PairBans(DualSite f1, DualSite f2, std::vector<std::uint8_t>& mask,
                    std::size_t n, BfsBans& bans)
@@ -685,78 +684,6 @@ void dual_bruteforce_bfs(const Graph& g, Vertex s, DualSite f1, DualSite f2,
   const PairBans pair(f1, f2, mask,
                       static_cast<std::size_t>(g.num_vertices()), bans);
   bfs_run(g, s, bans, scratch);
-}
-
-void dual_structure_bfs(const FtBfsStructure& h, DualSite f1, DualSite f2,
-                        BfsScratch& scratch) {
-  const Graph& g = h.graph();
-  thread_local std::vector<std::uint8_t> mask;
-  BfsBans bans;
-  bans.banned_edge_mask = &h.complement_mask();
-  const PairBans pair(f1, f2, mask,
-                      static_cast<std::size_t>(g.num_vertices()), bans);
-  bfs_run(g, h.source(), bans, scratch);
-}
-
-std::int64_t verify_dual_structure(const FtBfsStructure& h,
-                                   std::int64_t max_pairs, std::uint64_t seed,
-                                   ThreadPool* pool_ptr,
-                                   std::int64_t edges_budget) {
-  const Graph& g = h.graph();
-  const Vertex s = h.source();
-  ThreadPool& pool = pool_ptr != nullptr ? *pool_ptr : ThreadPool::global();
-
-  // Size-regression referee: a structure over its recorded budget fails
-  // verification outright, independent of the distance checks below.
-  std::int64_t size_violations = 0;
-  if (edges_budget >= 0 && h.num_edges() > edges_budget) {
-    size_violations = 1;
-  }
-
-  // The failure universe: every edge of G (in H or not), every non-source
-  // vertex.
-  std::vector<DualSite> universe;
-  universe.reserve(static_cast<std::size_t>(g.num_edges()) +
-                   static_cast<std::size_t>(g.num_vertices()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    universe.push_back(DualSite{FaultClass::kEdge, e});
-  }
-  for (Vertex x = 0; x < g.num_vertices(); ++x) {
-    if (x != s) universe.push_back(DualSite{FaultClass::kVertex, x});
-  }
-  const std::size_t u = universe.size();
-
-  // The pair list: every unordered pair (i ≤ j; i == j exercises the
-  // single-failure degenerate) or a seeded sample of max_pairs of them.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  if (max_pairs < 0) {
-    pairs.reserve(u * (u + 1) / 2);
-    for (std::uint32_t i = 0; i < u; ++i) {
-      for (std::uint32_t j = i; j < u; ++j) pairs.emplace_back(i, j);
-    }
-  } else {
-    Rng rng(seed);
-    pairs.reserve(static_cast<std::size_t>(max_pairs));
-    for (std::int64_t k = 0; k < max_pairs; ++k) {
-      pairs.emplace_back(static_cast<std::uint32_t>(rng.next_below(u)),
-                         static_cast<std::uint32_t>(rng.next_below(u)));
-    }
-  }
-
-  std::atomic<std::int64_t> violations{0};
-  pool.parallel_for(pairs.size(), [&](std::size_t k) {
-    const DualSite f1 = universe[pairs[k].first];
-    const DualSite f2 = universe[pairs[k].second];
-    thread_local BfsScratch in_g, in_h;
-    dual_bruteforce_bfs(g, s, f1, f2, in_g);
-    dual_structure_bfs(h, f1, f2, in_h);
-    std::int64_t local = 0;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if (in_h.dist(v) != in_g.dist(v)) ++local;
-    }
-    if (local != 0) violations.fetch_add(local, std::memory_order_relaxed);
-  });
-  return violations.load() + size_violations;
 }
 
 }  // namespace ftb

@@ -339,26 +339,4 @@ class PairBans {
 void dual_bruteforce_bfs(const Graph& g, Vertex s, DualSite f1, DualSite f2,
                          BfsScratch& scratch);
 
-/// Same two-failure BFS restricted to the surviving STRUCTURE
-/// (H \ {f1, f2} from h.source()): the H side of every dual comparison —
-/// verifier, drills, differential tests all share this one ban assembly.
-void dual_structure_bfs(const FtBfsStructure& h, DualSite f1, DualSite f2,
-                        BfsScratch& scratch);
-
-/// Dual-failure verification: BFS of G \ {f1,f2} vs H \ {f1,f2} over
-/// failure pairs drawn from the full universe (every edge, every non-source
-/// vertex). `max_pairs < 0` checks every unordered pair exhaustively —
-/// O(n²·m), fine for test sizes; otherwise `max_pairs` pairs are sampled
-/// deterministically from `seed`. `edges_budget >= 0` additionally refuses
-/// an over-sized structure: |E(H)| > edges_budget counts as one violation
-/// (the size-regression referee — bench_construction_time passes the
-/// unpruned per-seed size so a pruning regression trips CI). Returns the
-/// number of violations (0 = the structure honors the dual contract and
-/// the budget on everything checked).
-std::int64_t verify_dual_structure(const FtBfsStructure& h,
-                                   std::int64_t max_pairs = -1,
-                                   std::uint64_t seed = 1,
-                                   ThreadPool* pool = nullptr,
-                                   std::int64_t edges_budget = -1);
-
 }  // namespace ftb

@@ -81,14 +81,6 @@ std::vector<std::int32_t> FtBfsStructure::distances_avoiding(
   return plain_bfs(*g_, source_, bans).dist;
 }
 
-void FtBfsStructure::distances_avoiding(EdgeId failed,
-                                        BfsScratch& scratch) const {
-  BfsBans bans;
-  bans.banned_edge_mask = &out_of_h_;
-  bans.banned_edge = failed;
-  bfs_run(*g_, source_, bans, scratch);
-}
-
 std::string FtBfsStructure::summary() const {
   std::ostringstream os;
   os << "FtBfs(n=" << g_->num_vertices() << ", |H|=" << num_edges()

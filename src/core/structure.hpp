@@ -20,8 +20,6 @@
 
 namespace ftb {
 
-class BfsScratch;  // bfs_kernel.hpp
-
 /// The failure model a structure was built to survive.
 ///   * kEdge   — Definition 2.1 verbatim: one edge failure.
 ///   * kVertex — the companion ESA'13 analog: one vertex failure
@@ -96,10 +94,6 @@ class FtBfsStructure {
   /// Hop distances from the source inside H \ {failed} (pass kInvalidEdge
   /// for the failure-free structure). O(n + m).
   std::vector<std::int32_t> distances_avoiding(EdgeId failed) const;
-
-  /// Allocation-free variant for hot verification loops: runs the kernel
-  /// into `scratch`; read distances back via scratch.dist(v).
-  void distances_avoiding(EdgeId failed, BfsScratch& scratch) const;
 
   /// Edge-membership mask over E(G): 1 where the edge is *outside* H.
   /// (Shape required by BfsBans::banned_edge_mask.)

@@ -18,8 +18,8 @@
 // Those two decisions ARE the VertexFault policy of fault_model.hpp; the
 // engine body is shared with the edge model. The structure
 // H = T0 ∪ {last edges} is then correct by the vertex analog of
-// Observation 2.2, which verify_vertex_structure() re-checks exhaustively
-// against literal BFS.
+// Observation 2.2, which verify_structure() (verifier.hpp) re-checks
+// exhaustively against literal BFS.
 #pragma once
 
 #include "src/core/fault_model.hpp"
@@ -56,11 +56,5 @@ FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine);
 /// build_either_ftbfs_impl and the differential referees share.
 FtBfsStructure build_either_ftbfs(const FtBfsStructure& edge_half,
                                   const FtBfsStructure& vertex_half);
-
-/// Exhaustive vertex-failure verification: BFS of G\{x} vs H\{x} for every
-/// non-source x. Returns the number of (x, v) distance violations.
-std::int64_t verify_vertex_structure(const FtBfsStructure& h,
-                                     std::int64_t max_failures = -1,
-                                     ThreadPool* pool = nullptr);
 
 }  // namespace ftb

@@ -7,9 +7,8 @@
 #include <sstream>
 
 #include "src/api/ftbfs_api.hpp"
-#include "src/core/dual_fault.hpp"
+#include "src/core/verifier.hpp"
 #include "src/graph/bfs_kernel.hpp"
-#include "src/graph/canonical_bfs.hpp"
 #include "src/io/structure_io.hpp"
 
 namespace ftb {
@@ -33,8 +32,15 @@ std::string DrillReport::to_string() const {
 
 namespace {
 
+using Failure = std::pair<DualSite, DualSite>;
+
+/// Storms are chunked so the in-flight batch (queries + results) stays
+/// bounded regardless of drill count or graph size — big enough that the
+/// plane's grouping still has plenty to chew on per call.
+constexpr std::size_t kMaxBatchQueries = std::size_t{1} << 20;
+
 /// One (surviving-graph, surviving-structure) distance comparison folded
-/// into the report — the single scoring rule every drill flavor shares.
+/// into the report — the single scoring rule every drill shares.
 void score_pair(std::int32_t dg, std::int32_t dh, DrillReport& report,
                 double& dist_sum, std::int64_t& dist_count) {
   if (dg >= kInfHops) {
@@ -55,114 +61,119 @@ void score_pair(std::int32_t dg, std::int32_t dh, DrillReport& report,
   }
 }
 
-/// Shared per-failure scoring: compares the surviving structure against the
-/// surviving full network (both already swept into scratches).
-void score_drill(const Graph& g, const BfsScratch& in_g,
-                 const BfsScratch& in_h, Vertex skip, DrillReport& report,
-                 double& dist_sum, std::int64_t& dist_count) {
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (v == skip) continue;
-    score_pair(in_g.dist(v), in_h.dist(v), report, dist_sum, dist_count);
-  }
+/// Does the failure take router `x` down?
+bool names(const Failure& f, Vertex x) {
+  return (f.first.kind == FaultClass::kVertex && f.first.id == x) ||
+         (f.second.kind == FaultClass::kVertex && f.second.id == x);
 }
 
-/// The edge storm: `num_failures` fault-prone edges (everything except E'),
-/// sampled without replacement when possible. One sampler for both the
-/// structure-served and session-served drills, so identical seeds always
-/// mean identical storms.
-std::vector<EdgeId> sample_edge_storm(const FtBfsStructure& h,
-                                      std::int64_t num_failures,
-                                      std::uint64_t seed) {
+/// The one storm sampler, over the verifier's failure universe of
+/// h.source(). Single-fault models shuffle each kind's universe from
+/// `seed` and keep `num_failures` of it (either plays the edge storm, then
+/// the vertex storm); dual draws `num_failures` unordered pairs. Identical
+/// seeds always mean identical storms, whichever side serves the drill.
+std::vector<Failure> sample_storm(const FtBfsStructure& h, FaultClass model,
+                                  std::int64_t num_failures,
+                                  std::uint64_t seed) {
   const Graph& g = h.graph();
-  std::vector<EdgeId> prone;
-  prone.reserve(static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!h.is_reinforced(e)) prone.push_back(e);
+  std::vector<Failure> storm;
+  if (model == FaultClass::kDual) {
+    const std::vector<DualSite> universe =
+        failure_universe(g, h.source(), model, h.reinforced());
+    Rng rng(seed);
+    for (std::int64_t i = 0; i < num_failures; ++i) {
+      DualSite a = universe[rng.next_below(universe.size())];
+      DualSite b = universe[rng.next_below(universe.size())];
+      if (b < a) std::swap(a, b);
+      storm.emplace_back(a, b);
+    }
+    return storm;
   }
-  Rng rng(seed);
-  rng.shuffle(prone);
-  if (static_cast<std::int64_t>(prone.size()) > num_failures) {
-    prone.resize(static_cast<std::size_t>(num_failures));
-  }
-  return prone;
-}
-
-/// The vertex storm: `num_failures` non-source routers, sampled without
-/// replacement when possible.
-std::vector<Vertex> sample_vertex_storm(const FtBfsStructure& h,
-                                        std::int64_t num_failures,
-                                        std::uint64_t seed) {
-  const Graph& g = h.graph();
-  std::vector<Vertex> prone;
-  prone.reserve(static_cast<std::size_t>(g.num_vertices()));
-  for (Vertex x = 0; x < g.num_vertices(); ++x) {
-    if (x != h.source()) prone.push_back(x);
-  }
-  Rng rng(seed);
-  rng.shuffle(prone);
-  if (static_cast<std::int64_t>(prone.size()) > num_failures) {
-    prone.resize(static_cast<std::size_t>(num_failures));
-  }
-  return prone;
-}
-
-}  // namespace
-
-namespace {
-
-/// The dual storm: `num_failures` unordered failure PAIRS drawn from the
-/// full universe (every edge, every non-source router), deterministically
-/// from `seed`. Shared by the structure- and session-served dual drills.
-std::vector<std::pair<DualSite, DualSite>> sample_pair_storm(
-    const FtBfsStructure& h, std::int64_t num_failures, std::uint64_t seed) {
-  const Graph& g = h.graph();
-  std::vector<DualSite> universe;
-  universe.reserve(static_cast<std::size_t>(g.num_edges()) +
-                   static_cast<std::size_t>(g.num_vertices()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    universe.push_back(DualSite{FaultClass::kEdge, e});
-  }
-  for (Vertex x = 0; x < g.num_vertices(); ++x) {
-    if (x != h.source()) universe.push_back(DualSite{FaultClass::kVertex, x});
-  }
-  Rng rng(seed);
-  std::vector<std::pair<DualSite, DualSite>> storm;
-  storm.reserve(static_cast<std::size_t>(num_failures));
-  for (std::int64_t i = 0; i < num_failures; ++i) {
-    DualSite a = universe[rng.next_below(universe.size())];
-    DualSite b = universe[rng.next_below(universe.size())];
-    if (b < a) std::swap(a, b);
-    storm.emplace_back(a, b);
+  for (const FaultClass kind : {FaultClass::kEdge, FaultClass::kVertex}) {
+    if (model != FaultClass::kEither && model != kind) continue;
+    std::vector<DualSite> prone =
+        failure_universe(g, h.source(), kind, h.reinforced());
+    Rng rng(seed);
+    rng.shuffle(prone);
+    if (static_cast<std::int64_t>(prone.size()) > num_failures) {
+      prone.resize(static_cast<std::size_t>(num_failures));
+    }
+    for (const DualSite f : prone) storm.emplace_back(f, DualSite{});
   }
   return storm;
 }
 
-}  // namespace
-
-/// Dual-failure drill against the structure alone: every sampled pair is
-/// played build-then-verify style — brute-force two-failure BFS of the
-/// surviving network vs BFS of the surviving structure.
-DrillReport run_dual_failure_drill(const FtBfsStructure& h,
-                                   std::int64_t num_failures,
-                                   std::uint64_t seed) {
+/// The one scoring loop: every failure of `storm`, from every source, every
+/// surviving vertex. The surviving-STRUCTURE side is structure_bfs; the
+/// surviving-network side is the kernel's brute-force BFS, or — with a
+/// `session` — one batched in-model query() per chunk, which `on_batch`
+/// also sees (the chaos drill's bit-identity audit).
+template <class OnBatch>
+DrillReport drill_storm(const FtBfsStructure& h,
+                        std::span<const Vertex> sources,
+                        std::span<const Failure> storm,
+                        const api::Session* session, OnBatch&& on_batch) {
   const Graph& g = h.graph();
-  const Vertex s = h.source();
-  const auto storm = sample_pair_storm(h, num_failures, seed);
+  const Vertex n = g.num_vertices();
+  const std::size_t chunk =
+      session == nullptr
+          ? std::max<std::size_t>(1, storm.size())
+          : std::max<std::size_t>(
+                1, kMaxBatchQueries /
+                       std::max<std::size_t>(
+                           1, static_cast<std::size_t>(n) * sources.size()));
 
   DrillReport report;
   double dist_sum = 0;
   std::int64_t dist_count = 0;
   BfsScratch in_g, in_h;
-  for (const auto& [f1, f2] : storm) {
-    ++report.drills;
-    dual_bruteforce_bfs(g, s, f1, f2, in_g);
-    dual_structure_bfs(h, f1, f2, in_h);
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if ((f1.kind == FaultClass::kVertex && v == f1.id) ||
-          (f2.kind == FaultClass::kVertex && v == f2.id)) {
-        continue;  // destroyed router
+  std::vector<api::Query> batch;
+  api::QueryResponse resp;
+  for (std::size_t begin = 0; begin < storm.size(); begin += chunk) {
+    const std::size_t end = std::min(storm.size(), begin + chunk);
+    if (session != nullptr) {
+      batch.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        const auto& [f1, f2] = storm[i];
+        for (std::size_t si = 0; si < sources.size(); ++si) {
+          if (names(storm[i], sources[si])) continue;
+          for (Vertex v = 0; v < n; ++v) {
+            api::Query q;
+            q.v = v;
+            q.kind = f1.kind;
+            q.fault = f1.id;
+            q.kind2 = f2.kind;
+            q.fault2 = f2.id;
+            q.source_index = static_cast<std::int32_t>(si);
+            batch.push_back(q);
+          }
+        }
       }
-      score_pair(in_g.dist(v), in_h.dist(v), report, dist_sum, dist_count);
+      resp = session->query(batch);
+      FTB_CHECK_MSG(resp.refused == 0,
+                    "session refused in-model drill queries — storm does "
+                    "not match the session's fault model");
+      report.pair_traversals += resp.pair_traversals;
+      report.site_oracle_hits += resp.site_oracle_hits;
+      report.pair_cache_hits += resp.pair_cache_hits;
+      report.pair_cache_misses += resp.pair_cache_misses;
+      on_batch(batch, resp);
+    }
+    std::size_t qi = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& [f1, f2] = storm[i];
+      ++report.drills;
+      for (const Vertex s : sources) {
+        if (names(storm[i], s)) continue;  // the querying router itself
+        if (session == nullptr) dual_bruteforce_bfs(g, s, f1, f2, in_g);
+        structure_bfs(h, s, f1, f2, in_h);
+        for (Vertex v = 0; v < n; ++v) {
+          const std::int32_t dg =
+              session != nullptr ? resp.results[qi++].dist : in_g.dist(v);
+          if (names(storm[i], v)) continue;  // destroyed router
+          score_pair(dg, in_h.dist(v), report, dist_sum, dist_count);
+        }
+      }
     }
   }
   report.avg_distance =
@@ -170,272 +181,18 @@ DrillReport run_dual_failure_drill(const FtBfsStructure& h,
   return report;
 }
 
-DrillReport run_failure_drill(const FtBfsStructure& h,
-                              std::int64_t num_failures, std::uint64_t seed) {
-  const Graph& g = h.graph();
-  const Vertex s = h.source();
-  const std::vector<EdgeId> prone = sample_edge_storm(h, num_failures, seed);
-
-  DrillReport report;
-  double dist_sum = 0;
-  std::int64_t dist_count = 0;
-  BfsScratch in_g, in_h;  // reused across drills — zero per-drill allocation
-  for (const EdgeId failed : prone) {
-    ++report.drills;
-    BfsBans bans;
-    bans.banned_edge = failed;
-    bfs_run(g, s, bans, in_g);
-    h.distances_avoiding(failed, in_h);
-    score_drill(g, in_g, in_h, kInvalidVertex, report, dist_sum, dist_count);
-  }
-  report.avg_distance =
-      dist_count > 0 ? dist_sum / static_cast<double>(dist_count) : 0.0;
-  return report;
-}
-
-DrillReport run_vertex_failure_drill(const FtBfsStructure& h,
-                                     std::int64_t num_failures,
-                                     std::uint64_t seed) {
-  const Graph& g = h.graph();
-  const Vertex s = h.source();
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  const std::vector<Vertex> prone =
-      sample_vertex_storm(h, num_failures, seed);
-
-  DrillReport report;
-  double dist_sum = 0;
-  std::int64_t dist_count = 0;
-  BfsScratch in_g, in_h;
-  std::vector<std::uint8_t> banned(n, 0);
-  for (const Vertex failed : prone) {
-    ++report.drills;
-    banned[static_cast<std::size_t>(failed)] = 1;
-    BfsBans g_bans;
-    g_bans.banned_vertex = &banned;
-    bfs_run(g, s, g_bans, in_g);
-    BfsBans h_bans;
-    h_bans.banned_vertex = &banned;
-    h_bans.banned_edge_mask = &h.complement_mask();
-    bfs_run(g, s, h_bans, in_h);
-    banned[static_cast<std::size_t>(failed)] = 0;
-    score_drill(g, in_g, in_h, failed, report, dist_sum, dist_count);
-  }
-  report.avg_distance =
-      dist_count > 0 ? dist_sum / static_cast<double>(dist_count) : 0.0;
-  return report;
-}
-
-namespace {
-
-/// Merges two storms into one report (query-weighted average distance).
-DrillReport merge_reports(DrillReport rep, const DrillReport& vrep) {
-  const std::int64_t q = rep.reachable_queries + vrep.reachable_queries;
-  rep.avg_distance =
-      q > 0 ? (rep.avg_distance * static_cast<double>(rep.reachable_queries) +
-               vrep.avg_distance *
-                   static_cast<double>(vrep.reachable_queries)) /
-                  static_cast<double>(q)
-            : 0.0;
-  rep.drills += vrep.drills;
-  rep.reachable_queries = q;
-  rep.violations += vrep.violations;
-  rep.disconnections += vrep.disconnections;
-  rep.max_stretch = std::max(rep.max_stretch, vrep.max_stretch);
-  rep.pair_traversals += vrep.pair_traversals;
-  rep.site_oracle_hits += vrep.site_oracle_hits;
-  rep.pair_cache_hits += vrep.pair_cache_hits;
-  rep.pair_cache_misses += vrep.pair_cache_misses;
-  return rep;
-}
-
-/// Folds one batched response's serving-plane counters into the report.
-void absorb_plane_counters(DrillReport& report,
-                           const api::QueryResponse& resp) {
-  report.pair_traversals += resp.pair_traversals;
-  report.site_oracle_hits += resp.site_oracle_hits;
-  report.pair_cache_hits += resp.pair_cache_hits;
-  report.pair_cache_misses += resp.pair_cache_misses;
-}
+void no_audit(const std::vector<api::Query>&, const api::QueryResponse&) {}
 
 }  // namespace
 
 DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
-                              std::int64_t num_failures, std::uint64_t seed) {
-  switch (model) {
-    case FaultClass::kEdge:
-      return run_failure_drill(h, num_failures, seed);
-    case FaultClass::kVertex:
-      return run_vertex_failure_drill(h, num_failures, seed);
-    case FaultClass::kEither:
-      return merge_reports(run_failure_drill(h, num_failures, seed),
-                           run_vertex_failure_drill(h, num_failures, seed));
-    case FaultClass::kDual:
-      return run_dual_failure_drill(h, num_failures, seed);
-  }
-  return {};
+                              std::int64_t num_failures, std::uint64_t seed,
+                              std::span<const Vertex> sources) {
+  const Vertex self = h.source();
+  return drill_storm(h, sources.empty() ? std::span(&self, 1) : sources,
+                     sample_storm(h, model, num_failures, seed), nullptr,
+                     no_audit);
 }
-
-// ---------------------------------------------------------------------------
-// Session-served drills: the surviving-graph side of every comparison is a
-// batched in-model query (the FT contract pins it to dist(s,·,G\{fault}),
-// an O(1) table lookup), so each drill costs one literal traversal (the
-// surviving structure) instead of two.
-
-namespace {
-
-/// Storms are chunked so the in-flight batch (queries + results) stays
-/// bounded regardless of drill count or graph size — big enough that the
-/// plane's grouping still has plenty to chew on per call.
-constexpr std::size_t kMaxBatchQueries = std::size_t{1} << 20;
-
-/// The shared session-drill loop: per chunk, one batched in-model query()
-/// call answers the surviving-graph side of every (failure, vertex)
-/// comparison; `sweep_h(fault, in_h)` sweeps the surviving STRUCTURE for
-/// one drill. EdgeId and Vertex share one integer type, so one body serves
-/// both storms; the vertex storm skips the destroyed router itself.
-template <class SweepH>
-DrillReport run_session_storm(const api::Session& session, FaultClass kind,
-                              std::span<const std::int32_t> prone,
-                              SweepH&& sweep_h) {
-  const Graph& g = session.graph();
-  const Vertex n = g.num_vertices();
-  const std::size_t chunk = std::max<std::size_t>(
-      1, kMaxBatchQueries / std::max<std::size_t>(
-                                1, static_cast<std::size_t>(n)));
-  const bool skip_failed = kind == FaultClass::kVertex;
-
-  DrillReport report;
-  double dist_sum = 0;
-  std::int64_t dist_count = 0;
-  BfsScratch in_h;
-  std::vector<api::Query> batch;
-  for (std::size_t begin = 0; begin < prone.size(); begin += chunk) {
-    const std::size_t end = std::min(prone.size(), begin + chunk);
-    batch.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      for (Vertex v = 0; v < n; ++v) {
-        api::Query q;
-        q.v = v;
-        q.kind = kind;
-        q.fault = prone[i];
-        batch.push_back(q);
-      }
-    }
-    const api::QueryResponse resp = session.query(batch);
-    FTB_CHECK_MSG(resp.refused == 0,
-                  "session refused in-model drill queries — storm does not "
-                  "match the session's fault model");
-    absorb_plane_counters(report, resp);
-    std::size_t qi = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::int32_t failed = prone[i];
-      ++report.drills;
-      sweep_h(failed, in_h);
-      for (Vertex v = 0; v < n; ++v, ++qi) {
-        if (skip_failed && v == failed) continue;  // destroyed router
-        score_pair(resp.results[qi].dist, in_h.dist(v), report, dist_sum,
-                   dist_count);
-      }
-    }
-  }
-  report.avg_distance =
-      dist_count > 0 ? dist_sum / static_cast<double>(dist_count) : 0.0;
-  return report;
-}
-
-DrillReport run_session_edge_drill(const api::Session& session,
-                                   std::int64_t num_failures,
-                                   std::uint64_t seed) {
-  const FtBfsStructure& h = session.structure();
-  return run_session_storm(
-      session, FaultClass::kEdge, sample_edge_storm(h, num_failures, seed),
-      [&](EdgeId failed, BfsScratch& in_h) {
-        h.distances_avoiding(failed, in_h);
-      });
-}
-
-DrillReport run_session_vertex_drill(const api::Session& session,
-                                     std::int64_t num_failures,
-                                     std::uint64_t seed) {
-  const FtBfsStructure& h = session.structure();
-  const Graph& g = h.graph();
-  std::vector<std::uint8_t> banned(
-      static_cast<std::size_t>(g.num_vertices()), 0);
-  return run_session_storm(
-      session, FaultClass::kVertex,
-      sample_vertex_storm(h, num_failures, seed),
-      [&](Vertex failed, BfsScratch& in_h) {
-        banned[static_cast<std::size_t>(failed)] = 1;
-        BfsBans h_bans;
-        h_bans.banned_vertex = &banned;
-        h_bans.banned_edge_mask = &h.complement_mask();
-        bfs_run(g, h.source(), h_bans, in_h);
-        banned[static_cast<std::size_t>(failed)] = 0;
-      });
-}
-
-/// Dual-failure drill through the session plane: the surviving-network
-/// side of every comparison is one batched IN-MODEL pair query (grouped by
-/// distinct pair — the production serving path), the surviving-structure
-/// side a literal two-failure BFS of H. Build-then-verify: any
-/// disagreement is a violation in the report.
-DrillReport run_session_dual_drill(const api::Session& session,
-                                   std::int64_t num_failures,
-                                   std::uint64_t seed) {
-  const FtBfsStructure& h = session.structure();
-  const Graph& g = session.graph();
-  const Vertex n = g.num_vertices();
-  const auto storm = sample_pair_storm(h, num_failures, seed);
-  const std::size_t chunk = std::max<std::size_t>(
-      1, kMaxBatchQueries / std::max<std::size_t>(
-                                1, static_cast<std::size_t>(n)));
-
-  DrillReport report;
-  double dist_sum = 0;
-  std::int64_t dist_count = 0;
-  BfsScratch in_h;
-  std::vector<api::Query> batch;
-  for (std::size_t begin = 0; begin < storm.size(); begin += chunk) {
-    const std::size_t end = std::min(storm.size(), begin + chunk);
-    batch.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [f1, f2] = storm[i];
-      for (Vertex v = 0; v < n; ++v) {
-        api::Query q;
-        q.v = v;
-        q.kind = f1.kind;
-        q.fault = f1.id;
-        q.kind2 = f2.kind;
-        q.fault2 = f2.id;
-        batch.push_back(q);
-      }
-    }
-    const api::QueryResponse resp = session.query(batch);
-    FTB_CHECK_MSG(resp.refused == 0,
-                  "session refused in-model dual drill queries — storm does "
-                  "not match the session's fault model");
-    absorb_plane_counters(report, resp);
-    std::size_t qi = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [f1, f2] = storm[i];
-      ++report.drills;
-      dual_structure_bfs(h, f1, f2, in_h);
-      for (Vertex v = 0; v < n; ++v, ++qi) {
-        if ((f1.kind == FaultClass::kVertex && v == f1.id) ||
-            (f2.kind == FaultClass::kVertex && v == f2.id)) {
-          continue;  // destroyed router
-        }
-        score_pair(resp.results[qi].dist, in_h.dist(v), report, dist_sum,
-                   dist_count);
-      }
-    }
-  }
-  report.avg_distance =
-      dist_count > 0 ? dist_sum / static_cast<double>(dist_count) : 0.0;
-  return report;
-}
-
-}  // namespace
 
 DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
                               std::int64_t num_failures, std::uint64_t seed) {
@@ -447,24 +204,25 @@ DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
       FTB_CHECK_MSG(covers_edge,
                     "edge storm on a vertex-model session — drill the "
                     "structure overload instead");
-      return run_session_edge_drill(session, num_failures, seed);
+      break;
     case FaultClass::kVertex:
       FTB_CHECK_MSG(covers_vertex,
                     "vertex storm on an edge-model session — drill the "
                     "structure overload instead");
-      return run_session_vertex_drill(session, num_failures, seed);
+      break;
     case FaultClass::kEither:
       FTB_CHECK_MSG(covers_edge && covers_vertex,
                     "either storm needs a session covering both kinds");
-      return merge_reports(
-          run_session_edge_drill(session, num_failures, seed),
-          run_session_vertex_drill(session, num_failures, seed));
+      break;
     case FaultClass::kDual:
       FTB_CHECK_MSG(model == FaultClass::kDual,
                     "dual-failure storm needs a dual-model session");
-      return run_session_dual_drill(session, num_failures, seed);
+      break;
   }
-  return {};
+  const FtBfsStructure& h = session.structure();
+  return drill_storm(h, session.sources(),
+                     sample_storm(h, storm, num_failures, seed), &session,
+                     no_audit);
 }
 
 // ---------------------------------------------------------------------------
@@ -544,68 +302,29 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
   rep.fsck_ok = fsck.ok;
   rep.fsck_checks = fsck.checks;
 
-  // Serve the pair storm through BOTH sessions: every degraded answer must
-  // be bit-identical to the fresh session's, and correct against
-  // brute-force two-failure BFS of the surviving network.
+  // Serve the pair storm through the degraded session, scored against the
+  // surviving structure; every batch is replayed through the fresh session
+  // too, whose answers the degraded ones must match bit for bit.
   const FtBfsStructure& h = fresh.structure();
-  const Vertex n = g.num_vertices();
-  const auto storm = sample_pair_storm(h, num_failures, seed);
-  const std::size_t chunk = std::max<std::size_t>(
-      1, kMaxBatchQueries / std::max<std::size_t>(
-                                1, static_cast<std::size_t>(n)));
-  double dist_sum = 0;
-  std::int64_t dist_count = 0;
-  BfsScratch in_g;
-  std::vector<api::Query> batch;
-  for (std::size_t begin = 0; begin < storm.size(); begin += chunk) {
-    const std::size_t end = std::min(storm.size(), begin + chunk);
-    batch.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [f1, f2] = storm[i];
-      for (Vertex v = 0; v < n; ++v) {
-        api::Query q;
-        q.v = v;
-        q.kind = f1.kind;
-        q.fault = f1.id;
-        q.kind2 = f2.kind;
-        q.fault2 = f2.id;
-        batch.push_back(q);
-      }
-    }
-    const api::QueryResponse a = fresh.query(batch);
-    const api::QueryResponse b = degraded.query(batch);
-    for (std::size_t qi = 0; qi < batch.size(); ++qi) {
-      ++rep.compared_queries;
-      const api::QueryResult& ra = a.results[qi];
-      const api::QueryResult& rb = b.results[qi];
-      // A degraded session re-tags in-model pair answers kDegraded; the
-      // distances themselves must not move.
-      const bool outcome_ok =
-          ra.outcome == rb.outcome ||
-          (ra.outcome == api::QueryOutcome::kInModel &&
-           rb.outcome == api::QueryOutcome::kDegraded);
-      if (ra.dist != rb.dist || !outcome_ok) ++rep.mismatches;
-    }
-    std::size_t qi = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [f1, f2] = storm[i];
-      ++rep.drill.drills;
-      dual_bruteforce_bfs(g, h.source(), f1, f2, in_g);
-      for (Vertex v = 0; v < n; ++v, ++qi) {
-        if ((f1.kind == FaultClass::kVertex && v == f1.id) ||
-            (f2.kind == FaultClass::kVertex && v == f2.id)) {
-          continue;  // destroyed router
+  rep.drill = drill_storm(
+      h, degraded.sources(),
+      sample_storm(h, FaultClass::kDual, num_failures, seed), &degraded,
+      [&](const std::vector<api::Query>& batch,
+          const api::QueryResponse& b) {
+        const api::QueryResponse a = fresh.query(batch);
+        for (std::size_t qi = 0; qi < batch.size(); ++qi) {
+          ++rep.compared_queries;
+          const api::QueryResult& ra = a.results[qi];
+          const api::QueryResult& rb = b.results[qi];
+          // A degraded session re-tags in-model pair answers kDegraded;
+          // the distances themselves must not move.
+          const bool outcome_ok =
+              ra.outcome == rb.outcome ||
+              (ra.outcome == api::QueryOutcome::kInModel &&
+               rb.outcome == api::QueryOutcome::kDegraded);
+          if (ra.dist != rb.dist || !outcome_ok) ++rep.mismatches;
         }
-        if (b.results[qi].outcome == api::QueryOutcome::kRefused) {
-          continue;  // pair names the source router — refused, not served
-        }
-        score_pair(in_g.dist(v), b.results[qi].dist, rep.drill, dist_sum,
-                   dist_count);
-      }
-    }
-  }
-  rep.drill.avg_distance =
-      dist_count > 0 ? dist_sum / static_cast<double>(dist_count) : 0.0;
+      });
   return rep;
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,45 +46,32 @@ struct DrillReport {
   std::string to_string() const;
 };
 
-/// Simulates `num_failures` independent single-EDGE failures drawn
-/// uniformly from the *fault-prone* edges of G (everything except E'),
-/// sampling without replacement when possible. Deterministic given `seed`.
-DrillReport run_failure_drill(const FtBfsStructure& h,
-                              std::int64_t num_failures, std::uint64_t seed);
-
-/// Simulates `num_failures` independent single-VERTEX failures drawn
-/// uniformly from the non-source vertices, sampling without replacement
-/// when possible. Deterministic given `seed`.
-DrillReport run_vertex_failure_drill(const FtBfsStructure& h,
-                                     std::int64_t num_failures,
-                                     std::uint64_t seed);
-
-/// Simulates `num_failures` DUAL failures — unordered pairs drawn from the
-/// full universe (every edge, every non-source router) — build-then-verify
-/// style: each pair is scored as brute-force two-failure BFS of the
-/// surviving network vs BFS of the surviving structure. Deterministic
-/// given `seed`. A correct dual structure reports zero violations.
-DrillReport run_dual_failure_drill(const FtBfsStructure& h,
-                                   std::int64_t num_failures,
-                                   std::uint64_t seed);
-
-/// Fault-model dispatch: edge → run_failure_drill, vertex →
-/// run_vertex_failure_drill, either → both single-fault storms (reports
-/// merged; `num_failures` applies to each storm separately), dual →
-/// run_dual_failure_drill (pair storm).
+/// Simulates `num_failures` failures of `model` against the structure
+/// alone, scored from every one of `sources` (empty = {h.source()}: an
+/// FT-MBFS artifact passes its whole source set). The storm is drawn from
+/// the verifier's failure universe (verifier.hpp), deterministically from
+/// `seed`:
+///   * edge / vertex — that many fault-prone edges (everything except E')
+///     or non-source routers, sampled without replacement when possible;
+///   * either — both single-fault storms (`num_failures` each);
+///   * dual — that many unordered failure PAIRS.
+/// Each failure is scored build-then-verify style: literal BFS of the
+/// surviving network vs BFS of the surviving structure, per source (a
+/// failure naming that source itself is skipped for it). A correct
+/// structure reports zero violations.
 DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
-                              std::int64_t num_failures, std::uint64_t seed);
+                              std::int64_t num_failures, std::uint64_t seed,
+                              std::span<const Vertex> sources = {});
 
 /// Session-served drill: same storm, same report shape and the same
-/// violation semantics as the structure overloads, but the surviving-graph
-/// side of every comparison comes from ONE batched in-model query() call
-/// (O(1) per query off the replacement tables) instead of a literal BFS of
-/// G \ {fault} per drill — halving the traversals per drill and exercising
-/// the production query plane. `storm` must be covered by the session's
-/// fault model (CheckError otherwise); kEither runs both single-fault
-/// storms and merges; kDual plays a PAIR storm whose surviving-network
-/// side is answered by batched in-model dual queries (one site-restricted
-/// traversal per distinct pair).
+/// violation semantics as the structure overload over every source of the
+/// session, but the surviving-graph side of every comparison comes from
+/// ONE batched in-model query() call per chunk (O(1) per query off the
+/// replacement tables; one site-restricted traversal per distinct dual
+/// pair) instead of a literal BFS of G \ F per drill — halving the
+/// traversals per drill and exercising the production query plane.
+/// `storm` must be covered by the session's fault model (CheckError
+/// otherwise).
 DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
                               std::int64_t num_failures, std::uint64_t seed);
 
@@ -107,7 +95,7 @@ struct ChaosDrillReport {
   std::int64_t compared_queries = 0;
   std::int64_t mismatches = 0;
   /// The storm replayed through the degraded session, scored against
-  /// brute-force two-failure BFS of the surviving network.
+  /// literal two-failure BFS of the surviving structure.
   DrillReport drill;
 
   bool healthy() const {
@@ -123,7 +111,7 @@ struct ChaosDrillReport {
 /// inside the pair-table payload ON DISK, reload tolerantly, fsck, then
 /// replay a `num_failures`-pair storm through the degraded session —
 /// verifying every answer against the fresh session (bit-identity) and
-/// against brute-force BFS of the surviving network. Deterministic given
+/// against literal BFS of the surviving structure. Deterministic given
 /// `seed`. The scratch file is left on disk (corrupted) for post-mortem;
 /// callers own its cleanup. Throws CheckError on a non-dual spec or an
 /// unwritable path.

@@ -259,7 +259,8 @@ TEST(ApiSession, AnotherSourceMayFailInModel) {
   const DrillReport via_session =
       run_failure_drill(session, FaultClass::kVertex, 40, 11);
   const DrillReport via_structure =
-      run_failure_drill(session.structure(), FaultClass::kVertex, 40, 11);
+      run_failure_drill(session.structure(), FaultClass::kVertex, 40, 11,
+                        session.sources());
   EXPECT_EQ(via_session.drills, via_structure.drills);
   EXPECT_EQ(via_session.violations, via_structure.violations);
   EXPECT_EQ(via_session.reachable_queries, via_structure.reachable_queries);

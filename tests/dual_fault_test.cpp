@@ -21,6 +21,7 @@
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/replacement.hpp"
+#include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
@@ -30,19 +31,6 @@
 
 namespace ftb {
 namespace {
-
-/// The full failure universe of (g, source): every edge, every non-source
-/// vertex — the same enumeration verify_dual_structure uses.
-std::vector<DualSite> universe_of(const Graph& g, Vertex s) {
-  std::vector<DualSite> u;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    u.push_back(DualSite{FaultClass::kEdge, e});
-  }
-  for (Vertex x = 0; x < g.num_vertices(); ++x) {
-    if (x != s) u.push_back(DualSite{FaultClass::kVertex, x});
-  }
-  return u;
-}
 
 TEST(DualFault, PrunedStructureMatchesBruteForceOnEveryPair) {
   for (const auto& pc : test::property_cases(28, 2)) {
@@ -55,7 +43,7 @@ TEST(DualFault, PrunedStructureMatchesBruteForceOnEveryPair) {
     EXPECT_EQ(res.structure.num_reinforced(), 0);
     ASSERT_EQ(res.dual_tables.size(), 1u);
     // Exhaustive: every unordered failure pair, every vertex.
-    EXPECT_EQ(verify_dual_structure(res.structure, /*max_pairs=*/-1), 0);
+    EXPECT_EQ(verify_structure(res.structure).violations, 0);
   }
 }
 
@@ -110,8 +98,7 @@ TEST(DualFault, PrunedIsSubsetOfUnprunedRefereeAndServesIdentically) {
 TEST(DualFault, PrunedPropertySamplingAtLargeN) {
   // Seeded property sampling at sizes where exhaustive pairs are too
   // expensive: the pruned structure still honors the dual contract, and
-  // stays within the unpruned referee's size budget (the size-regression
-  // referee of verify_dual_structure).
+  // stays within the unpruned referee's size budget.
   for (const auto& pc : test::property_cases(120, 1)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
     api::BuildSpec spec;
@@ -120,11 +107,11 @@ TEST(DualFault, PrunedPropertySamplingAtLargeN) {
     const api::BuildResult pruned = api::build(pc.graph, spec);
     const api::BuildResult referee =
         test::referee_build(pc.graph, spec, {.unpruned = true});
-    EXPECT_EQ(verify_dual_structure(pruned.structure, /*max_pairs=*/300,
-                                    /*seed=*/pc.seed, /*pool=*/nullptr,
-                                    /*edges_budget=*/
-                                    referee.structure.num_edges()),
+    EXPECT_EQ(verify_structure(pruned.structure,
+                               {.max_pairs = 300, .seed = pc.seed})
+                  .violations,
               0);
+    EXPECT_LE(pruned.structure.num_edges(), referee.structure.num_edges());
   }
 }
 
@@ -148,23 +135,6 @@ TEST(DualFault, PrunedReferenceKernelBuildsIdenticalStructure) {
   }
 }
 
-TEST(DualFault, EdgeBudgetRefereeTripsOnOversizedStructure) {
-  const Graph g = test::make_family_graph(test::GraphFamily::kDenseRandom,
-                                          24, 11);
-  api::BuildSpec spec;
-  spec.fault_model = FaultClass::kDual;
-  const api::BuildResult res = api::build(g, spec);
-  const std::int64_t edges = res.structure.num_edges();
-  // At its own size the structure passes; one edge under, the budget check
-  // alone trips — no distance checks are charged for it.
-  EXPECT_EQ(verify_dual_structure(res.structure, /*max_pairs=*/10, /*seed=*/1,
-                                  nullptr, /*edges_budget=*/edges),
-            0);
-  EXPECT_EQ(verify_dual_structure(res.structure, /*max_pairs=*/10, /*seed=*/1,
-                                  nullptr, /*edges_budget=*/edges - 1),
-            1);
-}
-
 TEST(DualFault, SessionServesEveryPairBitIdenticalToBruteForce) {
   for (const auto& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
@@ -174,7 +144,7 @@ TEST(DualFault, SessionServesEveryPairBitIdenticalToBruteForce) {
     spec.sources = {pc.source};
     const api::Session session = api::Session::open(g, spec);
 
-    const auto universe = universe_of(g, pc.source);
+    const auto universe = failure_universe(g, pc.source, FaultClass::kDual);
     // Stride the universe so the suite stays fast but still mixes every
     // classification: tree/non-tree edges, internal/leaf vertices.
     const std::size_t stride = universe.size() > 60 ? 5 : 1;
@@ -417,7 +387,7 @@ TEST(DualFault, SavedSessionReloadsAndServesIdentically) {
   const api::Session reloaded = api::Session::load(g, path);
   std::remove(path.c_str());
 
-  const auto universe = universe_of(g, 0);
+  const auto universe = failure_universe(g, 0, FaultClass::kDual);
   std::vector<api::Query> batch;
   for (std::size_t i = 0; i < universe.size(); i += 3) {
     for (std::size_t j = i; j < universe.size(); j += 7) {
@@ -481,18 +451,17 @@ TEST(DualFault, MultiSourceDualServesEverySource) {
   const api::Session session = api::Session::open(g, spec);
   ASSERT_EQ(session.sources().size(), 2u);
 
-  // Per-source contract: the union structure re-anchored at each source
-  // still matches brute force on sampled pairs.
-  for (const Vertex s : spec.sources) {
-    const FtBfsStructure view(g, s, session.structure().edges(), {},
-                              session.structure().tree_edges(),
-                              FaultClass::kDual);
-    EXPECT_EQ(verify_dual_structure(view, /*max_pairs=*/400, /*seed=*/5), 0)
-        << "source " << s;
-  }
+  // Per-source contract: the union structure still matches brute force
+  // on sampled pairs from every source.
+  EXPECT_EQ(verify_structure(session.structure(), {.sources = spec.sources,
+                                                   .max_pairs = 400,
+                                                   .seed = 5})
+                .violations,
+            0);
 
   // And the batched plane answers for both source indices.
-  const auto universe = universe_of(g, kInvalidVertex);  // all vertices
+  const auto universe =
+      failure_universe(g, kInvalidVertex, FaultClass::kDual);  // all vertices
   std::vector<api::Query> batch;
   for (std::int32_t si = 0; si < 2; ++si) {
     const Vertex src = spec.sources[static_cast<std::size_t>(si)];
@@ -719,7 +688,7 @@ TEST(DualFault, DfsScheduleOnDegenerateTrees) {
     EXPECT_TRUE(test::same_site_dist(a.site_dist, b.dual_site_dist.front()));
     EXPECT_LT(a.sweep_work.total(), ind_work.total());
     // The structures still honor the dual contract on every pair.
-    EXPECT_EQ(verify_dual_structure(a.structure, /*max_pairs=*/-1), 0);
+    EXPECT_EQ(verify_structure(a.structure).violations, 0);
   }
 }
 

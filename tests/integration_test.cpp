@@ -49,7 +49,8 @@ TEST(Integration, FullDeploymentPipeline) {
 
   // 4. verify + drill the deployed artifact
   EXPECT_TRUE(verify_structure(deployed).ok);
-  const DrillReport drill = run_failure_drill(deployed, 120, 99);
+  const DrillReport drill =
+      run_failure_drill(deployed, FaultClass::kEdge, 120, 99);
   EXPECT_EQ(drill.violations, 0) << drill.to_string();
   EXPECT_DOUBLE_EQ(drill.max_stretch, 1.0);
 }
@@ -96,7 +97,8 @@ TEST(Integration, ConnectivityExplainsDrillDisconnections) {
   ASSERT_EQ(conn.bridges.size(), 3u);
   const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   // Drill everything deterministically.
-  const DrillReport rep = run_failure_drill(h, g.num_edges(), 3);
+  const DrillReport rep =
+      run_failure_drill(h, FaultClass::kEdge, g.num_edges(), 3);
   EXPECT_EQ(rep.violations, 0);
   // Each failed bridge cuts off at least the far clique (8 vertices).
   EXPECT_GE(rep.disconnections, 3 * 8);
@@ -174,7 +176,8 @@ TEST(Integration, AdversarialEndToEnd) {
   // Contract honored.
   EXPECT_TRUE(verify_structure(res.structure).ok);
   // Drills clean.
-  const DrillReport drill = run_failure_drill(res.structure, 200, 5);
+  const DrillReport drill =
+      run_failure_drill(res.structure, FaultClass::kEdge, 200, 5);
   EXPECT_EQ(drill.violations, 0);
   // And the greedy frontier dominates at the same budget.
   const GreedyFrontier frontier(lbg.graph, lbg.source);

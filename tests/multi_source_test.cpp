@@ -3,7 +3,7 @@
 // so a failing case prints its FTBFS_PROPERTY_SEED reproduction.
 #include <gtest/gtest.h>
 
-#include "src/core/multi_source.hpp"
+#include "src/core/verifier.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "tests/property_test_util.hpp"
@@ -18,7 +18,9 @@ TEST(MultiSource, ContractHoldsForEverySource) {
   spec.sources = {0, 7, 23};
   spec.eps = 0.3;
   const api::BuildResult ms = api::build(g, spec);
-  EXPECT_EQ(verify_multi_source(ms.structure, ms.sources), 0);
+  EXPECT_EQ(
+      verify_structure(ms.structure, {.sources = ms.sources}).violations,
+      0);
 }
 
 TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
@@ -31,11 +33,15 @@ TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
     spec.sources = {0, n / 3, (2 * n) / 3};
     spec.eps = 0.3;
     const api::BuildResult ms = api::build(pc.graph, spec);
-    EXPECT_EQ(verify_multi_source(ms.structure, spec.sources), 0)
+    EXPECT_EQ(
+        verify_structure(ms.structure, {.sources = spec.sources}).violations,
+        0)
         << pc.name();
     spec.fault_model = FaultClass::kVertex;
     const api::BuildResult vms = api::build(pc.graph, spec);
-    EXPECT_EQ(verify_vertex_multi_source(vms.structure, spec.sources), 0)
+    EXPECT_EQ(
+        verify_structure(vms.structure, {.sources = spec.sources}).violations,
+        0)
         << pc.name();
   }
 }
@@ -47,7 +53,9 @@ TEST(MultiSource, ContractHoldsAtEndpointEps) {
     spec.sources = {0, 18};
     spec.eps = eps;
     const api::BuildResult ms = api::build(g, spec);
-    EXPECT_EQ(verify_multi_source(ms.structure, ms.sources), 0)
+    EXPECT_EQ(
+        verify_structure(ms.structure, {.sources = ms.sources}).violations,
+        0)
         << "eps=" << eps;
   }
 }
@@ -88,8 +96,9 @@ TEST(MultiSource, WorksOnTheTheorem54Graph) {
   spec.eps = 0.3;
   const api::BuildResult ms = api::build(lb.graph, spec);
   // Spot-verify (cap failures for runtime).
-  EXPECT_EQ(verify_multi_source(ms.structure, ms.sources,
-                                /*max_failures_per_source=*/150),
+  EXPECT_EQ(verify_structure(ms.structure, {.sources = ms.sources,
+                                            .max_failures = 150})
+                .violations,
             0);
   // Certified bound holds for the union as well.
   EXPECT_GE(ms.structure.num_backup(),
@@ -129,7 +138,9 @@ TEST(MultiSource, VertexUnionContractHoldsForEverySource) {
   spec.sources = {0, 7, 23};
   const api::BuildResult ms = api::build(g, spec);
   EXPECT_EQ(ms.structure.fault_class(), FaultClass::kVertex);
-  EXPECT_EQ(verify_vertex_multi_source(ms.structure, ms.sources), 0);
+  EXPECT_EQ(
+      verify_structure(ms.structure, {.sources = ms.sources}).violations,
+      0);
 }
 
 TEST(MultiSource, VertexUnionDominatesEverySingleSource) {

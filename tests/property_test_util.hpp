@@ -28,7 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/dual_fault.hpp"
+#include "src/core/verifier.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/graph.hpp"
 #include "src/util/rng.hpp"
@@ -185,20 +185,14 @@ inline std::vector<PropertyCase> property_cases(
   return out;
 }
 
-/// Seeded sampler over the failure universe of (graph, source): every
-/// edge, every non-source vertex — the same universe
-/// verify_dual_structure draws from. Deterministic in its seed.
+/// Seeded sampler over the dual failure universe of (graph, source):
+/// every edge, every non-source vertex — the verifier's failure_universe.
+/// Deterministic in its seed.
 class FaultSampler {
  public:
   FaultSampler(const Graph& g, Vertex source, std::uint64_t seed)
-      : rng_(seed) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      universe_.push_back(DualSite{FaultClass::kEdge, e});
-    }
-    for (Vertex x = 0; x < g.num_vertices(); ++x) {
-      if (x != source) universe_.push_back(DualSite{FaultClass::kVertex, x});
-    }
-  }
+      : rng_(seed),
+        universe_(failure_universe(g, source, FaultClass::kDual)) {}
 
   std::size_t universe_size() const { return universe_.size(); }
   const std::vector<DualSite>& universe() const { return universe_; }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/api/ftbfs_api.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_kernel.hpp"
@@ -81,7 +80,7 @@ TEST_P(StressSweep, BaselineAndVertexBaselineSurvive) {
   EXPECT_TRUE(verify_structure(eh.structure).ok) << case_name(c);
   spec.fault_model = FaultClass::kVertex;
   const api::BuildResult vh = api::build(g, spec);
-  EXPECT_EQ(verify_vertex_structure(vh.structure), 0) << case_name(c);
+  EXPECT_EQ(verify_structure(vh.structure).violations, 0) << case_name(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, StressSweep,
@@ -106,7 +105,8 @@ TEST(Stress, ManySourcesOnOneGraph) {
     spec.sources = sources;
     spec.eps = 0.25;
     const api::BuildResult ms = api::build(g, spec);
-    ASSERT_EQ(verify_multi_source(ms.structure, sources), 0)
+    ASSERT_EQ(
+        verify_structure(ms.structure, {.sources = sources}).violations, 0)
         << "sigma " << sigma;
 
     BfsScratch truth;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/lower_bound.hpp"
@@ -65,6 +66,29 @@ inline std::vector<FamilyCase> tiny_families(std::uint64_t seed = 7) {
   out.push_back({"conn20", gen::random_connected(20, 25, seed + 2), 0});
   out.push_back({"intro12", gen::intro_example(12), 0});
   return out;
+}
+
+/// The referee pins (verifier_test, sim_test) build on this graph
+/// (n = 28, m = 79) under `model` from σ ∈ {1, 3} sources at ε = 0.3.
+inline Graph pin_graph() { return gen::random_connected(28, 60, 17); }
+inline api::BuildResult pin_build(const Graph& g, FaultClass model,
+                                  std::size_t sigma) {
+  api::BuildSpec spec;
+  spec.fault_model = model;
+  spec.eps = 0.3;
+  spec.sources = sigma == 1 ? std::vector<Vertex>{0}
+                            : std::vector<Vertex>{0, 9, 19};
+  return api::build(g, spec);
+}
+
+/// `h` without edge `victim` (kInvalidEdge keeps `h` as built).
+inline FtBfsStructure without_edge(const FtBfsStructure& h, EdgeId victim) {
+  std::vector<EdgeId> edges;
+  for (const EdgeId e : h.edges()) {
+    if (e != victim) edges.push_back(e);
+  }
+  return FtBfsStructure(h.graph(), h.source(), std::move(edges),
+                        h.reinforced(), h.tree_edges(), h.fault_class());
 }
 
 }  // namespace ftb::test

@@ -32,7 +32,7 @@ TEST(Verifier, CatchesBareTreeOnCliqueNeighborhood) {
   EXPECT_FALSE(rep.examples.empty());
   // The counterexample is actionable: a concrete (edge, vertex) pair.
   const auto& ex = rep.examples.front();
-  EXPECT_NE(ex.failed_edge, kInvalidEdge);
+  EXPECT_NE(ex.f1.id, kInvalidEdge);
   EXPECT_GT(ex.dist_structure, ex.dist_graph);
 }
 
@@ -113,6 +113,47 @@ TEST(Verifier, ReportFormatting) {
   const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const VerifyReport rep = verify_structure(h);
   EXPECT_NE(rep.to_string().find("OK"), std::string::npos);
+}
+
+/// One pinned case: the count the per-model verifier of each model (edge,
+/// vertex, either = edge + vertex, dual; the union re-anchored at each
+/// source for σ = 3) reported once the first needed backup edge `victim`
+/// was removed. Correct builds reported 0 everywhere.
+struct VerifyPin {
+  FaultClass model;
+  std::size_t sigma;
+  EdgeId victim;
+  std::int64_t violations;
+};
+
+TEST(Verifier, PinnedAgainstThePerModelVerifiers) {
+  constexpr VerifyPin kPins[] = {
+      {FaultClass::kEdge, 1, 6, 2},   {FaultClass::kEdge, 3, 7, 2},
+      {FaultClass::kVertex, 1, 6, 1}, {FaultClass::kVertex, 3, 6, 1},
+      {FaultClass::kEither, 1, 6, 3}, {FaultClass::kEither, 3, 6, 1},
+      {FaultClass::kDual, 1, 6, 1},   {FaultClass::kDual, 3, 6, 21},
+  };
+  const Graph g = test::pin_graph();
+  for (const VerifyPin& pin : kPins) {
+    const api::BuildResult res = test::pin_build(g, pin.model, pin.sigma);
+    const std::string label =
+        std::string(to_string(pin.model)) + " sigma=" +
+        std::to_string(pin.sigma);
+    // Dual pairs: 1500 per source, seed 9.
+    const VerifyOptions vo{
+        .sources = res.sources, .max_pairs = 1500, .seed = 9};
+    EXPECT_EQ(verify_structure(res.structure, vo).violations, 0) << label;
+    ASSERT_TRUE(res.structure.contains(pin.victim)) << label;
+    ASSERT_FALSE(res.structure.is_reinforced(pin.victim)) << label;
+    const VerifyReport broken =
+        verify_structure(test::without_edge(res.structure, pin.victim), vo);
+    EXPECT_EQ(broken.violations, pin.violations) << label;
+    // Every model records its counterexamples.
+    EXPECT_EQ(broken.examples.size(),
+              static_cast<std::size_t>(std::min<std::int64_t>(
+                  pin.violations, 16)))
+        << label;
+  }
 }
 
 TEST(Verifier, DisconnectedGraphsVerifyVacuously) {

@@ -56,7 +56,7 @@ TEST_P(VertexFamilyTest, BaselineProtectsEveryVertexFailure) {
       api::build(fc.graph,
                  {.fault_model = FaultClass::kVertex, .sources = {fc.source}})
           .structure;
-  EXPECT_EQ(verify_vertex_structure(h), 0) << h.summary();
+  EXPECT_EQ(verify_structure(h).violations, 0) << h.summary();
 }
 
 TEST_P(VertexFamilyTest, UncoveredPairLastEdgesAreNewEnding) {
@@ -111,7 +111,7 @@ TEST(VertexFtBfs, DualStructureSurvivesBothFaultModels) {
   const FtBfsStructure dual =
       api::build(g, {.fault_model = FaultClass::kEither}).structure;
   // Vertex failures.
-  EXPECT_EQ(verify_vertex_structure(dual), 0);
+  EXPECT_EQ(verify_structure(dual).violations, 0);
   // Edge failures: the dual contains the edge-fault baseline, whose
   // contract the standard verifier checks.
   VerifyOptions vo;
@@ -138,7 +138,7 @@ TEST(VertexFtBfs, CutVertexDisconnectionsAreVacuous) {
   const FtBfsStructure h =
       api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   EXPECT_EQ(h.num_edges(), 9);
-  EXPECT_EQ(verify_vertex_structure(h), 0);
+  EXPECT_EQ(verify_structure(h).violations, 0);
 }
 
 TEST(VertexFtBfs, SourceNeverFails) {
@@ -156,7 +156,7 @@ TEST(VertexFtBfs, VertexVsEdgeStructuresDiffer) {
   const Graph g = gen::gnm(30, 120, 79);
   const FtBfsStructure vh =
       api::build(g, {.fault_model = FaultClass::kVertex}).structure;
-  EXPECT_EQ(verify_vertex_structure(vh), 0);
+  EXPECT_EQ(verify_structure(vh).violations, 0);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/cost_model.hpp"
 #include "src/core/dual_fault.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
@@ -364,110 +363,86 @@ int cmd_build(const Options& opt) {
 int cmd_verify(const Options& opt) {
   const Graph g = load_graph(opt);
   std::vector<Vertex> sources;
-  const FtBfsStructure h = io::load_structure(
+  const FtBfsStructure loaded = io::load_structure(
       g, opt.get_string("structure", "h.ftbfs"), &sources);
-  const FaultClass model = structure_fault_model(opt, h);
+  const FaultClass model = structure_fault_model(opt, loaded);
   const bool json = opt.has("json");
-  const bool multi = sources.size() > 1;
-  // An FT-MBFS artifact must hold from EVERY source it claims to serve,
-  // so v3 artifacts route through the union verifiers. Those have no
-  // non-tree sweep — refuse the flag rather than silently ignore it.
-  FTB_CHECK_MSG(!(multi && opt.has("nontree")),
-                "--nontree applies only to single-source artifacts");
+  // One verifier for every model: the structure is checked under `model`
+  // from EVERY source the artifact claims to serve.
+  const FtBfsStructure h(g, loaded.source(), loaded.edges(),
+                         loaded.reinforced(), loaded.tree_edges(), model);
+  VerifyOptions vo;
+  vo.sources = sources;
+  vo.check_nontree_failures = opt.has("nontree");
+  vo.max_pairs = opt.get_int("pairs", 500);
+  vo.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  const VerifyReport rep = verify_structure(h, vo);
 
-  bool ok = true;
   JsonObject report;
   report.set("command", std::string("verify"))
       .set("fault_model", std::string(to_string(model)))
       .set_raw("sources", sources_json(sources).str(2));
   if (model == FaultClass::kDual) {
-    // Dual-failure contract: brute-force two-failure BFS vs the surviving
-    // structure over failure pairs, per source (the union structure is
-    // re-anchored at each source like the other multi-source verifiers).
-    // No non-tree sweep exists here — refuse the flag rather than
-    // silently ignore it, same policy as the multi-source check above.
-    FTB_CHECK_MSG(!opt.has("nontree"),
-                  "--nontree applies only to single-source edge-model "
-                  "artifacts");
-    const std::int64_t pairs = opt.get_int("pairs", 500);
-    const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-    std::int64_t violations = 0;
-    for (const Vertex s : sources) {
-      const FtBfsStructure view(g, s, h.edges(), h.reinforced(),
-                                h.tree_edges(), FaultClass::kDual);
-      violations += verify_dual_structure(view, pairs, seed);
-    }
     if (json) {
       JsonObject dual;
-      dual.set("ok", violations == 0)
-          .set("pairs_per_source", pairs)
-          .set("violations", violations);
+      dual.set("ok", rep.ok)
+          .set("pairs_per_source", vo.max_pairs)
+          .set("violations", rep.violations);
       report.set_raw("dual", dual.str(2));
     } else {
-      std::cout << "dual failures: "
-                << (violations == 0 ? "OK" : "BROKEN") << " (pairs=";
-      if (pairs < 0) {
+      std::cout << "dual failures: " << (rep.ok ? "OK" : "BROKEN")
+                << " (pairs=";
+      if (vo.max_pairs < 0) {
         std::cout << "all";
       } else {
-        std::cout << pairs;
+        std::cout << vo.max_pairs;
       }
-      std::cout << "/source, violations=" << violations << ")\n";
+      std::cout << "/source, sources=" << sources.size()
+                << ", violations=" << rep.violations << ")\n";
     }
-    ok = violations == 0;
-    if (json) {
-      report.set("ok", ok);
-      std::cout << report.str() << "\n";
-    }
-    return ok ? 0 : 1;
   }
   if (model == FaultClass::kEdge || model == FaultClass::kEither) {
-    std::int64_t failures_checked = -1;
-    std::int64_t violations = 0;
-    if (multi) {
-      violations = verify_multi_source(h, sources);
-    } else {
-      VerifyOptions vo;
-      vo.check_nontree_failures = opt.has("nontree");
-      const VerifyReport rep = verify_structure(h, vo);
-      failures_checked = rep.failures_checked;
-      violations = rep.violations;
-      if (!json) std::cout << "edge faults:   " << rep.to_string() << "\n";
-    }
+    const std::int64_t violations = rep.violations - rep.vertex_violations;
     if (json) {
       JsonObject edge;
-      edge.set("ok", violations == 0);
-      if (failures_checked >= 0) {
-        edge.set("failures_checked", failures_checked);
-      }
-      edge.set("violations", violations);
+      edge.set("ok", violations == 0)
+          .set("failures_checked",
+               rep.failures_checked - rep.vertex_failures_checked)
+          .set("violations", violations);
       report.set_raw("edge", edge.str(2));
-    } else if (multi) {
+    } else {
       std::cout << "edge faults:   " << (violations == 0 ? "OK" : "BROKEN")
-                << " (sources=" << sources.size() << ", violations="
-                << violations << ")\n";
+                << " (sources=" << sources.size() << ", failures_checked="
+                << rep.failures_checked - rep.vertex_failures_checked
+                << ", violations=" << violations << ")\n";
     }
-    ok = ok && violations == 0;
   }
   if (model == FaultClass::kVertex || model == FaultClass::kEither) {
-    const std::int64_t violations =
-        multi ? verify_vertex_multi_source(h, sources)
-              : verify_vertex_structure(h);
+    // A vertex-model report also owns the failure-free check.
+    const std::int64_t violations = model == FaultClass::kVertex
+                                        ? rep.violations
+                                        : rep.vertex_violations;
     if (json) {
       JsonObject vertex;
       vertex.set("ok", violations == 0).set("violations", violations);
       report.set_raw("vertex", vertex.str(2));
     } else {
-      std::cout << "vertex faults: "
-                << (violations == 0 ? "OK" : "BROKEN") << " (violations="
-                << violations << ")\n";
+      std::cout << "vertex faults: " << (violations == 0 ? "OK" : "BROKEN")
+                << " (sources=" << sources.size()
+                << ", violations=" << violations << ")\n";
     }
-    ok = ok && violations == 0;
   }
   if (json) {
-    report.set("ok", ok);
+    report.set("ok", rep.ok);
     std::cout << report.str() << "\n";
+  } else {
+    // The counterexamples, for every model: the first 16 in check order
+    // (the lines after the report's headline).
+    const std::string text = rep.to_string();
+    const std::size_t nl = text.find('\n');
+    if (nl != std::string::npos) std::cout << text.substr(nl + 1) << "\n";
   }
-  return ok ? 0 : 1;
+  return rep.ok ? 0 : 1;
 }
 
 int cmd_drill(const Options& opt) {
@@ -515,7 +490,8 @@ int cmd_drill(const Options& opt) {
   const DrillReport rep = via_session
                               ? run_failure_drill(*session, model, drills,
                                                   seed)
-                              : run_failure_drill(h, model, drills, seed);
+                              : run_failure_drill(h, model, drills, seed,
+                                                  sources);
 
   if (json) {
     JsonObject report;
