@@ -593,12 +593,10 @@ Session Session::load(const Graph& g, const std::string& path,
   std::vector<Vertex> sources;
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
-  io::ReadOptions opts;
-  opts.tolerate_pair_tables = cfg.tolerate_corruption;
-  opts.tolerate_site_dist = cfg.tolerate_corruption;
   io::LoadReport report;
-  FtBfsStructure h = io::load_structure(g, path, &sources, &tables, opts,
-                                        &report, &site_dist);
+  FtBfsStructure h = io::load_structure(
+      g, path, &sources, &tables,
+      {.tolerate_corruption = cfg.tolerate_corruption}, &report, &site_dist);
   // Partition the drops: losing the pair tables degrades serving (answers
   // come off recomputed tables), losing the site-dist section only loses
   // the accelerator — the pair tables still answer every query.

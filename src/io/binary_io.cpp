@@ -13,12 +13,15 @@
 #include <utility>
 
 #include "src/core/validate.hpp"
+#include "src/io/artifact_assembly.hpp"
 #include "src/util/crc32c.hpp"
 #include "src/util/fault_inject.hpp"
 
 namespace ftb::io {
 
 namespace {
+
+using namespace detail;
 
 constexpr std::uint32_t kV6Version = 6;
 /// 0x01020304 serialized little-endian; a byte-swapped value on read means
@@ -28,9 +31,6 @@ constexpr std::uint64_t kHeaderBytes = 64;
 constexpr std::uint64_t kDirEntryBytes = 40;
 constexpr std::uint64_t kNameBytes = 16;
 constexpr std::uint64_t kAlign = 64;
-/// Same allocation ceiling as the v5 text reader: a length lie in a
-/// corrupt directory can never size an allocation past this.
-constexpr std::uint64_t kMaxSectionBytes = 1ULL << 30;
 
 /// Canonical directory order. Entry i of the directory MUST be named
 /// kSectionNames[i] — which also makes duplicates unrepresentable.
@@ -45,24 +45,6 @@ std::uint32_t crc_of(std::span<const std::byte> bytes) {
   if (bytes.empty()) return crc32c(std::string_view{});
   return crc32c(std::string_view(reinterpret_cast<const char*>(bytes.data()),
                                  bytes.size()));
-}
-
-std::string crc_hex8(std::uint32_t v) {
-  static const char* const kDigits = "0123456789abcdef";
-  std::string s(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = kDigits[v & 0xFu];
-    v >>= 4;
-  }
-  return s;
-}
-
-/// " (at byte N in section 'S')" — the same context every text-reader
-/// CheckError carries (structure_io.cpp's LineReader::context()).
-std::string context_at(std::int64_t off, std::string_view section) {
-  std::ostringstream os;
-  os << " (at byte " << off << " in section '" << section << "')";
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -176,40 +158,6 @@ class Cursor {
   std::string section_;
 };
 
-std::string annotated(const CheckError& e, const Cursor& rd) {
-  std::string what = e.what();
-  if (what.find("(at byte ") == std::string::npos) what += rd.context();
-  return what;
-}
-
-/// Runs fn, annotating any context-free CheckError it throws with the
-/// cursor's byte offset + section name (binary twin of structure_io.cpp's
-/// with_context).
-template <class Fn>
-auto with_context(const Cursor& rd, Fn&& fn) -> decltype(fn()) {
-  try {
-    return fn();
-  } catch (const CheckError& e) {
-    throw CheckError(annotated(e, rd));
-  }
-}
-
-void note_drop(LoadReport* report, const std::string& why) {
-  if (report == nullptr) return;
-  report->complete = false;
-  report->dropped.push_back(why);
-}
-
-/// Position of edge e in the (ascending) structure edge list — the index
-/// space the pair-table pools are serialized in (same convention as the
-/// text formats).
-std::int64_t edge_index_in(const std::vector<EdgeId>& edges, EdgeId e) {
-  const auto it = std::lower_bound(edges.begin(), edges.end(), e);
-  FTB_CHECK_MSG(it != edges.end() && *it == e,
-                "pair-table edge " << e << " is not a structure edge");
-  return it - edges.begin();
-}
-
 // ---------------------------------------------------------------------------
 // Container validation: header + directory + canonical layout + checksums.
 
@@ -218,6 +166,11 @@ struct SectionView {
   bool dropped = false;  // integrity failure tolerated away
   V6Section dir;
   std::span<const std::byte> payload;
+
+  bool intact() const { return present && !dropped; }
+  Cursor cursor() const {
+    return Cursor(payload, static_cast<std::int64_t>(dir.offset), dir.name);
+  }
 };
 
 struct Container {
@@ -226,11 +179,11 @@ struct Container {
 };
 
 /// Validates the v6 container shape over `bytes` and returns the section
-/// views. `tol == nullptr` is the strict audit (MappedArtifact::map, fsck);
-/// otherwise pair-tables / site-dist integrity failures may be tolerated
-/// into drops per the options, exactly like the v5 framed reader.
+/// views. Default options are the strict audit (MappedArtifact::map,
+/// fsck); a tolerant load drops damaged pair-tables / site-dist sections
+/// by the shared droppable rule, exactly like the v5 frame walk.
 Container parse_container(std::span<const std::byte> bytes,
-                          const ReadOptions* tol, LoadReport* report) {
+                          const ReadOptions& opts, LoadReport* report) {
   Container c;
   Cursor rd(bytes, 0, "header");
   return with_context(rd, [&] {
@@ -336,20 +289,13 @@ Container parse_container(std::span<const std::byte> bytes,
     }
     if (first_truncated < count) {
       const V6Section& sec = c.slot[first_truncated].dir;
-      const bool droppable =
-          tol != nullptr &&
-          ((first_truncated == 2 && tol->tolerate_pair_tables) ||
-           (first_truncated == 3 && tol->tolerate_site_dist));
       const std::int64_t at = static_cast<std::int64_t>(
           std::min<std::uint64_t>(sec.offset, actual));
-      if (!droppable) {
-        throw CheckError("section '" + sec.name + "' truncated: declared " +
-                         std::to_string(sec.bytes) +
-                         " bytes, the file ends at byte " +
-                         std::to_string(actual) + context_at(at, sec.name));
-      }
-      note_drop(report,
-                sec.name + ": truncated section" + context_at(at, sec.name));
+      drop_or_throw(sec.name, "truncated section",
+                    "truncated: declared " + std::to_string(sec.bytes) +
+                        " bytes, the file ends at byte " +
+                        std::to_string(actual),
+                    context_at(at, sec.name), opts, report);
       for (std::uint32_t i = first_truncated; i < count; ++i) {
         c.slot[i].dropped = true;
       }
@@ -379,18 +325,13 @@ Container parse_container(std::span<const std::byte> bytes,
       s.payload = bytes.subspan(s.dir.offset, s.dir.bytes);
       const std::uint32_t got = crc_of(s.payload);
       if (got == s.dir.crc32c) continue;
-      const bool droppable = tol != nullptr &&
-                             ((i == 2 && tol->tolerate_pair_tables) ||
-                              (i == 3 && tol->tolerate_site_dist));
-      const std::string where =
-          context_at(static_cast<std::int64_t>(s.dir.offset), s.dir.name);
-      if (!droppable) {
-        throw CheckError("section '" + s.dir.name +
-                         "' checksum mismatch: payload " + crc_hex8(got) +
-                         " != declared " + crc_hex8(s.dir.crc32c) + where);
-      }
+      drop_or_throw(s.dir.name, "checksum mismatch",
+                    "checksum mismatch: payload " + crc_hex8(got) +
+                        " != declared " + crc_hex8(s.dir.crc32c),
+                    context_at(static_cast<std::int64_t>(s.dir.offset),
+                               s.dir.name),
+                    opts, report);
       s.dropped = true;
-      note_drop(report, s.dir.name + ": checksum mismatch" + where);
     }
     return c;
   });
@@ -408,7 +349,7 @@ struct MetaSection {
 };
 
 MetaSection decode_meta(const Graph& g, const SectionView& s) {
-  Cursor rd(s.payload, static_cast<std::int64_t>(s.dir.offset), "meta");
+  Cursor rd = s.cursor();
   return with_context(rd, [&] {
     MetaSection out;
     const std::uint32_t fc = rd.u32("the fault-class tag");
@@ -433,20 +374,15 @@ MetaSection decode_meta(const Graph& g, const SectionView& s) {
     for (std::uint32_t i = 0; i < k; ++i) {
       out.sources.push_back(rd.i32("a source vertex"));
     }
-    detail::check_sources(g, out.sources);
+    ftb::detail::check_sources(g, out.sources);
     FTB_CHECK_MSG(rd.done(), "trailing data in section");
     return out;
   });
 }
 
-struct EdgeSection {
-  Vertex source = 0;
-  std::vector<EdgeId> edges, reinforced, tree_edges;
-};
-
 EdgeSection decode_edges(const Graph& g, const SectionView& s,
                          std::span<const Vertex> sources) {
-  Cursor rd(s.payload, static_cast<std::int64_t>(s.dir.offset), "edges");
+  Cursor rd = s.cursor();
   return with_context(rd, [&] {
     const long long n = g.num_vertices();
     const std::uint64_t he = rd.u64("the structure edge count");
@@ -592,6 +528,7 @@ std::vector<DualSiteTable> decode_pair_tables(
     }
     tables.push_back(std::move(table));
   }
+  FTB_CHECK_MSG(rd.done(), "trailing data in section");
   return tables;
 }
 
@@ -714,6 +651,7 @@ std::vector<DualSiteDistTable> decode_site_dist(
     }
     out.push_back(std::move(t));
   }
+  FTB_CHECK_MSG(rd.done(), "trailing data in section");
   return out;
 }
 
@@ -908,7 +846,7 @@ MappedArtifact MappedArtifact::map(const std::string& path) {
   }
   FileMapping mapping(path);
   // Strict audit: directory shape, canonical layout, every section CRC.
-  Container c = parse_container(mapping.bytes(), nullptr, nullptr);
+  Container c = parse_container(mapping.bytes(), {}, nullptr);
   const auto [data, size] = mapping.release();
   return MappedArtifact(data, size, std::move(c.directory));
 }
@@ -1060,74 +998,20 @@ FtBfsStructure read_structure_v6(const Graph& g,
                                      site_dist_out) {
   if (report != nullptr) *report = LoadReport{};
   if (site_dist_out != nullptr) site_dist_out->clear();
-  Container c = parse_container(bytes, &opts, report);
+  Container c = parse_container(bytes, opts, report);
 
   MetaSection meta = decode_meta(g, c.slot[0]);
   EdgeSection es = decode_edges(g, c.slot[1], meta.sources);
-  const bool dual = meta.fault_class == FaultClass::kDual;
-  if (dual && !c.slot[2].present) {
+  if (meta.fault_class == FaultClass::kDual && !c.slot[2].present) {
     throw CheckError(
         "dual artifact missing its pair-tables section" +
         context_at(static_cast<std::int64_t>(kHeaderBytes), "directory"));
   }
-
-  std::vector<DualSiteTable> tables;
-  if (c.slot[2].present && !c.slot[2].dropped) {
-    Cursor rd(c.slot[2].payload,
-              static_cast<std::int64_t>(c.slot[2].dir.offset),
-              "pair-tables");
-    auto parse_pt = [&] {
-      FTB_CHECK_MSG(dual, "pair-tables section on a non-dual artifact");
-      std::vector<DualSiteTable> t =
-          decode_pair_tables(g, rd, meta.sources, es.edges);
-      FTB_CHECK_MSG(rd.done(), "trailing data in section");
-      return t;
-    };
-    if (opts.tolerate_pair_tables) {
-      try {
-        tables = with_context(rd, parse_pt);
-      } catch (const CheckError& e) {
-        tables.clear();
-        note_drop(report, std::string("pair-tables: ") + e.what());
-      }
-    } else {
-      tables = with_context(rd, parse_pt);
-    }
-  }
-
-  std::vector<DualSiteDistTable> sdist;
-  if (c.slot[3].present && !c.slot[3].dropped) {
-    Cursor rd(c.slot[3].payload,
-              static_cast<std::int64_t>(c.slot[3].dir.offset), "site-dist");
-    auto parse_sd = [&] {
-      FTB_CHECK_MSG(dual, "site-dist section on a non-dual artifact");
-      // The slot layout indexes the pair tables' site order, so the
-      // section is unusable without them (missing or dropped alike).
-      FTB_CHECK_MSG(!tables.empty(),
-                    "site-dist section without usable pair tables");
-      std::vector<DualSiteDistTable> t =
-          decode_site_dist(g, rd, meta.sources, tables);
-      FTB_CHECK_MSG(rd.done(), "trailing data in section");
-      return t;
-    };
-    if (opts.tolerate_site_dist) {
-      try {
-        sdist = with_context(rd, parse_sd);
-      } catch (const CheckError& e) {
-        sdist.clear();
-        note_drop(report, std::string("site-dist: ") + e.what());
-      }
-    } else {
-      sdist = with_context(rd, parse_sd);
-    }
-  }
-
-  if (sources_out != nullptr) *sources_out = std::move(meta.sources);
-  if (tables_out != nullptr) *tables_out = std::move(tables);
-  if (site_dist_out != nullptr) *site_dist_out = std::move(sdist);
-  return FtBfsStructure(g, es.source, std::move(es.edges),
-                        std::move(es.reinforced), std::move(es.tree_edges),
-                        meta.fault_class);
+  Cursor pt = c.slot[2].cursor(), sd = c.slot[3].cursor();
+  return assemble(g, meta.fault_class, std::move(meta.sources), std::move(es),
+                  c.slot[2].intact() ? &pt : nullptr, decode_pair_tables,
+                  c.slot[3].intact() ? &sd : nullptr, decode_site_dist, opts,
+                  {sources_out, tables_out, report, site_dist_out});
 }
 
 FtBfsStructure load_structure_v6(const Graph& g, const std::string& path,

@@ -31,6 +31,10 @@
 // Writers emit v6 only on request (Session::save_v6, ftbfs_cli build
 // --v6, convert); load_structure sniffs the magic and reads either
 // generation, so every consumer of the text plane speaks v6 for free.
+// Only the container walk and the fixed-width section decoders are v6's
+// own: the droppable rule, the cross-section checks, the tolerant
+// decode-or-drop under ReadOptions::tolerate_corruption and the hand-off
+// are the assembly step the text reader shares (artifact_assembly.hpp).
 #pragma once
 
 #include <cstddef>
@@ -125,9 +129,9 @@ void save_structure_v6(const FtBfsStructure& h,
 
 /// Parses a v6 container from memory against `g` — the in-memory twin of
 /// load_structure_v6 (io_fuzz and the rejection tests feed it mutants).
-/// Same outputs, options, tolerant-drop semantics and CheckError contract
-/// as read_structure; every rejection carries "(at byte N in section
-/// 'S')".
+/// Same outputs, options, tolerant drops (one assembly step serves both
+/// framings) and CheckError contract as read_structure; every rejection
+/// carries "(at byte N in section 'S')".
 FtBfsStructure read_structure_v6(const Graph& g,
                                  std::span<const std::byte> bytes,
                                  std::vector<Vertex>* sources_out = nullptr,

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/core/validate.hpp"
+#include "src/io/artifact_assembly.hpp"
 #include "src/io/binary_io.hpp"
 #include "src/util/crc32c.hpp"
 #include "src/util/fault_inject.hpp"
@@ -13,15 +14,13 @@ namespace ftb::io {
 
 namespace {
 
-/// Hard ceiling on any declared v5 section payload: a length lie in a
-/// corrupt artifact can never size an allocation past this.
-constexpr long long kMaxSectionBytes = 1LL << 30;
+using namespace detail;
 
-/// The one shared error-context helper of the io layer: a line reader
-/// that tracks the byte offset of the line it most recently produced and
-/// the name of the artifact section being parsed. Every CheckError
-/// leaving read_structure is annotated with context() (via with_context
-/// below), so a corrupt artifact reports *where* it is corrupt.
+/// The text framings' error-context reader: tracks the byte offset of the
+/// line it most recently produced and the name of the artifact section
+/// being parsed. Every CheckError leaving read_structure is annotated with
+/// context() (via with_context), so a corrupt artifact reports *where* it
+/// is corrupt.
 class LineReader {
  public:
   LineReader(std::istream& is, std::int64_t base_offset, std::string section)
@@ -65,14 +64,7 @@ class LineReader {
   std::int64_t offset() const { return offset_; }
   void set_section(std::string s) { section_ = std::move(s); }
 
-  /// " (at byte N in section 'S')" — the context every io-layer
-  /// CheckError carries.
-  std::string context() const {
-    std::ostringstream os;
-    os << " (at byte " << line_offset_ << " in section '" << section_
-       << "')";
-    return os.str();
-  }
+  std::string context() const { return context_at(line_offset_, section_); }
 
  private:
   std::istream& is_;
@@ -80,42 +72,6 @@ class LineReader {
   std::int64_t line_offset_;
   std::string section_;
 };
-
-std::string annotated(const CheckError& e, const LineReader& rd) {
-  std::string what = e.what();
-  if (what.find("(at byte ") == std::string::npos) what += rd.context();
-  return what;
-}
-
-/// Runs fn, annotating any context-free CheckError it throws with the
-/// reader's byte offset + section name.
-template <class Fn>
-auto with_context(const LineReader& rd, Fn&& fn) -> decltype(fn()) {
-  try {
-    return fn();
-  } catch (const CheckError& e) {
-    throw CheckError(annotated(e, rd));
-  }
-}
-
-/// Position of edge e in the (ascending) structure edge list — the index
-/// space the pair tables are serialized in.
-std::int64_t edge_index_in(const std::vector<EdgeId>& edges, EdgeId e) {
-  const auto it = std::lower_bound(edges.begin(), edges.end(), e);
-  FTB_CHECK_MSG(it != edges.end() && *it == e,
-                "pair-table edge " << e << " is not a structure edge");
-  return it - edges.begin();
-}
-
-std::string crc_hex8(std::uint32_t v) {
-  static const char* const kDigits = "0123456789abcdef";
-  std::string s(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = kDigits[v & 0xFu];
-    v >>= 4;
-  }
-  return s;
-}
 
 bool parse_crc_hex(const std::string& s, std::uint32_t* out) {
   if (s.empty() || s.size() > 8) return false;
@@ -174,14 +130,9 @@ std::vector<Vertex> parse_sources(const Graph& g, LineReader& rd) {
   // Same invariants every build entry point enforces: in range, no
   // duplicates (a duplicated source would make Session::load build the
   // same tree and engines twice).
-  detail::check_sources(g, sources);
+  ftb::detail::check_sources(g, sources);
   return sources;
 }
-
-struct EdgeSection {
-  Vertex source = 0;
-  std::vector<EdgeId> edges, reinforced, tree_edges;
-};
 
 EdgeSection parse_edge_section(const Graph& g, LineReader& rd) {
   const std::string header = rd.next_data_line();
@@ -335,6 +286,22 @@ std::vector<DualSiteTable> parse_pair_tables(
   return tables;
 }
 
+/// A framed payload must end where its grammar does.
+void expect_section_end(LineReader& rd) {
+  const std::string extra = rd.next_data_line();
+  FTB_CHECK_MSG(extra.empty(), "trailing data in section: '" << extra << "'");
+}
+
+/// The v5 pair-tables payload: the v4 block, and nothing after it.
+std::vector<DualSiteTable> parse_framed_pair_tables(
+    const Graph& g, LineReader& rd, const std::vector<Vertex>& sources,
+    const std::vector<EdgeId>& edges) {
+  std::vector<DualSiteTable> tables = parse_pair_tables(g, rd, sources, edges);
+  expect_section_end(rd);
+  return tables;
+}
+
+/// The v5 site-dist payload, trailing-data check included.
 std::vector<DualSiteDistTable> parse_site_dist(
     const Graph& g, LineReader& rd, const std::vector<Vertex>& sources,
     const std::vector<DualSiteTable>& tables) {
@@ -430,22 +397,15 @@ std::vector<DualSiteDistTable> parse_site_dist(
     }
     out.push_back(std::move(t));
   }
+  expect_section_end(rd);
   return out;
-}
-
-void note_drop(LoadReport* report, const std::string& why) {
-  if (report == nullptr) return;
-  report->complete = false;
-  report->dropped.push_back(why);
 }
 
 // ---------------------------------------------------------------------------
 // v1–v4: line-framed artifacts read straight off the stream.
 
 FtBfsStructure read_legacy(const Graph& g, LineReader& rd, int version,
-                           std::vector<Vertex>* sources_out,
-                           std::vector<DualSiteTable>* tables_out,
-                           const ReadOptions& opts, LoadReport* report) {
+                           const ReadOptions& opts, const LoadOut& out) {
   // Version 2 added the fault-model tag (version 1 is an edge-model
   // artifact by definition); version 3 added the multi-source line;
   // version 4 the dual-failure model and its pair tables.
@@ -461,36 +421,24 @@ FtBfsStructure read_legacy(const Graph& g, LineReader& rd, int version,
   FTB_CHECK_MSG(sources.front() == es.source,
                 "sources line disagrees with the header's anchor source");
 
-  std::vector<DualSiteTable> tables;
-  bool lost_sync = false;
+  std::optional<std::vector<DualSiteTable>> tables(std::in_place);
   if (version >= 4) {
     rd.set_section("pair-tables");
-    if (opts.tolerate_pair_tables) {
-      try {
-        tables = parse_pair_tables(g, rd, sources, es.edges);
-      } catch (const CheckError& e) {
-        // A line-framed stream cannot re-sync past a corrupt table, so
-        // drop the tables and stop parsing; the caller rebuilds them.
-        tables.clear();
-        lost_sync = true;
-        note_drop(report, "pair-tables: " + annotated(e, rd));
-      }
-    } else {
-      tables = parse_pair_tables(g, rd, sources, es.edges);
-    }
+    tables = decode_or_drop("pair-tables", rd, opts, out.report, [&] {
+      return parse_pair_tables(g, rd, sources, es.edges);
+    });
   }
-  if (!lost_sync) {
+  // A line-framed stream cannot re-sync past a dropped table, so a drop
+  // ends the parse; the caller rebuilds the tables.
+  if (tables) {
     rd.set_section("trailer");
     const std::string extra = rd.next_data_line();
     FTB_CHECK_MSG(extra.empty(),
                   "trailing data after the artifact: '" << extra << "'");
   }
-
-  if (sources_out != nullptr) *sources_out = std::move(sources);
-  if (tables_out != nullptr) *tables_out = std::move(tables);
-  return FtBfsStructure(g, es.source, std::move(es.edges),
-                        std::move(es.reinforced), std::move(es.tree_edges),
-                        fault_class);
+  return hand_off(g, fault_class, std::move(sources), std::move(es),
+                  std::move(tables).value_or(std::vector<DualSiteTable>{}),
+                  {}, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,17 +449,15 @@ struct SectionPayload {
   std::int64_t offset = 0;  // byte offset of the payload's first byte
   bool present = false;
   bool dropped = false;  // integrity failure tolerated away
+
+  bool intact() const { return present && !dropped; }
 };
 
 FtBfsStructure read_v5(const Graph& g, LineReader& rd,
-                       std::vector<Vertex>* sources_out,
-                       std::vector<DualSiteTable>* tables_out,
-                       const ReadOptions& opts, LoadReport* report,
-                       std::vector<DualSiteDistTable>* site_dist_out) {
+                       const ReadOptions& opts, const LoadOut& out) {
   rd.set_section("frame");
   SectionPayload meta, edges, pair_tables, site_dist;
   std::vector<std::string> order;
-  bool lost_sync = false;
   for (;;) {
     const std::string line = rd.next_data_line();
     if (line.empty()) break;
@@ -529,9 +475,9 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
                                                    : nullptr;
     FTB_CHECK_MSG(slot != nullptr, "unknown section '" << name << "'");
     FTB_CHECK_MSG(!slot->present, "duplicate section '" << name << "'");
-    FTB_CHECK_MSG(len >= 0 && len <= kMaxSectionBytes,
-                  "section '" << name << "' declares implausible length "
-                              << len);
+    FTB_CHECK_MSG(
+        len >= 0 && len <= static_cast<long long>(kMaxSectionBytes),
+        "section '" << name << "' declares implausible length " << len);
     std::uint32_t want_crc = 0;
     FTB_CHECK_MSG(parse_crc_hex(crc_hex, &want_crc),
                   "section '" << name << "' has a malformed checksum '"
@@ -542,29 +488,24 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
     slot->bytes.assign(static_cast<std::size_t>(len), '\0');
     slot->offset = rd.offset();
     const std::size_t got = rd.read_raw(&slot->bytes);
-    const bool droppable =
-        (name == "pair-tables" && opts.tolerate_pair_tables) ||
-        (name == "site-dist" && opts.tolerate_site_dist);
     if (got != static_cast<std::size_t>(len)) {
-      FTB_CHECK_MSG(droppable, "section '" << name << "' truncated: declared "
-                                           << len << " bytes, got " << got);
+      drop_or_throw(name, "truncated section",
+                    "truncated: declared " + std::to_string(len) +
+                        " bytes, got " + std::to_string(got),
+                    rd.context(), opts, out.report);
       // The payload ended early — framing past this point is unreliable.
       slot->dropped = true;
-      lost_sync = true;
-      note_drop(report, name + ": truncated section" + rd.context());
       break;
     }
     const std::uint32_t got_crc = crc32c(slot->bytes);
     if (got_crc != want_crc) {
-      FTB_CHECK_MSG(droppable, "section '" << name
-                                           << "' checksum mismatch: payload "
-                                           << crc_hex8(got_crc)
-                                           << " != declared " << crc_hex);
+      drop_or_throw(name, "checksum mismatch",
+                    "checksum mismatch: payload " + crc_hex8(got_crc) +
+                        " != declared " + crc_hex,
+                    rd.context(), opts, out.report);
       slot->dropped = true;  // framing intact (length held) — keep going
-      note_drop(report, name + ": checksum mismatch" + rd.context());
     }
   }
-  (void)lost_sync;
   FTB_CHECK_MSG(meta.present, "missing section 'meta'");
   FTB_CHECK_MSG(edges.present, "missing section 'edges'");
   FTB_CHECK_MSG(
@@ -583,10 +524,7 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
     with_context(mrd, [&] {
       fault_class = parse_fault_model(mrd, /*version=*/5);
       sources = parse_sources(g, mrd);
-      const std::string extra = mrd.next_data_line();
-      FTB_CHECK_MSG(extra.empty(),
-                    "trailing data in section: '" << extra << "'");
-      return 0;
+      expect_section_end(mrd);
     });
   }
 
@@ -598,75 +536,18 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
       es = parse_edge_section(g, erd);
       FTB_CHECK_MSG(sources.front() == es.source,
                     "sources line disagrees with the header's anchor source");
-      const std::string extra = erd.next_data_line();
-      FTB_CHECK_MSG(extra.empty(),
-                    "trailing data in section: '" << extra << "'");
-      return 0;
+      expect_section_end(erd);
     });
   }
 
-  std::vector<DualSiteTable> tables;
-  if (pair_tables.present && !pair_tables.dropped) {
-    std::istringstream ps(pair_tables.bytes);
-    LineReader ptrd(ps, pair_tables.offset, "pair-tables");
-    auto parse_pt = [&] {
-      FTB_CHECK_MSG(fault_class == FaultClass::kDual,
-                    "pair-tables section on a non-dual artifact");
-      std::vector<DualSiteTable> t =
-          parse_pair_tables(g, ptrd, sources, es.edges);
-      const std::string extra = ptrd.next_data_line();
-      FTB_CHECK_MSG(extra.empty(),
-                    "trailing data in section: '" << extra << "'");
-      return t;
-    };
-    if (opts.tolerate_pair_tables) {
-      try {
-        tables = with_context(ptrd, parse_pt);
-      } catch (const CheckError& e) {
-        tables.clear();
-        note_drop(report, std::string("pair-tables: ") + e.what());
-      }
-    } else {
-      tables = with_context(ptrd, parse_pt);
-    }
-  }
-
-  std::vector<DualSiteDistTable> sdist;
-  if (site_dist.present && !site_dist.dropped) {
-    std::istringstream ds(site_dist.bytes);
-    LineReader drd(ds, site_dist.offset, "site-dist");
-    auto parse_sd = [&] {
-      FTB_CHECK_MSG(fault_class == FaultClass::kDual,
-                    "site-dist section on a non-dual artifact");
-      // The slot layout indexes the pair tables' site order, so the
-      // section is unusable without them (missing or dropped alike).
-      FTB_CHECK_MSG(!tables.empty(),
-                    "site-dist section without usable pair tables");
-      std::vector<DualSiteDistTable> t =
-          parse_site_dist(g, drd, sources, tables);
-      const std::string extra = drd.next_data_line();
-      FTB_CHECK_MSG(extra.empty(),
-                    "trailing data in section: '" << extra << "'");
-      return t;
-    };
-    if (opts.tolerate_site_dist) {
-      try {
-        sdist = with_context(drd, parse_sd);
-      } catch (const CheckError& e) {
-        sdist.clear();
-        note_drop(report, std::string("site-dist: ") + e.what());
-      }
-    } else {
-      sdist = with_context(drd, parse_sd);
-    }
-  }
-
-  if (sources_out != nullptr) *sources_out = std::move(sources);
-  if (tables_out != nullptr) *tables_out = std::move(tables);
-  if (site_dist_out != nullptr) *site_dist_out = std::move(sdist);
-  return FtBfsStructure(g, es.source, std::move(es.edges),
-                        std::move(es.reinforced), std::move(es.tree_edges),
-                        fault_class);
+  std::istringstream ps(pair_tables.bytes), ds(site_dist.bytes);
+  LineReader ptrd(ps, pair_tables.offset, "pair-tables");
+  LineReader drd(ds, site_dist.offset, "site-dist");
+  return assemble(g, fault_class, std::move(sources), std::move(es),
+                  pair_tables.intact() ? &ptrd : nullptr,
+                  parse_framed_pair_tables,
+                  site_dist.intact() ? &drd : nullptr, parse_site_dist, opts,
+                  out);
 }
 
 }  // namespace
@@ -674,13 +555,6 @@ FtBfsStructure read_v5(const Graph& g, LineReader& rd,
 // ---------------------------------------------------------------------------
 // Writers. Only v5 is written as text; v1–v4 are read-only (earlier
 // releases' files still load through read_legacy above).
-
-void write_structure_v5(const FtBfsStructure& h,
-                        std::span<const Vertex> sources,
-                        std::span<const DualSiteTable> pair_tables,
-                        std::ostream& os) {
-  write_structure_v5(h, sources, pair_tables, {}, os);
-}
 
 void write_structure_v5(const FtBfsStructure& h,
                         std::span<const Vertex> sources,
@@ -796,13 +670,6 @@ void write_structure_v5(const FtBfsStructure& h,
 void save_structure_v5(const FtBfsStructure& h,
                        std::span<const Vertex> sources,
                        std::span<const DualSiteTable> pair_tables,
-                       const std::string& path) {
-  save_structure_v5(h, sources, pair_tables, {}, path);
-}
-
-void save_structure_v5(const FtBfsStructure& h,
-                       std::span<const Vertex> sources,
-                       std::span<const DualSiteTable> pair_tables,
                        std::span<const DualSiteDistTable> site_dist,
                        const std::string& path) {
   std::ofstream f(path);
@@ -822,6 +689,7 @@ FtBfsStructure read_structure(const Graph& g, std::istream& is,
                               std::vector<DualSiteDistTable>* site_dist_out) {
   if (report != nullptr) *report = LoadReport{};
   if (site_dist_out != nullptr) site_dist_out->clear();
+  const LoadOut out{sources_out, tables_out, report, site_dist_out};
   LineReader rd(is, 0, "magic");
   return with_context(rd, [&] {
     const std::string magic = rd.next_data_line();
@@ -835,20 +703,9 @@ FtBfsStructure read_structure(const Graph& g, std::istream& is,
     }
     FTB_CHECK_MSG(version >= 1 && version <= 5,
                   "unsupported structure version " << version);
-    if (version == 5) {
-      return read_v5(g, rd, sources_out, tables_out, opts, report,
-                     site_dist_out);
-    }
-    return read_legacy(g, rd, version, sources_out, tables_out, opts,
-                       report);
+    return version == 5 ? read_v5(g, rd, opts, out)
+                        : read_legacy(g, rd, version, opts, out);
   });
-}
-
-FtBfsStructure read_structure(const Graph& g, std::istream& is,
-                              std::vector<Vertex>* sources_out,
-                              std::vector<DualSiteTable>* tables_out) {
-  return read_structure(g, is, sources_out, tables_out, ReadOptions{},
-                        nullptr);
 }
 
 FtBfsStructure load_structure(const Graph& g, const std::string& path,
@@ -858,8 +715,8 @@ FtBfsStructure load_structure(const Graph& g, const std::string& path,
                               std::vector<DualSiteDistTable>* site_dist_out) {
   // Auto-detect the artifact generation by magic: binary v6 containers go
   // through the mmap loader (binary_io.cpp), text ones through the stream
-  // reader below. Same outputs, options, and tolerant-drop semantics on
-  // both paths, so callers never care which generation is on disk.
+  // reader above. Both framings share one assembly step
+  // (artifact_assembly.hpp), so callers never care which is on disk.
   if (is_v6_artifact(path)) {
     return load_structure_v6(g, path, sources_out, tables_out, opts, report,
                              site_dist_out);
@@ -868,13 +725,6 @@ FtBfsStructure load_structure(const Graph& g, const std::string& path,
   FTB_CHECK_MSG(f.good(), "cannot open " << path);
   return read_structure(g, f, sources_out, tables_out, opts, report,
                         site_dist_out);
-}
-
-FtBfsStructure load_structure(const Graph& g, const std::string& path,
-                              std::vector<Vertex>* sources_out,
-                              std::vector<DualSiteTable>* tables_out) {
-  return load_structure(g, path, sources_out, tables_out, ReadOptions{},
-                        nullptr);
 }
 
 }  // namespace ftb::io

@@ -51,6 +51,13 @@
 // lies, duplicate or unknown sections, trailing bytes after the artifact —
 // throws CheckError whose message carries the byte offset and section
 // name, never a crash, hang, or silent acceptance.
+//
+// Loading splits into framing and assembly. Each framing (the v1–v5 line
+// parsers here, the v6 array decoders in binary_io.cpp) owns only its frame
+// walk and section grammar; one internal step (artifact_assembly.hpp) owns
+// the rest for both: the droppable-section rule, the cross-section checks,
+// the tolerant decode-or-drop under ReadOptions::tolerate_corruption, and
+// the hand-off to the caller's out-parameters.
 #pragma once
 
 #include <iosfwd>
@@ -68,23 +75,12 @@ namespace ftb::io {
 /// (meta + edges, plus pair-tables for dual structures with non-empty
 /// tables). `sources` is the FT-MBFS source set, sources.front() ==
 /// h.source(); `pair_tables` is aligned with it (pass empty to omit the
-/// section — loaders rebuild the tables). Deterministic: the same
-/// structure always produces the same bytes. The savers flush and throw
-/// CheckError on a short write.
-void write_structure_v5(const FtBfsStructure& h,
-                        std::span<const Vertex> sources,
-                        std::span<const DualSiteTable> pair_tables,
-                        std::ostream& os);
-void save_structure_v5(const FtBfsStructure& h,
-                       std::span<const Vertex> sources,
-                       std::span<const DualSiteTable> pair_tables,
-                       const std::string& path);
-
-/// v5 with the optional site-local distance oracle (docs/file_formats.md
-/// §site-dist): `site_dist` is aligned with `sources` and requires
-/// non-empty `pair_tables` (the section indexes the pair tables' site
-/// order). Pass empty to omit the section — loaders rebuild or serve
-/// without it.
+/// section — loaders rebuild the tables). `site_dist` is the optional
+/// site-local distance oracle (docs/file_formats.md §site-dist), aligned
+/// with `sources`; it requires non-empty `pair_tables` (the section indexes
+/// the pair tables' site order); pass empty to omit it. Deterministic: the
+/// same structure always produces the same bytes. The saver flushes and
+/// throws CheckError on a short write.
 void write_structure_v5(const FtBfsStructure& h,
                         std::span<const Vertex> sources,
                         std::span<const DualSiteTable> pair_tables,
@@ -96,23 +92,20 @@ void save_structure_v5(const FtBfsStructure& h,
                        std::span<const DualSiteDistTable> site_dist,
                        const std::string& path);
 
-/// Tolerant-load knobs for serving planes that prefer degraded service
+/// Tolerant-load knob for serving planes that prefer degraded service
 /// over refusal (docs/robustness.md has the degradation matrix).
 struct ReadOptions {
-  /// When true, a corrupt, truncated, or checksum-failed pair-table
-  /// section is *dropped* (tables_out left empty, the drop recorded in the
-  /// LoadReport) instead of thrown. The structure sections themselves are
-  /// never tolerated — a corrupt edge section always throws.
-  bool tolerate_pair_tables = false;
-  /// Same knob for the optional site-dist accelerator section: when true a
-  /// corrupt section is dropped (site_dist_out left empty, drop recorded)
-  /// instead of thrown. The section is a pure accelerator, so dropping it
-  /// loses speed, never answers.
-  bool tolerate_site_dist = false;
+  /// When true, a corrupt, truncated, checksum-failed or unusable section
+  /// among the two rebuildable ones — pair-tables and site-dist — is
+  /// *dropped* (its output left empty, the drop recorded in the
+  /// LoadReport) instead of thrown; the same meaning as
+  /// api::SessionConfig::tolerate_corruption. The structure sections
+  /// (meta, edges) are never tolerated.
+  bool tolerate_corruption = false;
 };
 
 /// What a tolerant load had to give up. `complete` stays true on a clean
-/// load; every dropped section appends a human-readable note.
+/// load; every dropped section appends a note "<section>: <why>".
 struct LoadReport {
   bool complete = true;
   std::vector<std::string> dropped;
@@ -124,32 +117,26 @@ struct LoadReport {
 /// checksum mismatches (v5), duplicated/unknown sections, trailing bytes
 /// after the artifact, or a duplicated / out-of-range source set. Every
 /// such error message carries the byte offset and section name of the
-/// offending input. When `sources_out` is non-null it receives the
-/// artifact's source set ({h.source()} for v1/v2 artifacts and
-/// single-source v3 ones); when `tables_out` is non-null it receives the
-/// v4/v5 pair tables (empty for v1–v3 artifacts and files written without
-/// tables).
+/// offending input. Each out-parameter may be null: `sources_out`
+/// receives the artifact's source set ({h.source()} for v1/v2 artifacts
+/// and single-source v3 ones), `tables_out` the v4/v5 pair tables (empty
+/// for v1–v3 artifacts and files written without tables), `site_dist_out`
+/// the v5 site-dist tables (empty when absent or dropped), and `report`
+/// what `opts` let the load drop.
 FtBfsStructure read_structure(const Graph& g, std::istream& is,
                               std::vector<Vertex>* sources_out = nullptr,
-                              std::vector<DualSiteTable>* tables_out = nullptr);
-/// Tolerant overload: `opts` selects which sections may be dropped instead
-/// of thrown; `report` (may be null) receives what was dropped. When
-/// `site_dist_out` is non-null it receives the optional v5 site-dist
-/// accelerator tables (empty when the artifact has no such section or it
-/// was dropped).
-FtBfsStructure read_structure(const Graph& g, std::istream& is,
-                              std::vector<Vertex>* sources_out,
-                              std::vector<DualSiteTable>* tables_out,
-                              const ReadOptions& opts, LoadReport* report,
+                              std::vector<DualSiteTable>* tables_out = nullptr,
+                              const ReadOptions& opts = {},
+                              LoadReport* report = nullptr,
                               std::vector<DualSiteDistTable>* site_dist_out =
                                   nullptr);
+/// read_structure from a file; a v6 binary artifact (binary_io.hpp) is
+/// detected by its magic and loaded by load_structure_v6.
 FtBfsStructure load_structure(const Graph& g, const std::string& path,
                               std::vector<Vertex>* sources_out = nullptr,
-                              std::vector<DualSiteTable>* tables_out = nullptr);
-FtBfsStructure load_structure(const Graph& g, const std::string& path,
-                              std::vector<Vertex>* sources_out,
-                              std::vector<DualSiteTable>* tables_out,
-                              const ReadOptions& opts, LoadReport* report,
+                              std::vector<DualSiteTable>* tables_out = nullptr,
+                              const ReadOptions& opts = {},
+                              LoadReport* report = nullptr,
                               std::vector<DualSiteDistTable>* site_dist_out =
                                   nullptr);
 

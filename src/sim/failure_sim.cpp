@@ -67,19 +67,41 @@ bool names(const Failure& f, Vertex x) {
          (f.second.kind == FaultClass::kVertex && f.second.id == x);
 }
 
-/// The one storm sampler, over the verifier's failure universe of
-/// h.source(). Single-fault models shuffle each kind's universe from
-/// `seed` and keep `num_failures` of it (either plays the edge storm, then
-/// the vertex storm); dual draws `num_failures` unordered pairs. Identical
-/// seeds always mean identical storms, whichever side serves the drill.
-std::vector<Failure> sample_storm(const FtBfsStructure& h, FaultClass model,
-                                  std::int64_t num_failures,
+/// The storm universe: the verifier's failure universe of h.source(),
+/// then, in their order, the elements the other sources' universes add
+/// (the routers that are in-model for some source but not h.source()'s).
+/// A single-source universe is exactly h.source()'s.
+std::vector<DualSite> storm_universe(const FtBfsStructure& h,
+                                     std::span<const Vertex> sources,
+                                     FaultClass model) {
+  std::vector<DualSite> universe =
+      failure_universe(h.graph(), h.source(), model, h.reinforced());
+  std::vector<DualSite> seen = universe;
+  std::sort(seen.begin(), seen.end());
+  for (const Vertex s : sources) {
+    for (const DualSite f :
+         failure_universe(h.graph(), s, model, h.reinforced())) {
+      const auto at = std::lower_bound(seen.begin(), seen.end(), f);
+      if (at != seen.end() && *at == f) continue;
+      seen.insert(at, f);
+      universe.push_back(f);
+    }
+  }
+  return universe;
+}
+
+/// The one storm sampler, over storm_universe. Single-fault models shuffle
+/// each kind's universe from `seed` and keep `num_failures` of it (either
+/// plays the edge storm, then the vertex storm); dual draws `num_failures`
+/// unordered pairs. Identical seeds always mean identical storms,
+/// whichever side serves the drill.
+std::vector<Failure> sample_storm(const FtBfsStructure& h,
+                                  std::span<const Vertex> sources,
+                                  FaultClass model, std::int64_t num_failures,
                                   std::uint64_t seed) {
-  const Graph& g = h.graph();
   std::vector<Failure> storm;
   if (model == FaultClass::kDual) {
-    const std::vector<DualSite> universe =
-        failure_universe(g, h.source(), model, h.reinforced());
+    const std::vector<DualSite> universe = storm_universe(h, sources, model);
     Rng rng(seed);
     for (std::int64_t i = 0; i < num_failures; ++i) {
       DualSite a = universe[rng.next_below(universe.size())];
@@ -91,8 +113,7 @@ std::vector<Failure> sample_storm(const FtBfsStructure& h, FaultClass model,
   }
   for (const FaultClass kind : {FaultClass::kEdge, FaultClass::kVertex}) {
     if (model != FaultClass::kEither && model != kind) continue;
-    std::vector<DualSite> prone =
-        failure_universe(g, h.source(), kind, h.reinforced());
+    std::vector<DualSite> prone = storm_universe(h, sources, kind);
     Rng rng(seed);
     rng.shuffle(prone);
     if (static_cast<std::int64_t>(prone.size()) > num_failures) {
@@ -189,9 +210,10 @@ DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
                               std::int64_t num_failures, std::uint64_t seed,
                               std::span<const Vertex> sources) {
   const Vertex self = h.source();
-  return drill_storm(h, sources.empty() ? std::span(&self, 1) : sources,
-                     sample_storm(h, model, num_failures, seed), nullptr,
-                     no_audit);
+  if (sources.empty()) sources = std::span(&self, 1);
+  return drill_storm(h, sources,
+                     sample_storm(h, sources, model, num_failures, seed),
+                     nullptr, no_audit);
 }
 
 DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
@@ -220,9 +242,10 @@ DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
       break;
   }
   const FtBfsStructure& h = session.structure();
-  return drill_storm(h, session.sources(),
-                     sample_storm(h, storm, num_failures, seed), &session,
-                     no_audit);
+  return drill_storm(
+      h, session.sources(),
+      sample_storm(h, session.sources(), storm, num_failures, seed),
+      &session, no_audit);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,9 +273,10 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
   const api::Session fresh = api::Session::open(g, spec);
   fresh.save_v5(scratch_path);
 
-  // Flip one seeded bit inside the pair-table payload ON DISK. The v5
-  // frame declares the payload's CRC-32C, which catches every single-bit
-  // error, so the tolerant reload is guaranteed to see the damage.
+  // Flip one seeded bit inside the pair-table payload ON DISK — within its
+  // declared length, so the damage never lands in a later (site-dist)
+  // section. The v5 frame declares the payload's CRC-32C, which catches
+  // every single-bit error, so the tolerant reload is guaranteed to see it.
   std::string bytes;
   {
     std::ifstream f(scratch_path, std::ios::binary);
@@ -262,15 +286,18 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
     ss << f.rdbuf();
     bytes = ss.str();
   }
-  const std::size_t hdr = bytes.find("section pair-tables ");
+  const std::string frame = "section pair-tables ";
+  const std::size_t hdr = bytes.find(frame);
   FTB_CHECK_MSG(hdr != std::string::npos,
                 "v5 artifact carries no pair-table section to corrupt");
   const std::size_t payload = bytes.find('\n', hdr);
-  FTB_CHECK_MSG(payload != std::string::npos && payload + 1 < bytes.size(),
+  std::uint64_t len = 0;
+  std::istringstream(bytes.substr(hdr + frame.size(), 20)) >> len;
+  FTB_CHECK_MSG(payload != std::string::npos && len > 0 &&
+                    payload + len < bytes.size(),
                 "v5 pair-table section carries no payload to corrupt");
   Rng rng(seed);
-  const std::size_t pos =
-      payload + 1 + rng.next_below(bytes.size() - (payload + 1));
+  const std::size_t pos = payload + 1 + rng.next_below(len);
   bytes[static_cast<std::size_t>(pos)] ^=
       static_cast<char>(1u << rng.next_below(8));
   rep.artifact_corrupted = true;
@@ -285,12 +312,11 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
   // LoadReport), never crash the load, and the session must come up in
   // degraded mode with recomputed tables.
   {
-    io::ReadOptions opts;
-    opts.tolerate_pair_tables = true;
     io::LoadReport lr;
     std::vector<Vertex> srcs;
     std::vector<DualSiteTable> tbls;
-    (void)io::load_structure(g, scratch_path, &srcs, &tbls, opts, &lr);
+    (void)io::load_structure(g, scratch_path, &srcs, &tbls,
+                             {.tolerate_corruption = true}, &lr);
     rep.dropped_sections = static_cast<std::int64_t>(lr.dropped.size());
   }
   api::SessionConfig cfg;
@@ -308,7 +334,9 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
   const FtBfsStructure& h = fresh.structure();
   rep.drill = drill_storm(
       h, degraded.sources(),
-      sample_storm(h, FaultClass::kDual, num_failures, seed), &degraded,
+      sample_storm(h, degraded.sources(), FaultClass::kDual, num_failures,
+                   seed),
+      &degraded,
       [&](const std::vector<api::Query>& batch,
           const api::QueryResponse& b) {
         const api::QueryResponse a = fresh.query(batch);

@@ -49,10 +49,12 @@ struct DrillReport {
 /// Simulates `num_failures` failures of `model` against the structure
 /// alone, scored from every one of `sources` (empty = {h.source()}: an
 /// FT-MBFS artifact passes its whole source set). The storm is drawn from
-/// the verifier's failure universe (verifier.hpp), deterministically from
-/// `seed`:
+/// the verifier's failure universes (verifier.hpp) of h.source() and then
+/// of the other sources, deterministically from `seed`:
 ///   * edge / vertex — that many fault-prone edges (everything except E')
-///     or non-source routers, sampled without replacement when possible;
+///     or routers that are not every drilled source (so with several
+///     sources, each source's router can fail for the others), sampled
+///     without replacement when possible;
 ///   * either — both single-fault storms (`num_failures` each);
 ///   * dual — that many unordered failure PAIRS.
 /// Each failure is scored build-then-verify style: literal BFS of the
@@ -108,13 +110,14 @@ struct ChaosDrillReport {
 /// The chaos scenario, end to end: build a session from `spec` (dual model
 /// required — the degradation path under test is the pair-table section),
 /// save the checksummed v5 artifact to `scratch_path`, flip one seeded bit
-/// inside the pair-table payload ON DISK, reload tolerantly, fsck, then
-/// replay a `num_failures`-pair storm through the degraded session —
-/// verifying every answer against the fresh session (bit-identity) and
-/// against literal BFS of the surviving structure. Deterministic given
-/// `seed`. The scratch file is left on disk (corrupted) for post-mortem;
-/// callers own its cleanup. Throws CheckError on a non-dual spec or an
-/// unwritable path.
+/// inside the pair-table payload's declared length ON DISK, reload
+/// tolerantly (a site-dist section drops with the tables it indexes),
+/// fsck, then replay a `num_failures`-pair storm through the degraded
+/// session — verifying every answer against the fresh session
+/// (bit-identity) and against literal BFS of the surviving structure.
+/// Deterministic given `seed`. The scratch file is left on disk
+/// (corrupted) for post-mortem; callers own its cleanup. Throws CheckError
+/// on a non-dual spec or an unwritable path.
 ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
                                  const std::string& scratch_path,
                                  std::int64_t num_failures,

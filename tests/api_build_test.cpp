@@ -220,7 +220,8 @@ TEST(ApiSessionIo, MultiSourceRoundTripKeepsSources) {
   const api::Session session = api::Session::open(g, spec);
 
   std::ostringstream os;
-  io::write_structure_v5(session.structure(), session.sources(), {}, os);
+  io::write_structure_v5(session.structure(), session.sources(), {}, {},
+                         os);
   std::istringstream is(os.str());
   std::vector<Vertex> sources;
   const FtBfsStructure reloaded = io::read_structure(g, is, &sources);

@@ -4,14 +4,15 @@
 // MappedArtifact zero-copy loader, and the zero-trust rejection matrix —
 // magic/version/endianness, directory checksum and naming, alignment and
 // padding lies, truncation, section CRC flips — every rejection a
-// CheckError carrying byte-offset + section context, and the tolerant
-// paths that drop a damaged pair-tables / site-dist section into the
-// LoadReport instead of refusing service.
+// CheckError carrying byte-offset + section context, the tolerant paths
+// that drop a damaged pair-tables / site-dist section into the LoadReport
+// instead of refusing service, and the v5/v6 parity of those drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <span>
 #include <sstream>
 #include <string>
@@ -288,9 +289,7 @@ TEST(BinaryIoV6, TolerantLoadDropsACorruptPairTableSection) {
   // Tolerant: the damaged section drops into the report; the site-dist
   // section cascades (its slot layout hangs off the pair tables), but the
   // structure itself still loads.
-  io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
-  opts.tolerate_site_dist = true;
+  const io::ReadOptions opts{.tolerate_corruption = true};
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
   io::LoadReport report;
@@ -308,13 +307,6 @@ TEST(BinaryIoV6, TolerantLoadDropsACorruptPairTableSection) {
   for (const std::string& note : report.dropped) {
     EXPECT_NE(note.find("at byte"), std::string::npos) << note;
   }
-
-  // Without the site-dist knob the cascade is a refusal, not a drop.
-  io::ReadOptions pt_only;
-  pt_only.tolerate_pair_tables = true;
-  EXPECT_THROW(io::read_structure_v6(g, as_span(bytes), nullptr, &tables,
-                                     pt_only, nullptr, &site_dist),
-               CheckError);
 }
 
 TEST(BinaryIoV6, TruncationIntoADroppableTailDegrades) {
@@ -330,9 +322,7 @@ TEST(BinaryIoV6, TruncationIntoADroppableTailDegrades) {
   expect_rejected(g, bytes, {"pair-tables", "truncated"},
                   "strict truncated pair tables");
 
-  io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
-  opts.tolerate_site_dist = true;
+  const io::ReadOptions opts{.tolerate_corruption = true};
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
   io::LoadReport report;
@@ -350,31 +340,173 @@ TEST(BinaryIoV6, TruncationIntoADroppableTailDegrades) {
   EXPECT_NE(report.dropped[0].find("truncated"), std::string::npos);
 }
 
-TEST(BinaryIoV6, CorruptSiteDistDropsAloneUnderItsOwnKnob) {
-  const Graph g = gen::grid_graph(5, 5);
-  const api::BuildResult res = dual_build(g, /*site_dist=*/true);
-  std::string bytes = v6_bytes(res);
-  const std::uint64_t sd_off = peek_u64(bytes, 64 + 3 * 40 + 16);
-  flip_byte(&bytes, static_cast<std::size_t>(sd_off));
+// ---------------------------------------------------------------------------
+// Cross-framing parity: v5 text and v6 binary share one assembly step, so
+// every damage both framings can express must load the same way in both.
 
-  expect_rejected(g, bytes, {"site-dist", "checksum mismatch"},
-                  "strict site-dist flip");
-
-  // CRC damage is contained (the framing held), so only site-dist drops —
-  // the pair tables still serve.
-  io::ReadOptions opts;
-  opts.tolerate_site_dist = true;
+/// What a load delivered, with the dropped sections by name.
+struct Loaded {
+  std::vector<Vertex> sources;
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
+  std::vector<std::string> dropped;
+};
+
+Loaded load_framed(const Graph& g, const std::string& bytes, bool v6,
+                   bool tolerant) {
+  Loaded out;
   io::LoadReport report;
-  const FtBfsStructure h = io::read_structure_v6(
-      g, as_span(bytes), nullptr, &tables, opts, &report, &site_dist);
-  EXPECT_EQ(h.edges(), res.structure.edges());
-  EXPECT_FALSE(report.complete);
-  EXPECT_EQ(tables.size(), res.dual_tables.size());
-  EXPECT_TRUE(site_dist.empty());
-  ASSERT_EQ(report.dropped.size(), 1u);
-  EXPECT_EQ(report.dropped.front().rfind("site-dist", 0), 0u);
+  const io::ReadOptions opts{.tolerate_corruption = tolerant};
+  std::istringstream is(bytes);
+  if (v6) {
+    io::read_structure_v6(g, as_span(bytes), &out.sources, &out.tables, opts,
+                          &report, &out.site_dist);
+  } else {
+    io::read_structure(g, is, &out.sources, &out.tables, opts, &report,
+                       &out.site_dist);
+  }
+  for (const std::string& note : report.dropped) {
+    out.dropped.push_back(note.substr(0, note.find(':')));
+  }
+  return out;
+}
+
+void expect_same_tables(const std::vector<DualSiteTable>& a,
+                        const std::vector<DualSiteTable>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sites, b[i].sites);
+    EXPECT_EQ(a[i].offsets, b[i].offsets);
+    EXPECT_EQ(a[i].edge_pool, b[i].edge_pool);
+  }
+}
+
+void expect_same_site_dist(const std::vector<DualSiteDistTable>& a,
+                           const std::vector<DualSiteDistTable>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].site_offsets, b[i].site_offsets);
+    EXPECT_EQ(a[i].parent_edge, b[i].parent_edge);
+    EXPECT_EQ(a[i].tf_depth, b[i].tf_depth);
+    EXPECT_EQ(a[i].row_offsets, b[i].row_offsets);
+    EXPECT_EQ(a[i].rows, b[i].rows);
+  }
+}
+
+std::string hex_crc(std::uint32_t v) {
+  std::ostringstream os;
+  os << std::hex << std::setw(8) << std::setfill('0') << v;
+  return os.str();
+}
+
+void put_u32_at(std::string* bytes, std::size_t at, std::uint32_t v) {
+  for (int b = 0; b < 4; ++b) {
+    (*bytes)[at + static_cast<std::size_t>(b)] =
+        static_cast<char>(v >> (8 * b));
+  }
+}
+
+TEST(LoadParity, V5AndV6LoadEveryDamageAlike) {
+  const Graph g = gen::grid_graph(5, 5);
+  const api::BuildResult res = dual_build(g, /*site_dist=*/true);
+  std::ostringstream os;
+  io::write_structure_v5(res.structure, res.sources, res.dual_tables,
+                         res.dual_site_dist, os);
+  const std::string v5 = os.str();
+  const std::string v6 = v6_bytes(res);
+  // Payload starts: the byte after a v5 frame line; a v6 directory offset.
+  const auto v5_payload = [&](const std::string& name) {
+    return v5.find('\n', v5.find("section " + name + " ")) + 1;
+  };
+  const auto v6_payload = [&](std::size_t slot) {
+    return static_cast<std::size_t>(peek_u64(v6, 64 + slot * 40 + 16));
+  };
+
+  // Pair tables that pass their checksum but name the wrong source: the
+  // decode drops them, and site-dist then has no usable tables to index.
+  const std::string src = std::to_string(res.sources[0]);
+  const std::string lie = std::to_string(res.sources[0] + 1);
+  ASSERT_EQ(src.size(), lie.size());
+  std::string v5_lie = v5;
+  {
+    const std::size_t p = v5_payload("pair-tables");
+    const std::size_t len = v5.find("section site-dist ") - p;
+    std::string payload = v5.substr(p, len);
+    const std::string from = "source-tables " + src + " ";
+    payload.replace(payload.find(from), from.size(),
+                    "source-tables " + lie + " ");
+    const std::size_t hdr = v5.find("section pair-tables ");
+    v5_lie.replace(hdr, p + len - hdr,
+                   "section pair-tables " + std::to_string(len) + ' ' +
+                       hex_crc(crc32c(payload)) + '\n' + payload);
+  }
+  std::string v6_lie = v6;
+  {
+    const std::size_t p = v6_payload(2);
+    put_u32_at(&v6_lie, p + 8,
+               static_cast<std::uint32_t>(res.sources[0] + 1));
+    const std::size_t len =
+        static_cast<std::size_t>(peek_u64(v6, 64 + 2 * 40 + 24));
+    put_u32_at(&v6_lie, 64 + 2 * 40 + 32,
+               crc32c(std::string_view(v6_lie).substr(p, len)));
+    const std::size_t dir = 4 * 40;  // four sections
+    put_u32_at(&v6_lie, 20,
+               crc32c(std::string_view(v6_lie).substr(64, dir)));
+  }
+
+  struct Damage {
+    const char* what;
+    std::string v5, v6;
+    std::vector<std::string> dropped;
+  };
+  std::vector<Damage> damages;
+  {
+    Damage d{"pair-tables CRC flip", v5, v6, {"pair-tables", "site-dist"}};
+    flip_byte(&d.v5, v5_payload("pair-tables") + 2);
+    flip_byte(&d.v6, v6_payload(2));
+    damages.push_back(d);
+  }
+  damages.push_back({"pair-tables truncation",
+                     v5.substr(0, v5_payload("pair-tables") + 8),
+                     v6.substr(0, v6_payload(2) + 8),
+                     {"pair-tables"}});
+  {
+    Damage d{"site-dist CRC flip", v5, v6, {"site-dist"}};
+    flip_byte(&d.v5, v5_payload("site-dist") + 2);
+    flip_byte(&d.v6, v6_payload(3));
+    damages.push_back(d);
+  }
+  damages.push_back({"site-dist over dropped pair tables", v5_lie, v6_lie,
+                     {"pair-tables", "site-dist"}});
+
+  for (const Damage& d : damages) {
+    SCOPED_TRACE(d.what);
+    for (const bool is_v6 : {false, true}) {
+      try {
+        load_framed(g, is_v6 ? d.v6 : d.v5, is_v6, /*tolerant=*/false);
+        ADD_FAILURE() << (is_v6 ? "v6" : "v5") << " strict load accepted";
+      } catch (const CheckError& e) {
+        // The refusal says where, and names the (first) damaged section.
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("(at byte"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(d.dropped.front()), std::string::npos) << msg;
+      }
+    }
+    const Loaded a = load_framed(g, d.v5, /*v6=*/false, /*tolerant=*/true);
+    const Loaded b = load_framed(g, d.v6, /*v6=*/true, /*tolerant=*/true);
+    EXPECT_EQ(a.dropped, d.dropped);
+    EXPECT_EQ(b.dropped, d.dropped);
+    EXPECT_EQ(a.sources, b.sources);
+    expect_same_tables(a.tables, b.tables);
+    expect_same_site_dist(a.site_dist, b.site_dist);
+    EXPECT_TRUE(a.site_dist.empty());
+    // A site-dist drop costs the accelerator, never the pair tables.
+    if (d.dropped == std::vector<std::string>{"site-dist"}) {
+      expect_same_tables(a.tables, res.dual_tables);
+    } else {
+      EXPECT_TRUE(a.tables.empty());
+    }
+  }
 }
 
 TEST(BinaryIoV6, MappedArtifactServesZeroCopySections) {

@@ -421,7 +421,8 @@ TEST(DualFault, ArtifactWithoutTablesIsRebuiltOnLoad) {
   // loads; the session rebuilds the tables deterministically from the
   // weight seed.
   std::ostringstream os;
-  io::write_structure_v5(original.structure(), original.sources(), {}, os);
+  io::write_structure_v5(original.structure(), original.sources(), {}, {},
+                         os);
   EXPECT_EQ(os.str().find("pair-tables"), std::string::npos);
   const std::string path = ::testing::TempDir() + "/dual_no_tables.ftbfs";
   {

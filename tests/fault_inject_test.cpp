@@ -135,7 +135,8 @@ TEST_F(FaultInjectTest, IoShortReadSurfacesAsCheckErrorWithContext) {
   spec.fault_model = FaultClass::kDual;
   const api::BuildResult res = api::build(g, spec);
   std::ostringstream os;
-  io::write_structure_v5(res.structure, res.sources, res.dual_tables, os);
+  io::write_structure_v5(res.structure, res.sources, res.dual_tables, {},
+                         os);
   const std::string bytes = os.str();
 
   auto& inj = fault::Injector::instance();
@@ -162,7 +163,8 @@ TEST_F(FaultInjectTest, IoBitFlipSurfacesAsChecksumMismatch) {
   spec.fault_model = FaultClass::kDual;
   const api::BuildResult res = api::build(g, spec);
   std::ostringstream os;
-  io::write_structure_v5(res.structure, res.sources, res.dual_tables, os);
+  io::write_structure_v5(res.structure, res.sources, res.dual_tables, {},
+                         os);
   const std::string bytes = os.str();
 
   auto& inj = fault::Injector::instance();
@@ -189,7 +191,8 @@ TEST_F(FaultInjectTest, HalfRateIoFaultsAlwaysRejectCleanlyOrLoad) {
   spec.fault_model = FaultClass::kDual;
   const api::BuildResult res = api::build(g, spec);
   std::ostringstream os;
-  io::write_structure_v5(res.structure, res.sources, res.dual_tables, os);
+  io::write_structure_v5(res.structure, res.sources, res.dual_tables, {},
+                         os);
   const std::string bytes = os.str();
 
   auto& inj = fault::Injector::instance();

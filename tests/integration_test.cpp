@@ -28,7 +28,7 @@ namespace {
 FtBfsStructure ship(const FtBfsStructure& h, const Graph& g) {
   const Vertex anchor[] = {h.source()};
   std::stringstream wire;
-  io::write_structure_v5(h, anchor, {}, wire);
+  io::write_structure_v5(h, anchor, {}, {}, wire);
   return io::read_structure(g, wire);
 }
 

@@ -444,6 +444,25 @@ TEST(ChaosDrill, HealthyAcrossSeeds) {
   }
 }
 
+TEST(ChaosDrill, HealthyWithASiteDistSection) {
+  // The bit lands inside the pair-table payload, never in the site-dist
+  // section after it; the reload drops both (site-dist indexes the tables).
+  const Graph g = gen::grid_graph(5, 5);
+  BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.site_dist_oracle = true;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::string path = ::testing::TempDir() + "/chaos_site_dist_" +
+                             std::to_string(seed) + ".ftbfs";
+    const ChaosDrillReport rep =
+        run_chaos_drill(g, spec, path, /*num_failures=*/30, seed);
+    EXPECT_TRUE(rep.healthy()) << rep.to_string();
+    EXPECT_TRUE(rep.reload_degraded);
+    EXPECT_EQ(rep.dropped_sections, 2) << rep.to_string();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ChaosDrill, RequiresTheDualModel) {
   const Graph g = gen::grid_graph(4, 4);
   BuildSpec spec;  // edge model: no pair-table section to corrupt

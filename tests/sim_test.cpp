@@ -118,7 +118,9 @@ TEST(FailureSim, BridgeFailuresCountAsDisconnections) {
 /// single-source DrillReport::to_string() of the per-model drills this
 /// loop replaced, byte for byte. The σ = 3 counts score every source (the
 /// replaced drills scored sources[0] alone: queries 2212 / 729 / 2941 /
-/// 4135, and 0 violations on every broken σ = 3 case but edge's 2).
+/// 4135, and 0 violations on every broken σ = 3 case but edge's 2), and
+/// their storms also draw what the other sources' universes add to
+/// sources[0]'s: router sources[0] itself.
 struct DrillPin {
   FaultClass model;
   std::size_t sigma;
@@ -145,24 +147,24 @@ TEST(FailureSim, PinnedAgainstThePerModelDrills) {
       {FaultClass::kVertex, 1, 6, 27, 729, 1,
        "DrillReport(drills=27, queries=729, violations=1, "
        "disconnections=0, max_stretch=inf, avg_distance=1.8642)"},
-      {FaultClass::kVertex, 3, kInvalidEdge, 27, 2133, 0, nullptr},
-      {FaultClass::kVertex, 3, 6, 27, 2133, 1, nullptr},
+      {FaultClass::kVertex, 3, kInvalidEdge, 28, 2187, 0, nullptr},
+      {FaultClass::kVertex, 3, 6, 28, 2187, 1, nullptr},
       {FaultClass::kEither, 1, kInvalidEdge, 106, 2941, 0,
        "DrillReport(drills=106, queries=2941, violations=0, "
        "disconnections=0, max_stretch=1, avg_distance=1.87113)"},
       {FaultClass::kEither, 1, 6, 106, 2941, 3,
        "DrillReport(drills=106, queries=2941, violations=3, "
        "disconnections=0, max_stretch=inf, avg_distance=1.86943)"},
-      {FaultClass::kEither, 3, kInvalidEdge, 106, 8769, 0, nullptr},
-      {FaultClass::kEither, 3, 6, 106, 8769, 1, nullptr},
+      {FaultClass::kEither, 3, kInvalidEdge, 107, 8823, 0, nullptr},
+      {FaultClass::kEither, 3, 6, 107, 8823, 1, nullptr},
       {FaultClass::kDual, 1, kInvalidEdge, 150, 4135, 0,
        "DrillReport(drills=150, queries=4135, violations=0, "
        "disconnections=0, max_stretch=1, avg_distance=1.88126)"},
       {FaultClass::kDual, 1, 6, 150, 4135, 0,
        "DrillReport(drills=150, queries=4135, violations=0, "
        "disconnections=0, max_stretch=1, avg_distance=1.88126)"},
-      {FaultClass::kDual, 3, kInvalidEdge, 150, 12324, 0, nullptr},
-      {FaultClass::kDual, 3, 6, 150, 12324, 2, nullptr},
+      {FaultClass::kDual, 3, kInvalidEdge, 150, 12269, 0, nullptr},
+      {FaultClass::kDual, 3, 6, 150, 12269, 1, nullptr},
   };
   const Graph g = test::pin_graph();
   for (const DrillPin& pin : kPins) {
@@ -184,6 +186,12 @@ TEST(FailureSim, PinnedAgainstThePerModelDrills) {
       EXPECT_EQ(rep.reachable_queries, pin.queries) << label;
       EXPECT_EQ(rep.violations, pin.violations) << label;
       EXPECT_EQ(rep.disconnections, 0) << label;
+      // A vertex storm is the shuffled router universe (n < 200 drills),
+      // so n distinct drills means every router failed — router
+      // sources[0] included, which only the other sources put in model.
+      if (pin.model == FaultClass::kVertex && pin.sigma > 1) {
+        EXPECT_EQ(rep.drills, g.num_vertices()) << label;
+      }
     }
     if (pin.report == nullptr) continue;
     EXPECT_EQ(by_structure.to_string(), pin.report) << label;

@@ -17,7 +17,7 @@ namespace {
 std::string v5_of(const FtBfsStructure& h) {
   const Vertex anchor[] = {h.source()};
   std::ostringstream os;
-  io::write_structure_v5(h, anchor, {}, os);
+  io::write_structure_v5(h, anchor, {}, {}, os);
   return os.str();
 }
 
@@ -47,7 +47,7 @@ TEST(StructureIo, FileRoundTrip) {
   const FtBfsStructure h = api::build(g, {.eps = 1.0}).structure;
   const std::string path = "/tmp/ftbfs_structure_test.ftbfs";
   const Vertex anchor[] = {h.source()};
-  io::save_structure_v5(h, anchor, {}, path);
+  io::save_structure_v5(h, anchor, {}, {}, path);
   const FtBfsStructure back = io::load_structure(g, path);
   EXPECT_EQ(back.edges(), h.edges());
   std::remove(path.c_str());
@@ -183,13 +183,13 @@ TEST(StructureIo, LegacyFixturesLoadToTheirBuilds) {
     }
     // Legacy read → v5 write → read → v5 write is a fixed point.
     std::ostringstream w1;
-    io::write_structure_v5(h, sources, tables, w1);
+    io::write_structure_v5(h, sources, tables, {}, w1);
     std::istringstream again(w1.str());
     std::vector<Vertex> s2;
     std::vector<DualSiteTable> t2;
     const FtBfsStructure h2 = io::read_structure(fx.g, again, &s2, &t2);
     std::ostringstream w2;
-    io::write_structure_v5(h2, s2, t2, w2);
+    io::write_structure_v5(h2, s2, t2, {}, w2);
     EXPECT_EQ(w1.str(), w2.str());
   }
 }
@@ -207,7 +207,7 @@ TEST(StructureIo, CorruptV4PairTablesDropUnderTolerance) {
   std::vector<DualSiteTable> tables;
   io::LoadReport report;
   const FtBfsStructure h = io::read_structure(
-      g, is, nullptr, &tables, {.tolerate_pair_tables = true}, &report);
+      g, is, nullptr, &tables, {.tolerate_corruption = true}, &report);
   EXPECT_EQ(h.fault_class(), FaultClass::kDual);
   EXPECT_EQ(h.num_edges(), 12);
   EXPECT_TRUE(tables.empty());
@@ -228,7 +228,8 @@ TEST(StructureIo, V5SaverReportsShortWrites) {
   const Graph g = gen::path_graph(4);
   const FtBfsStructure h(g, 0, {0, 1, 2}, {}, {0, 1, 2});
   const Vertex anchor[] = {0};
-  EXPECT_THROW(io::save_structure_v5(h, anchor, {}, "/dev/full"), CheckError);
+  EXPECT_THROW(io::save_structure_v5(h, anchor, {}, {}, "/dev/full"),
+               CheckError);
 }
 
 TEST(StructureIo, Version1FilesLoadAsEdgeModel) {

@@ -77,7 +77,7 @@ std::string rewrite_v5(const FtBfsStructure& h,
                        const std::vector<Vertex>& sources,
                        const std::vector<DualSiteTable>& tables) {
   std::ostringstream os;
-  io::write_structure_v5(h, sources, tables, os);
+  io::write_structure_v5(h, sources, tables, {}, os);
   return os.str();
 }
 
@@ -177,7 +177,7 @@ TEST(StructureIoV5, StructureSectionsAreNeverTolerated) {
   bytes[p] ^= 0x04;
   std::istringstream is(bytes);
   io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;  // tolerance covers pair tables ONLY
+  opts.tolerate_corruption = true;  // never covers the structure sections
   io::LoadReport report;
   EXPECT_THROW(io::read_structure(g, is, nullptr, nullptr, opts, &report),
                CheckError);
@@ -315,7 +315,7 @@ TEST(StructureIoV5, TolerantLoadDropsCorruptPairTables) {
   // Tolerant: clean structure, dropped tables, honest report.
   std::istringstream is(bytes);
   io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
+  opts.tolerate_corruption = true;
   io::LoadReport report;
   std::vector<Vertex> sources;
   std::vector<DualSiteTable> tables;
@@ -341,7 +341,7 @@ TEST(StructureIoV5, TolerantLoadDropsTruncatedPairTables) {
 
   std::istringstream is(bytes);
   io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
+  opts.tolerate_corruption = true;
   io::LoadReport report;
   std::vector<DualSiteTable> tables;
   const FtBfsStructure h =
@@ -427,48 +427,10 @@ TEST(StructureIoV5, SiteDistMustFollowPairTables) {
                   {"out of order", "(at byte"}, "site-dist without tables");
 }
 
-TEST(StructureIoV5, CorruptSiteDistIsDroppedOnlyUnderItsOwnKnob) {
-  const Graph g = gen::path_graph(4);
-  std::string bytes = valid_v5_with_site_dist();
-  const std::size_t p = bytes.find("dterm 1 2 1 2");
-  ASSERT_NE(p, std::string::npos);
-  bytes[p + 6] ^= 0x04;  // payload bit flip under an intact frame
-
-  // Strict: hard CheckError naming the section.
-  expect_rejected(g, bytes, {"site-dist", "checksum mismatch", "(at byte"},
-                  "strict read of a corrupt site-dist section");
-  // tolerate_pair_tables alone does NOT cover the accelerator.
-  {
-    std::istringstream is(bytes);
-    io::ReadOptions opts;
-    opts.tolerate_pair_tables = true;
-    EXPECT_THROW(
-        io::read_structure(g, is, nullptr, nullptr, opts, nullptr, nullptr),
-        CheckError);
-  }
-  // tolerate_site_dist: the drop costs the accelerator, nothing else —
-  // structure AND pair tables load clean, the report says what was lost.
-  std::istringstream is(bytes);
-  io::ReadOptions opts;
-  opts.tolerate_site_dist = true;
-  io::LoadReport report;
-  std::vector<DualSiteTable> tables;
-  std::vector<DualSiteDistTable> site_dist;
-  const FtBfsStructure h =
-      io::read_structure(g, is, nullptr, &tables, opts, &report, &site_dist);
-  EXPECT_EQ(h.fault_class(), FaultClass::kDual);
-  EXPECT_EQ(tables.size(), 1u);
-  EXPECT_TRUE(site_dist.empty());
-  EXPECT_FALSE(report.complete);
-  ASSERT_EQ(report.dropped.size(), 1u);
-  EXPECT_EQ(report.dropped[0].rfind("site-dist: ", 0), 0u);
-  EXPECT_NE(report.dropped[0].find("checksum mismatch"), std::string::npos);
-}
-
 TEST(StructureIoV5, DroppedPairTablesCascadeToSiteDist) {
   // When the pair tables are tolerated away, the accelerator that indexes
-  // their site order is unusable: it must drop too (under its knob), and
-  // the report must carry BOTH losses.
+  // their site order is unusable: it must drop too, and the report must
+  // carry BOTH losses.
   const Graph g = gen::path_graph(4);
   std::string bytes = valid_v5_with_site_dist();
   const std::size_t p = bytes.find("site e 0 1");
@@ -477,8 +439,7 @@ TEST(StructureIoV5, DroppedPairTablesCascadeToSiteDist) {
 
   std::istringstream is(bytes);
   io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
-  opts.tolerate_site_dist = true;
+  opts.tolerate_corruption = true;
   io::LoadReport report;
   std::vector<DualSiteTable> tables;
   std::vector<DualSiteDistTable> site_dist;
@@ -522,7 +483,7 @@ TEST(StructureIoV5, CleanLoadReportsComplete) {
   const Graph g = gen::path_graph(4);
   std::istringstream is(valid_v5());
   io::ReadOptions opts;
-  opts.tolerate_pair_tables = true;
+  opts.tolerate_corruption = true;
   io::LoadReport report;
   std::vector<DualSiteTable> tables;
   io::read_structure(g, is, nullptr, &tables, opts, &report);

@@ -20,8 +20,8 @@
 // a silent wrong acceptance — is a fuzz failure: the tool prints the
 // version, mutant ordinal and seed (rerun with --seed to reproduce) and
 // exits non-zero. Every mutant is additionally parsed in tolerant mode
-// (ReadOptions::tolerate_pair_tables + tolerate_site_dist), which must
-// obey the same contract.
+// (ReadOptions::tolerate_corruption, which may drop the pair-tables and
+// site-dist sections), which must obey the same contract.
 //
 //   io_fuzz [--mutations=10000] [--seed=1]
 //
@@ -158,7 +158,8 @@ std::vector<CorpusEntry> build_corpus() {
     spec.fault_model = FaultClass::kDual;
     const api::BuildResult res = api::build(g, spec);
     std::ostringstream os;
-    io::write_structure_v5(res.structure, res.sources, res.dual_tables, os);
+    io::write_structure_v5(res.structure, res.sources, res.dual_tables, {},
+                           os);
     corpus.push_back({5, std::move(g), os.str()});
   }
 
@@ -407,9 +408,7 @@ int main(int argc, char** argv) {
     for (std::int64_t i = 0; i < mutations; ++i) {
       const std::string mutant = mutate(entry.bytes, entry.version, rng);
       for (const bool tolerant : {false, true}) {
-        io::ReadOptions opts;
-        opts.tolerate_pair_tables = tolerant;
-        opts.tolerate_site_dist = tolerant;
+        const io::ReadOptions opts{.tolerate_corruption = tolerant};
         FtBfsStructure h(entry.graph, 0, {}, {}, {});
         std::vector<Vertex> sources;
         std::vector<DualSiteTable> tables;
