@@ -14,7 +14,8 @@
 //
 //   ./bench_ablation [--n=1024] [--eps=0.333]
 #include "bench/bench_util.hpp"
-#include "src/api/ftbfs_api.hpp"
+#include "src/core/epsilon_ftbfs.hpp"
+#include "src/graph/bfs_tree.hpp"
 
 using namespace ftb;
 
@@ -24,16 +25,15 @@ void run_suite(const std::string& label, const Graph& g, Vertex source,
                const double eps) {
   struct Variant {
     std::string name;
-    api::BuildSpec spec;
+    EpsilonOptions opts;
   };
   std::vector<Variant> variants;
   {
-    api::BuildSpec base;
-    base.sources = {source};
+    EpsilonOptions base;
     base.eps = eps;
     variants.push_back({"paper", base});
 
-    api::BuildSpec v = base;
+    EpsilonOptions v = base;
     v.k_rounds_override = 1;
     variants.push_back({"s1_rounds=1", v});
 
@@ -73,8 +73,14 @@ void run_suite(const std::string& label, const Graph& g, Vertex source,
           ", eps=" + std::to_string(eps) + ")");
   t.columns({"variant", "|H|", "b(n)", "r(n)", "s1_added", "s2_added",
              "s1_leftover", "csets", "sec"});
+  // The canonical tree api::build would grow from `source`; the knobs live
+  // only on EpsilonOptions, so each variant runs the per-tree pipeline.
+  const EdgeWeights weights =
+      EdgeWeights::uniform_random(g, kDefaultWeightSeed);
+  const BfsTree tree(g, weights, source);
   for (const auto& v : variants) {
-    const EpsilonStats st = api::build(g, v.spec).per_source.front();
+    const EpsilonStats st =
+        detail::build_epsilon_ftbfs_impl(tree, v.opts).stats;
     t.row(v.name, st.structure_edges, st.backup, st.reinforced,
           st.s1_added_edges, st.s2_added_edges + st.s2_glue_added,
           st.s1_leftover_pairs, st.num_csets, st.seconds_total);

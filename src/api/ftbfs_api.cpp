@@ -37,23 +37,10 @@ void BuildSpec::validate(const Graph& g) const {
   }
 }
 
-EpsilonOptions BuildSpec::epsilon_options() const {
-  EpsilonOptions opts;
-  opts.eps = eps;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  opts.baseline_for_large_eps = baseline_for_large_eps;
-  opts.k_rounds_override = k_rounds_override;
-  opts.threshold_scale = threshold_scale;
-  opts.disable_s2_light_flush = disable_s2_light_flush;
-  opts.disable_s2_crossings = disable_s2_crossings;
-  return opts;
-}
-
 BuildResult build(const Graph& g, const BuildSpec& spec) {
   spec.validate(g);
   Timer total;
-  const EpsilonOptions eps_opts = spec.epsilon_options();
+  const EpsilonOptions eps_opts{.eps = spec.eps, .pool = spec.pool};
   const DualFtBfsOptions dual_opts{spec.pool, spec.site_dist_oracle};
   std::vector<EpsilonStats> per_source;
   std::vector<DualSiteTable> dual_tables;
@@ -245,28 +232,33 @@ struct Session::Impl {
   // a degraded session stays degraded for its whole lifetime.
   bool serving_degraded = false;
   std::vector<std::string> degradation;  // human-readable reasons
-  // Accelerator-only notes (site-dist drops / rebuilds): losing the
-  // accelerator loses speed, never answers, so these do NOT degrade the
-  // session — fsck surfaces them as notes.
+  // Accelerator-only notes (site-dist drops): losing the accelerator loses
+  // speed, never answers, so these do NOT degrade the session — fsck
+  // surfaces them as notes.
   std::vector<std::string> accel_notes;
+  std::vector<std::string> dropped_sections;  // what the load dropped
 
   Impl(const Graph& graph, FtBfsStructure&& h, std::vector<Vertex> srcs,
        std::uint64_t weight_seed, ThreadPool* pool,
        std::vector<DualSiteTable> tables = {},
-       std::vector<std::string> load_drops = {},
        std::vector<DualSiteDistTable> site_dist = {},
-       bool want_site_dist = false,
-       std::vector<std::string> accel_drops = {})
+       std::vector<io::SectionDrop> load_drops = {})
       : g(&graph),
         model(h.fault_class()),
         sources(std::move(srcs)),
         structure(std::move(h)),
         weights(EdgeWeights::uniform_random(graph, weight_seed)),
         dual_tables(std::move(tables)),
-        dual_site_dist(std::move(site_dist)),
-        serving_degraded(!load_drops.empty()),
-        degradation(std::move(load_drops)),
-        accel_notes(std::move(accel_drops)) {
+        dual_site_dist(std::move(site_dist)) {
+    // Split the load's drops by section: losing the pair tables degrades
+    // serving (answers come off recomputed tables), losing the site-dist
+    // section only loses the accelerator.
+    for (io::SectionDrop& d : load_drops) {
+      dropped_sections.push_back(d.section);
+      (d.section == "site-dist" ? accel_notes : degradation)
+          .push_back(std::move(d.note));
+    }
+    serving_degraded = !degradation.empty();
     trees.reserve(sources.size());
     for (const Vertex s : sources) trees.emplace_back(graph, weights, s);
 
@@ -312,38 +304,24 @@ struct Session::Impl {
                       "dual pair tables do not match the source set");
       }
       // Site-dist accelerator: attach whatever arrived sized to the
-      // source set; rebuild only when explicitly requested. A partial or
-      // mismatched set is never attached.
-      const bool need_sd =
-          want_site_dist && dual_site_dist.size() != sources.size();
+      // source set; it is never rebuilt here. A partial or mismatched set
+      // is never attached.
       if (dual_site_dist.size() != sources.size()) dual_site_dist.clear();
-      if (need_tables || need_sd) {
-        std::vector<DualSiteTable> fresh;
-        fresh.reserve(trees.size());
+      if (need_tables) {
+        dual_tables.reserve(trees.size());
         for (const BfsTree& t : trees) {
-          DualSiteDistTable sd;
           // The production build's tables: optimized kernels, pruned.
-          fresh.push_back(detail::build_dual_site_table(
-              t, pool, false, nullptr, /*unpruned=*/false,
-              need_sd ? &sd : nullptr));
-          if (need_sd) dual_site_dist.push_back(std::move(sd));
+          dual_tables.push_back(detail::build_dual_site_table(
+              t, pool, /*reference_kernel=*/false, nullptr));
         }
-        if (need_tables) {
-          dual_tables = std::move(fresh);
-          // Serving recomputed tables, not the shipped ones: the answers
-          // are bit-identical (the rebuild is deterministic from the
-          // trees), but the session is flagged degraded so operators
-          // notice the artifact did not carry what it was supposed to.
-          serving_degraded = true;
-          degradation.emplace_back(
-              "pair tables recomputed from the graph (artifact carried "
-              "none, or its pair-table section was dropped)");
-        }
-        if (need_sd) {
-          accel_notes.emplace_back(
-              "site-dist tables recomputed from the graph (artifact "
-              "carried none, or its site-dist section was dropped)");
-        }
+        // Serving recomputed tables, not the shipped ones: the answers are
+        // bit-identical (the rebuild is deterministic from the trees), but
+        // the session is flagged degraded so operators notice the artifact
+        // did not carry what it was supposed to.
+        serving_degraded = true;
+        degradation.emplace_back(
+            "pair tables recomputed from the graph (artifact carried "
+            "none, or its pair-table section was dropped)");
       }
       dual_oracles.reserve(trees.size());
       for (std::size_t i = 0; i < trees.size(); ++i) {
@@ -584,8 +562,7 @@ Session Session::deploy(const Graph& g, BuildResult result) {
   return Session(std::make_shared<const Impl>(
       g, std::move(result.structure), std::move(result.sources),
       result.spec.weight_seed, result.spec.pool,
-      std::move(result.dual_tables), std::vector<std::string>{},
-      std::move(result.dual_site_dist), result.spec.site_dist_oracle));
+      std::move(result.dual_tables), std::move(result.dual_site_dist)));
 }
 
 Session Session::load(const Graph& g, const std::string& path,
@@ -597,18 +574,9 @@ Session Session::load(const Graph& g, const std::string& path,
   FtBfsStructure h = io::load_structure(
       g, path, &sources, &tables,
       {.tolerate_corruption = cfg.tolerate_corruption}, &report, &site_dist);
-  // Partition the drops: losing the pair tables degrades serving (answers
-  // come off recomputed tables), losing the site-dist section only loses
-  // the accelerator — the pair tables still answer every query.
-  std::vector<std::string> degrade_drops, accel_drops;
-  for (std::string& d : report.dropped) {
-    (d.rfind("site-dist", 0) == 0 ? accel_drops : degrade_drops)
-        .push_back(std::move(d));
-  }
   return Session(std::make_shared<const Impl>(
       g, std::move(h), std::move(sources), cfg.weight_seed, cfg.pool,
-      std::move(tables), std::move(degrade_drops), std::move(site_dist),
-      cfg.site_dist_oracle, std::move(accel_drops)));
+      std::move(tables), std::move(site_dist), std::move(report.dropped)));
 }
 
 void Session::save_v5(const std::string& path) const {
@@ -869,6 +837,7 @@ FsckReport Session::fsck() const {
   rep.notes = im.degradation;
   rep.notes.insert(rep.notes.end(), im.accel_notes.begin(),
                    im.accel_notes.end());
+  rep.dropped_sections = im.dropped_sections;
   const auto audit = [&rep](bool held, std::string what) {
     ++rep.checks;
     if (!held) rep.errors.push_back(std::move(what));

@@ -6,12 +6,12 @@
 // template documented as "NOT thread-safe". This header replaces all of
 // that with two nouns:
 //
-//   * BuildSpec — the full parameterization (fault model × ε × sources,
-//     plus the ε pipeline's ablation knobs), validated up front with one
-//     CheckError message shape ("invalid BuildSpec: …") shared by the API
-//     and the CLI. It says WHAT to build, never how: no field picks
-//     between bit-identical implementations (the differential referees
-//     live in tests/referee.hpp and behind detail::build_dual_site_table).
+//   * BuildSpec — the full parameterization (fault model × ε × sources),
+//     validated up front with one CheckError message shape ("invalid
+//     BuildSpec: …") shared by the API and the CLI. It says WHAT to
+//     build, never how: no field picks between bit-identical
+//     implementations (the differential referees live in
+//     tests/referee.hpp and behind detail::build_dual_site_table).
 //     `build(graph, spec)` runs one pipeline per fault model, for every
 //     source count σ ≥ 1 — the §5 union of per-source structures, of
 //     which a single source is the σ = 1 case (returned as built):
@@ -59,9 +59,10 @@
 namespace ftb::api {
 
 /// The full parameterization of one build: which failures the structure
-/// must survive, for which sources, at which point of the reinforcement-
-/// backup tradeoff, plus the ε pipeline's ablation knobs. Defaults build a
-/// single-source edge-fault ε = 0.25 structure.
+/// must survive, for which sources, and at which point of the
+/// reinforcement-backup tradeoff. ε alone sets the tradeoff: S1's round
+/// count and the ⌈n^ε⌉ threshold follow from it (Theorem 3.1). Defaults
+/// build a single-source edge-fault ε = 0.25 structure.
 struct BuildSpec {
   /// Failure model the structure insures against.
   FaultClass fault_model = FaultClass::kEdge;
@@ -75,13 +76,6 @@ struct BuildSpec {
   /// needs to rebuild the same canonical trees when loading from disk).
   std::uint64_t weight_seed = kDefaultWeightSeed;
   ThreadPool* pool = nullptr;  // nullptr = global pool
-
-  // ---- ε pipeline ablation knobs (see EpsilonOptions for semantics) -----
-  bool baseline_for_large_eps = true;
-  std::int32_t k_rounds_override = 0;
-  double threshold_scale = 1.0;
-  bool disable_s2_light_flush = false;
-  bool disable_s2_crossings = false;
   /// Dual model only: also harvest the site-local distance oracle
   /// (per-site replacement-distance rows over C_f) while the punctured
   /// engines are alive, so a deployed Session answers EVERY in-model pair
@@ -94,9 +88,6 @@ struct BuildSpec {
   /// or an empty / out-of-range / duplicated source set. build() and
   /// Session::open() call this first.
   void validate(const Graph& g) const;
-
-  /// The EpsilonOptions this spec maps to (edge-model dispatch).
-  EpsilonOptions epsilon_options() const;
 };
 
 /// What one build() returns: the structure plus construction telemetry.
@@ -261,13 +252,10 @@ struct SessionConfig {
   /// the structure sections themselves (meta/edges) always throws — there
   /// is nothing safe to rebuild from. A corrupt site-dist section is also
   /// dropped under this knob, but only costs the accelerator (an fsck
-  /// note), never degraded status — the pair tables still answer.
+  /// note), never degraded status — the pair tables still answer, by
+  /// traversal. An intact site-dist section is always attached; a missing
+  /// or dropped one is never rebuilt at load.
   bool tolerate_corruption = true;
-  /// Serve pairs from the site-local distance oracle: attach the
-  /// artifact's site-dist section when present, REBUILD the tables from
-  /// the graph when absent or dropped. Off by default — loading then
-  /// attaches a shipped section for free but never pays a rebuild.
-  bool site_dist_oracle = false;
 };
 
 /// What Session::fsck() found. `ok` means every audited invariant held;
@@ -280,9 +268,12 @@ struct FsckReport {
   std::int64_t checks = 0;
   /// One human-readable line per violated invariant (empty when ok).
   std::vector<std::string> errors;
-  /// Why the session is degraded (load-time drops, table rebuilds);
-  /// empty for a clean session.
+  /// Why the session is degraded or lost its accelerator (load-time
+  /// drops, table rebuilds); empty for a clean session.
   std::vector<std::string> notes;
+  /// The artifact sections the load dropped ("pair-tables", "site-dist"),
+  /// in file order; empty for a clean load and for deployed sessions.
+  std::vector<std::string> dropped_sections;
   /// "fsck: ok, 123 checks" / "fsck: DEGRADED …" / "fsck: FAILED …".
   std::string to_string() const;
 };
@@ -314,9 +305,11 @@ class Session {
   /// fault site, and none of the build's pair classification. A v6
   /// artifact's persisted tables attach off a read-only mmap (zero-copy
   /// validation against the page cache); the graph-recompute path remains
-  /// the fallback when they are absent or dropped. With cfg.tolerate_corruption (the default) a
-  /// corrupt pair-table section downgrades the session to degraded service
-  /// instead of refusing the load; see fsck().
+  /// the fallback when they are absent or dropped. An intact site-dist
+  /// section attaches the pair accelerator; without one, non-reducible
+  /// pairs are served by traversal. With cfg.tolerate_corruption (the
+  /// default) a corrupt pair-table section downgrades the session to
+  /// degraded service instead of refusing the load; see fsck().
   static Session load(const Graph& g, const std::string& path,
                       const Config& cfg = {});
   /// Saves the artifact (structure, source set, pair tables and site-dist

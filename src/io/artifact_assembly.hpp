@@ -70,10 +70,10 @@ inline std::int64_t edge_index_in(const std::vector<EdgeId>& edges,
   return it - edges.begin();
 }
 
-inline void note_drop(LoadReport* report, const std::string& why) {
+inline void note_drop(LoadReport* report, const std::string& section,
+                      const std::string& why) {
   if (report == nullptr) return;
-  report->complete = false;
-  report->dropped.push_back(why);
+  report->dropped.push_back({section, section + ": " + why});
 }
 
 /// The droppable rule: only the two rebuildable sections, and only under
@@ -92,7 +92,7 @@ inline void drop_or_throw(const std::string& section, const char* problem,
   if (!droppable(section, opts)) {
     throw CheckError("section '" + section + "' " + detail + where);
   }
-  note_drop(report, section + ": " + problem + where);
+  note_drop(report, section, problem + where);
 }
 
 /// The decode-or-drop step every rebuildable section goes through: runs
@@ -106,7 +106,7 @@ auto decode_or_drop(const std::string& section, const Reader& rd,
     return with_context(rd, decode);
   } catch (const CheckError& e) {
     if (!droppable(section, opts)) throw;
-    note_drop(report, section + ": " + e.what());
+    note_drop(report, section, e.what());
     return std::nullopt;
   }
 }

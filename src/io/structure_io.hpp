@@ -104,11 +104,18 @@ struct ReadOptions {
   bool tolerate_corruption = false;
 };
 
-/// What a tolerant load had to give up. `complete` stays true on a clean
-/// load; every dropped section appends a note "<section>: <why>".
+/// One section a tolerant load gave up.
+struct SectionDrop {
+  /// The section's name: "pair-tables" or "site-dist".
+  std::string section;
+  /// "<section>: <why>", with the "(at byte N in section 'S')" context.
+  std::string note;
+};
+
+/// What a tolerant load had to give up, in file order; empty on a clean
+/// load.
 struct LoadReport {
-  bool complete = true;
-  std::vector<std::string> dropped;
+  std::vector<SectionDrop> dropped;
 };
 
 /// Parses a structure against `g`. Throws CheckError on malformed input:

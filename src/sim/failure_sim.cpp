@@ -9,7 +9,6 @@
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/bfs_kernel.hpp"
-#include "src/io/structure_io.hpp"
 
 namespace ftb {
 
@@ -308,17 +307,9 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
                   "chaos drill cannot rewrite artifact " << scratch_path);
   }
 
-  // Tolerant reload: the damaged section must be dropped (recorded in the
-  // LoadReport), never crash the load, and the session must come up in
-  // degraded mode with recomputed tables.
-  {
-    io::LoadReport lr;
-    std::vector<Vertex> srcs;
-    std::vector<DualSiteTable> tbls;
-    (void)io::load_structure(g, scratch_path, &srcs, &tbls,
-                             {.tolerate_corruption = true}, &lr);
-    rep.dropped_sections = static_cast<std::int64_t>(lr.dropped.size());
-  }
+  // Tolerant reload: the damaged section must be dropped (fsck names it),
+  // never crash the load, and the session must come up in degraded mode
+  // with recomputed tables.
   api::SessionConfig cfg;
   cfg.weight_seed = spec.weight_seed;
   cfg.pool = spec.pool;
@@ -327,6 +318,8 @@ ChaosDrillReport run_chaos_drill(const Graph& g, const api::BuildSpec& spec,
   const api::FsckReport fsck = degraded.fsck();
   rep.fsck_ok = fsck.ok;
   rep.fsck_checks = fsck.checks;
+  rep.dropped_sections =
+      static_cast<std::int64_t>(fsck.dropped_sections.size());
 
   // Serve the pair storm through the degraded session, scored against the
   // surviving structure; every batch is replayed through the fresh session

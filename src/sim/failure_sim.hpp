@@ -87,7 +87,7 @@ struct ChaosDrillReport {
   /// The tolerant reload dropped the damaged section and downgraded
   /// instead of refusing (Session::degraded()).
   bool reload_degraded = false;
-  /// Sections the reload had to drop (from the io::LoadReport).
+  /// Sections the reload had to drop (FsckReport::dropped_sections).
   std::int64_t dropped_sections = 0;
   /// Session::fsck() verdict on the degraded session.
   bool fsck_ok = false;

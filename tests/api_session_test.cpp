@@ -23,6 +23,7 @@
 #include "src/graph/bfs_tree.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
+#include "src/io/binary_io.hpp"
 #include "src/util/rng.hpp"
 #include "tests/referee.hpp"
 
@@ -398,7 +399,35 @@ TEST(ApiSession, PairCacheCountersSurface) {
   FAIL() << "no cache-churning pair in the fixture";
 }
 
-TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndRebuilds) {
+/// Flips one bit inside section `name`'s payload of a saved artifact (v5
+/// text or v6 binary), so a tolerant load drops that section (CRC-32C
+/// catches every single-bit error).
+void corrupt_section(const std::string& path, const std::string& name) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string bytes = buf.str();
+  std::size_t payload = 0;
+  if (io::is_v6_magic(bytes)) {
+    // 40-byte directory entries after the 64-byte header, in file order:
+    // name[16], then the payload offset as a little-endian u64.
+    const std::size_t entry = 64 + (name == "pair-tables" ? 2 : 3) * 40;
+    ASSERT_EQ(bytes.compare(entry, name.size(), name), 0);
+    for (std::size_t b = 8; b-- > 0;) {
+      payload = payload << 8 |
+                static_cast<unsigned char>(bytes[entry + 16 + b]);
+    }
+  } else {
+    const std::size_t hdr = bytes.find("section " + name + " ");
+    ASSERT_NE(hdr, std::string::npos);
+    payload = bytes.find('\n', hdr) + 1;
+  }
+  bytes[payload + 40] ^= 0x10;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndSectionDrops) {
   const Graph g = gen::grid_graph(5, 5);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
@@ -412,85 +441,66 @@ TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndRebuilds) {
 
   const std::string path =
       ::testing::TempDir() + "/api_session_site_dist.ftbfs";
-  built.save_v5(path);
-  {
-    // The shipped site-dist section reattaches on a plain load: still
-    // traversal-free, still bit-identical, not degraded.
-    const api::Session loaded = api::Session::load(g, path);
-    EXPECT_FALSE(loaded.degraded());
-    const QueryResponse got = loaded.query(batch);
-    EXPECT_EQ(got.pair_traversals, 0);
-    EXPECT_GT(got.site_oracle_hits, 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
-      EXPECT_EQ(got.results[i].outcome, want.results[i].outcome) << "i=" << i;
-    }
-  }
-  {
-    // An artifact WITHOUT the section + SessionConfig::site_dist_oracle:
-    // the tables are rebuilt from the graph — an accelerator rebuild, not
-    // a degradation.
-    api::BuildSpec plain_spec;
-    plain_spec.fault_model = FaultClass::kDual;
-    const api::Session plain = api::Session::open(g, plain_spec);
-    plain.save_v5(path);
-    api::SessionConfig cfg;
-    cfg.site_dist_oracle = true;
-    const api::Session rebuilt = api::Session::load(g, path, cfg);
-    EXPECT_FALSE(rebuilt.degraded());
-    const QueryResponse got = rebuilt.query(batch);
-    EXPECT_EQ(got.pair_traversals, 0);
-    EXPECT_GT(got.site_oracle_hits, 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
-    }
-  }
-  {
-    // Corrupt site-dist payload bit: the tolerant load drops the
-    // accelerator, keeps the pair tables, serves the same answers by
-    // traversal — degraded speed, never degraded service.
-    built.save_v5(path);
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
-    const std::size_t hdr = bytes.find("section site-dist ");
-    ASSERT_NE(hdr, std::string::npos);
-    const std::size_t payload = bytes.find('\n', hdr) + 1;
-    bytes[payload + 24] ^= 0x08;
+  for (const bool v6 : {false, true}) {
+    SCOPED_TRACE(v6 ? "v6" : "v5");
+    const auto save = [&] { v6 ? built.save_v6(path) : built.save_v5(path); };
     {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << bytes;
+      // The shipped site-dist section reattaches on a plain load: still
+      // traversal-free, still bit-identical, not degraded.
+      save();
+      const api::Session loaded = api::Session::load(g, path);
+      EXPECT_FALSE(loaded.degraded());
+      EXPECT_TRUE(loaded.fsck().dropped_sections.empty());
+      const QueryResponse got = loaded.query(batch);
+      EXPECT_EQ(got.pair_traversals, 0);
+      EXPECT_GT(got.site_oracle_hits, 0);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
+        EXPECT_EQ(got.results[i].outcome, want.results[i].outcome)
+            << "i=" << i;
+      }
     }
-    const api::Session survivor = api::Session::load(g, path);
-    EXPECT_FALSE(survivor.degraded());
-    const QueryResponse got = survivor.query(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
-      EXPECT_EQ(got.results[i].outcome, QueryOutcome::kInModel) << "i=" << i;
+    {
+      // Corrupt site-dist payload bit: the tolerant load drops the
+      // accelerator, keeps the pair tables, serves the same answers by
+      // traversal — degraded speed, never degraded service.
+      save();
+      corrupt_section(path, "site-dist");
+      const api::Session survivor = api::Session::load(g, path);
+      EXPECT_FALSE(survivor.degraded());
+      const QueryResponse got = survivor.query(batch);
+      EXPECT_EQ(got.site_oracle_hits, 0);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
+        EXPECT_EQ(got.results[i].outcome, QueryOutcome::kInModel)
+            << "i=" << i;
+      }
+      // The dropped section is an fsck note, not a degradation.
+      const api::FsckReport rep = survivor.fsck();
+      EXPECT_TRUE(rep.ok);
+      EXPECT_FALSE(rep.degraded);
+      EXPECT_EQ(rep.dropped_sections, std::vector<std::string>{"site-dist"});
     }
-    // The dropped section is an fsck note, not a degradation.
-    const api::FsckReport rep = survivor.fsck();
-    EXPECT_TRUE(rep.ok);
-    EXPECT_FALSE(rep.degraded);
+    {
+      // Corrupt pair tables: both sections drop (the accelerator indexes
+      // the tables' site order), the tables are recomputed, and the
+      // session serves the same distances degraded.
+      save();
+      corrupt_section(path, "pair-tables");
+      const api::Session survivor = api::Session::load(g, path);
+      EXPECT_TRUE(survivor.degraded());
+      const QueryResponse got = survivor.query(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
+      }
+      const api::FsckReport rep = survivor.fsck();
+      EXPECT_TRUE(rep.ok);
+      EXPECT_TRUE(rep.degraded);
+      EXPECT_EQ(rep.dropped_sections,
+                (std::vector<std::string>{"pair-tables", "site-dist"}));
+    }
   }
   std::remove(path.c_str());
-}
-
-/// Flips one bit inside a saved v5 artifact's pair-table payload, so a
-/// tolerant load recomputes the tables and serves degraded (CRC-32C
-/// catches every single-bit error).
-void corrupt_pair_tables(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string bytes = buf.str();
-  const std::size_t hdr = bytes.find("section pair-tables ");
-  ASSERT_NE(hdr, std::string::npos);
-  const std::size_t payload = bytes.find('\n', hdr) + 1;
-  bytes[payload + 40] ^= 0x10;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
 }
 
 TEST(ApiSession, SingleFaultAnswersMatchBuildSideEnginesAcrossLoads) {
@@ -518,7 +528,7 @@ TEST(ApiSession, SingleFaultAnswersMatchBuildSideEnginesAcrossLoads) {
         {"v5 load", api::Session::load(g, v5)},
         {"v6 load", api::Session::load(g, v6)}};
     if (model == FaultClass::kDual) {
-      corrupt_pair_tables(v5);
+      corrupt_section(v5, "pair-tables");
       sessions.emplace_back("degraded load", api::Session::load(g, v5));
       ASSERT_TRUE(sessions.back().second.degraded());
     }
@@ -617,7 +627,7 @@ TEST(ApiSession, DegradedPairStormTagsEveryAnswer) {
   const std::string path =
       ::testing::TempDir() + "/api_session_degraded_storm.ftbfs";
   fresh.save_v5(path);
-  corrupt_pair_tables(path);
+  corrupt_section(path, "pair-tables");
   const api::Session session = api::Session::load(g, path);
   ASSERT_TRUE(session.degraded());
 
@@ -804,7 +814,7 @@ TEST(ApiSessionConcurrency, DegradedSessionServesConcurrentStorms) {
   const std::string path =
       ::testing::TempDir() + "/api_session_degraded.ftbfs";
   fresh.save_v5(path);
-  corrupt_pair_tables(path);
+  corrupt_section(path, "pair-tables");
   const api::Session session = api::Session::load(g, path);
   ASSERT_TRUE(session.degraded());
 

@@ -36,7 +36,6 @@ TEST(ArtifactMmapStorm, TwoSessionsOneArtifactManyThreads) {
   // own tables, not a recompute.
   api::SessionConfig cfg;
   cfg.tolerate_corruption = false;
-  cfg.site_dist_oracle = true;
   const api::Session a = api::Session::load(g, path, cfg);
   const api::Session b = api::Session::load(g, path, cfg);
   EXPECT_TRUE(a.fsck().ok);

@@ -91,7 +91,6 @@ TEST(BinaryIoV6, DualArtifactRoundTripsToAFixedPoint) {
   const FtBfsStructure h = io::read_structure_v6(
       g, as_span(w1), &sources, &tables, {}, &report, &site_dist);
 
-  EXPECT_TRUE(report.complete);
   EXPECT_TRUE(report.dropped.empty());
   EXPECT_EQ(h.fault_class(), FaultClass::kDual);
   EXPECT_EQ(h.edges(), res.structure.edges());
@@ -296,16 +295,15 @@ TEST(BinaryIoV6, TolerantLoadDropsACorruptPairTableSection) {
   const FtBfsStructure h = io::read_structure_v6(
       g, as_span(bytes), nullptr, &tables, opts, &report, &site_dist);
   EXPECT_EQ(h.edges(), res.structure.edges());
-  EXPECT_FALSE(report.complete);
   EXPECT_TRUE(tables.empty());
   EXPECT_TRUE(site_dist.empty());
   // Two notes: the CRC drop itself, then the site-dist section (intact but
   // unusable without the pair tables' site order) dropping after it.
   ASSERT_EQ(report.dropped.size(), 2u);
-  EXPECT_EQ(report.dropped[0].rfind("pair-tables", 0), 0u);
-  EXPECT_EQ(report.dropped[1].rfind("site-dist", 0), 0u);
-  for (const std::string& note : report.dropped) {
-    EXPECT_NE(note.find("at byte"), std::string::npos) << note;
+  EXPECT_EQ(report.dropped[0].section, "pair-tables");
+  EXPECT_EQ(report.dropped[1].section, "site-dist");
+  for (const io::SectionDrop& d : report.dropped) {
+    EXPECT_NE(d.note.find("at byte"), std::string::npos) << d.note;
   }
 }
 
@@ -329,15 +327,14 @@ TEST(BinaryIoV6, TruncationIntoADroppableTailDegrades) {
   const FtBfsStructure h = io::read_structure_v6(
       g, as_span(bytes), nullptr, &tables, opts, &report, &site_dist);
   EXPECT_EQ(h.edges(), res.structure.edges());
-  EXPECT_FALSE(report.complete);
   EXPECT_TRUE(tables.empty());
   EXPECT_TRUE(site_dist.empty());
   // One note only: everything after a truncated section is unreadable, so
   // the later site-dist section drops silently with it (the v5 lost-sync
   // mirror), not as a second entry.
   ASSERT_EQ(report.dropped.size(), 1u);
-  EXPECT_EQ(report.dropped[0].rfind("pair-tables", 0), 0u);
-  EXPECT_NE(report.dropped[0].find("truncated"), std::string::npos);
+  EXPECT_EQ(report.dropped[0].section, "pair-tables");
+  EXPECT_NE(report.dropped[0].note.find("truncated"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,8 +362,10 @@ Loaded load_framed(const Graph& g, const std::string& bytes, bool v6,
     io::read_structure(g, is, &out.sources, &out.tables, opts, &report,
                        &out.site_dist);
   }
-  for (const std::string& note : report.dropped) {
-    out.dropped.push_back(note.substr(0, note.find(':')));
+  for (const io::SectionDrop& d : report.dropped) {
+    // The note fsck prints leads with the section it names.
+    EXPECT_EQ(d.note.substr(0, d.section.size() + 2), d.section + ": ");
+    out.dropped.push_back(d.section);
   }
   return out;
 }

@@ -15,6 +15,7 @@
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/verifier.hpp"
+#include "src/graph/bfs_tree.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "tests/property_test_util.hpp"
 
@@ -22,6 +23,15 @@ namespace ftb {
 namespace {
 
 const double kEpsGrid[] = {0.0, 0.15, 0.25, 0.4, 0.5, 1.0};
+
+/// One source's ε pipeline on its canonical tree under the default weight
+/// seed — what api::build runs — with the ablation knobs, which only
+/// EpsilonOptions carries, reachable.
+EpsilonResult build_eps(const Graph& g, Vertex source,
+                        const EpsilonOptions& opts) {
+  const EdgeWeights w = EdgeWeights::uniform_random(g, kDefaultWeightSeed);
+  return detail::build_epsilon_ftbfs_impl(BfsTree(g, w, source), opts);
+}
 
 /// The sweep set: the harness's four seeded families plus the structured
 /// corner shapes the old hand-rolled sweep carried (labels instead of
@@ -133,11 +143,9 @@ TEST(EpsilonFtBfs, LargeEpsDispatchesToBaseline) {
 TEST(EpsilonFtBfs, ForcedS1S2AtLargeEpsStillCorrect) {
   // Ablation path: run the full S1/S2 pipeline at ε = 0.5.
   const Graph g = gen::erdos_renyi(36, 0.18, 13);
-  api::BuildSpec spec;
-  spec.eps = 0.5;
-  spec.baseline_for_large_eps = false;
-  const api::BuildResult res = api::build(g, spec);
-  EXPECT_FALSE(res.per_source.front().used_baseline);
+  const EpsilonResult res =
+      build_eps(g, 0, {.eps = 0.5, .baseline_for_large_eps = false});
+  EXPECT_FALSE(res.stats.used_baseline);
   VerifyOptions vo;
   vo.check_nontree_failures = true;
   EXPECT_TRUE(verify_structure(res.structure, vo).ok);
@@ -188,11 +196,10 @@ TEST(EpsilonFtBfs, AblationKnobsPreserveCorrectness) {
   const Graph g = gen::gnm(60, 300, 23);
   for (const bool no_flush : {false, true}) {
     for (const bool no_cross : {false, true}) {
-      api::BuildSpec spec;
-      spec.eps = 0.25;
-      spec.disable_s2_light_flush = no_flush;
-      spec.disable_s2_crossings = no_cross;
-      const api::BuildResult res = api::build(g, spec);
+      const EpsilonResult res =
+          build_eps(g, 0, {.eps = 0.25,
+                           .disable_s2_light_flush = no_flush,
+                           .disable_s2_crossings = no_cross});
       const VerifyReport rep = verify_structure(res.structure);
       EXPECT_TRUE(rep.ok) << "no_flush=" << no_flush
                           << " no_cross=" << no_cross << ": "
@@ -203,10 +210,8 @@ TEST(EpsilonFtBfs, AblationKnobsPreserveCorrectness) {
 
 TEST(EpsilonFtBfs, SingleRoundOverrideStillCorrect) {
   const Graph g = gen::gnm(60, 300, 29);
-  api::BuildSpec spec;
-  spec.eps = 0.25;
-  spec.k_rounds_override = 1;
-  const api::BuildResult res = api::build(g, spec);
+  const EpsilonResult res =
+      build_eps(g, 0, {.eps = 0.25, .k_rounds_override = 1});
   EXPECT_TRUE(verify_structure(res.structure).ok);
 }
 
@@ -220,13 +225,10 @@ TEST(EpsilonFtBfs, S1UnderTinyThresholdAndOneRoundStillCorrect) {
   const auto lb = lb::build_single_source(220, 0.33);
   std::int64_t rows_with_reinforcement = 0;
   for (const double eps : {0.15, 0.25, 0.4}) {
-    api::BuildSpec spec;
-    spec.sources = {lb.source};
-    spec.eps = eps;
-    spec.threshold_scale = 1e-6;
-    spec.k_rounds_override = 1;
-    const api::BuildResult res = api::build(lb.graph, spec);
-    const EpsilonStats& st = res.per_source.front();
+    const EpsilonResult res = build_eps(
+        lb.graph, lb.source,
+        {.eps = eps, .k_rounds_override = 1, .threshold_scale = 1e-6});
+    const EpsilonStats& st = res.stats;
     ASSERT_FALSE(st.used_baseline) << "eps=" << eps;
     VerifyOptions vo;
     vo.check_nontree_failures = true;
@@ -333,14 +335,13 @@ TEST(EpsilonFtBfs, StructuresMatchPinnedFingerprints) {
   std::ostringstream actual;
   const auto check = [&](const std::string& name, const Graph& g,
                          Vertex source, const Setting& s) {
-    api::BuildSpec spec;
-    spec.eps = s.eps;
-    spec.baseline_for_large_eps = s.baseline_for_large_eps;
-    spec.threshold_scale = s.threshold_scale;
-    spec.k_rounds_override = s.k_rounds_override;
-    spec.sources = {source};
-    const api::BuildResult res = api::build(g, spec);
-    const EpsilonStats& st = res.per_source.front();
+    const EpsilonResult res =
+        build_eps(g, source,
+                  {.eps = s.eps,
+                   .baseline_for_large_eps = s.baseline_for_large_eps,
+                   .k_rounds_override = s.k_rounds_override,
+                   .threshold_scale = s.threshold_scale});
+    const EpsilonStats& st = res.stats;
     const EpsilonPin got{edge_list_hash(res.structure.edges()),
                          edge_list_hash(res.structure.reinforced()),
                          st.i1_size,

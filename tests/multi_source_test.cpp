@@ -115,7 +115,7 @@ TEST(MultiSource, SingleSourceDegeneratesToEpsilonFtBfs) {
   const api::BuildResult ms = api::build(g, spec);
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const EpsilonResult single = detail::build_epsilon_ftbfs_impl(
-      BfsTree(g, w, 4), spec.epsilon_options());
+      BfsTree(g, w, 4), {.eps = spec.eps});
   EXPECT_EQ(ms.structure.edges(), single.structure.edges());
   EXPECT_EQ(ms.structure.reinforced(), single.structure.reinforced());
   EXPECT_EQ(ms.structure.tree_edges(), single.structure.tree_edges());

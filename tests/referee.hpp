@@ -100,8 +100,8 @@ inline api::BuildResult referee_build(const Graph& g,
     const BfsTree tree(g, weights, s, canonical_sp(g, weights, s));
     switch (spec.fault_model) {
       case FaultClass::kEdge: {
-        EpsilonResult r =
-            referee_epsilon(tree, spec.epsilon_options(), ref.reference_kernel);
+        EpsilonResult r = referee_epsilon(
+            tree, {.eps = spec.eps, .pool = spec.pool}, ref.reference_kernel);
         per_source.push_back(r.stats);
         parts.push_back(std::move(r.structure));
         break;

@@ -323,10 +323,11 @@ TEST(StructureIoV5, TolerantLoadDropsCorruptPairTables) {
       io::read_structure(g, is, &sources, &tables, opts, &report);
   EXPECT_EQ(h.fault_class(), FaultClass::kDual);
   EXPECT_TRUE(tables.empty());
-  EXPECT_FALSE(report.complete);
   ASSERT_EQ(report.dropped.size(), 1u);
-  EXPECT_NE(report.dropped[0].find("checksum mismatch"), std::string::npos);
-  EXPECT_NE(report.dropped[0].find("(at byte"), std::string::npos);
+  EXPECT_EQ(report.dropped[0].section, "pair-tables");
+  EXPECT_NE(report.dropped[0].note.find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_NE(report.dropped[0].note.find("(at byte"), std::string::npos);
 }
 
 TEST(StructureIoV5, TolerantLoadDropsTruncatedPairTables) {
@@ -348,9 +349,9 @@ TEST(StructureIoV5, TolerantLoadDropsTruncatedPairTables) {
       io::read_structure(g, is, nullptr, &tables, opts, &report);
   EXPECT_EQ(h.fault_class(), FaultClass::kDual);
   EXPECT_TRUE(tables.empty());
-  EXPECT_FALSE(report.complete);
   ASSERT_EQ(report.dropped.size(), 1u);
-  EXPECT_NE(report.dropped[0].find("truncated"), std::string::npos);
+  EXPECT_EQ(report.dropped[0].section, "pair-tables");
+  EXPECT_NE(report.dropped[0].note.find("truncated"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ TEST(StructureIoV5, SiteDistSectionRoundTrips) {
   io::LoadReport report;
   const FtBfsStructure h = io::read_structure(g, is, &sources, &tables, {},
                                               &report, &site_dist);
-  EXPECT_TRUE(report.complete);
+  EXPECT_TRUE(report.dropped.empty());
   ASSERT_EQ(site_dist.size(), res.dual_site_dist.size());
   for (std::size_t i = 0; i < site_dist.size(); ++i) {
     EXPECT_EQ(site_dist[i].site_offsets, res.dual_site_dist[i].site_offsets);
@@ -449,9 +450,10 @@ TEST(StructureIoV5, DroppedPairTablesCascadeToSiteDist) {
   EXPECT_TRUE(tables.empty());
   EXPECT_TRUE(site_dist.empty());
   ASSERT_EQ(report.dropped.size(), 2u);
-  EXPECT_EQ(report.dropped[0].rfind("pair-tables: ", 0), 0u);
-  EXPECT_EQ(report.dropped[1].rfind("site-dist: ", 0), 0u);
-  EXPECT_NE(report.dropped[1].find("without usable pair tables"),
+  EXPECT_EQ(report.dropped[0].section, "pair-tables");
+  EXPECT_EQ(report.dropped[1].section, "site-dist");
+  EXPECT_EQ(report.dropped[1].note.substr(0, 11), "site-dist: ");
+  EXPECT_NE(report.dropped[1].note.find("without usable pair tables"),
             std::string::npos);
 }
 
@@ -487,7 +489,6 @@ TEST(StructureIoV5, CleanLoadReportsComplete) {
   io::LoadReport report;
   std::vector<DualSiteTable> tables;
   io::read_structure(g, is, nullptr, &tables, opts, &report);
-  EXPECT_TRUE(report.complete);
   EXPECT_TRUE(report.dropped.empty());
   EXPECT_EQ(tables.size(), 1u);
 }

@@ -20,8 +20,9 @@
 // a silent wrong acceptance — is a fuzz failure: the tool prints the
 // version, mutant ordinal and seed (rerun with --seed to reproduce) and
 // exits non-zero. Every mutant is additionally parsed in tolerant mode
-// (ReadOptions::tolerate_corruption, which may drop the pair-tables and
-// site-dist sections), which must obey the same contract.
+// (ReadOptions::tolerate_corruption), which must obey the same contract
+// and may drop only the pair-tables and site-dist sections; a strict load
+// that is accepted must report no drop.
 //
 //   io_fuzz [--mutations=10000] [--seed=1]
 //
@@ -32,6 +33,7 @@
 #include <iostream>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -298,9 +300,11 @@ std::string mutate(const std::string& base, int version, Rng& rng) {
 
 /// Parses `bytes` against `g` with the given options, dispatching to the
 /// reader matching the corpus entry's format family (text up to v5, the
-/// binary container from v6). Returns true when the load was clean;
+/// binary container from v6). Returns true when the load was accepted;
 /// rejections must be CheckError with offset context (anything else aborts
-/// the fuzz run via the caller's catch).
+/// the fuzz run via the caller's catch). An accepted load may have dropped
+/// only the rebuildable sections, and only when tolerant; any other drop
+/// throws std::logic_error, which aborts the run the same way.
 bool parse(int version, const Graph& g, const std::string& bytes,
            const io::ReadOptions& opts, FtBfsStructure* out,
            std::vector<Vertex>* sources, std::vector<DualSiteTable>* tables,
@@ -319,6 +323,13 @@ bool parse(int version, const Graph& g, const std::string& bytes,
       return io::read_structure(g, is, sources, tables, opts, &report,
                                 site_dist);
     }();
+    for (const io::SectionDrop& d : report.dropped) {
+      if (!opts.tolerate_corruption ||
+          (d.section != "pair-tables" && d.section != "site-dist")) {
+        throw std::logic_error("accepted load dropped section '" +
+                               d.section + "'");
+      }
+    }
     if (out != nullptr) *out = std::move(h);
     return true;
   } catch (const CheckError& e) {
@@ -440,7 +451,7 @@ int main(int argc, char** argv) {
         } catch (const std::exception& e) {
           std::cerr << "io_fuzz: v" << entry.version << " mutant #" << i
                     << " (seed " << seed << ", tolerant=" << tolerant
-                    << ") escaped the CheckError contract: " << e.what()
+                    << ") broke the load contract: " << e.what()
                     << "\n";
           return 1;
         }
