@@ -85,7 +85,16 @@ struct EpsilonStats {
 
   std::int64_t interference_truncated_buckets = 0;  // max_bucket valve hits
 
+  // Phase S0's divergence-candidate work (FaultReplacementEngine::Stats).
+  std::int64_t detour_path_arcs = 0;
+  std::int64_t detour_ball_probes = 0;
+
   double seconds_engine = 0;
+  // The engine's two halves, from its own stats: the replacement-distance
+  // tables, then classification and detours (seconds_engine also holds
+  // the engine's setup around them).
+  double seconds_dist_tables = 0;
+  double seconds_detours = 0;
   double seconds_interference = 0;
   double seconds_s1 = 0;
   double seconds_s2 = 0;

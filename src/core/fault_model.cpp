@@ -6,6 +6,7 @@
 #include "src/core/fault_model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -31,15 +32,25 @@ struct DetourCandidate {
 
   bool valid() const { return hops < kInfHops; }
 
-  /// Lexicographic (hops, wsum, entry, last_edge) order; fully
-  /// deterministic even under weight collisions.
+  /// Lexicographic (hops, wsum, entry, last_edge, via) order: a total
+  /// order on one u_j's candidates (each via gives at most one), so the
+  /// winner does not depend on the order they are enumerated in.
   bool better_than(const DetourCandidate& o) const {
     if (hops != o.hops) return hops < o.hops;
     if (wsum != o.wsum) return wsum < o.wsum;
     if (entry != o.entry) return entry < o.entry;
-    return last_edge < o.last_edge;
+    if (last_edge != o.last_edge) return last_edge < o.last_edge;
+    return via < o.via;
   }
 };
+
+/// A path vertex u_j whose degree exceeds this multiple of the off-path
+/// ball's size is probed from the ball (one find_edge per ball vertex)
+/// instead of having its adjacency scanned. A probe costs tens of arc
+/// scans (a binary search, mostly cache misses), but the path vertices
+/// worth probing are hubs with hundreds of times the ball's size: on an
+/// R-MAT scale-16 graph every ratio from 4 to 64 built within noise.
+constexpr std::size_t kBallProbeRatio = 8;
 
 /// Whether `Tree` materializes every derived array (preorder() included),
 /// as the full engine's site enumeration needs.
@@ -299,6 +310,10 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const std::size_t terminal_count = restrict_mode ? restricted.size() : n;
 
   std::vector<VertexPairs<Pair>> per_vertex(terminal_count);
+  // Candidate-work totals (Stats::detour_path_arcs / detour_ball_probes),
+  // added once per processed terminal.
+  std::atomic<std::int64_t> path_arcs{0};
+  std::atomic<std::int64_t> ball_probes{0};
 
   // Pre-classification: covered / infinite tests touch only the phase-1
   // distance tables, so they run before (and usually instead of) the
@@ -357,39 +372,65 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     const EdgeId parent_e = tree().parent_edge(v);
     thread_local std::vector<DetourCandidate> det;
     det.assign(static_cast<std::size_t>(jmax) + 1, DetourCandidate{});
+    // Offers the edge e = (uj, x) as a divergence candidate of `best`.
+    const auto offer = [&](DetourCandidate& best, Vertex uj, Vertex x,
+                           EdgeId e) {
+      // Punctured-graph mode: the ambient element exists in G's CSR but
+      // not in G', so its arcs are never detour candidates.
+      if (e == cfg_.ambient_banned_edge) return;
+      if (x == cfg_.ambient_banned_vertex) return;
+      DetourCandidate cand;
+      if (x == v) {
+        if (e == parent_e) return;  // never a detour edge
+        cand.hops = 1;
+        cand.wsum = W[e];
+        cand.entry = uj;
+        cand.last_edge = e;
+        cand.via = v;
+        cand.first_edge = e;
+      } else {
+        if (banned[static_cast<std::size_t>(x)]) return;  // on path
+        if (!dv.reachable(x)) return;
+        cand.hops = 1 + dv.hops(x);
+        cand.wsum = W[e] + dv.wsum(x);
+        // dv is rooted at v, so first_hop(x) is the vertex adjacent to v on
+        // the canonical v→x path — i.e. the entry point of the reversed
+        // detour, and its parent edge is the edge into v.
+        cand.entry = dv.first_hop(x);
+        cand.last_edge = dv.parent_edge(cand.entry);
+        cand.via = x;
+        cand.first_edge = e;
+      }
+      if (!best.valid() || cand.better_than(best)) best = cand;
+    };
+    std::int64_t arcs = 0;
+    std::int64_t probes = 0;
     for (std::int32_t j = 0; j <= jmax; ++j) {
       DetourCandidate& best = det[static_cast<std::size_t>(j)];
       const Vertex uj = path[static_cast<std::size_t>(j)];
-      for (const Arc& a : g.neighbors(uj)) {
-        // Punctured-graph mode: the ambient element exists in G's CSR but
-        // not in G', so its arcs are never detour candidates.
-        if (a.edge == cfg_.ambient_banned_edge) continue;
-        if (a.to == cfg_.ambient_banned_vertex) continue;
-        DetourCandidate cand;
-        if (a.to == v) {
-          if (a.edge == parent_e) continue;  // never a detour edge
-          cand.hops = 1;
-          cand.wsum = W[a.edge];
-          cand.entry = uj;
-          cand.last_edge = a.edge;
-          cand.via = v;
-          cand.first_edge = a.edge;
-        } else {
-          if (banned[static_cast<std::size_t>(a.to)]) continue;  // on path
-          if (!dv.reachable(a.to)) continue;
-          cand.hops = 1 + dv.hops(a.to);
-          cand.wsum = W[a.edge] + dv.wsum(a.to);
-          // dv is rooted at v, so first_hop(a.to) is the vertex adjacent to
-          // v on the canonical v→a.to path — i.e. the entry point of the
-          // reversed detour, and its parent edge is the edge into v.
-          cand.entry = dv.first_hop(a.to);
-          cand.last_edge = dv.parent_edge(cand.entry);
-          cand.via = a.to;
-          cand.first_edge = a.edge;
+      // The candidate edges join u_j to v's off-path ball, so they can be
+      // found from either side. A hub u_j (the source of a skewed graph)
+      // has thousands of arcs against a capped ball of a few dozen
+      // vertices: probe it from the ball instead. The reference view
+      // exposes no ball and always scans, which keeps the two kernels two
+      // independent enumerations.
+      if constexpr (requires { dv.order(); }) {
+        const std::span<const Vertex> ball = dv.order();
+        if (static_cast<std::size_t>(g.degree(uj)) >
+            kBallProbeRatio * ball.size()) {
+          for (const Vertex x : ball) {
+            const EdgeId e = g.find_edge(x, uj);
+            if (e != kInvalidEdge) offer(best, uj, x, e);
+          }
+          probes += static_cast<std::int64_t>(ball.size());
+          continue;
         }
-        if (!best.valid() || cand.better_than(best)) best = cand;
       }
+      for (const Arc& a : g.neighbors(uj)) offer(best, uj, a.to, a.edge);
+      arcs += g.degree(uj);
     }
+    path_arcs.fetch_add(arcs, std::memory_order_relaxed);
+    ball_probes.fetch_add(probes, std::memory_order_relaxed);
 
     // Positions ascending for the deterministic pair order (classification
     // already filtered the covered / disconnecting ones).
@@ -563,6 +604,8 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   }
   pair_off_ = offsets;
   stats_.pairs_uncovered = static_cast<std::int64_t>(pairs_.size());
+  stats_.detour_path_arcs = path_arcs.load();
+  stats_.detour_ball_probes = ball_probes.load();
   stats_.detour_vertices = static_cast<std::int64_t>(detour_arena_.size());
 }
 

@@ -460,6 +460,11 @@ class FaultReplacementEngine {
     std::int64_t pairs_covered = 0;
     std::int64_t pairs_uncovered = 0;
     std::int64_t detour_vertices = 0;  // arena size
+    // Divergence-candidate work (deterministic): adjacency arcs of path
+    // vertices u_j scanned, and find_edge probes from off-path ball
+    // vertices toward a high-degree u_j.
+    std::int64_t detour_path_arcs = 0;
+    std::int64_t detour_ball_probes = 0;
     double seconds_dist_tables = 0;
     double seconds_detours = 0;
   };

@@ -163,7 +163,9 @@ class CanonicalSpScratch {
 
 /// Method-style views over the two canonical-SP realizations, so consumers
 /// (the replacement engines) can share one generic body for the reference
-/// and the scratch-kernel paths.
+/// and the scratch-kernel paths. Only the scratch view exposes its reached
+/// set (order()): the engines probe a capped ball from it, while the
+/// reference path keeps its adjacency scan as the independent enumeration.
 struct CanonicalSpRefView {
   const CanonicalSp* sp;
   bool reachable(Vertex v) const { return sp->reachable(v); }
@@ -192,6 +194,7 @@ struct CanonicalSpScratchView {
   Vertex parent(Vertex v) const { return sp->parent(v); }
   EdgeId parent_edge(Vertex v) const { return sp->parent_edge(v); }
   Vertex first_hop(Vertex v) const { return sp->first_hop(v); }
+  std::span<const Vertex> order() const { return sp->order(); }
 };
 
 /// Fused single-pass canonical ((hops, Σw)-lexicographic) shortest paths,

@@ -20,7 +20,12 @@
 //     literal BFS of the punctured graph, and a table restricted to a
 //     subtree slice agrees with it at every listed terminal;
 //   * vertex-fault replacement tables agree with literal BFS on H \ {x}
-//     exhaustively at small n, and a vertex Session refuses the source.
+//     exhaustively at small n, and a vertex Session refuses the source;
+//   * on an R-MAT hub, where the engines probe high-degree path vertices
+//     from the capped off-path ball, both models (full and restricted on
+//     punctured overlays) still match the reference, and every sampled
+//     pair's divergence point and detour pass an independent canonical-SP
+//     referee of the ESA'13 rule.
 // Failing property cases print their one-command reproduction via
 // FTB_PROPERTY_TRACE.
 #include <gtest/gtest.h>
@@ -75,6 +80,29 @@ void expect_engines_bit_identical(const BfsTree& tree) {
   EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
   EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
   EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
+  // The reference enumeration is the adjacency scan, always.
+  EXPECT_EQ(rs.detour_ball_probes, 0);
+}
+
+/// Asserts that `restricted` emitted exactly `want`, the pairs of `full`
+/// whose terminal it serves, in order: every field and detour vertex.
+template <class Model, class Restricted, class Full>
+void expect_same_pairs(const Restricted& restricted, const Full& full,
+                       const std::vector<typename Model::Pair>& want) {
+  const auto& got = restricted.uncovered_pairs();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].v, want[i].v) << i;
+    ASSERT_EQ(Model::fault_of(got[i]), Model::fault_of(want[i])) << i;
+    ASSERT_EQ(got[i].rep_dist, want[i].rep_dist) << i;
+    ASSERT_EQ(got[i].diverge, want[i].diverge) << i;
+    ASSERT_EQ(got[i].diverge_depth, want[i].diverge_depth) << i;
+    ASSERT_EQ(got[i].last_edge, want[i].last_edge) << i;
+    ASSERT_EQ(got[i].detour_len, want[i].detour_len) << i;
+    const auto fd = full.detour(want[i]);
+    const auto rd = restricted.detour(got[i]);
+    ASSERT_TRUE(std::equal(fd.begin(), fd.end(), rd.begin(), rd.end())) << i;
+  }
 }
 
 /// Every first-failure site of `base` (edge sites, then vertex sites) with
@@ -306,19 +334,8 @@ TEST_P(FaultModelFamilyTest, RestrictedEngineMatchesFullEngineOnTerminals) {
       for (const auto& p : full.uncovered_pairs()) {
         if (tree.is_ancestor_or_equal(top, p.v)) want.push_back(p);
       }
-      const auto& got = restricted.uncovered_pairs();
-      ASSERT_EQ(got.size(), want.size()) << "top=" << top;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].v, want[i].v) << i;
-        ASSERT_EQ(Model::fault_of(got[i]), Model::fault_of(want[i])) << i;
-        ASSERT_EQ(got[i].rep_dist, want[i].rep_dist) << i;
-        ASSERT_EQ(got[i].last_edge, want[i].last_edge) << i;
-        ASSERT_EQ(got[i].diverge, want[i].diverge) << i;
-        const auto fd = full.detour(want[i]);
-        const auto rd = restricted.detour(got[i]);
-        ASSERT_TRUE(std::equal(fd.begin(), fd.end(), rd.begin(), rd.end()))
-            << i;
-      }
+      SCOPED_TRACE(::testing::Message() << "top=" << top);
+      expect_same_pairs<Model>(restricted, full, want);
     };
     run(EdgeFault{});
     run(VertexFault{});
@@ -463,6 +480,169 @@ TEST(PuncturedWorkspace, RebindToRecycledAddressIsFresh) {
     }
   }
   EXPECT_EQ(differing, 0);
+}
+
+// ---- hub path vertices -----------------------------------------------------
+
+/// R-MAT at scale 10: vertex 0 is a hub whose degree is far above
+/// kBallProbeRatio times the capped off-path balls, so every tree path from
+/// source 0 starts at a vertex the engines probe from the ball.
+Graph hub_graph() { return gen::rmat_connected(10, 8 << 10, 3); }
+
+/// The minimum-degree vertex (smallest id among ties): a source whose
+/// paths reach the hub only past the first hop.
+Vertex low_degree_vertex(const Graph& g) {
+  Vertex best = 0;
+  for (Vertex v = 1; v < g.num_vertices(); ++v) {
+    if (g.degree(v) < g.degree(best)) best = v;
+  }
+  return best;
+}
+
+/// Weights in {1, 2}: full (hops, wsum, entry, last_edge) ties between
+/// divergence candidates are common.
+EdgeWeights tie_heavy_weights(const Graph& g, std::uint64_t seed) {
+  EdgeWeights w = EdgeWeights::uniform_random(g, seed);
+  for (std::uint64_t& x : w.w) x = 1 + (x & 1);
+  return w;
+}
+
+/// Independent referee of the divergence rule (Parter–Peleg, ESA'13) on a
+/// sample of `engine`'s pairs: with H_j = G minus the path vertices other
+/// than u_j and v, minus v's tree parent edge and the ambient failure, a
+/// two-pass canonical_sp from u_j must miss rd − j for every j < j*, and
+/// from u_{j*} must reach v in exactly the stored detour's hops and weight
+/// (and along the stored detour itself when weights are distinct).
+template <class Engine>
+void expect_canonical_detours(const Engine& engine, bool distinct_weights,
+                              EdgeId ambient_edge = kInvalidEdge,
+                              Vertex ambient_vertex = kInvalidVertex) {
+  const BfsTree& tree = engine.tree();
+  const Graph& g = tree.graph();
+  const EdgeWeights& w = tree.weights();
+  const auto& pairs = engine.uncovered_pairs();
+  const std::size_t stride = std::max<std::size_t>(1, pairs.size() / 150);
+  std::vector<std::uint8_t> banned(static_cast<std::size_t>(g.num_vertices()),
+                                   0);
+  for (std::size_t pi = 0; pi < pairs.size(); pi += stride) {
+    const auto& p = pairs[pi];
+    const std::vector<Vertex> path = tree.path_from_source(p.v);
+    // u_0 .. u_{k-1}; v = u_k stays admissible.
+    const auto mark_path = [&](std::uint8_t bit) {
+      for (std::size_t j = 0; j + 1 < path.size(); ++j) {
+        banned[static_cast<std::size_t>(path[j])] = bit;
+      }
+    };
+    mark_path(1);
+    for (std::int32_t j = 0; j <= p.diverge_depth; ++j) {
+      const Vertex uj = path[static_cast<std::size_t>(j)];
+      banned[static_cast<std::size_t>(uj)] = 0;
+      BfsBans bans;
+      bans.banned_vertex = &banned;
+      bans.banned_edge = tree.parent_edge(p.v);
+      bans.banned_edge2 = ambient_edge;
+      bans.banned_vertex_one = ambient_vertex;
+      const CanonicalSp sp = canonical_sp(g, w, uj, bans);
+      banned[static_cast<std::size_t>(uj)] = 1;
+      const std::int32_t h = sp.hops[static_cast<std::size_t>(p.v)];
+      if (j < p.diverge_depth) {
+        ASSERT_TRUE(h >= kInfHops || j + h > p.rep_dist)
+            << "v=" << p.v << " rd=" << p.rep_dist << " j=" << j;
+        continue;
+      }
+      ASSERT_EQ(h, p.detour_len) << "v=" << p.v << " j*=" << j;
+      const auto det = engine.detour(p);
+      std::uint64_t wsum = 0;
+      for (std::size_t t = 0; t + 1 < det.size(); ++t) {
+        wsum += w[g.find_edge(det[t], det[t + 1])];
+      }
+      ASSERT_EQ(sp.wsum[static_cast<std::size_t>(p.v)], wsum)
+          << "v=" << p.v << " j*=" << j;
+      if (distinct_weights) {
+        const std::vector<Vertex> want = sp.path_from_source(p.v);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), det.begin(),
+                               det.end()))
+            << "v=" << p.v << " j*=" << j;
+      }
+    }
+    mark_path(0);
+  }
+}
+
+TEST(FaultModelHubTest, BallProbeMatchesReferenceOnRmatHub) {
+  const Graph g = hub_graph();
+  const Vertex low = low_degree_vertex(g);
+  for (const bool ties : {false, true}) {
+    const EdgeWeights w = ties ? tie_heavy_weights(g, 42)
+                               : EdgeWeights::uniform_random(g, 42);
+    for (const Vertex source : {Vertex{0}, low}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "source=" << source << " tie_heavy=" << ties);
+      const BfsTree tree(g, w, source);
+      const auto run = [&](auto model_tag) {
+        using Model = decltype(model_tag);
+        expect_engines_bit_identical<Model>(tree);
+        const FaultReplacementEngine<Model> opt(tree);
+        expect_canonical_detours(opt, !ties);
+        // The hub source's u_0 dwarfs every capped ball, so the ball side
+        // enumerates its candidates.
+        if (source == 0) {
+          EXPECT_GT(opt.stats().detour_ball_probes, 0);
+        }
+        EXPECT_GT(opt.stats().detour_path_arcs, 0);
+      };
+      run(EdgeFault{});
+      run(VertexFault{});
+    }
+  }
+}
+
+TEST(FaultModelHubTest, RestrictedPuncturedEnginesMatchFullEngineOnRmatHub) {
+  // The dual build's leg: restricted engines on punctured overlays of the
+  // hub tree, against full engines on the referee's rebased trees.
+  const Graph g = hub_graph();
+  for (const bool ties : {false, true}) {
+    const EdgeWeights w = ties ? tie_heavy_weights(g, 7)
+                               : EdgeWeights::uniform_random(g, 7);
+    const BfsTree base(g, w, 0);
+    const std::vector<PunctureSite> sites = puncture_sites(base);
+    const std::size_t stride = std::max<std::size_t>(1, sites.size() / 24);
+    PuncturedWorkspace ws;
+    ws.bind(base);
+    std::int64_t restricted_probes = 0;
+    for (std::size_t si = 0; si < sites.size(); si += stride) {
+      const PunctureSite& f = sites[si];
+      SCOPED_TRACE(::testing::Message() << "fe=" << f.fe << " fv=" << f.fv
+                                        << " tie_heavy=" << ties);
+      const PuncturedTree& tf = ws.puncture(f.fe, f.fv);
+      const BfsTree full_tree = rebase_punctured_tree(base, f.fe, f.fv);
+      const auto run = [&](auto model_tag) {
+        using Model = decltype(model_tag);
+        typename FaultReplacementEngine<Model>::Config full_cfg;
+        full_cfg.ambient_banned_edge = f.fe;
+        full_cfg.ambient_banned_vertex = f.fv;
+        const FaultReplacementEngine<Model> full(full_tree, full_cfg);
+        if (si % (4 * stride) == 0) {
+          expect_canonical_detours(full, !ties, f.fe, f.fv);
+        }
+        typename FaultReplacementEngine<Model, PuncturedTree>::Config rcfg;
+        rcfg.ambient_banned_edge = f.fe;
+        rcfg.ambient_banned_vertex = f.fv;
+        rcfg.restrict_terminals = base.subtree(f.top);
+        const FaultReplacementEngine<Model, PuncturedTree> restricted(tf,
+                                                                      rcfg);
+        restricted_probes += restricted.stats().detour_ball_probes;
+        std::vector<typename Model::Pair> want;
+        for (const auto& p : full.uncovered_pairs()) {
+          if (base.is_ancestor_or_equal(f.top, p.v)) want.push_back(p);
+        }
+        expect_same_pairs<Model>(restricted, full, want);
+      };
+      run(EdgeFault{});
+      run(VertexFault{});
+    }
+    EXPECT_GT(restricted_probes, 0);
+  }
 }
 
 // ---- vertex-fault serving stack ------------------------------------------

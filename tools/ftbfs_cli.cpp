@@ -329,7 +329,11 @@ int cmd_build(const Options& opt) {
           .set("reinforced_edges", st.reinforced)
           .set("interference_truncated_buckets",
                st.interference_truncated_buckets)
+          .set("detour_path_arcs", st.detour_path_arcs)
+          .set("detour_ball_probes", st.detour_ball_probes)
           .set("seconds_engine", st.seconds_engine)
+          .set("seconds_dist_tables", st.seconds_dist_tables)
+          .set("seconds_detours", st.seconds_detours)
           .set("seconds_interference", st.seconds_interference)
           .set("seconds_s1", st.seconds_s1)
           .set("seconds_s2", st.seconds_s2)
