@@ -103,6 +103,9 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
 
   DualSiteTable table;
   table.sites = enumerate_sites(tree);
+  // Every site engine reads u_0's detour candidates from one index of the
+  // source's arcs, built here once instead of O(n) per engine.
+  const std::vector<EdgeId> source_arcs = source_arc_index(g, tree.source());
 
   // One punctured single-fault build per site. Iterations write disjoint
   // slots; the engines inside parallelize on the same pool (nested
@@ -137,6 +140,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       ec.reference_kernel = vc.reference_kernel = reference_kernel;
       ec.ambient_banned_edge = vc.ambient_banned_edge = fe;
       ec.ambient_banned_vertex = vc.ambient_banned_vertex = fv;
+      ec.source_arcs = vc.source_arcs = source_arcs;
       const FaultReplacementEngine<EdgeFault> ee(tf, ec);
       const FaultReplacementEngine<VertexFault> ve(tf, vc);
       std::vector<EdgeId>& sub = subsets[i];
@@ -181,6 +185,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       ec.reference_kernel = vc.reference_kernel = reference_kernel;
       ec.ambient_banned_edge = vc.ambient_banned_edge = fe;
       ec.ambient_banned_vertex = vc.ambient_banned_vertex = fv;
+      ec.source_arcs = vc.source_arcs = source_arcs;
 
       std::vector<EdgeId>& sub = subsets[i];
       const std::span<const Vertex> affected = tree.subtree(top);

@@ -86,8 +86,8 @@ struct EpsilonStats {
   std::int64_t interference_truncated_buckets = 0;  // max_bucket valve hits
 
   // Phase S0's divergence-candidate work (FaultReplacementEngine::Stats).
-  std::int64_t detour_path_arcs = 0;
-  std::int64_t detour_ball_probes = 0;
+  std::int64_t detour_boundary_arcs = 0;
+  std::int64_t detour_source_probes = 0;
 
   double seconds_engine = 0;
   // The engine's two halves, from its own stats: the replacement-distance

@@ -44,14 +44,6 @@ struct DetourCandidate {
   }
 };
 
-/// A path vertex u_j whose degree exceeds this multiple of the off-path
-/// ball's size is probed from the ball (one find_edge per ball vertex)
-/// instead of having its adjacency scanned. A probe costs tens of arc
-/// scans (a binary search, mostly cache misses), but the path vertices
-/// worth probing are hubs with hundreds of times the ball's size: on an
-/// R-MAT scale-16 graph every ratio from 4 to 64 built within noise.
-constexpr std::size_t kBallProbeRatio = 8;
-
 /// Whether `Tree` materializes every derived array (preorder() included),
 /// as the full engine's site enumeration needs.
 template <class Tree>
@@ -295,6 +287,15 @@ struct VertexPairs {
 
 }  // namespace
 
+std::vector<EdgeId> source_arc_index(const Graph& g, Vertex s) {
+  std::vector<EdgeId> index(static_cast<std::size_t>(g.num_vertices()),
+                            kInvalidEdge);
+  for (const Arc& a : g.neighbors(s)) {
+    index[static_cast<std::size_t>(a.to)] = a.edge;
+  }
+  return index;
+}
+
 template <class Model, class Tree>
 void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const Graph& g = graph();
@@ -310,10 +311,31 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const std::size_t terminal_count = restrict_mode ? restricted.size() : n;
 
   std::vector<VertexPairs<Pair>> per_vertex(terminal_count);
-  // Candidate-work totals (Stats::detour_path_arcs / detour_ball_probes),
-  // added once per processed terminal.
-  std::atomic<std::int64_t> path_arcs{0};
-  std::atomic<std::int64_t> ball_probes{0};
+  // Candidate-work totals (Stats::detour_boundary_arcs /
+  // detour_source_probes), added once per processed terminal.
+  std::atomic<std::int64_t> boundary_arcs{0};
+  std::atomic<std::int64_t> source_probes{0};
+
+  // u_0 = s is the one path vertex every terminal shares: its candidate
+  // edges are read from the source-arc index, one load per ball vertex.
+  // Restricted engines take the index from their caller, so none fills
+  // O(n) per engine.
+  std::vector<EdgeId> own_source_arcs;
+  std::span<const EdgeId> source_arcs = cfg_.source_arcs;
+  if (source_arcs.empty()) {
+    FTB_CHECK_MSG(!restrict_mode,
+                  "a restricted engine needs Config::source_arcs");
+    own_source_arcs = source_arc_index(g, tree().source());
+    source_arcs = own_source_arcs;
+  }
+  FTB_CHECK_MSG(source_arcs.size() == n,
+                "source-arc index size " << source_arcs.size() << " != n="
+                                         << n);
+#ifndef NDEBUG
+  for (const Arc& a : g.neighbors(tree().source())) {
+    FTB_DCHECK(source_arcs[static_cast<std::size_t>(a.to)] == a.edge);
+  }
+#endif
 
   // Pre-classification: covered / infinite tests touch only the phase-1
   // distance tables, so they run before (and usually instead of) the
@@ -359,7 +381,6 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   // implementation.
   auto process = [&](Vertex v, VertexPairs<Pair>& out,
                      const std::vector<Vertex>& path,
-                     const std::vector<std::uint8_t>& banned,
                      const std::vector<std::int32_t>& uncovered_pos,
                      const auto& dv) {
     // detlen(j): cheapest detour from u_j to v through off-path space,
@@ -372,13 +393,14 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     const EdgeId parent_e = tree().parent_edge(v);
     thread_local std::vector<DetourCandidate> det;
     det.assign(static_cast<std::size_t>(jmax) + 1, DetourCandidate{});
-    // Offers the edge e = (uj, x) as a divergence candidate of `best`.
+    // Offers the edge e = (uj, x) as a divergence candidate of `best`. A
+    // path vertex or the ambient vertex is never reached by dv, so the
+    // reachability test keeps x off both.
     const auto offer = [&](DetourCandidate& best, Vertex uj, Vertex x,
                            EdgeId e) {
-      // Punctured-graph mode: the ambient element exists in G's CSR but
-      // not in G', so its arcs are never detour candidates.
+      // Punctured-graph mode: the ambient edge exists in G's CSR but not
+      // in G', so it is never a detour candidate.
       if (e == cfg_.ambient_banned_edge) return;
-      if (x == cfg_.ambient_banned_vertex) return;
       DetourCandidate cand;
       if (x == v) {
         if (e == parent_e) return;  // never a detour edge
@@ -389,7 +411,6 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
         cand.via = v;
         cand.first_edge = e;
       } else {
-        if (banned[static_cast<std::size_t>(x)]) return;  // on path
         if (!dv.reachable(x)) return;
         cand.hops = 1 + dv.hops(x);
         cand.wsum = W[e] + dv.wsum(x);
@@ -403,34 +424,38 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       }
       if (!best.valid() || cand.better_than(best)) best = cand;
     };
-    std::int64_t arcs = 0;
-    std::int64_t probes = 0;
-    for (std::int32_t j = 0; j <= jmax; ++j) {
-      DetourCandidate& best = det[static_cast<std::size_t>(j)];
-      const Vertex uj = path[static_cast<std::size_t>(j)];
-      // The candidate edges join u_j to v's off-path ball, so they can be
-      // found from either side. A hub u_j (the source of a skewed graph)
-      // has thousands of arcs against a capped ball of a few dozen
-      // vertices: probe it from the ball instead. The reference view
-      // exposes no ball and always scans, which keeps the two kernels two
-      // independent enumerations.
-      if constexpr (requires { dv.order(); }) {
-        const std::span<const Vertex> ball = dv.order();
-        if (static_cast<std::size_t>(g.degree(uj)) >
-            kBallProbeRatio * ball.size()) {
-          for (const Vertex x : ball) {
-            const EdgeId e = g.find_edge(x, uj);
-            if (e != kInvalidEdge) offer(best, uj, x, e);
-          }
-          probes += static_cast<std::int64_t>(ball.size());
-          continue;
+    if constexpr (requires { dv.boundary(); }) {
+      // The capped traversal dropped every arc from an expanded ball vertex
+      // into the path: those are u_1..u_jmax's candidates, each offered to
+      // the path position of its banned end (the tree depth; the ambient
+      // vertex is unreachable in the tree and falls out of the range).
+      // Candidates through a last-level ball vertex x are missing, but for
+      // j ≥ 1 they would need j + 1 + hops(x) > max_rd hops, more than any
+      // failing position consumes, and they lose to every shorter one.
+      for (const BoundaryArc& b : dv.boundary()) {
+        const std::int32_t j = tree().depth(b.banned);
+        if (j < 1 || j > jmax) continue;
+        offer(det[static_cast<std::size_t>(j)], b.banned, b.reached, b.edge);
+      }
+      // u_0 = s needs every ball vertex, last level included.
+      const Vertex s = path.front();
+      for (const Vertex x : dv.order()) {
+        const EdgeId e = source_arcs[static_cast<std::size_t>(x)];
+        if (e != kInvalidEdge) offer(det[0], s, x, e);
+      }
+      boundary_arcs.fetch_add(static_cast<std::int64_t>(dv.boundary().size()),
+                              std::memory_order_relaxed);
+      source_probes.fetch_add(static_cast<std::int64_t>(dv.order().size()),
+                              std::memory_order_relaxed);
+    } else {
+      // The reference enumeration: scan every u_j's adjacency.
+      for (std::int32_t j = 0; j <= jmax; ++j) {
+        const Vertex uj = path[static_cast<std::size_t>(j)];
+        for (const Arc& a : g.neighbors(uj)) {
+          offer(det[static_cast<std::size_t>(j)], uj, a.to, a.edge);
         }
       }
-      for (const Arc& a : g.neighbors(uj)) offer(best, uj, a.to, a.edge);
-      arcs += g.degree(uj);
     }
-    path_arcs.fetch_add(arcs, std::memory_order_relaxed);
-    ball_probes.fetch_add(probes, std::memory_order_relaxed);
 
     // Positions ascending for the deterministic pair order (classification
     // already filtered the covered / disconnecting ones).
@@ -523,7 +548,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       const CanonicalSp dv = canonical_sp(g, W, v, bans);
       classify(v, k, out, uncovered_pos);
       if (!uncovered_pos.empty()) {
-        process(v, out, path, banned, uncovered_pos, CanonicalSpRefView{&dv});
+        process(v, out, path, uncovered_pos, CanonicalSpRefView{&dv});
       }
     } else {
       // Detour labels beyond max_rd − 1 hops can never match a failing
@@ -535,8 +560,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       }
       thread_local CanonicalSpScratch sps;
       canonical_sp_run(g, W, v, bans, sps, max_rd - 1);
-      process(v, out, path, banned, uncovered_pos,
-              CanonicalSpScratchView{&sps});
+      process(v, out, path, uncovered_pos, CanonicalSpScratchView{&sps});
     }
 
     // Reset the thread-local mask for the next vertex on this thread.
@@ -604,8 +628,8 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   }
   pair_off_ = offsets;
   stats_.pairs_uncovered = static_cast<std::int64_t>(pairs_.size());
-  stats_.detour_path_arcs = path_arcs.load();
-  stats_.detour_ball_probes = ball_probes.load();
+  stats_.detour_boundary_arcs = boundary_arcs.load();
+  stats_.detour_source_probes = source_probes.load();
   stats_.detour_vertices = static_cast<std::int64_t>(detour_arena_.size());
 }
 

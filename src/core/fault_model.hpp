@@ -383,6 +383,11 @@ template <class Model>
 RowAudit audit_replacement_rows(const BfsTree& tree,
                                 std::span<const std::int32_t> rows);
 
+/// The source-arc index of `s`: n entries, entry x the edge (s, x), or
+/// kInvalidEdge where x is not a neighbour of s. Ambient (punctured) edges
+/// stay in; the engines skip them.
+std::vector<EdgeId> source_arc_index(const Graph& g, Vertex s);
+
 /// The S0 engine, generic over the fault model: a ReplacementTable plus
 /// the covered/uncovered classification of every ⟨v, fault⟩ pair and the
 /// canonical detours of the uncovered ones — the build-time input of
@@ -398,8 +403,10 @@ RowAudit audit_replacement_rows(const BfsTree& tree,
 ///     not destroyed by the fault, with dist_f(u) + 1 = dist_f(v);
 ///   * one canonical BFS from v in the off-path graph
 ///     H_v = G \ (V(π(s,v)) \ {v}) yields, for every divergence candidate
-///     u_j, the best detour length detlen(j) and its canonical last edge;
-///     the divergence point of the pair at position i is u_{j*} with
+///     u_j, the best detour length detlen(j) and its canonical last edge
+///     (u_j's candidate edges are the arcs that BFS drops at the path,
+///     u_0's are read from the source-arc index); the divergence point
+///     of the pair at position i is u_{j*} with
 ///     j* = min{ j ≤ i − kDivergeGap : j + detlen(j) = dist_f(v) }.
 /// Both sweeps are O(n·m) total and run on the thread pool.
 template <class Model, class Tree = BfsTree>
@@ -416,6 +423,13 @@ class FaultReplacementEngine {
     /// the ε algorithm and by replacement_path(); the ESA'13 baselines can
     /// skip them).
     bool collect_detours = true;
+    /// source_arc_index(graph, source) of the tree's graph and source,
+    /// where the engine reads u_0's divergence candidates. A full engine
+    /// builds its own when this is empty; a restricted one must be handed
+    /// one (CheckError otherwise), so that no restricted engine fills O(n):
+    /// the dual build makes one per source for all of its site engines.
+    /// Read during construction only.
+    std::span<const EdgeId> source_arcs = {};
   };
 
   explicit FaultReplacementEngine(const Tree& tree)
@@ -460,11 +474,12 @@ class FaultReplacementEngine {
     std::int64_t pairs_covered = 0;
     std::int64_t pairs_uncovered = 0;
     std::int64_t detour_vertices = 0;  // arena size
-    // Divergence-candidate work (deterministic): adjacency arcs of path
-    // vertices u_j scanned, and find_edge probes from off-path ball
-    // vertices toward a high-degree u_j.
-    std::int64_t detour_path_arcs = 0;
-    std::int64_t detour_ball_probes = 0;
+    // Divergence-candidate work (deterministic): arcs from the capped
+    // off-path balls back into the path (the traversals' boundary), and
+    // source-arc index loads, one per ball vertex, for u_0 = s. Both stay
+    // 0 under the reference kernel, which scans every u_j's adjacency.
+    std::int64_t detour_boundary_arcs = 0;
+    std::int64_t detour_source_probes = 0;
     double seconds_dist_tables = 0;
     double seconds_detours = 0;
   };

@@ -194,6 +194,7 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
     sp.wsum_.resize(n);
     sp.first_hop_.resize(n);
   }
+  sp.boundary_.clear();
 
   s.mark(src, 0, kInvalidVertex, kInvalidEdge);
   sp.wsum_[static_cast<std::size_t>(src)] = 0;
@@ -230,7 +231,10 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
           }
           continue;
         }
-        if (bans.vertex_banned(v)) continue;
+        if (bans.vertex_banned(v)) {
+          sp.boundary_.push_back({v, u, a.edge});
+          continue;
+        }
         s.mark(v, level + 1, u, a.edge);
         sp.wsum_[vi] = wu + weights[a.edge];
         s.order_.push_back(v);

@@ -133,6 +133,17 @@ class BfsScratch {
 void bfs_run(const Graph& g, Vertex src, const BfsBans& bans,
              BfsScratch& scratch, const BfsKernelConfig& cfg = {});
 
+/// An arc canonical_sp_run read and dropped because it enters a banned
+/// vertex: `reached` was expanded (hops < depth_limit), `banned` is the
+/// vertex the ban kept out, `edge` joins them and is not itself banned.
+struct BoundaryArc {
+  Vertex banned;
+  Vertex reached;
+  EdgeId edge;
+
+  bool operator==(const BoundaryArc&) const = default;
+};
+
 /// Reusable arena for canonical_sp_run. Accessors mirror CanonicalSp but
 /// read straight from the arena (wsum/first_hop are valid only where
 /// reachable, exactly like the materialized struct).
@@ -150,6 +161,10 @@ class CanonicalSpScratch {
   }
   /// Reachable vertices: source first, then level by level ascending by id.
   std::span<const Vertex> order() const { return bfs_.order(); }
+  /// Every arc from an expanded vertex into a banned vertex, in expansion
+  /// order (empty when nothing is banned). Vertices at hops == depth_limit
+  /// are reached but not expanded, so their arcs are not listed.
+  std::span<const BoundaryArc> boundary() const { return boundary_; }
 
  private:
   friend void canonical_sp_run(const Graph&, const EdgeWeights&, Vertex,
@@ -159,13 +174,15 @@ class CanonicalSpScratch {
   BfsScratch bfs_;
   std::vector<std::uint64_t> wsum_;
   std::vector<Vertex> first_hop_;
+  std::vector<BoundaryArc> boundary_;
 };
 
 /// Method-style views over the two canonical-SP realizations, so consumers
 /// (the replacement engines) can share one generic body for the reference
 /// and the scratch-kernel paths. Only the scratch view exposes its reached
-/// set (order()): the engines probe a capped ball from it, while the
-/// reference path keeps its adjacency scan as the independent enumeration.
+/// set (order()) and its boundary(): the engines read their detour
+/// candidates off those, while the reference path keeps its adjacency scan
+/// as the independent enumeration.
 struct CanonicalSpRefView {
   const CanonicalSp* sp;
   bool reachable(Vertex v) const { return sp->reachable(v); }
@@ -195,6 +212,7 @@ struct CanonicalSpScratchView {
   EdgeId parent_edge(Vertex v) const { return sp->parent_edge(v); }
   Vertex first_hop(Vertex v) const { return sp->first_hop(v); }
   std::span<const Vertex> order() const { return sp->order(); }
+  std::span<const BoundaryArc> boundary() const { return sp->boundary(); }
 };
 
 /// Fused single-pass canonical ((hops, Σw)-lexicographic) shortest paths,
@@ -206,7 +224,9 @@ struct CanonicalSpScratchView {
 /// vertex with hops ≤ depth_limit; deeper vertices stay unreached. The
 /// replacement engines cap at max_rep_dist − 1 — a detour label beyond that
 /// can never be consumed (any candidate using one would need
-/// j + hops > max_rep_dist, which no failing edge matches).
+/// j + hops > max_rep_dist, which no failing edge matches). The arcs the
+/// vertex bans drop are kept in scratch.boundary(): for an off-path
+/// traversal they are the edges from the ball back to the path.
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& scratch,
                       std::int32_t depth_limit = kInfHops);

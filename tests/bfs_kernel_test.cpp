@@ -1,7 +1,9 @@
 // bfs_kernel_test.cpp — the direction-optimizing kernel, its scratch
 // arenas, and the subtree-seeded replacement sweep must be bit-identical to
 // the naive reference implementations on every input class: random graphs,
-// ban masks, disconnected graphs, and the star/path extremes.
+// ban masks, disconnected graphs, and the star/path extremes. The fused
+// canonical kernel's boundary (the arcs its bans drop) must list exactly
+// the brute-force arcs, at every depth cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
 #include "src/util/rng.hpp"
+#include "tests/property_test_util.hpp"
 #include "tests/referee.hpp"
 #include "tests/test_util.hpp"
 
@@ -220,6 +223,78 @@ TEST(CanonicalKernel, MatchesReferenceUnderBansAndEqualWeights) {
       ASSERT_EQ(scratch.parent_edge(v), ref.parent_edge[vi]) << fc.name;
     }
   }
+}
+
+/// Every arc from a vertex at hops < limit into a banned vertex, edge-banned
+/// arcs excluded, in the kernel's expansion order: `ref.order` (level by
+/// level, ascending id), each vertex's arcs in adjacency order.
+std::vector<BoundaryArc> brute_force_boundary(const Graph& g,
+                                              const CanonicalSp& ref,
+                                              const BfsBans& bans,
+                                              std::int32_t limit) {
+  std::vector<BoundaryArc> out;
+  for (const Vertex u : ref.order) {
+    if (ref.hops[static_cast<std::size_t>(u)] >= limit) break;
+    for (const Arc& a : g.neighbors(u)) {
+      if (bans.edge_banned(a.edge) || !bans.vertex_banned(a.to)) continue;
+      out.push_back({a.to, u, a.edge});
+    }
+  }
+  return out;
+}
+
+TEST(CanonicalKernel, BoundaryListsEveryArcIntoTheBans) {
+  Rng rng(2024);
+  std::size_t listed = 0;
+  for (const auto& pc : test::property_cases(40, 2)) {
+    FTB_PROPERTY_TRACE(pc, "bfs_kernel_test");
+    const Graph& g = pc.graph;
+    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+    const std::size_t m = static_cast<std::size_t>(g.num_edges());
+    const EdgeWeights w = EdgeWeights::uniform_random(g, 77);
+    CanonicalSpScratch scratch;  // one arena for every run of the case
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::uint8_t> vmask(n, 0);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (static_cast<Vertex>(v) != pc.source) {
+          vmask[v] = rng.next_below(4) == 0;
+        }
+      }
+      // The last round also bans edges, some of them into banned vertices.
+      std::vector<std::uint8_t> emask(m, 0);
+      if (round == 2) {
+        for (std::size_t e = 0; e < m; ++e) emask[e] = rng.next_below(3) == 0;
+      }
+      BfsBans bans;
+      bans.banned_vertex = &vmask;
+      bans.banned_edge_mask = &emask;
+      const CanonicalSp ref = canonical_sp(g, w, pc.source, bans);
+      for (const std::int32_t limit : {0, 1, 2, 3, kInfHops}) {
+        canonical_sp_run(g, w, pc.source, bans, scratch, limit);
+        const std::vector<BoundaryArc> want =
+            brute_force_boundary(g, ref, bans, limit);
+        const auto got = scratch.boundary();
+        listed += got.size();
+        ASSERT_EQ(got.size(), want.size())
+            << pc.name() << " round=" << round << " limit=" << limit;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << pc.name() << " round=" << round
+                                     << " limit=" << limit << " i=" << i;
+        }
+      }
+    }
+    // Nothing banned, or edges only: nothing listed, and nothing left over
+    // from the banned runs on the same arena.
+    canonical_sp_run(g, w, pc.source, {}, scratch);
+    EXPECT_TRUE(scratch.boundary().empty()) << pc.name();
+    if (m > 0) {
+      BfsBans edge_only;
+      edge_only.banned_edge = 0;
+      canonical_sp_run(g, w, pc.source, edge_only, scratch);
+      EXPECT_TRUE(scratch.boundary().empty()) << pc.name();
+    }
+  }
+  EXPECT_GT(listed, 0u);
 }
 
 // ---- subtree-seeded replacement sweep --------------------------------------

@@ -21,11 +21,14 @@
 //     subtree slice agrees with it at every listed terminal;
 //   * vertex-fault replacement tables agree with literal BFS on H \ {x}
 //     exhaustively at small n, and a vertex Session refuses the source;
-//   * on an R-MAT hub, where the engines probe high-degree path vertices
-//     from the capped off-path ball, both models (full and restricted on
-//     punctured overlays) still match the reference, and every sampled
-//     pair's divergence point and detour pass an independent canonical-SP
-//     referee of the ESA'13 rule.
+//   * on an R-MAT hub, where the engines read u_0's candidates from the
+//     source-arc index and the rest off the capped traversal's boundary,
+//     both models (full, and restricted on punctured overlays) still match
+//     the reference, and every sampled pair's divergence point and detour
+//     pass an independent canonical-SP referee of the ESA'13 rule;
+//   * a detour leaving s for the capped ball's unexpanded last level, a
+//     dual site whose ambient edge is a source arc and one whose ambient
+//     vertex borders a terminal come out as the reference has them.
 // Failing property cases print their one-command reproduction via
 // FTB_PROPERTY_TRACE.
 #include <gtest/gtest.h>
@@ -81,7 +84,8 @@ void expect_engines_bit_identical(const BfsTree& tree) {
   EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
   EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
   // The reference enumeration is the adjacency scan, always.
-  EXPECT_EQ(rs.detour_ball_probes, 0);
+  EXPECT_EQ(rs.detour_boundary_arcs, 0);
+  EXPECT_EQ(rs.detour_source_probes, 0);
 }
 
 /// Asserts that `restricted` emitted exactly `want`, the pairs of `full`
@@ -321,6 +325,8 @@ TEST_P(FaultModelFamilyTest, RestrictedEngineMatchesFullEngineOnTerminals) {
   std::vector<Vertex> tops;
   tops.push_back(tree.lower_endpoint(tree.tree_edges().back()));
   tops.push_back(tree.lower_endpoint(tree.tree_edges().front()));
+  const std::vector<EdgeId> source_arcs =
+      source_arc_index(pc.graph, pc.source);
   for (const Vertex top : tops) {
     const std::span<const Vertex> terminals = tree.subtree(top);
     const auto run = [&](auto model_tag) {
@@ -328,6 +334,7 @@ TEST_P(FaultModelFamilyTest, RestrictedEngineMatchesFullEngineOnTerminals) {
       typename FaultReplacementEngine<Model>::Config full_cfg, rcfg;
       const FaultReplacementEngine<Model> full(tree, full_cfg);
       rcfg.restrict_terminals = terminals;
+      rcfg.source_arcs = source_arcs;
       const FaultReplacementEngine<Model> restricted(tree, rcfg);
       // Expected: the full engine's pairs whose terminal lies in the span.
       std::vector<typename Model::Pair> want;
@@ -484,9 +491,9 @@ TEST(PuncturedWorkspace, RebindToRecycledAddressIsFresh) {
 
 // ---- hub path vertices -----------------------------------------------------
 
-/// R-MAT at scale 10: vertex 0 is a hub whose degree is far above
-/// kBallProbeRatio times the capped off-path balls, so every tree path from
-/// source 0 starts at a vertex the engines probe from the ball.
+/// R-MAT at scale 10: vertex 0 is a hub whose degree dwarfs the capped
+/// off-path balls, so every tree path from source 0 starts at a vertex
+/// whose candidates come from the source-arc index, not its adjacency.
 Graph hub_graph() { return gen::rmat_connected(10, 8 << 10, 3); }
 
 /// The minimum-degree vertex (smallest id among ties): a source whose
@@ -569,7 +576,7 @@ void expect_canonical_detours(const Engine& engine, bool distinct_weights,
   }
 }
 
-TEST(FaultModelHubTest, BallProbeMatchesReferenceOnRmatHub) {
+TEST(FaultModelHubTest, BoundaryCandidatesMatchReferenceOnRmatHub) {
   const Graph g = hub_graph();
   const Vertex low = low_degree_vertex(g);
   for (const bool ties : {false, true}) {
@@ -584,12 +591,11 @@ TEST(FaultModelHubTest, BallProbeMatchesReferenceOnRmatHub) {
         expect_engines_bit_identical<Model>(tree);
         const FaultReplacementEngine<Model> opt(tree);
         expect_canonical_detours(opt, !ties);
-        // The hub source's u_0 dwarfs every capped ball, so the ball side
-        // enumerates its candidates.
-        if (source == 0) {
-          EXPECT_GT(opt.stats().detour_ball_probes, 0);
-        }
-        EXPECT_GT(opt.stats().detour_path_arcs, 0);
+        // Production reads u_1.. off the traversals' boundary and u_0 from
+        // the source-arc index (the reference engine does neither; see
+        // expect_engines_bit_identical).
+        EXPECT_GT(opt.stats().detour_boundary_arcs, 0);
+        EXPECT_GT(opt.stats().detour_source_probes, 0);
       };
       run(EdgeFault{});
       run(VertexFault{});
@@ -597,10 +603,25 @@ TEST(FaultModelHubTest, BallProbeMatchesReferenceOnRmatHub) {
   }
 }
 
+/// Asserts that `restricted`, a production engine built on the overlay
+/// `tf` with `cfg`, emits exactly the pairs of a reference-kernel engine
+/// built with the same config.
+template <class Model>
+void expect_matches_reference(
+    const FaultReplacementEngine<Model, PuncturedTree>& restricted,
+    const PuncturedTree& tf,
+    typename FaultReplacementEngine<Model, PuncturedTree>::Config cfg) {
+  cfg.reference_kernel = true;
+  const FaultReplacementEngine<Model, PuncturedTree> ref(tf, cfg);
+  expect_same_pairs<Model>(restricted, ref, ref.uncovered_pairs());
+}
+
 TEST(FaultModelHubTest, RestrictedPuncturedEnginesMatchFullEngineOnRmatHub) {
   // The dual build's leg: restricted engines on punctured overlays of the
-  // hub tree, against full engines on the referee's rebased trees.
+  // hub tree, against full engines on the referee's rebased trees and
+  // against restricted reference-kernel engines on the same overlays.
   const Graph g = hub_graph();
+  const std::vector<EdgeId> source_arcs = source_arc_index(g, 0);
   for (const bool ties : {false, true}) {
     const EdgeWeights w = ties ? tie_heavy_weights(g, 7)
                                : EdgeWeights::uniform_random(g, 7);
@@ -609,7 +630,7 @@ TEST(FaultModelHubTest, RestrictedPuncturedEnginesMatchFullEngineOnRmatHub) {
     const std::size_t stride = std::max<std::size_t>(1, sites.size() / 24);
     PuncturedWorkspace ws;
     ws.bind(base);
-    std::int64_t restricted_probes = 0;
+    std::int64_t restricted_boundary = 0;
     for (std::size_t si = 0; si < sites.size(); si += stride) {
       const PunctureSite& f = sites[si];
       SCOPED_TRACE(::testing::Message() << "fe=" << f.fe << " fv=" << f.fv
@@ -629,20 +650,186 @@ TEST(FaultModelHubTest, RestrictedPuncturedEnginesMatchFullEngineOnRmatHub) {
         rcfg.ambient_banned_edge = f.fe;
         rcfg.ambient_banned_vertex = f.fv;
         rcfg.restrict_terminals = base.subtree(f.top);
+        rcfg.source_arcs = source_arcs;
         const FaultReplacementEngine<Model, PuncturedTree> restricted(tf,
                                                                       rcfg);
-        restricted_probes += restricted.stats().detour_ball_probes;
+        restricted_boundary += restricted.stats().detour_boundary_arcs;
         std::vector<typename Model::Pair> want;
         for (const auto& p : full.uncovered_pairs()) {
           if (base.is_ancestor_or_equal(f.top, p.v)) want.push_back(p);
         }
         expect_same_pairs<Model>(restricted, full, want);
+        expect_matches_reference<Model>(restricted, tf, rcfg);
       };
       run(EdgeFault{});
       run(VertexFault{});
     }
-    EXPECT_GT(restricted_probes, 0);
+    EXPECT_GT(restricted_boundary, 0);
   }
+}
+
+TEST(FaultModelHubTest, RestrictedEngineNeedsSourceArcIndex) {
+  // A restricted engine never fills an O(n) index of its own.
+  const Graph g = hub_graph();
+  const BfsTree tree(g, EdgeWeights::uniform_random(g, 3), 0);
+  ReplacementPathEngine::Config cfg;
+  cfg.restrict_terminals = tree.subtree(tree.preorder()[1]);
+  EXPECT_THROW(ReplacementPathEngine(tree, cfg), CheckError);
+  const std::vector<EdgeId> short_index(8, kInvalidEdge);
+  cfg.source_arcs = short_index;
+  EXPECT_THROW(ReplacementPathEngine(tree, cfg), CheckError);
+}
+
+// ---- candidates the boundary alone would get wrong -----------------------
+
+/// Equal weights: canonical ties fall to the smaller parent id.
+EdgeWeights unit_weights(const Graph& g) {
+  EdgeWeights w;
+  w.w.assign(static_cast<std::size_t>(g.num_edges()), 1);
+  return w;
+}
+
+Graph graph_of(Vertex n, std::initializer_list<std::pair<Vertex, Vertex>> es) {
+  GraphBuilder b(n);
+  for (const auto& [u, x] : es) b.add_edge(u, x);
+  return b.build();
+}
+
+TEST(DetourCandidateTest, SourceEdgeIntoLastLevelIsTheOnlyDetour) {
+  // The 7-cycle 0-1-2-3-6-5-4-0 from source 0: π(0, 3) = 0-1-2-3, and
+  // every failure on it leaves one replacement path, 0-4-5-6-3. It
+  // diverges at s by the edge (0, 4), off π(0, 3), and 4 sits at hops 3
+  // from 3 in the off-path graph: the last level of the traversal capped
+  // at max_rd − 1 = 3, which is never expanded, so no boundary arc
+  // reaches s from it. Only the source-arc index offers that candidate.
+  const Graph g = graph_of(
+      7, {{0, 1}, {1, 2}, {2, 3}, {3, 6}, {6, 5}, {5, 4}, {4, 0}});
+  const EdgeWeights w = unit_weights(g);
+  const BfsTree tree(g, w, 0);
+  ASSERT_EQ(tree.path_from_source(3), (std::vector<Vertex>{0, 1, 2, 3}));
+
+  std::vector<std::uint8_t> banned(7, 0);
+  banned[0] = banned[1] = banned[2] = 1;
+  BfsBans bans;
+  bans.banned_vertex = &banned;
+  CanonicalSpScratch sp;
+  canonical_sp_run(g, w, 3, bans, sp, 3);
+  ASSERT_EQ(sp.hops(4), 3);
+  for (const BoundaryArc& b : sp.boundary()) EXPECT_NE(b.reached, 4);
+
+  const std::vector<Vertex> want_detour{0, 4, 5, 6, 3};
+  const auto run = [&](auto model_tag) {
+    using Model = decltype(model_tag);
+    expect_engines_bit_identical<Model>(tree);
+    const FaultReplacementEngine<Model> engine(tree);
+    const auto ids = engine.uncovered_of(3);
+    ASSERT_EQ(ids.size(), Model::kClass == FaultClass::kEdge ? 3u : 2u);
+    for (const std::int32_t id : ids) {
+      const auto& p = engine.uncovered_pairs()[static_cast<std::size_t>(id)];
+      EXPECT_EQ(p.rep_dist, 4);
+      EXPECT_EQ(p.diverge, 0);
+      EXPECT_EQ(p.diverge_depth, 0);
+      EXPECT_EQ(p.last_edge, g.find_edge(6, 3));
+      const auto det = engine.detour(p);
+      EXPECT_TRUE(std::equal(det.begin(), det.end(), want_detour.begin(),
+                             want_detour.end()));
+    }
+  };
+  run(EdgeFault{});
+  run(VertexFault{});
+}
+
+TEST(DetourCandidateTest, RestrictedEngineSkipsAmbientSourceArc) {
+  // The dual build's site at the tree edge (0, 1), a source arc: the
+  // source-arc index still lists it, and the engine must not offer it.
+  // T0 from 0 (equal weights): 1, 2, 5 | 3, 4 (under 1), 6 | 7. Without
+  // (0, 1), T_f reaches 4 by 0-5-6-4 and 1 below 4, so for terminal 4
+  // vertex 1 is a ball vertex at hops 1. Every failure on π_f(0, 4) has
+  // the one replacement path 0-2-3-7-4; the ambient arc would offer u_0
+  // a 2-hop candidate through 1 that no position consumes.
+  const Graph g = graph_of(8, {{0, 1}, {1, 4}, {0, 2}, {2, 3}, {3, 7},
+                               {7, 4}, {0, 5}, {5, 6}, {6, 4}});
+  const EdgeWeights w = unit_weights(g);
+  const BfsTree base(g, w, 0);
+  const EdgeId fe = g.find_edge(0, 1);
+  ASSERT_TRUE(base.is_tree_edge(fe));
+  ASSERT_EQ(base.lower_endpoint(fe), 1);
+  const std::vector<EdgeId> source_arcs = source_arc_index(g, 0);
+  ASSERT_EQ(source_arcs[1], fe);
+
+  PuncturedWorkspace ws;
+  ws.bind(base);
+  const PuncturedTree& tf = ws.puncture(fe, kInvalidVertex);
+  ASSERT_EQ(tf.path_from_source(4), (std::vector<Vertex>{0, 5, 6, 4}));
+  ASSERT_EQ(tf.parent(1), 4);
+
+  const std::vector<Vertex> want_detour{0, 2, 3, 7, 4};
+  const auto run = [&](auto model_tag) {
+    using Model = decltype(model_tag);
+    typename FaultReplacementEngine<Model, PuncturedTree>::Config cfg;
+    cfg.ambient_banned_edge = fe;
+    cfg.restrict_terminals = base.subtree(1);
+    cfg.source_arcs = source_arcs;
+    const FaultReplacementEngine<Model, PuncturedTree> engine(tf, cfg);
+    expect_matches_reference<Model>(engine, tf, cfg);
+    std::size_t at_4 = 0;
+    for (const auto& p : engine.uncovered_pairs()) {
+      if (p.v != 4) continue;
+      ++at_4;
+      EXPECT_EQ(p.rep_dist, 4);
+      EXPECT_EQ(p.diverge_depth, 0);
+      const auto det = engine.detour(p);
+      EXPECT_TRUE(std::equal(det.begin(), det.end(), want_detour.begin(),
+                             want_detour.end()));
+    }
+    EXPECT_EQ(at_4, Model::kClass == FaultClass::kEdge ? 3u : 2u);
+  };
+  run(EdgeFault{});
+  run(VertexFault{});
+}
+
+TEST(DetourCandidateTest, RestrictedEngineSkipsAmbientVertex) {
+  // The dual build's site at vertex 1. T0 from 0 (equal weights) has
+  // π(0, 2) = 0-1-2; without 1, T_f has π_f(0, 2) = 0-5-6-2, and every
+  // finite failure on it leaves the one replacement path 0-5-3-4-2,
+  // diverging at u_1 = 5. The traversal from 2 drops the arc (2, 1) into
+  // the ambient vertex; read as a candidate of a path vertex it would
+  // offer a 1-hop detour that masks the real one.
+  const Graph g = graph_of(
+      7, {{0, 1}, {1, 2}, {0, 5}, {5, 6}, {6, 2}, {5, 3}, {3, 4}, {4, 2}});
+  const EdgeWeights w = unit_weights(g);
+  const BfsTree base(g, w, 0);
+  ASSERT_EQ(base.path_from_source(2), (std::vector<Vertex>{0, 1, 2}));
+  const std::vector<EdgeId> source_arcs = source_arc_index(g, 0);
+
+  PuncturedWorkspace ws;
+  ws.bind(base);
+  const PuncturedTree& tf = ws.puncture(kInvalidEdge, 1);
+  ASSERT_EQ(tf.path_from_source(2), (std::vector<Vertex>{0, 5, 6, 2}));
+
+  const std::vector<Vertex> want_detour{5, 3, 4, 2};
+  const auto run = [&](auto model_tag) {
+    using Model = decltype(model_tag);
+    typename FaultReplacementEngine<Model, PuncturedTree>::Config cfg;
+    cfg.ambient_banned_vertex = 1;
+    cfg.restrict_terminals = base.subtree(1);
+    cfg.source_arcs = source_arcs;
+    const FaultReplacementEngine<Model, PuncturedTree> engine(tf, cfg);
+    expect_matches_reference<Model>(engine, tf, cfg);
+    std::size_t at_2 = 0;
+    for (const auto& p : engine.uncovered_pairs()) {
+      if (p.v != 2) continue;
+      ++at_2;
+      EXPECT_EQ(p.rep_dist, 4);
+      EXPECT_EQ(p.diverge_depth, 1);
+      const auto det = engine.detour(p);
+      EXPECT_TRUE(std::equal(det.begin(), det.end(), want_detour.begin(),
+                             want_detour.end()));
+    }
+    EXPECT_EQ(at_2, Model::kClass == FaultClass::kEdge ? 2u : 1u);
+  };
+  run(EdgeFault{});
+  run(VertexFault{});
 }
 
 // ---- vertex-fault serving stack ------------------------------------------

@@ -329,8 +329,8 @@ int cmd_build(const Options& opt) {
           .set("reinforced_edges", st.reinforced)
           .set("interference_truncated_buckets",
                st.interference_truncated_buckets)
-          .set("detour_path_arcs", st.detour_path_arcs)
-          .set("detour_ball_probes", st.detour_ball_probes)
+          .set("detour_boundary_arcs", st.detour_boundary_arcs)
+          .set("detour_source_probes", st.detour_source_probes)
           .set("seconds_engine", st.seconds_engine)
           .set("seconds_dist_tables", st.seconds_dist_tables)
           .set("seconds_detours", st.seconds_detours)
