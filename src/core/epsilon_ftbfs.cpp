@@ -161,6 +161,7 @@ EpsilonResult build_epsilon_ftbfs(const ReplacementPathEngine& engine,
   st.pairs_total = engine.stats().pairs_total;
   st.pairs_covered = engine.stats().pairs_covered;
   st.pairs_uncovered = engine.stats().pairs_uncovered;
+  st.detour_traversal_arcs = engine.stats().detour_traversal_arcs;
   st.detour_boundary_arcs = engine.stats().detour_boundary_arcs;
   st.detour_source_probes = engine.stats().detour_source_probes;
   st.seconds_dist_tables = engine.stats().seconds_dist_tables;

@@ -85,7 +85,8 @@ struct EpsilonStats {
 
   std::int64_t interference_truncated_buckets = 0;  // max_bucket valve hits
 
-  // Phase S0's divergence-candidate work (FaultReplacementEngine::Stats).
+  // Phase S0's detour work (FaultReplacementEngine::Stats).
+  std::int64_t detour_traversal_arcs = 0;
   std::int64_t detour_boundary_arcs = 0;
   std::int64_t detour_source_probes = 0;
 

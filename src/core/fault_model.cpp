@@ -28,7 +28,6 @@ struct DetourCandidate {
   Vertex entry = kInvalidVertex;     // last vertex before v
   EdgeId last_edge = kInvalidEdge;   // edge (entry, v)
   Vertex via = kInvalidVertex;       // first off-path vertex (v for direct)
-  EdgeId first_edge = kInvalidEdge;  // edge (u_j, via)
 
   bool valid() const { return hops < kInfHops; }
 
@@ -311,15 +310,18 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   const std::size_t terminal_count = restrict_mode ? restricted.size() : n;
 
   std::vector<VertexPairs<Pair>> per_vertex(terminal_count);
-  // Candidate-work totals (Stats::detour_boundary_arcs /
-  // detour_source_probes), added once per processed terminal.
+  // Detour-work totals (Stats::detour_traversal_arcs /
+  // detour_boundary_arcs / detour_source_probes), added once per processed
+  // terminal.
+  std::atomic<std::int64_t> traversal_arcs{0};
   std::atomic<std::int64_t> boundary_arcs{0};
   std::atomic<std::int64_t> source_probes{0};
 
   // u_0 = s is the one path vertex every terminal shares: its candidate
   // edges are read from the source-arc index, one load per ball vertex.
-  // Restricted engines take the index from their caller, so none fills
-  // O(n) per engine.
+  // The index also filters the capped traversals' last level down to the
+  // source's neighbours. Restricted engines take the index from their
+  // caller, so none fills O(n) per engine.
   std::vector<EdgeId> own_source_arcs;
   std::span<const EdgeId> source_arcs = cfg_.source_arcs;
   if (source_arcs.empty()) {
@@ -409,7 +411,6 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
         cand.entry = uj;
         cand.last_edge = e;
         cand.via = v;
-        cand.first_edge = e;
       } else {
         if (!dv.reachable(x)) return;
         cand.hops = 1 + dv.hops(x);
@@ -420,7 +421,6 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
         cand.entry = dv.first_hop(x);
         cand.last_edge = dv.parent_edge(cand.entry);
         cand.via = x;
-        cand.first_edge = e;
       }
       if (!best.valid() || cand.better_than(best)) best = cand;
     };
@@ -431,18 +431,24 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
       // vertex is unreachable in the tree and falls out of the range).
       // Candidates through a last-level ball vertex x are missing, but for
       // j ≥ 1 they would need j + 1 + hops(x) > max_rd hops, more than any
-      // failing position consumes, and they lose to every shorter one.
+      // failing position consumes, and they lose to every shorter one. The
+      // same bound makes the filtered last level lose nothing: an arc from
+      // hops max_rd − 2 into u_j gives j + max_rd − 1 hops, which only
+      // j = 1 can match, and u_1 is a source neighbour.
       for (const BoundaryArc& b : dv.boundary()) {
         const std::int32_t j = tree().depth(b.banned);
         if (j < 1 || j > jmax) continue;
         offer(det[static_cast<std::size_t>(j)], b.banned, b.reached, b.edge);
       }
-      // u_0 = s needs every ball vertex, last level included.
+      // u_0 = s needs every ball vertex adjacent to it, last level included
+      // (the filter kept exactly those there). That level is in discovery
+      // order; the candidate order is total, so the winner does not move.
       const Vertex s = path.front();
       for (const Vertex x : dv.order()) {
         const EdgeId e = source_arcs[static_cast<std::size_t>(x)];
         if (e != kInvalidEdge) offer(det[0], s, x, e);
       }
+      traversal_arcs.fetch_add(dv.arcs_read(), std::memory_order_relaxed);
       boundary_arcs.fetch_add(static_cast<std::int64_t>(dv.boundary().size()),
                               std::memory_order_relaxed);
       source_probes.fetch_add(static_cast<std::int64_t>(dv.order().size()),
@@ -553,13 +559,14 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
     } else {
       // Detour labels beyond max_rd − 1 hops can never match a failing
       // fault's replacement distance, so the off-path traversal is capped
-      // there (see canonical_sp_run).
+      // there, and its last level keeps only the source's neighbours (see
+      // canonical_sp_run and the candidate loops in process).
       std::int32_t max_rd = 0;
       for (const std::int32_t i : uncovered_pos) {
         max_rd = std::max(max_rd, table_.table_dist(v, i));
       }
       thread_local CanonicalSpScratch sps;
-      canonical_sp_run(g, W, v, bans, sps, max_rd - 1);
+      canonical_sp_run(g, W, v, bans, sps, max_rd - 1, source_arcs);
       process(v, out, path, uncovered_pos, CanonicalSpScratchView{&sps});
     }
 
@@ -628,6 +635,7 @@ void FaultReplacementEngine<Model, Tree>::build_pairs(ThreadPool& pool) {
   }
   pair_off_ = offsets;
   stats_.pairs_uncovered = static_cast<std::int64_t>(pairs_.size());
+  stats_.detour_traversal_arcs = traversal_arcs.load();
   stats_.detour_boundary_arcs = boundary_arcs.load();
   stats_.detour_source_probes = source_probes.load();
   stats_.detour_vertices = static_cast<std::int64_t>(detour_arena_.size());

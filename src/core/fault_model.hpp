@@ -474,10 +474,12 @@ class FaultReplacementEngine {
     std::int64_t pairs_covered = 0;
     std::int64_t pairs_uncovered = 0;
     std::int64_t detour_vertices = 0;  // arena size
-    // Divergence-candidate work (deterministic): arcs from the capped
-    // off-path balls back into the path (the traversals' boundary), and
-    // source-arc index loads, one per ball vertex, for u_0 = s. Both stay
-    // 0 under the reference kernel, which scans every u_j's adjacency.
+    // S0 detour work (deterministic): arcs the capped off-path traversals
+    // read (the degree sum of their expanded vertices), arcs from those
+    // balls back into the path (the traversals' boundary), and source-arc
+    // index loads, one per ball vertex, for u_0 = s. All stay 0 under the
+    // reference kernel, which scans every u_j's adjacency.
+    std::int64_t detour_traversal_arcs = 0;
     std::int64_t detour_boundary_arcs = 0;
     std::int64_t detour_source_probes = 0;
     double seconds_dist_tables = 0;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 namespace ftb {
 
@@ -182,12 +183,16 @@ void bfs_run(const Graph& g, Vertex src, const BfsBans& bans,
 
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& sp,
-                      std::int32_t depth_limit) {
+                      std::int32_t depth_limit,
+                      std::span<const EdgeId> last_level_filter) {
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   FTB_CHECK(g.valid_vertex(src));
   FTB_CHECK_MSG(!bans.vertex_banned(src), "source is banned");
   FTB_CHECK_MSG(weights.w.size() == static_cast<std::size_t>(g.num_edges()),
                 "weight table size mismatch");
+  FTB_CHECK_MSG(last_level_filter.empty() || last_level_filter.size() == n,
+                "last-level filter size " << last_level_filter.size()
+                                          << " != n=" << n);
   BfsScratch& s = sp.bfs_;
   s.prepare(n);
   if (sp.wsum_.size() < n) {
@@ -195,6 +200,7 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
     sp.first_hop_.resize(n);
   }
   sp.boundary_.clear();
+  sp.arcs_read_ = 0;
 
   s.mark(src, 0, kInvalidVertex, kInvalidEdge);
   sp.wsum_[static_cast<std::size_t>(src)] = 0;
@@ -205,21 +211,26 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
   std::size_t level_end = 1;
   std::int32_t level = 0;
 
-  while (level_begin < level_end && level < depth_limit) {
-    ++s.stats_.levels;
-    ++s.stats_.top_down_levels;
-    const std::size_t next_begin = level_end;
-    // Expanding the level-sorted frontier in ascending order makes the
-    // canonical candidates of each next-level vertex arrive with strictly
-    // increasing predecessor id, so keeping the first strict wsum minimum
-    // reproduces the reference (wsum, parent id, edge id) tie-break.
+  // Expanding the level-sorted frontier in ascending order makes the
+  // canonical candidates of each next-level vertex arrive with strictly
+  // increasing predecessor id, so keeping the first strict wsum minimum
+  // reproduces the reference (wsum, parent id, edge id) tie-break. The
+  // filtered expansion drops arcs into filtered-out heads before any other
+  // test, and marks no frontier bit: its level is never expanded, so it
+  // needs no id order.
+  const auto expand = [&](auto filtered) {
     for (std::size_t i = level_begin; i < level_end; ++i) {
       const Vertex u = s.order_[i];
       const std::uint64_t wu = sp.wsum_[static_cast<std::size_t>(u)];
-      for (const Arc& a : g.neighbors(u)) {
-        if (bans.edge_banned(a.edge)) continue;
+      const auto arcs = g.neighbors(u);
+      sp.arcs_read_ += static_cast<std::int64_t>(arcs.size());
+      for (const Arc& a : arcs) {
         const Vertex v = a.to;
         const std::size_t vi = static_cast<std::size_t>(v);
+        if constexpr (filtered) {
+          if (last_level_filter[vi] == kInvalidEdge) continue;
+        }
+        if (bans.edge_banned(a.edge)) continue;
         if (s.visited(v)) {
           if (s.dist_[vi] == level + 1) {
             const std::uint64_t cand = wu + weights[a.edge];
@@ -238,10 +249,21 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
         s.mark(v, level + 1, u, a.edge);
         sp.wsum_[vi] = wu + weights[a.edge];
         s.order_.push_back(v);
-        set_bit(s.front_bits_, v);
+        if constexpr (!filtered) set_bit(s.front_bits_, v);
       }
     }
-    s.finalize_level_segment(next_begin, n);
+  };
+
+  while (level_begin < level_end && level < depth_limit) {
+    ++s.stats_.levels;
+    ++s.stats_.top_down_levels;
+    const std::size_t next_begin = level_end;
+    if (!last_level_filter.empty() && level + 1 == depth_limit) {
+      expand(std::true_type{});
+    } else {
+      expand(std::false_type{});
+      s.finalize_level_segment(next_begin, n);
+    }
     // Finalize first_hop once the level's parents can no longer change.
     for (std::size_t i = next_begin; i < s.order_.size(); ++i) {
       const std::size_t vi = static_cast<std::size_t>(s.order_[i]);

@@ -25,7 +25,9 @@
 // on; both directions and the reference implementation produce bit-identical
 // results):
 //   * dist[v]   — hop distance, mode-independent by construction;
-//   * order     — the source, then each level's vertices ascending by id;
+//   * order     — the source, then each level's vertices ascending by id
+//                 (canonical_sp_run with a last-level filter leaves its
+//                 last, unexpanded level in discovery order);
 //   * parent[v] — the minimum-id admissible neighbor of v in the previous
 //                 level, parent_edge[v] the connecting edge. (Top-down
 //                 realizes this by expanding the level-sorted frontier in
@@ -101,7 +103,7 @@ class BfsScratch {
                       const BfsKernelConfig&);
   friend void canonical_sp_run(const Graph&, const EdgeWeights&, Vertex,
                                const BfsBans&, CanonicalSpScratch&,
-                               std::int32_t);
+                               std::int32_t, std::span<const EdgeId>);
   friend class CanonicalSpScratch;
 
   /// Bumps the epoch and (re)sizes the arrays; O(1) steady-state.
@@ -159,22 +161,28 @@ class CanonicalSpScratch {
   Vertex first_hop(Vertex v) const {
     return first_hop_[static_cast<std::size_t>(v)];
   }
-  /// Reachable vertices: source first, then level by level ascending by id.
+  /// Reachable vertices: source first, then level by level ascending by id
+  /// — except a filtered last level (see canonical_sp_run), which is in
+  /// discovery order.
   std::span<const Vertex> order() const { return bfs_.order(); }
   /// Every arc from an expanded vertex into a banned vertex, in expansion
   /// order (empty when nothing is banned). Vertices at hops == depth_limit
-  /// are reached but not expanded, so their arcs are not listed.
+  /// are reached but not expanded, so their arcs are not listed; a
+  /// last-level filter also drops the arcs into filtered-out heads.
   std::span<const BoundaryArc> boundary() const { return boundary_; }
+  /// Arcs the last run read: the degree sum of its expanded vertices.
+  std::int64_t arcs_read() const { return arcs_read_; }
 
  private:
   friend void canonical_sp_run(const Graph&, const EdgeWeights&, Vertex,
                                const BfsBans&, CanonicalSpScratch&,
-                               std::int32_t);
+                               std::int32_t, std::span<const EdgeId>);
 
   BfsScratch bfs_;
   std::vector<std::uint64_t> wsum_;
   std::vector<Vertex> first_hop_;
   std::vector<BoundaryArc> boundary_;
+  std::int64_t arcs_read_ = 0;
 };
 
 /// Method-style views over the two canonical-SP realizations, so consumers
@@ -213,6 +221,7 @@ struct CanonicalSpScratchView {
   Vertex first_hop(Vertex v) const { return sp->first_hop(v); }
   std::span<const Vertex> order() const { return sp->order(); }
   std::span<const BoundaryArc> boundary() const { return sp->boundary(); }
+  std::int64_t arcs_read() const { return sp->arcs_read(); }
 };
 
 /// Fused single-pass canonical ((hops, Σw)-lexicographic) shortest paths,
@@ -227,9 +236,19 @@ struct CanonicalSpScratchView {
 /// j + hops > max_rep_dist, which no failing edge matches). The arcs the
 /// vertex bans drop are kept in scratch.boundary(): for an off-path
 /// traversal they are the edges from the ball back to the path.
+///
+/// `last_level_filter`, when non-empty, has one entry per vertex and
+/// restricts the last level (hops == depth_limit) to the vertices h with
+/// last_level_filter[h] != kInvalidEdge: the expansion out of hops
+/// depth_limit − 1 drops every other arc before its edge, visited and ban
+/// tests, so neither that level nor the boundary lists them. Labels of the
+/// vertices kept are reference-identical; the level stays in discovery
+/// order. The engines pass their source-arc index, since only u_0 = s
+/// reads the last level (FaultReplacementEngine::build_pairs).
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& scratch,
-                      std::int32_t depth_limit = kInfHops);
+                      std::int32_t depth_limit = kInfHops,
+                      std::span<const EdgeId> last_level_filter = {});
 
 /// canonical_sp_run materialized into a CanonicalSp — the label set every
 /// BfsTree is built from, field for field equal to canonical_sp(), the

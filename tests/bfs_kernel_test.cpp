@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/dist_sweep.hpp"
@@ -227,20 +229,54 @@ TEST(CanonicalKernel, MatchesReferenceUnderBansAndEqualWeights) {
 
 /// Every arc from a vertex at hops < limit into a banned vertex, edge-banned
 /// arcs excluded, in the kernel's expansion order: `ref.order` (level by
-/// level, ascending id), each vertex's arcs in adjacency order.
-std::vector<BoundaryArc> brute_force_boundary(const Graph& g,
-                                              const CanonicalSp& ref,
-                                              const BfsBans& bans,
-                                              std::int32_t limit) {
+/// level, ascending id), each vertex's arcs in adjacency order. A non-empty
+/// `filter` also drops the arcs from hops limit − 1 into heads h with
+/// filter[h] == kInvalidEdge.
+std::vector<BoundaryArc> brute_force_boundary(
+    const Graph& g, const CanonicalSp& ref, const BfsBans& bans,
+    std::int32_t limit, std::span<const EdgeId> filter = {}) {
   std::vector<BoundaryArc> out;
   for (const Vertex u : ref.order) {
-    if (ref.hops[static_cast<std::size_t>(u)] >= limit) break;
+    const std::int32_t hu = ref.hops[static_cast<std::size_t>(u)];
+    if (hu >= limit) break;
     for (const Arc& a : g.neighbors(u)) {
       if (bans.edge_banned(a.edge) || !bans.vertex_banned(a.to)) continue;
+      if (!filter.empty() && hu + 1 == limit &&
+          filter[static_cast<std::size_t>(a.to)] == kInvalidEdge) {
+        continue;
+      }
       out.push_back({a.to, u, a.edge});
     }
   }
   return out;
+}
+
+/// The scratch's labels of `v` equal the reference's.
+void expect_labels_match(const CanonicalSpScratch& got, const CanonicalSp& ref,
+                         Vertex v, const std::string& label) {
+  const std::size_t vi = static_cast<std::size_t>(v);
+  ASSERT_TRUE(got.reachable(v)) << label << " v=" << v;
+  ASSERT_EQ(got.hops(v), ref.hops[vi]) << label << " v=" << v;
+  ASSERT_EQ(got.wsum(v), ref.wsum[vi]) << label << " v=" << v;
+  ASSERT_EQ(got.parent(v), ref.parent[vi]) << label << " v=" << v;
+  ASSERT_EQ(got.parent_edge(v), ref.parent_edge[vi]) << label << " v=" << v;
+  ASSERT_EQ(got.first_hop(v), ref.first_hop[vi]) << label << " v=" << v;
+}
+
+/// An unfiltered run equals the two-pass reference up to `limit`: order,
+/// labels, nothing deeper reached.
+void expect_run_matches_reference(const CanonicalSpScratch& got,
+                                  const CanonicalSp& ref, std::int32_t limit,
+                                  const std::string& label) {
+  std::vector<Vertex> want;
+  for (const Vertex v : ref.order) {
+    if (ref.hops[static_cast<std::size_t>(v)] <= limit) want.push_back(v);
+  }
+  ASSERT_EQ(got.order().size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.order()[i], want[i]) << label << " i=" << i;
+    expect_labels_match(got, ref, want[i], label);
+  }
 }
 
 TEST(CanonicalKernel, BoundaryListsEveryArcIntoTheBans) {
@@ -295,6 +331,97 @@ TEST(CanonicalKernel, BoundaryListsEveryArcIntoTheBans) {
     }
   }
   EXPECT_GT(listed, 0u);
+}
+
+TEST(CanonicalKernel, LastLevelFilterKeepsOnlyFilteredHeads) {
+  Rng rng(2029);
+  std::size_t kept = 0;
+  std::size_t dropped = 0;
+  for (const auto& pc : test::property_cases(40, 2)) {
+    FTB_PROPERTY_TRACE(pc, "bfs_kernel_test");
+    const Graph& g = pc.graph;
+    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+    const std::size_t m = static_cast<std::size_t>(g.num_edges());
+    const EdgeWeights w = EdgeWeights::uniform_random(g, 91);
+    CanonicalSpScratch scratch;  // one arena for every run of the case
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::uint8_t> vmask(n, 0);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (static_cast<Vertex>(v) != pc.source) {
+          vmask[v] = rng.next_below(4) == 0;
+        }
+      }
+      std::vector<std::uint8_t> emask(m, 0);
+      if (round > 0) {
+        for (std::size_t e = 0; e < m; ++e) emask[e] = rng.next_below(4) == 0;
+      }
+      // Any valid entry keeps its vertex; the value itself is not read.
+      std::vector<EdgeId> filter(n, kInvalidEdge);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (rng.next_below(3) == 0) filter[v] = 0;
+      }
+      BfsBans bans;
+      bans.banned_vertex = &vmask;
+      bans.banned_edge_mask = &emask;
+      const CanonicalSp ref = canonical_sp(g, w, pc.source, bans);
+      for (const std::int32_t limit : {0, 1, 2, 3, kInfHops}) {
+        const std::string label = pc.name() + " round=" +
+                                  std::to_string(round) +
+                                  " limit=" + std::to_string(limit);
+        canonical_sp_run(g, w, pc.source, bans, scratch, limit, filter);
+        const auto order = scratch.order();
+        // Levels below the limit (and the source, at any limit): the
+        // reference's order and labels.
+        std::size_t i = 0;
+        for (const Vertex v : ref.order) {
+          if (ref.hops[static_cast<std::size_t>(v)] >= limit && i > 0) break;
+          ASSERT_LT(i, order.size()) << label;
+          ASSERT_EQ(order[i], v) << label << " i=" << i;
+          expect_labels_match(scratch, ref, v, label);
+          ++i;
+        }
+        // The last level, as a set: the filtered reference level (none
+        // without a limit).
+        std::vector<Vertex> last(order.begin() + static_cast<std::ptrdiff_t>(i),
+                                 order.end());
+        std::sort(last.begin(), last.end());
+        std::vector<Vertex> want_last;
+        for (Vertex v = 0; v < static_cast<Vertex>(n); ++v) {
+          const std::size_t vi = static_cast<std::size_t>(v);
+          if (v == pc.source || limit == kInfHops || ref.hops[vi] != limit) {
+            continue;
+          }
+          if (filter[vi] == kInvalidEdge) {
+            ASSERT_FALSE(scratch.reachable(v)) << label << " v=" << v;
+            ++dropped;
+          } else {
+            want_last.push_back(v);
+          }
+        }
+        kept += want_last.size();
+        ASSERT_EQ(last, want_last) << label;
+        for (const Vertex v : last) expect_labels_match(scratch, ref, v, label);
+
+        const std::vector<BoundaryArc> want =
+            brute_force_boundary(g, ref, bans, limit, filter);
+        const auto got = scratch.boundary();
+        ASSERT_EQ(got.size(), want.size()) << label;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          ASSERT_EQ(got[k], want[k]) << label << " k=" << k;
+        }
+      }
+      // The filtered runs leave no frontier bit behind: unfiltered runs on
+      // the same arena still match the reference, level order included.
+      canonical_sp_run(g, w, pc.source, bans, scratch);
+      expect_run_matches_reference(scratch, ref, kInfHops,
+                                   pc.name() + " unfiltered");
+      canonical_sp_run(g, w, pc.source, bans, scratch, 2);
+      expect_run_matches_reference(scratch, ref, 2,
+                                   pc.name() + " unfiltered limit=2");
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, 0u);
 }
 
 // ---- subtree-seeded replacement sweep --------------------------------------

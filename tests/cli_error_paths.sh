@@ -181,7 +181,7 @@ fi
 before=$fails
 for key in seconds_engine seconds_dist_tables seconds_detours \
   seconds_interference seconds_s1 seconds_s2 interference_truncated_buckets \
-  detour_boundary_arcs detour_source_probes; do
+  detour_traversal_arcs detour_boundary_arcs detour_source_probes; do
   if ! grep -q "\"$key\"" "$TMP/build.json"; then
     echo "FAIL(build_json_phase_split): per_source row lacks $key"
     fails=$((fails + 1))

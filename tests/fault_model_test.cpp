@@ -84,6 +84,7 @@ void expect_engines_bit_identical(const BfsTree& tree) {
   EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
   EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
   // The reference enumeration is the adjacency scan, always.
+  EXPECT_EQ(rs.detour_traversal_arcs, 0);
   EXPECT_EQ(rs.detour_boundary_arcs, 0);
   EXPECT_EQ(rs.detour_source_probes, 0);
 }
@@ -594,6 +595,7 @@ TEST(FaultModelHubTest, BoundaryCandidatesMatchReferenceOnRmatHub) {
         // Production reads u_1.. off the traversals' boundary and u_0 from
         // the source-arc index (the reference engine does neither; see
         // expect_engines_bit_identical).
+        EXPECT_GT(opt.stats().detour_traversal_arcs, 0);
         EXPECT_GT(opt.stats().detour_boundary_arcs, 0);
         EXPECT_GT(opt.stats().detour_source_probes, 0);
       };

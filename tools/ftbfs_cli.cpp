@@ -329,6 +329,7 @@ int cmd_build(const Options& opt) {
           .set("reinforced_edges", st.reinforced)
           .set("interference_truncated_buckets",
                st.interference_truncated_buckets)
+          .set("detour_traversal_arcs", st.detour_traversal_arcs)
           .set("detour_boundary_arcs", st.detour_boundary_arcs)
           .set("detour_source_probes", st.detour_source_probes)
           .set("seconds_engine", st.seconds_engine)
