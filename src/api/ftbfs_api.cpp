@@ -216,6 +216,9 @@ struct Session::Impl {
   // immutable after construction.
   std::vector<ReplacementTable<EdgeFault>> edge_tables;
   std::vector<ReplacementTable<VertexFault>> vertex_tables;
+  // The inline lookup of each table above, aligned with it.
+  std::vector<TableReader<EdgeFault>> edge_readers;
+  std::vector<TableReader<VertexFault>> vertex_readers;
   // Dual-failure serving state, one entry per source (kDual only): the
   // first-failure pair tables and the oracle classifying/answering pairs.
   std::vector<DualSiteTable> dual_tables;
@@ -286,12 +289,14 @@ struct Session::Impl {
       cfg.pool = pool;
       edge_tables.reserve(trees.size());
       for (const BfsTree& t : trees) edge_tables.emplace_back(t, cfg);
+      for (const auto& tbl : edge_tables) edge_readers.emplace_back(tbl);
     }
     if (covers_vertex) {
       ReplacementTable<VertexFault>::Config cfg;
       cfg.pool = pool;
       vertex_tables.reserve(trees.size());
       for (const BfsTree& t : trees) vertex_tables.emplace_back(t, cfg);
+      for (const auto& tbl : vertex_tables) vertex_readers.emplace_back(tbl);
     }
     if (model == FaultClass::kDual) {
       // Pair tables: artifact-provided (v4), or rebuilt deterministically
@@ -381,9 +386,9 @@ struct Session::Impl {
   std::int32_t in_model_dist(const Query& q) const {
     const auto si = static_cast<std::size_t>(q.source_index);
     if (q.kind == FaultClass::kEdge) {
-      return edge_tables[si].replacement_dist(q.v, q.fault);
+      return edge_readers[si].dist(q.v, q.fault);
     }
-    return vertex_tables[si].replacement_dist(q.v, q.fault);
+    return vertex_readers[si].dist(q.v, q.fault);
   }
 
   /// The T0 preorder slice whose depths a failure can change: the
@@ -657,14 +662,16 @@ QueryResponse Session::query(QueryBatch batch,
   const bool oracle_pairs = im.has_site_dist();
 
   // One pass on the calling thread over a pooled scratch (zero per-batch
-  // allocation once the high-water marks are warm): validate (throws
-  // before any traversal runs), classify, write every O(1) answer, and
-  // group every traversal-shaped query — what-ifs and non-oracle in-model
-  // pairs — by (source, normalized fault[, fault2]) so each distinct
-  // failure (pair) is traversed at most once. The scratch is leased
-  // LAZILY: a batch whose every answer is O(1) — the high-QPS steady
-  // state — pays for the response vector and nothing else, so small
-  // batches stay ahead of a bare query_one loop.
+  // allocation once the high-water marks are warm). A well-formed
+  // single-fault query the session's model covers is answered inline,
+  // against limits read once per batch. Every other query takes one
+  // out-of-line step: validate (throws before any traversal runs),
+  // classify, write its O(1) answer or group it — what-ifs and non-oracle
+  // in-model pairs — by (source, normalized fault[, fault2]) so each
+  // distinct failure (pair) is traversed at most once. The scratch is
+  // leased LAZILY: a batch whose every answer is O(1) — the high-QPS
+  // steady state — pays for the response vector and nothing else, so
+  // small batches stay ahead of a bare query_one loop.
   std::optional<PoolLease<BatchScratch>> scratch;
   BatchScratch* scp = nullptr;
   const auto key_of = [](const Query& q) {
@@ -685,11 +692,12 @@ QueryResponse Session::query(QueryBatch batch,
     scp->groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
   };
   std::int64_t n_in_model = 0, n_what_if = 0, n_refused = 0, n_degraded = 0;
-  // Held in a register across the table reads, which the compiler cannot
-  // see through (reloading resp.results.data() per query is measurable).
+  // Held in a register across the out-of-line calls, which the compiler
+  // cannot see through (reloading resp.results.data() per query is
+  // measurable).
   QueryResult* const out = resp.results.data();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Query& q = batch[i];
+  const auto serve_general = [&](std::size_t i, const Query& q)
+                                 __attribute__((noinline)) {
     im.validate_query(q);
     const QueryOutcome outcome = im.classify(q);
     out[i].outcome = outcome;
@@ -717,6 +725,40 @@ QueryResponse Session::query(QueryBatch batch,
       case QueryOutcome::kBudgetExhausted:  // classify never emits this
         break;
     }
+  };
+  // The inline path accepts exactly the queries validate_query passes and
+  // classify calls kInModel without a second fault, so outcomes, counters
+  // and exceptions match serve_general's.
+  const auto n = static_cast<std::uint32_t>(im.g->num_vertices());
+  const auto m = static_cast<std::uint32_t>(im.g->num_edges());
+  const auto sigma = static_cast<std::uint32_t>(im.sources.size());
+  const bool edges_in_model = im.covers_edge();
+  const bool vertices_in_model = im.covers_vertex();
+  const TableReader<EdgeFault>* const edge_rd = im.edge_readers.data();
+  const TableReader<VertexFault>* const vertex_rd = im.vertex_readers.data();
+  const Vertex* const src = im.sources.data();
+  const FtBfsStructure& h = im.structure;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Query& q = batch[i];
+    const auto si = static_cast<std::uint32_t>(q.source_index);
+    const auto fault = static_cast<std::uint32_t>(q.fault);
+    if (q.fault2 < 0 && static_cast<std::uint32_t>(q.v) < n && si < sigma) {
+      if (q.kind == FaultClass::kEdge) {
+        if (edges_in_model && fault < m && !h.is_reinforced(q.fault)) {
+          out[i] = {edge_rd[si].dist(q.v, q.fault), QueryOutcome::kInModel};
+          ++n_in_model;
+          continue;
+        }
+      } else if (q.kind == FaultClass::kVertex) {
+        if (vertices_in_model && fault < n && q.fault != src[si]) {
+          out[i] = {vertex_rd[si].dist(q.v, q.fault),
+                    QueryOutcome::kInModel};
+          ++n_in_model;
+          continue;
+        }
+      }
+    }
+    serve_general(i, q);
   }
 
   if (scp == nullptr || scp->n_groups == 0) {
@@ -908,8 +950,8 @@ FsckReport Session::fsck() const {
         "canonical tree union != deployed tree edges");
 
   // Replacement tables against their trees: one per source and covered
-  // model, each with exactly one row per ⟨v, fault ∈ π(s,v)⟩ and no row
-  // below v's failure-free depth.
+  // model, each with exactly one row per ⟨v, fault ∈ π(s,v)⟩, no row
+  // below v's failure-free depth, and lookup slots that copy the tree.
   const auto audit_tables = [&](const auto& tables, auto model,
                                 bool covered, const char* kind) {
     using Model = decltype(model);
@@ -923,6 +965,8 @@ FsckReport Session::fsck() const {
       audit(rows.count_ok, "replacement-table row count != tree volume" + tag);
       audit(rows.bounds_ok,
             "replacement-table row below depth or above n - 1" + tag);
+      audit(audit_table_slots<Model>(im.trees[i], tables[i].slots()),
+            "replacement-table slots do not match the tree" + tag);
     }
   };
   audit_tables(im.edge_tables, EdgeFault{}, im.covers_edge(), "edge");

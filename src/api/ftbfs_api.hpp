@@ -345,8 +345,8 @@ class Session {
 
   /// Audits the loaded structure and serving state: structure edge-set
   /// relations, per-source tree parent/depth invariants, every
-  /// replacement table's row count and bounds against its tree, dual
-  /// pair-table shape and coverage. Read-only and cheap (no traversals, no table
+  /// replacement table's row count, row bounds and lookup slots against
+  /// its tree, dual pair-table shape and coverage. Read-only and cheap (no traversals, no table
   /// rebuilds); safe to call concurrently with query(). A session that
   /// loaded clean and passes fsck serves kInModel; a degraded one serves
   /// correct answers tagged kDegraded.

@@ -48,6 +48,15 @@ struct DetourCandidate {
 template <class Tree>
 constexpr bool kFullTree = std::is_same_v<Tree, BfsTree>;
 
+/// Row v holds the failures of the positions [kFirstPos, depth(v)) of
+/// π(s,v) — depth(v) rows for edge faults, depth(v)−1 for vertex faults
+/// (the source and the terminal itself never seed a row).
+template <class Model, class Tree>
+std::int32_t row_count(const Tree& tree, Vertex v) {
+  const std::int32_t d = tree.depth(v);
+  return d >= kInfHops ? 0 : std::max<std::int32_t>(0, d - Model::kFirstPos);
+}
+
 }  // namespace
 
 namespace detail {
@@ -179,14 +188,6 @@ void ReplacementTable<Model, Tree>::build_dist_tables(const Config& cfg,
     }
   }
 
-  // Row v holds the failures of the positions [kFirstPos, depth(v)) of
-  // π(s,v) — depth(v) rows for edge faults, depth(v)−1 for vertex faults
-  // (the source and the terminal itself never seed a row).
-  const auto row_count = [&](Vertex v) {
-    const std::int32_t d = tree_->depth(v);
-    return d >= kInfHops ? 0
-                         : std::max<std::int32_t>(0, d - Model::kFirstPos);
-  };
   std::span<const Vertex> sites;
   if (restricted) {
     // Only the restriction's rows are allocated, and only their offsets
@@ -194,19 +195,27 @@ void ReplacementTable<Model, Tree>::build_dist_tables(const Config& cfg,
     std::int64_t total = 0;
     for (const Vertex v : row_vertices) {
       index->row_offset[static_cast<std::size_t>(v)] = total;
-      total += row_count(v);
+      total += row_count<Model>(*tree_, v);
     }
     row_off_ = index->row_offset.data();
     rows_.assign(static_cast<std::size_t>(total), kInfHops);
     sites = sweep_sites;
   } else if constexpr (kFullTree<Tree>) {
-    row_offset_.assign(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      row_offset_[v + 1] = row_count(static_cast<Vertex>(v));
+    // One slot per vertex: the tree fields a lookup reads, and the first
+    // row as a prefix sum of the row counts.
+    slots_.resize(n);
+    std::int64_t total = 0;
+    for (Vertex v = 0; v < static_cast<Vertex>(n); ++v) {
+      slots_[static_cast<std::size_t>(v)] = {
+          tree_->tin(v), tree_->tout(v), tree_->depth(v),
+          static_cast<std::int32_t>(total)};
+      total += row_count<Model>(*tree_, v);
     }
-    for (std::size_t v = 0; v < n; ++v) row_offset_[v + 1] += row_offset_[v];
-    row_off_ = row_offset_.data();
-    rows_.assign(static_cast<std::size_t>(row_offset_[n]), kInfHops);
+    FTB_CHECK_MSG(total <= std::numeric_limits<std::int32_t>::max(),
+                  "a full replacement table of " << total
+                                                 << " rows exceeds the "
+                                                    "slots' int32 row index");
+    rows_.assign(static_cast<std::size_t>(total), kInfHops);
     sites = tree_->preorder();
   }
 
@@ -225,8 +234,7 @@ void ReplacementTable<Model, Tree>::build_dist_tables(const Config& cfg,
     const std::int32_t row = tree_->depth(u) - 1;  // == pos − kFirstPos
     const auto affected = tree_->subtree(u);
     auto row_slot = [&](Vertex v) -> std::int32_t& {
-      return rows_[static_cast<std::size_t>(
-          row_off_[static_cast<std::size_t>(v)] + row)];
+      return rows_[static_cast<std::size_t>(first_row(v) + row)];
     };
     // Vertices without an allocated row (restriction) must not be written.
     const auto has_row = [&](Vertex v) {
@@ -265,6 +273,9 @@ template <class Model, class Tree>
 std::int32_t ReplacementTable<Model, Tree>::replacement_dist(
     Vertex v, FaultId fault) const {
   Model::validate_query(*tree_, fault);
+  if constexpr (kFullTree<Tree>) {
+    if (row_off_ == nullptr) return TableReader<Model>(*this).dist(v, fault);
+  }
   if (!tree_->reachable(v)) return kInfHops;
   if (Model::hits_terminal(v, fault)) return kInfHops;
   if (!Model::on_path(*tree_, fault, v)) {
@@ -725,19 +736,17 @@ template <class Model>
 RowAudit audit_replacement_rows(const BfsTree& tree,
                                 std::span<const std::int32_t> rows) {
   const std::int32_t n = tree.graph().num_vertices();
-  const auto row_count = [&](Vertex v) {
-    const std::int32_t d = tree.depth(v);
-    return d >= kInfHops ? 0 : std::max<std::int32_t>(0, d - Model::kFirstPos);
-  };
   RowAudit audit;
   std::size_t total = 0;
-  for (Vertex v = 0; v < n; ++v) total += static_cast<std::size_t>(row_count(v));
+  for (Vertex v = 0; v < n; ++v) {
+    total += static_cast<std::size_t>(row_count<Model>(tree, v));
+  }
   audit.count_ok = total == rows.size();
   if (!audit.count_ok) return audit;
   std::size_t at = 0;
   for (Vertex v = 0; v < n; ++v) {
     const std::int32_t d = tree.depth(v);
-    for (std::int32_t r = 0; r < row_count(v); ++r, ++at) {
+    for (std::int32_t r = 0; r < row_count<Model>(tree, v); ++r, ++at) {
       const std::int32_t rd = rows[at];
       if (rd != kInfHops && (rd < d || rd > n - 1)) audit.bounds_ok = false;
     }
@@ -745,6 +754,26 @@ RowAudit audit_replacement_rows(const BfsTree& tree,
   return audit;
 }
 
+template <class Model>
+bool audit_table_slots(const BfsTree& tree, std::span<const TableSlot> slots) {
+  const std::int32_t n = tree.graph().num_vertices();
+  if (slots.size() != static_cast<std::size_t>(n)) return false;
+  std::int64_t row = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const TableSlot& s = slots[static_cast<std::size_t>(v)];
+    if (s.tin != tree.tin(v) || s.tout != tree.tout(v) ||
+        s.depth != tree.depth(v) || s.row != row) {
+      return false;
+    }
+    row += row_count<Model>(tree, v);
+  }
+  return true;
+}
+
+template bool audit_table_slots<EdgeFault>(const BfsTree&,
+                                           std::span<const TableSlot>);
+template bool audit_table_slots<VertexFault>(const BfsTree&,
+                                             std::span<const TableSlot>);
 template RowAudit audit_replacement_rows<EdgeFault>(
     const BfsTree&, std::span<const std::int32_t>);
 template RowAudit audit_replacement_rows<VertexFault>(

@@ -252,6 +252,17 @@ struct VertexFault {
   static Vertex sweep_banned_vertex(FaultId f) { return f; }
 };
 
+/// One vertex's lookup record in a full table: the tree fields a lookup
+/// reads (copied from the BfsTree, -1/-1/kInfHops for an unreachable
+/// vertex) and the index of the vertex's first row, so a lookup touches
+/// one 16-byte record per vertex it visits.
+struct TableSlot {
+  std::int32_t tin;
+  std::int32_t tout;
+  std::int32_t depth;
+  std::int32_t row;
+};
+
 /// The replacement-distance rows of one source, generic over the fault
 /// model: dist(s, v, G \ {fault}) for every vertex v below every fault
 /// site, filled by one subtree-seeded sweep per site (dist_sweep.hpp).
@@ -264,8 +275,10 @@ struct VertexFault {
 /// depth(v)) of π(s,v) — depth(v) rows for edge faults, depth(v) − 1 for
 /// vertex faults (the source and the terminal itself never seed a row). A
 /// full table lays them out in vertex-id order (rows() is then the span
-/// audit_replacement_rows checks); a restricted one only for its
-/// terminals and their parents.
+/// audit_replacement_rows checks) and indexes them with one TableSlot per
+/// vertex (at most 2^31 − 1 rows, CheckError otherwise); a restricted one
+/// only for its terminals and their parents, indexed by a leased
+/// per-vertex offset array.
 ///
 /// `Tree` is the tree the table answers for: a BfsTree (every full table,
 /// and restricted ones on a materialized tree), or the dual build's
@@ -330,12 +343,17 @@ class ReplacementTable {
   ///  * fault not on π(s,v)  → dist(s,v,G) (π survives);
   ///  * fault ∈ π(s,v)       → stored table row;
   ///  * disconnected / fault destroys v itself → kInfHops.
-  /// Vertex model only: the source never fails (CheckError).
+  /// Vertex model only: the source never fails (CheckError). A full table
+  /// answers through TableReader, which callers serving many lookups
+  /// should hold themselves (this member is never inlined).
   std::int32_t replacement_dist(Vertex v, FaultId fault) const;
 
   /// Every stored row (Σ_v max(0, depth(v) − kFirstPos) for a full
   /// table, in vertex-id order).
   std::span<const std::int32_t> rows() const { return rows_; }
+  /// A full table's per-vertex slots (n of them, in vertex-id order);
+  /// empty for a restricted table.
+  std::span<const TableSlot> slots() const { return slots_; }
   /// All ⟨v,fault⟩ with fault ∈ π(s,v) — one per stored row.
   std::int64_t pairs_total() const {
     return static_cast<std::int64_t>(rows_.size());
@@ -349,25 +367,89 @@ class ReplacementTable {
 
   void build_dist_tables(const Config& cfg, ThreadPool& pool);
 
+  /// Index of v's first row: its slot in a full table, the leased offset
+  /// in a restricted one.
+  std::int64_t first_row(Vertex v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return row_off_ != nullptr ? row_off_[i] : slots_[i].row;
+  }
   /// Stored row index: the fault at path position i of π(s,v) lives at
-  /// rows_[row_off_[v] + i − Model::kFirstPos].
+  /// rows_[first_row(v) + i − Model::kFirstPos].
   std::int32_t table_dist(Vertex v, std::int32_t pos) const {
-    return rows_[static_cast<std::size_t>(
-        row_off_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
+    return rows_[static_cast<std::size_t>(first_row(v) +
+                                          (pos - Model::kFirstPos))];
   }
 
   const Tree* tree_;
-  // Per-vertex row index: owned by a full table, leased (written only at
-  // the restricted vertices) by a restricted one. row_off_ points at
-  // whichever holds it; a restricted engine keeps its pair offsets in the
-  // same lease.
-  std::vector<std::int64_t> row_offset_;  // full: per vertex, n + 1
+  // Per-vertex row index: the slots of a full table, or the leased
+  // offsets (written only at the restricted vertices) of a restricted one,
+  // which row_off_ then points at; a restricted engine keeps its pair
+  // offsets in the same lease.
+  std::vector<TableSlot> slots_;  // full: per vertex
   std::unique_ptr<detail::RestrictedIndex, detail::RestrictedIndexRelease>
-      index_;                             // restricted
+      index_;                     // restricted
   const std::int64_t* row_off_ = nullptr;
   std::vector<std::int32_t> rows_;
   double seconds_ = 0;
 };
+
+/// The lookup of a full table (a BfsTree without a restriction):
+/// replacement_dist's answer from the table's slots, the tree's
+/// lower-endpoint array and the rows — the slot of v, for an edge fault
+/// its lower endpoint and that endpoint's slot, then one row. It sits
+/// outside ReplacementTable on purpose: the extern template declarations
+/// at the end of this header keep GCC from inlining any member of that
+/// class, so a reader nested inside it stays an out-of-line call. Borrows
+/// the table's storage, so it is valid while the table lives.
+template <class Model>
+class TableReader {
+ public:
+  using FaultId = typename Model::FaultId;
+
+  /// CheckError unless `table` is full.
+  explicit TableReader(const ReplacementTable<Model>& table)
+      : slots_(table.slots().data()),
+        lower_(table.tree().lower_endpoints().data()),
+        rows_(table.rows().data()) {
+    FTB_CHECK_MSG(!table.slots().empty(),
+                  "a TableReader reads full tables only");
+  }
+
+  /// == replacement_dist(v, fault), for any vertex v and any fault in
+  /// range. Vertex model: `fault` must not be the source (unchecked).
+  std::int32_t dist(Vertex v, FaultId fault) const {
+    const TableSlot& sv = slots_[static_cast<std::size_t>(v)];
+    if (sv.depth >= kInfHops) return kInfHops;
+    Vertex site;  // the vertex whose subtree the fault cuts off
+    if constexpr (Model::kClass == FaultClass::kEdge) {
+      site = lower_[static_cast<std::size_t>(fault)];
+      if (site == kInvalidVertex) return sv.depth;  // not a tree edge
+    } else {
+      if (fault == v) return kInfHops;
+      site = fault;
+    }
+    // An unreachable site's interval [-1, -1] holds no reachable vertex.
+    const TableSlot& su = slots_[static_cast<std::size_t>(site)];
+    if (su.tin > sv.tin || sv.tout > su.tout) return sv.depth;  // π survives
+    FTB_DCHECK(su.depth > 0);
+    // Both models' fault at site depth d sits at row d − 1 of v: edge
+    // position d − 1 (kFirstPos 0), vertex position d (kFirstPos 1).
+    return rows_[static_cast<std::size_t>(sv.row + su.depth - 1)];
+  }
+
+ private:
+  const TableSlot* slots_;
+  const Vertex* lower_;
+  const std::int32_t* rows_;
+};
+
+/// Checks a full table's slots against its tree: one per vertex, each
+/// with the tree's tin, tout and depth, and `row` the prefix sum of the
+/// row counts Σ_{u < v} max(0, depth(u) − kFirstPos). Session::fsck runs
+/// it beside audit_replacement_rows, so the copied tree fields cannot
+/// drift from the tree unnoticed.
+template <class Model>
+bool audit_table_slots(const BfsTree& tree, std::span<const TableSlot> slots);
 
 /// Checks a full table's rows against its tree: `count_ok` iff there are
 /// exactly Σ_v max(0, depth(v) − kFirstPos) of them, `bounds_ok` iff every

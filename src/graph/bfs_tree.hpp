@@ -73,6 +73,9 @@ class BfsTree {
   Vertex upper_endpoint(EdgeId e) const {
     return parent(lower_endpoint(e));
   }
+  /// Per EdgeId: the lower endpoint of a tree edge, kInvalidVertex for
+  /// every other edge (the array behind is_tree_edge / lower_endpoint).
+  std::span<const Vertex> lower_endpoints() const { return lower_; }
   /// The paper's dist(s,e): depth of the lower endpoint; the edge
   /// (u_{i}, u_{i+1}) of π(s,v) has edge_depth i+1.
   std::int32_t edge_depth(EdgeId e) const { return depth(lower_endpoint(e)); }
@@ -93,6 +96,8 @@ class BfsTree {
     return is_ancestor_or_equal(b, d) || is_ancestor_or_equal(d, b);
   }
 
+  /// Preorder interval [tin, tout) of v's subtree; both -1 for an
+  /// unreachable vertex.
   std::int32_t tin(Vertex v) const { return tin_[idx(v)]; }
   std::int32_t tout(Vertex v) const { return tout_[idx(v)]; }
 

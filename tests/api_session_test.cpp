@@ -25,6 +25,7 @@
 #include "src/graph/lower_bound.hpp"
 #include "src/io/binary_io.hpp"
 #include "src/util/rng.hpp"
+#include "tests/property_test_util.hpp"
 #include "tests/referee.hpp"
 
 namespace ftb {
@@ -34,38 +35,52 @@ using api::Query;
 using api::QueryOutcome;
 using api::QueryResponse;
 
+/// dist(src, ·) in `g` minus one failed edge or vertex, and minus every
+/// edge `banned_edges` marks (nullptr: none) — a literal BFS; all kInfHops
+/// when the source itself fails.
+std::vector<std::int32_t> literal_bfs(
+    const Graph& g, Vertex src, FaultClass kind, std::int32_t fault,
+    const std::vector<std::uint8_t>* banned_edges) {
+  std::vector<std::int32_t> dist(static_cast<std::size_t>(g.num_vertices()),
+                                 kInfHops);
+  if (kind == FaultClass::kVertex && fault == src) return dist;
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(g.num_vertices()),
+                                 0);
+  BfsBans bans;
+  bans.banned_edge_mask = banned_edges;
+  if (kind == FaultClass::kEdge) {
+    bans.banned_edge = fault;
+  } else {
+    mask[static_cast<std::size_t>(fault)] = 1;
+    bans.banned_vertex = &mask;
+  }
+  BfsScratch scratch;
+  bfs_run(g, src, bans, scratch);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    dist[static_cast<std::size_t>(v)] =
+        kind == FaultClass::kVertex && v == fault ? kInfHops
+                                                  : scratch.dist(v);
+  }
+  return dist;
+}
+
 /// Serial ground truth for any single-fault query the session can answer:
 /// a literal BFS on H \ {fault}.
 std::int32_t serial_truth(const api::Session& session, const Query& q) {
-  const Graph& g = session.graph();
-  const FtBfsStructure& h = session.structure();
   const Vertex src =
       session.sources()[static_cast<std::size_t>(q.source_index)];
-  std::vector<std::int32_t> dist;
-  if (q.kind == FaultClass::kEdge) {
-    BfsBans bans;
-    bans.banned_edge_mask = &h.complement_mask();
-    bans.banned_edge = q.fault;
-    BfsScratch scratch;
-    bfs_run(g, src, bans, scratch);
-    return scratch.dist(q.v);
-  }
-  if (q.v == q.fault) return kInfHops;
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(g.num_vertices()),
-                                 0);
-  mask[static_cast<std::size_t>(q.fault)] = 1;
-  BfsBans bans;
-  bans.banned_vertex = &mask;
-  bans.banned_edge_mask = &h.complement_mask();
-  BfsScratch scratch;
-  bfs_run(g, src, bans, scratch);
-  return scratch.dist(q.v);
+  return literal_bfs(session.graph(), src, q.kind, q.fault,
+                     &session.structure().complement_mask())
+      [static_cast<std::size_t>(q.v)];
 }
 
 TEST(ApiSession, InModelAnswersMatchLiteralBfs) {
   const Graph g = gen::lollipop(14, 9);
   api::BuildSpec spec;
-  spec.eps = 0.05;  // deep tail → reinforcement exists at this ε
+  // This graph reinforces nothing at ε = 0.05, so every answer here is
+  // in-model; InModelLookupsMatchLiteralBfsEverywhere adds a graph that
+  // reinforces.
+  spec.eps = 0.05;
   const api::Session session = api::Session::open(g, spec);
   const FtBfsStructure& h = session.structure();
 
@@ -586,6 +601,204 @@ TEST(ApiSession, SingleFaultAnswersMatchBuildSideEnginesAcrossLoads) {
   }
   std::remove(v5.c_str());
   std::remove(v6.c_str());
+}
+
+/// Expects `batch` to throw CheckError whose message ends with `message`.
+void expect_batch_throws(const api::Session& session,
+                         const std::vector<Query>& batch,
+                         const std::string& message) {
+  try {
+    (void)session.query(batch);
+    ADD_FAILURE() << "no CheckError for: " << message;
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what.size() >= message.size() &&
+                what.compare(what.size() - message.size(), message.size(),
+                             message) == 0)
+        << what << "\n  expected suffix: " << message;
+  }
+}
+
+/// `core` plus a stray two-vertex component {n, n + 1}: an unreachable v,
+/// an unreachable vertex fault and an edge no tree reaches.
+Graph with_stray_pair(const Graph& core) {
+  const Vertex n0 = core.num_vertices();
+  GraphBuilder b(n0 + 2);
+  for (EdgeId e = 0; e < core.num_edges(); ++e) {
+    const auto [x, y] = core.edge(e);
+    b.add_edge(x, y);
+  }
+  b.add_edge(n0, n0 + 1);
+  return b.build();
+}
+
+/// What InModelLookupsMatchLiteralBfsEverywhere reached, summed over its
+/// graphs.
+struct LookupCoverage {
+  std::int64_t reinforced = 0;  // reinforced edges of the edge sessions
+  std::int64_t row_reads = 0;   // in-model answers off the tree depth
+  std::int64_t cut_off = 0;     // in-model kInfHops answers
+};
+
+/// Serves every (v, fault) pair of `g` — faults on a stride, every
+/// reinforced edge and every fault in the stray component included — from
+/// edge, vertex and either sessions at ε = 0.05 with `sources`, in one
+/// batch, by query_one and through a save_v6 → load session, and checks
+/// each answer and outcome: in-model answers equal a literal BFS of
+/// G \ {f}, what-if answers one of H \ {f}, refusals kInfHops. A malformed
+/// query at the end of the batch throws its usual message.
+void check_lookups(const Graph& g, const std::vector<Vertex>& sources,
+                   std::int32_t stride, LookupCoverage& cov) {
+  const std::string v6 = ::testing::TempDir() + "/api_session_lookups.v6";
+  const Vertex n = g.num_vertices();
+  const EdgeId m = g.num_edges();
+  ASSERT_EQ(g.edge(m - 1), std::make_pair(n - 2, n - 1));  // the stray edge
+  for (const FaultClass model :
+       {FaultClass::kEdge, FaultClass::kVertex, FaultClass::kEither}) {
+    SCOPED_TRACE(std::string(to_string(model)) +
+                 " sigma=" + std::to_string(sources.size()));
+    api::BuildSpec spec;
+    spec.fault_model = model;
+    spec.sources = sources;
+    spec.eps = 0.05;
+    const api::Session session = api::Session::open(g, spec);
+    const FtBfsStructure& h = session.structure();
+    if (model == FaultClass::kEdge) cov.reinforced += h.num_reinforced();
+
+    std::vector<Query> batch;
+    std::vector<api::QueryResult> want;
+    for (std::size_t si = 0; si < sources.size(); ++si) {
+      const Vertex src = sources[si];
+      for (const FaultClass kind : {FaultClass::kEdge, FaultClass::kVertex}) {
+        const std::int32_t limit = kind == FaultClass::kEdge ? m : n;
+        for (std::int32_t f = 0; f < limit; ++f) {
+          const bool stray =
+              kind == FaultClass::kEdge ? f == m - 1 : f >= n - 2;
+          if (f % stride != 0 && !stray &&
+              !(kind == FaultClass::kEdge && h.is_reinforced(f))) {
+            continue;
+          }
+          const auto in_g = literal_bfs(g, src, kind, f, nullptr);
+          const auto in_h = literal_bfs(g, src, kind, f, &h.complement_mask());
+          const bool covered = kind == FaultClass::kEdge
+                                   ? model != FaultClass::kVertex &&
+                                         !h.is_reinforced(f)
+                                   : model != FaultClass::kEdge;
+          for (Vertex v = 0; v < n; ++v) {
+            Query q;
+            q.v = v;
+            q.kind = kind;
+            q.fault = f;
+            q.source_index = static_cast<std::int32_t>(si);
+            q.allow_what_if = (v + f) % 2 == 0;
+            api::QueryResult r;  // kRefused, kInfHops
+            if (kind == FaultClass::kVertex && f == src) {
+              // the asking source never fails
+            } else if (covered) {
+              r = {in_g[static_cast<std::size_t>(v)], QueryOutcome::kInModel};
+              if (r.dist >= kInfHops) ++cov.cut_off;
+              if (r.dist != session.distance(q.source_index, v)) {
+                ++cov.row_reads;
+              }
+            } else if (q.allow_what_if) {
+              r = {in_h[static_cast<std::size_t>(v)], QueryOutcome::kWhatIf};
+            }
+            batch.push_back(q);
+            want.push_back(r);
+          }
+        }
+      }
+    }
+
+    session.save_v6(v6);
+    const api::Session loaded = api::Session::load(g, v6);
+    std::remove(v6.c_str());
+    for (const auto& [how, served] :
+         {std::pair<const char*, const api::Session*>{"deploy", &session},
+          {"v6 load", &loaded}}) {
+      const QueryResponse resp = served->query(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const api::QueryResult one = served->query_one(batch[i]);
+        for (const api::QueryResult& got : {resp.results[i], one}) {
+          ASSERT_TRUE(got.dist == want[i].dist &&
+                      got.outcome == want[i].outcome)
+              << how << " v=" << batch[i].v
+              << " kind=" << to_string(batch[i].kind)
+              << " fault=" << batch[i].fault
+              << " source_index=" << batch[i].source_index << ": got ("
+              << got.dist << ", " << static_cast<int>(got.outcome)
+              << "), want (" << want[i].dist << ", "
+              << static_cast<int>(want[i].outcome) << ")";
+        }
+      }
+    }
+
+    const auto with_last = [&](auto mutate) {
+      std::vector<Query> bad = batch;
+      bad.push_back(batch.front());
+      mutate(bad.back());
+      return bad;
+    };
+    const std::string nv = std::to_string(n), nm = std::to_string(m),
+                      sigma = std::to_string(sources.size());
+    expect_batch_throws(session, with_last([&](Query& q) { q.v = n; }),
+                        "invalid Query: vertex " + nv + " out of range [0, " +
+                            nv + ")");
+    expect_batch_throws(session, with_last([&](Query& q) {
+                          q.source_index =
+                              static_cast<std::int32_t>(sources.size());
+                        }),
+                        "invalid Query: source_index " + sigma +
+                            " out of range [0, " + sigma + ")");
+    expect_batch_throws(session, with_last([&](Query& q) {
+                          q.kind = FaultClass::kEdge;
+                          q.fault = m;
+                        }),
+                        "invalid Query: fault " + nm + " out of range [0, " +
+                            nm + ")");
+    expect_batch_throws(session, with_last([&](Query& q) {
+                          q.kind = FaultClass::kVertex;
+                          q.fault = -1;
+                        }),
+                        "invalid Query: fault -1 out of range [0, " + nv + ")");
+    expect_batch_throws(
+        session, with_last([&](Query& q) { q.kind = FaultClass::kDual; }),
+        "invalid Query: kind must be kEdge or kVertex");
+    expect_batch_throws(session, with_last([&](Query& q) {
+                          q.kind2 = FaultClass::kVertex;
+                          q.fault2 = n;
+                        }),
+                        "invalid Query: fault2 " + nv + " out of range [0, " +
+                            nv + ")");
+  }
+}
+
+TEST(ApiSession, InModelLookupsMatchLiteralBfsEverywhere) {
+  // Every property family at n ≈ 24, exhaustively, at σ = 1 (an interior
+  // source) and σ = 3. None of them reinforces at ε = 0.05, so the
+  // Theorem 5.1 graph, which does, joins them with every 11th fault (and
+  // every reinforced edge).
+  LookupCoverage cov;
+  for (const test::GraphFamily family : test::kAllFamilies) {
+    SCOPED_TRACE(test::family_name(family));
+    const Graph g = with_stray_pair(test::make_family_graph(family, 24, 7));
+    const Vertex n0 = g.num_vertices() - 2;
+    check_lookups(g, {n0 / 2}, 1, cov);
+    check_lookups(g, {n0 / 2, n0 / 3, n0 - 1}, 1, cov);
+  }
+  {
+    SCOPED_TRACE("theorem 5.1");
+    const auto lbg = lb::build_single_source(300, 0.5);
+    const Graph g = with_stray_pair(lbg.graph);
+    const Vertex n0 = g.num_vertices() - 2;
+    check_lookups(g, {lbg.source}, 11, cov);
+    check_lookups(g, {lbg.source, n0 / 2, n0 - 1}, 11, cov);
+  }
+  // The sweep reached every branch of the lookup: reinforced edges (which
+  // leave the inline path), stored rows, and cut-off vertices.
+  EXPECT_GT(cov.reinforced, 0);
+  EXPECT_GT(cov.row_reads, 0);
+  EXPECT_GT(cov.cut_off, 0);
 }
 
 TEST(ApiSession, MixedPairAndSingleBatchMatchesQueryOne) {

@@ -163,6 +163,35 @@ TEST(SessionFsck, ReplacementRowAuditCatchesALoweredRow) {
   expect_row_audit_catches_mutants<VertexFault>(tree);
 }
 
+// The slot audit fsck runs beside it: the live slots pass, and a copy
+// with any one field of one slot moved fails.
+template <class Model>
+void expect_slot_audit_catches_mutants(const BfsTree& tree) {
+  const ReplacementTable<Model> table(tree);
+  EXPECT_TRUE(audit_table_slots<Model>(tree, table.slots()))
+      << to_string(Model::kClass);
+  const auto last = static_cast<std::size_t>(tree.graph().num_vertices() - 1);
+  for (std::int32_t TableSlot::*field :
+       {&TableSlot::tin, &TableSlot::tout, &TableSlot::depth,
+        &TableSlot::row}) {
+    std::vector<TableSlot> moved(table.slots().begin(), table.slots().end());
+    ++(moved[last].*field);
+    EXPECT_FALSE(audit_table_slots<Model>(tree, moved))
+        << to_string(Model::kClass);
+  }
+  const std::span<const TableSlot> short_by_one =
+      table.slots().first(last);
+  EXPECT_FALSE(audit_table_slots<Model>(tree, short_by_one))
+      << to_string(Model::kClass);
+}
+
+TEST(SessionFsck, SlotAuditCatchesAMovedField) {
+  const Graph g = gen::random_connected(30, 80, 11);
+  const BfsTree tree(g, EdgeWeights::uniform_random(g, 5), 0);
+  expect_slot_audit_catches_mutants<EdgeFault>(tree);
+  expect_slot_audit_catches_mutants<VertexFault>(tree);
+}
+
 TEST(SessionFsck, ReloadedV5ArtifactPassesFsck) {
   const Graph g = gen::grid_graph(5, 5);
   BuildSpec spec;
