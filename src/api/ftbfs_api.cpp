@@ -662,16 +662,16 @@ QueryResponse Session::query(QueryBatch batch,
   const bool oracle_pairs = im.has_site_dist();
 
   // One pass on the calling thread over a pooled scratch (zero per-batch
-  // allocation once the high-water marks are warm). A well-formed
-  // single-fault query the session's model covers is answered inline,
-  // against limits read once per batch. Every other query takes one
-  // out-of-line step: validate (throws before any traversal runs),
-  // classify, write its O(1) answer or group it — what-ifs and non-oracle
-  // in-model pairs — by (source, normalized fault[, fault2]) so each
-  // distinct failure (pair) is traversed at most once. The scratch is
-  // leased LAZILY: a batch whose every answer is O(1) — the high-QPS
-  // steady state — pays for the response vector and nothing else, so
-  // small batches stay ahead of a bare query_one loop.
+  // allocation once the high-water marks are warm). Every query is
+  // validated (a malformed one throws before any traversal runs) and
+  // classified; an in-model single fault is answered inline. Every other
+  // query takes one out-of-line step that writes its O(1) answer or
+  // groups it — what-ifs and non-oracle in-model pairs — by (source,
+  // normalized fault[, fault2]) so each distinct failure (pair) is
+  // traversed at most once. The scratch is leased LAZILY: a batch whose
+  // every answer is O(1) — the high-QPS steady state — pays for the
+  // response vector and nothing else, so small batches stay ahead of a
+  // bare query_one loop.
   std::optional<PoolLease<BatchScratch>> scratch;
   BatchScratch* scp = nullptr;
   const auto key_of = [](const Query& q) {
@@ -696,18 +696,19 @@ QueryResponse Session::query(QueryBatch batch,
   // cannot see through (reloading resp.results.data() per query is
   // measurable).
   QueryResult* const out = resp.results.data();
-  const auto serve_general = [&](std::size_t i, const Query& q)
-                                 __attribute__((noinline)) {
-    im.validate_query(q);
-    const QueryOutcome outcome = im.classify(q);
+  // Writes a classified query's outcome and counts it: pairs get their
+  // O(1) oracle answer or a group, what-ifs a group. An in-model single
+  // fault never arrives here (the loop below answers it inline).
+  const auto serve_classified = [&](std::size_t i, const Query& q,
+                                    QueryOutcome outcome)
+                                    __attribute__((noinline)) {
     out[i].outcome = outcome;
     switch (outcome) {
       case QueryOutcome::kInModel:
       case QueryOutcome::kDegraded:  // recomputed tables, same serving path
+        FTB_DCHECK(q.fault2 >= 0);
         outcome == QueryOutcome::kInModel ? ++n_in_model : ++n_degraded;
-        if (q.fault2 < 0) {
-          out[i].dist = im.in_model_dist(q);
-        } else if (oracle_pairs) {
+        if (oracle_pairs) {
           bool used_oracle = false;
           im.pair_fast(q, &out[i].dist, &used_oracle);
           if (used_oracle) ++resp.site_oracle_hits;
@@ -726,39 +727,37 @@ QueryResponse Session::query(QueryBatch batch,
         break;
     }
   };
-  // The inline path accepts exactly the queries validate_query passes and
-  // classify calls kInModel without a second fault, so outcomes, counters
-  // and exceptions match serve_general's.
+  // A single-fault query inside these limits passes validate_query, so it
+  // is classified without it and, when in-model, answered inline. Pairs
+  // and out-of-range queries take validate_query (which throws its
+  // message for a malformed one) before classify.
   const auto n = static_cast<std::uint32_t>(im.g->num_vertices());
   const auto m = static_cast<std::uint32_t>(im.g->num_edges());
   const auto sigma = static_cast<std::uint32_t>(im.sources.size());
-  const bool edges_in_model = im.covers_edge();
-  const bool vertices_in_model = im.covers_vertex();
   const TableReader<EdgeFault>* const edge_rd = im.edge_readers.data();
   const TableReader<VertexFault>* const vertex_rd = im.vertex_readers.data();
-  const Vertex* const src = im.sources.data();
-  const FtBfsStructure& h = im.structure;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
-    const auto si = static_cast<std::uint32_t>(q.source_index);
     const auto fault = static_cast<std::uint32_t>(q.fault);
-    if (q.fault2 < 0 && static_cast<std::uint32_t>(q.v) < n && si < sigma) {
-      if (q.kind == FaultClass::kEdge) {
-        if (edges_in_model && fault < m && !h.is_reinforced(q.fault)) {
-          out[i] = {edge_rd[si].dist(q.v, q.fault), QueryOutcome::kInModel};
-          ++n_in_model;
-          continue;
-        }
-      } else if (q.kind == FaultClass::kVertex) {
-        if (vertices_in_model && fault < n && q.fault != src[si]) {
-          out[i] = {vertex_rd[si].dist(q.v, q.fault),
-                    QueryOutcome::kInModel};
-          ++n_in_model;
-          continue;
-        }
+    const bool edge = q.kind == FaultClass::kEdge;
+    if (q.fault2 < 0 && (edge || q.kind == FaultClass::kVertex) &&
+        static_cast<std::uint32_t>(q.v) < n &&
+        static_cast<std::uint32_t>(q.source_index) < sigma &&
+        fault < (edge ? m : n)) {
+      const QueryOutcome outcome = im.classify(q);
+      if (outcome == QueryOutcome::kInModel) {
+        const auto si = static_cast<std::size_t>(q.source_index);
+        out[i] = {edge ? edge_rd[si].dist(q.v, q.fault)
+                       : vertex_rd[si].dist(q.v, q.fault),
+                  QueryOutcome::kInModel};
+        ++n_in_model;
+      } else {
+        serve_classified(i, q, outcome);
       }
+      continue;
     }
-    serve_general(i, q);
+    im.validate_query(q);
+    serve_classified(i, q, im.classify(q));
   }
 
   if (scp == nullptr || scp->n_groups == 0) {
